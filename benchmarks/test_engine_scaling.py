@@ -1,44 +1,39 @@
-"""Sharded engine scaling: wall-clock and modeled rate vs worker count.
+"""Sharded engine scaling: wall-clock packets/second vs worker count.
 
 Measures the P4 composition on the exact-heavy routable workload (every
 packet stays on the indexed table fast path) at 1, 2 and 4 workers
 against the single-process inline ``soak_program`` baseline, and writes
 ``BENCH_engine_scaling.json`` at the repo root.
 
-Three throughput figures are reported per worker count:
+One throughput figure is reported per worker count:
+``wall_pkts_per_sec`` — total packets over the wall-clock time of one
+``WorkerPool.submit`` (send the compiled pipeline to the workers,
+generate the stream once in the parent, feed the shards over
+shared-memory rings, collect every result), best of ``TRIALS``.  It is
+the rate a user actually observes.
+There is deliberately no modelled "one core per replica" figure: a pool
+worker's ``elapsed_s`` includes time blocked on its ring, so dividing
+by it does not isolate compute, and a number nobody can observe is not
+a gate.
 
-* ``wall_pkts_per_sec`` — total packets over wall-clock time for the
-  default **dispatch** ingest: the parent generates the stream once and
-  feeds a resident worker pool over shared-memory rings.  This is the
-  headline number — the rate a user actually observes.
-* ``replay_wall_pkts_per_sec`` — wall-clock rate of the deprecated
-  **replay** ingest (every worker regenerates the full stream and
-  filters to its shard; per-worker work is O(total stream)).  Kept as
-  the regression baseline dispatch is measured against.
-* ``aggregate_pkts_per_sec`` — total packets over the *busiest shard's
-  busy time*, measured with replay workers run one at a time (the
-  engine's ``sequential`` mode) so each shard's loop is timed without
-  CPU contention.  This models the deployment the sharding is for —
-  one core per replica.
+The JSON opens with the host it was measured on (hostname, core count,
+scheduler affinity, Python version), the execution backend, the packet
+count and whether this was a quick run, so the wall numbers can be read
+for what they are: on a host with fewer free cores than workers the
+replicas timeshare and the curve is flat.
 
-On a host with >= ``workers`` free cores the wall-clock dispatch rate
-at 2 workers must beat the single-process baseline.  On a 1-core
-runner no engine configuration can beat the baseline (the work is CPU
-bound and timeshared), so the check degrades to: dispatch must not be
-slower than replay at equal workers — the regression this benchmark
-exists to catch — with a small tolerance for scheduler noise.
-
-The run auto-selects sequential isolation for the model whenever the
-machine has fewer cores than the largest worker count (flagged
-``"isolated": true`` in the JSON); round-robin sharding keeps the
-shards balanced so the model is not skewed by an unlucky flow-hash
-split.
+On a host with >= 2 cores the 2-worker wall rate must beat the
+single-process baseline.  On a 1-core runner no multiprocess
+configuration can beat a single process (the work is CPU bound and
+timeshared), so the ratio is recorded and not asserted.
 
 Set ``BENCH_ENGINE_QUICK=1`` for a fast smoke run (CI).
 """
 
 import json
 import os
+import platform
+import socket
 from pathlib import Path
 
 import pytest
@@ -49,16 +44,11 @@ from repro.targets.soak import SoakConfig, soak_program
 QUICK = os.environ.get("BENCH_ENGINE_QUICK") == "1"
 PACKETS = 2_000 if QUICK else 20_000
 WORKER_COUNTS = (1, 2, 4)
-#: Time shards in isolation when the host can't run them concurrently.
-ISOLATED = (os.cpu_count() or 1) < max(WORKER_COUNTS)
-#: Wall-clock trials per ingest mode at each worker count; best-of
-#: damps scheduler noise (the workload is fixed, so slower runs are
-#: interference, not signal).
-TRIALS = 2
-#: Noise floor for the 1-core dispatch-vs-replay comparison: the two
-#: modes differ by ~1% of total CPU there, well inside run-to-run
-#: scheduler variance on a timeshared runner.
-WALL_TOLERANCE = 0.85
+#: Wall-clock trials at each worker count; best-of damps scheduler noise
+#: (the workload is fixed, so slower runs are interference, not signal).
+#: A quick run lasts well under a second, so one descheduling is a large
+#: share of it; it gets more trials, which are cheap at that size.
+TRIALS = 5 if QUICK else 2
 OUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine_scaling.json"
 
 RESULTS = {}
@@ -77,26 +67,17 @@ def config() -> SoakConfig:
     )
 
 
-def _engine(workers: int, ingest: str, sequential: bool = False):
-    return EngineConfig(
-        workers=workers,
-        shard_policy="round-robin",
-        ingest=ingest,
-        sequential=sequential,
-    )
+def _engine(workers: int) -> EngineConfig:
+    # Round-robin keeps the shards balanced, so the curve is not skewed
+    # by an unlucky flow-hash split.
+    return EngineConfig(workers=workers, shard_policy="round-robin")
 
 
-def _best_wall(workers: int, ingest: str, trials: int = TRIALS):
-    """Best wall-clock rate over ``trials`` runs; returns (rate, block)."""
-    best_rate, best_block = 0.0, None
-    for _ in range(trials):
-        block = run_sharded_program(
-            config(), "P4", _engine(workers, ingest)
-        )
-        assert block["ledger_ok"] and not block["uncaught"]
-        if block["pkts_per_sec"] >= best_rate:
-            best_rate, best_block = block["pkts_per_sec"], block
-    return best_rate, best_block
+def _affinity():
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return None
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -104,13 +85,18 @@ def write_results():
     yield
     payload = {
         "bench": "engine_scaling",
+        "host": {
+            "hostname": socket.gethostname(),
+            "cpu_count": os.cpu_count(),
+            "sched_getaffinity": _affinity(),
+            "python": platform.python_version(),
+        },
+        "exec": config().exec_backend,
+        "packets": PACKETS,
         "quick": QUICK,
         "program": "P4",
         "traffic": "routable",
-        "packets": PACKETS,
         "shard_policy": "round-robin",
-        "cpu_count": os.cpu_count(),
-        "isolated": ISOLATED,
         "wall_trials": TRIALS,
         "results": RESULTS,
     }
@@ -130,69 +116,44 @@ def test_single_process_baseline():
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_engine_workers(workers):
-    dispatch_wall, dispatch = _best_wall(workers, "dispatch")
-    replay_wall, replay = _best_wall(workers, "replay")
-    # The digest is a pure function of (seed, workers, shard_policy) —
-    # never of the ingest mode.
-    assert dispatch["digest"] == replay["digest"], (workers, "ingest drift")
-    # Modeled aggregate from contention-free shard timings (sequential
-    # replay) when the host can't actually run the workers in parallel.
-    model = replay
-    if ISOLATED:
-        model = run_sharded_program(
-            config(), "P4", _engine(workers, "replay", sequential=True)
-        )
-        assert model["ledger_ok"] and not model["uncaught"]
-        assert model["digest"] == dispatch["digest"]
+    best = None
+    for _ in range(TRIALS):
+        block = run_sharded_program(config(), "P4", _engine(workers))
+        assert block["ledger_ok"] and not block["uncaught"]
+        if best is not None:
+            # Same (seed, workers, shard_policy): same digest, every run.
+            assert block["digest"] == best["digest"]
+        if best is None or block["pkts_per_sec"] > best["pkts_per_sec"]:
+            best = block
     RESULTS[f"workers_{workers}"] = {
-        "wall_pkts_per_sec": dispatch_wall,
-        "replay_wall_pkts_per_sec": replay_wall,
-        "aggregate_pkts_per_sec": model["aggregate_pkts_per_sec"],
-        "digest": dispatch["digest"],
-        "shard_packets": [s["packets"] for s in model["shards"]],
-        "shard_busy_s": [s["elapsed_s"] for s in model["shards"]],
+        "wall_pkts_per_sec": best["pkts_per_sec"],
+        "digest": best["digest"],
+        "shard_packets": [s["packets"] for s in best["shards"]],
     }
 
 
-def test_scaling_reaches_2x_at_4_workers():
-    baseline = RESULTS["baseline"]["pkts_per_sec"]
-    w4 = RESULTS["workers_4"]["aggregate_pkts_per_sec"]
-    RESULTS["speedup_4_workers"] = round(w4 / baseline, 2)
-    # Round-robin over 4 equal shards: each replica processes 1/4 of
-    # the stream, so the modeled aggregate should approach 4x and must
-    # clear 2x even with per-worker setup overhead.
-    assert w4 >= 2.0 * baseline, RESULTS
-
-
 def test_dispatch_wall_clock_not_a_regression():
-    """The bug this PR fixes: sharding used to make wall-clock *worse*
-    than no engine at all, because every replay worker redid the whole
-    stream.  With >= 2 cores, 2-worker dispatch must now beat the
-    single-process baseline outright; on a 1-core runner (where no
-    multiprocess configuration can beat a single process) dispatch must
-    at least not lose to replay at equal workers."""
+    """The regression this benchmark exists to catch: sharding once made
+    wall-clock *worse* than no engine at all, because every worker redid
+    the whole stream.  With >= 2 cores, the 2-worker pool must beat the
+    single-process baseline outright; on a 1-core runner the ratio is
+    recorded only."""
     baseline = RESULTS["baseline"]["pkts_per_sec"]
     dispatch = RESULTS["workers_2"]["wall_pkts_per_sec"]
-    replay = RESULTS["workers_2"]["replay_wall_pkts_per_sec"]
     RESULTS["wall_check"] = {
         "cpu_count": os.cpu_count(),
-        "dispatch_vs_replay": round(dispatch / replay, 3) if replay else None,
         "dispatch_vs_baseline": (
             round(dispatch / baseline, 3) if baseline else None
         ),
     }
     if (os.cpu_count() or 1) >= 2:
         assert dispatch >= baseline, RESULTS
-    else:
-        assert dispatch >= WALL_TOLERANCE * replay, RESULTS
 
 
 def test_sharded_totals_match_baseline():
     """Scaling must not change behavior: the 4-worker merged totals
     equal the single-process run exactly."""
-    merged = run_sharded_program(
-        config(), "P4", _engine(4, "dispatch")
-    )
+    merged = run_sharded_program(config(), "P4", _engine(4))
     assert merged["emits"] == RESULTS["baseline"]["emits"]
     assert merged["drops"] == RESULTS["baseline"]["drops"]
     assert merged["digest"] == RESULTS["workers_4"]["digest"]

@@ -54,6 +54,7 @@ from repro.frontend.json_ir import load_module
 from repro.obs.metrics import METRICS, collecting
 from repro.obs.trace import Tracer
 from repro.targets.backends import DEFAULT_EXEC_BACKEND, EXEC_BACKENDS
+from repro.targets.soak import DEFAULT_BATCH_LANES
 
 _EPILOG = """\
 exit codes:
@@ -531,22 +532,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
         from repro.targets.faults import ChaosPlan
         from repro.targets.supervision import RestartPolicy
 
-        if args.ingest == "replay":
-            import warnings
-
-            warnings.warn(
-                "--ingest replay is deprecated (kept for benchmark "
-                "comparison only); use --ingest dispatch",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if not args.json:
-                print(
-                    "note: --ingest replay is deprecated; "
-                    "use --ingest dispatch",
-                    file=sys.stderr,
-                )
-
         restart = None
         if (
             args.max_restarts is not None
@@ -574,7 +559,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
         engine = EngineConfig(
             workers=args.workers,
             shard_policy=args.shard_policy,
-            ingest=args.ingest,
             publish_interval_s=(
                 args.publish_interval if telemetry is not None else 0.0
             ),
@@ -586,7 +570,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
 
         raise TargetError(
             "--chaos injects process-level faults into pool workers; "
-            "it requires --workers N (sharded dispatch mode)"
+            "it requires --workers N"
         )
     try:
         # Single-process runs need the parent registry live for the
@@ -874,22 +858,15 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_soak.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="fan each program's stream over N worker processes "
-        "(switch replicas); the merged digest is a pure function of "
+        help="fan each program's stream over N resident worker processes "
+        "(switch replicas) fed by the parent over shared-memory rings; "
+        "the merged digest is a pure function of "
         "(seed, workers, shard-policy)",
     )
     p_soak.add_argument(
         "--shard-policy", choices=("flow-hash", "round-robin"),
         default="flow-hash",
         help="how --workers assigns packets to shards (default: flow-hash)",
-    )
-    p_soak.add_argument(
-        "--ingest", choices=("replay", "dispatch"), default="dispatch",
-        help="how packets reach the workers: the parent generates the "
-        "stream once and dispatches over shared-memory rings to a "
-        "resident pool (dispatch, default), or every worker replays the "
-        "full stream and filters to its shard (replay, deprecated); "
-        "the digest is identical either way",
     )
     p_soak.add_argument(
         "--exec", choices=EXEC_BACKENDS, default=DEFAULT_EXEC_BACKEND,
@@ -916,8 +893,9 @@ def make_parser() -> argparse.ArgumentParser:
         "on uncaught escapes or ledger mismatch (default: 64; 0 disables)",
     )
     p_soak.add_argument(
-        "--batch-lanes", type=int, default=256, metavar="N",
-        help="lanes per SoA batch handed to the switch (default: 256); "
+        "--batch-lanes", type=int, default=DEFAULT_BATCH_LANES, metavar="N",
+        help="lanes per SoA batch handed to the switch "
+        f"(default: {DEFAULT_BATCH_LANES}); "
         "verdicts are batch-boundary-independent so this tunes "
         "throughput without moving the digest",
     )

@@ -7,23 +7,21 @@ processes, each owning an independent :class:`~repro.targets.switch
 .Switch` replica built from the same compiled pipeline, and folds the
 per-shard results back into one summary.
 
-Two ingest modes feed the replicas (``EngineConfig.ingest``):
+The parent generates the stream **once**, assigns each packet's shard,
+and pushes ``(index, bytes, in_port)`` records to a resident
+:class:`~repro.targets.pool.WorkerPool` over per-shard shared-memory
+rings (:mod:`repro.targets.ring`).  Workers are long-lived: one
+``start()``, any number of ``submit()`` runs.  This matches how RMT
+hardware scales — replicated pipes fed from one shared ingest — and
+per-worker work is O(shard), not O(stream).
 
-* ``dispatch`` (default) — the parent generates the stream **once**,
-  assigns each packet's shard, and pushes ``(index, bytes, in_port)``
-  records to a resident :class:`~repro.targets.pool.WorkerPool` over
-  per-shard shared-memory rings (:mod:`repro.targets.ring`).  Workers
-  are long-lived: one ``start()``, any number of ``submit()`` runs.
-  This matches how RMT hardware scales — replicated pipes fed from one
-  shared ingest — and per-worker work is O(shard), not O(stream).
-* ``replay`` (legacy, deprecated) — every worker replays the *entire*
-  deterministic stream (:func:`repro.targets.soak.iter_stream`) and
-  keeps only the packets its shard owns.  Kept as the baseline the
-  engine-scaling benchmark measures dispatch against, and as the
-  substrate of ``sequential`` mode (contention-free per-shard timing
-  for the modeled aggregate rate).
+This module is the *shard model*: the run configuration, the pure
+assignment and seed functions, the per-shard consume loop every worker
+runs, and the fold of per-shard blocks into one program block.  Process
+orchestration for soak runs lives in :mod:`repro.targets.pool` and
+nowhere else.
 
-The determinism contract (DESIGN.md §9, §13) is identical either way:
+The determinism contract (DESIGN.md §9, §13):
 
 * shard assignment is a pure function of the packet: ``flow-hash``
   (crc32 of the packet bytes mod workers — a software RSS) or
@@ -35,8 +33,8 @@ The determinism contract (DESIGN.md §9, §13) is identical either way:
   shard order.
 
 Hence ``merged digest = f(seed, workers, shard_policy)`` — replayable
-exactly, whether the workers run concurrently or one at a time, and
-independent of the ingest mode (pinned by test and CI).
+exactly, however the workers are scheduled and whatever the ring size
+or process start method (pinned by test against an in-process oracle).
 
 Workers report a local :class:`~repro.obs.metrics.MetricsRegistry`
 snapshot; the parent folds them with the registry's commutative
@@ -56,10 +54,8 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import os
 import queue as queue_mod
 import time
-import traceback
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -71,28 +67,10 @@ from repro.targets.backends import EXEC_BACKENDS, make_pipeline
 from repro.targets.faults import ChaosPlan
 from repro.targets.ring import DEFAULT_RING_BYTES
 from repro.targets.supervision import RestartPolicy
-from repro.targets.soak import (
-    SoakConfig,
-    build_switch,
-    compose_program,
-    iter_stream,
-    update_digest,
-)
+from repro.targets.soak import DEFAULT_BATCH_LANES, SoakConfig, update_digest
 
 #: Shard-assignment policies.
 SHARD_POLICIES = ("flow-hash", "round-robin")
-
-#: Stream-ingest modes (see the module docstring).
-INGEST_MODES = ("replay", "dispatch")
-
-#: Default packets a worker hands to ``Switch.process_batch`` at a time
-#: (override per run via ``SoakConfig.batch_lanes`` / ``--batch-lanes``).
-#: Both ingest modes batch identically (exactly this many consecutive
-#: owned packets, partial batch only at end of stream) so the two
-#: produce the same batches — and because per-packet verdicts do not
-#: depend on batch boundaries (the SoA parity argument, DESIGN.md §15),
-#: the digest is invariant to the lane count too.
-BATCH_SIZE = 256
 
 
 class EngineError(TargetError):
@@ -150,22 +128,10 @@ class EngineConfig:
 
     workers: int = 2
     shard_policy: str = "flow-hash"  # flow-hash | round-robin
-    #: How packets reach the workers: ``dispatch`` (parent-side stream
-    #: generation pushed to a resident pool over shared-memory rings)
-    #: or ``replay`` (each worker regenerates the full stream and
-    #: filters; deprecated, kept for benchmark comparison).
-    ingest: str = "dispatch"
-    #: Per-shard ring capacity in bytes (dispatch mode).  Bounds the
-    #: parent's lead over a slow worker; a full ring blocks the parent
-    #: (backpressure) rather than dropping anything.
+    #: Per-shard ring capacity in bytes.  Bounds the parent's lead over
+    #: a slow worker; a full ring blocks the parent (backpressure)
+    #: rather than dropping anything.
     ring_bytes: int = DEFAULT_RING_BYTES
-    #: Run the shard workers one at a time instead of concurrently.
-    #: Results and digests are identical either way; sequential mode
-    #: exists so per-shard busy time can be measured without CPU
-    #: timesharing noise on machines with fewer cores than workers
-    #: (the engine-scaling benchmark uses it to model throughput).
-    #: Implies ``replay`` ingest — there is no parent to overlap with.
-    sequential: bool = False
     #: Enable each worker's metrics registry and fold the snapshots
     #: into the merged block (``switch.*`` / ``interp.*`` counters).
     collect_metrics: bool = True
@@ -184,13 +150,13 @@ class EngineConfig:
     #: shard 0's worker exits hard ("exit"), raises ("error"), or
     #: raises KeyboardInterrupt ("interrupt").
     sabotage: Optional[str] = None
-    #: Self-healing bounds for the resident pool (dispatch ingest).
-    #: ``None`` means the default :class:`RestartPolicy` — supervision
-    #: is always on; set ``RestartPolicy(max_restarts_per_shard=0,
-    #: restart_budget=0)`` for the old fail-fast behavior.
+    #: Self-healing bounds for the resident pool.  ``None`` means the
+    #: default :class:`RestartPolicy` — supervision is always on; set
+    #: ``RestartPolicy(max_restarts_per_shard=0, restart_budget=0)``
+    #: for the old fail-fast behavior.
     restart: Optional["RestartPolicy"] = None
-    #: Scheduled process-level fault injection (dispatch ingest only):
-    #: a :class:`~repro.targets.faults.ChaosPlan` of kill/stop/stall
+    #: Scheduled process-level fault injection: a
+    #: :class:`~repro.targets.faults.ChaosPlan` of kill/stop/stall
     #: events the dispatcher fires at exact stream positions.
     chaos: Optional["ChaosPlan"] = None
     #: Workers acknowledge their completed watermark (highest global
@@ -208,11 +174,6 @@ class EngineConfig:
                 f"unknown shard policy {self.shard_policy!r}; "
                 f"known: {', '.join(SHARD_POLICIES)}"
             )
-        if self.ingest not in INGEST_MODES:
-            raise TargetError(
-                f"unknown ingest mode {self.ingest!r}; "
-                f"known: {', '.join(INGEST_MODES)}"
-            )
         if self.ring_bytes < 1024:
             raise TargetError(
                 f"engine ring_bytes must be >= 1024, got {self.ring_bytes}"
@@ -225,11 +186,6 @@ class EngineConfig:
         if self.restart is not None:
             self.restart.validate()
         if self.chaos is not None:
-            if self.ingest != "dispatch" or self.sequential:
-                raise TargetError(
-                    "chaos injection requires dispatch ingest on the "
-                    "resident pool (no --ingest replay, no sequential mode)"
-                )
             for event in self.chaos.events:
                 if event.shard >= self.workers:
                     raise TargetError(
@@ -255,19 +211,6 @@ def assign_shard(index: int, data: bytes, workers: int, policy: str) -> int:
     if policy == "round-robin":
         return index % workers
     return zlib.crc32(data) % workers
-
-
-# ----------------------------------------------------------------------
-# Parent->child state handoff (replay ingest only)
-# ----------------------------------------------------------------------
-# Replay-mode pipelines are handed to workers by fork inheritance: the
-# parent compiles once, stashes the result here, and forked children
-# find it without pickling an AST.  Under a non-fork start method the
-# dict comes up empty and each worker compiles its own copy (slower,
-# same results).  Dispatch mode does not use this — the pool installs
-# pipelines via an explicit control message, which works under any
-# start method.
-_SHARED_PIPELINES: Dict[Tuple[str, str], object] = {}
 
 
 def _mp_context():
@@ -304,15 +247,15 @@ def _consume(
     publish=None,
     recorder=None,
     ack=None,
-    batch_lanes: int = BATCH_SIZE,
+    batch_lanes: int = DEFAULT_BATCH_LANES,
 ) -> Dict[str, object]:
     """Process one shard's packet stream and summarize it.
 
     ``stream`` yields only the packets this shard owns, in global-index
-    order — the replay worker filters the full generator stream down to
-    that, the pool worker decodes it from its ring.  Everything
-    downstream (batching, digesting, accounting) is shared, so the two
-    ingest modes cannot drift apart.
+    order — a pool worker decodes it from its ring (after regenerating
+    its acknowledged prefix, when it is a replacement replica).  The
+    loop itself knows nothing about processes or rings, so it can be
+    called directly on a filtered stream to check a pool run.
 
     ``publish(epoch, ledger, watermark)`` (when given) posts a mid-run
     telemetry message every ``engine.publish_interval_s`` seconds;
@@ -328,9 +271,10 @@ def _consume(
     restarted replica some extra deterministic replay, never
     correctness (DESIGN.md §14).
 
-    The returned block carries ``elapsed_s`` **unrounded** — rounding a
-    sub-millisecond shard to 0.0 used to wreck the merged aggregate
-    rate; presentation rounding happens in :func:`_merge_blocks`.
+    The returned block carries ``elapsed_s`` **unrounded**;
+    presentation rounding happens in :func:`_merge_blocks`.  In a pool
+    worker it includes time blocked on an empty ring, so it is the
+    shard's wall time, not its busy time.
     """
     digest = hashlib.sha256()
     uncaught: List[str] = []
@@ -435,110 +379,6 @@ def _consume(
     return block
 
 
-def _run_shard(
-    config: SoakConfig,
-    program: str,
-    engine: EngineConfig,
-    shard: int,
-    publish=None,
-    recorder=None,
-) -> Dict[str, object]:
-    """One replay-mode worker's whole job: replay, filter, consume."""
-    composed = _SHARED_PIPELINES.get((program, config.mode))
-    if composed is None:
-        composed = compose_program(config, program)
-    switch = build_switch(
-        config,
-        program,
-        composed,
-        fault_seed=shard_seed(config.seed, program, shard),
-    )
-    workers, policy = engine.workers, engine.shard_policy
-    stream = (
-        (index, packet, in_port)
-        for index, packet, in_port in iter_stream(
-            config, program, switch.config.num_ports
-        )
-        if assign_shard(index, packet.tobytes(), workers, policy) == shard
-    )
-    block = _consume(
-        switch, stream, engine, shard, publish=publish, recorder=recorder,
-        batch_lanes=getattr(config, "batch_lanes", BATCH_SIZE),
-    )
-    block["seed"] = shard_seed(config.seed, program, shard)
-    return block
-
-
-def _shard_worker(
-    out_queue,
-    config: SoakConfig,
-    program: str,
-    engine: EngineConfig,
-    shard: int,
-) -> None:
-    """Process entry point: run one shard, post ``(kind, shard, payload)``."""
-    from repro.obs.telemetry import FlightRecorder
-
-    recorder = (
-        FlightRecorder(config.flight_recorder, shard=shard)
-        if config.flight_recorder > 0
-        else None
-    )
-
-    def publish(epoch: int, ledger: Dict[str, int], watermark: int) -> None:
-        # Cumulative snapshot + ledger; the parent folds it into the
-        # live view.  Never blocks the dataplane beyond the queue put.
-        out_queue.put(
-            (
-                "telemetry",
-                shard,
-                {
-                    "epoch": epoch,
-                    "metrics": METRICS.snapshot(),
-                    "ledger": ledger,
-                    "watermark": watermark,
-                    "final": False,
-                },
-            )
-        )
-
-    try:
-        _worker_init(engine)
-        if shard == 0 and engine.sabotage == "exit":
-            os._exit(17)
-        if shard == 0 and engine.sabotage == "error":
-            raise RuntimeError("sabotaged worker (test hook)")
-        if shard == 0 and engine.sabotage == "interrupt":
-            raise KeyboardInterrupt
-        out_queue.put(
-            (
-                "ok",
-                shard,
-                _run_shard(
-                    config,
-                    program,
-                    engine,
-                    shard,
-                    publish=publish if engine.collect_metrics else None,
-                    recorder=recorder,
-                ),
-            )
-        )
-    except KeyboardInterrupt:
-        out_queue.put(
-            ("error", shard, {"error": "interrupted", "code": "interrupted"})
-        )
-    except BaseException as exc:  # noqa: BLE001 — report, never hang the pool
-        detail = {
-            "error": f"{type(exc).__name__}: {exc}",
-            "code": getattr(exc, "code", "worker-error"),
-            "traceback": traceback.format_exc(limit=8),
-        }
-        if recorder is not None and len(recorder):
-            detail["flight_recorder"] = recorder.dump()
-        out_queue.put(("error", shard, detail))
-
-
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
@@ -547,8 +387,6 @@ def _collect(
     out_queue,
     engine: EngineConfig,
     on_telemetry=None,
-    expect_run: Optional[int] = None,
-    initial: Optional[Dict[int, Dict[str, object]]] = None,
 ) -> Dict[int, Dict[str, object]]:
     """Gather one result per shard; raise on worker failure or death.
 
@@ -557,22 +395,13 @@ def _collect(
     wired) without affecting result accounting.  Any message from a
     still-pending shard re-arms the watchdog — a worker that publishes
     telemetry is alive, however long its shard takes.
-
-    ``expect_run`` (pool runs) discards stale payloads tagged with a
-    different run id; ``initial`` seeds results the caller already
-    drained while dispatching.
     """
-    results: Dict[int, Dict[str, object]] = dict(initial or {})
-    pending = set(procs) - set(results)
+    results: Dict[int, Dict[str, object]] = {}
+    pending = set(procs)
     deadline = time.monotonic() + engine.watchdog_s
 
     def handle(kind: str, shard: int, payload: Dict[str, object]) -> None:
         nonlocal deadline
-        if (
-            expect_run is not None
-            and payload.get("run") not in (None, expect_run)
-        ):
-            return  # stale message from an earlier pool run
         if shard in pending:
             deadline = time.monotonic() + engine.watchdog_s
         if kind == "telemetry":
@@ -630,10 +459,9 @@ def _merge_blocks(
     """Fold per-shard blocks into one program block (same shape as
     ``soak_program``'s, plus sharding fields).
 
-    Shard blocks arrive with unrounded ``elapsed_s``; the aggregate
-    rate divides by the *raw* busiest time (a sub-millisecond shard
-    must not round to 0.0 and blow up the quotient) and rounding is
-    applied only to the rendered per-shard output.
+    Shard blocks arrive with unrounded ``elapsed_s``; rounding is
+    applied only to the rendered per-shard output.  The one rate
+    reported is the wall-clock one, ``packets / wall_s``.
     """
 
     def total(key: str) -> int:
@@ -652,13 +480,11 @@ def _merge_blocks(
     merged_digest = hashlib.sha256(
         "".join(str(block["digest"]) for block in shards).encode()
     ).hexdigest()
-    busiest = max(float(block["elapsed_s"]) for block in shards)
     merged: Dict[str, object] = {
         "program": program,
         "mode": config.mode,
         "workers": engine.workers,
         "shard_policy": engine.shard_policy,
-        "ingest": engine.ingest,
         "packets": total("packets"),
         "emits": total("emits"),
         "drops": total("drops"),
@@ -678,13 +504,6 @@ def _merge_blocks(
         "elapsed_s": round(wall_s, 3),
         "pkts_per_sec": (
             round(total("packets") / wall_s, 1) if wall_s else None
-        ),
-        # Modeled aggregate: every shard's busy time measured on its own
-        # packets; with one core per worker the run completes in
-        # max(shard busy time).  Equals the wall-clock rate when the
-        # machine really has `workers` free cores.
-        "aggregate_pkts_per_sec": (
-            round(total("packets") / busiest, 1) if busiest > 0 else None
         ),
         "shards": [
             {
@@ -732,78 +551,6 @@ def _publish_final_epochs(
         )
 
 
-def _run_sharded_replay(
-    config: SoakConfig,
-    program: str,
-    engine: EngineConfig,
-    telemetry=None,
-) -> Dict[str, object]:
-    """Legacy fork-per-run path: every worker replays the full stream."""
-    epochs_seen: Dict[int, int] = {}
-
-    def on_telemetry(shard: int, payload: Dict[str, object]) -> None:
-        epoch = int(payload.get("epoch", 0))  # type: ignore[arg-type]
-        epochs_seen[shard] = max(epochs_seen.get(shard, 0), epoch)
-        if telemetry is not None:
-            telemetry.publish(
-                program,
-                shard,
-                epoch,
-                payload.get("metrics", {}),
-                ledger=payload.get("ledger"),
-                final=bool(payload.get("final", False)),
-                watermark=payload.get("watermark"),  # type: ignore[arg-type]
-            )
-
-    # Compile once in the parent: a bad program fails here, cleanly and
-    # single-process; forked workers inherit the compiled pipeline.
-    _SHARED_PIPELINES[(program, config.mode)] = compose_program(config, program)
-    ctx = _mp_context()
-    out_queue = ctx.Queue()
-    procs: Dict[int, multiprocessing.Process] = {
-        shard: ctx.Process(
-            target=_shard_worker,
-            args=(out_queue, config, program, engine, shard),
-            daemon=True,
-        )
-        for shard in range(engine.workers)
-    }
-    start = time.perf_counter()
-    try:
-        if engine.sequential:
-            results: Dict[int, Dict[str, object]] = {}
-            for shard, proc in procs.items():
-                proc.start()
-                results.update(
-                    _collect(
-                        {shard: proc}, out_queue, engine,
-                        on_telemetry=on_telemetry,
-                    )
-                )
-                proc.join()
-        else:
-            for proc in procs.values():
-                proc.start()
-            results = _collect(
-                procs, out_queue, engine, on_telemetry=on_telemetry
-            )
-    finally:
-        for proc in procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs.values():
-            if proc.pid is not None:
-                proc.join(timeout=5)
-        out_queue.close()
-        out_queue.cancel_join_thread()
-        _SHARED_PIPELINES.pop((program, config.mode), None)
-    wall_s = time.perf_counter() - start
-    shards = [results[shard] for shard in sorted(results)]
-    if telemetry is not None and engine.collect_metrics:
-        _publish_final_epochs(telemetry, program, shards, epochs_seen)
-    return _merge_blocks(program, config, engine, shards, wall_s)
-
-
 def run_sharded_program(
     config: SoakConfig,
     program: str,
@@ -818,10 +565,10 @@ def run_sharded_program(
     :class:`EngineError`; ``KeyboardInterrupt`` tears all workers down
     and propagates.
 
-    With ``dispatch`` ingest (the default) this spins up a one-shot
-    :class:`~repro.targets.pool.WorkerPool`; callers soaking several
-    programs should hold a pool themselves and ``submit()`` each one so
-    the workers stay resident (``run_soak`` does).
+    This opens a one-shot :class:`~repro.targets.pool.WorkerPool`;
+    callers soaking several programs should hold a pool themselves and
+    ``submit()`` each one so the workers stay resident (``run_soak``
+    does).
 
     ``telemetry`` (a :class:`~repro.obs.telemetry.LiveTelemetry`)
     receives each worker's mid-run publishes (when
@@ -829,29 +576,20 @@ def run_sharded_program(
     epoch-stamped snapshot per shard — so the rolling view always ends
     exactly at the merged result.
     """
-    engine.validate()
-    if engine.ingest == "dispatch" and not engine.sequential:
-        from repro.targets.pool import WorkerPool
+    from repro.targets.pool import WorkerPool  # pool imports this module
 
-        with WorkerPool(engine) as pool:
-            return pool.submit(config, program, telemetry=telemetry)
-    return _run_sharded_replay(config, program, engine, telemetry=telemetry)
+    with WorkerPool(engine) as pool:
+        return pool.submit(config, program, telemetry=telemetry)
 
 
 # ----------------------------------------------------------------------
 # Sharded profile runs (`repro profile --packets N --workers W`)
 # ----------------------------------------------------------------------
-_SHARED_PROFILE: Dict[str, object] = {}
-
-
-def _profile_worker(out_queue, count: int, engine: EngineConfig,
-                    shard: int) -> None:
+def _profile_worker(out_queue, composed, mix: List[bytes], exec_backend: str,
+                    count: int, engine: EngineConfig, shard: int) -> None:
     try:
         METRICS.reset()
         METRICS.enable()
-        composed = _SHARED_PROFILE["composed"]
-        mix: List[bytes] = _SHARED_PROFILE["mix"]  # type: ignore[assignment]
-        exec_backend = str(_SHARED_PROFILE.get("exec", "interp"))
         workers, policy = engine.workers, engine.shard_policy
         instance = make_pipeline(composed, exec_backend=exec_backend)
         mine = [
@@ -868,7 +606,7 @@ def _profile_worker(out_queue, count: int, engine: EngineConfig,
             outputs += len(instance.process(Packet(data), 1))
             if (
                 next_publish is not None
-                and done % BATCH_SIZE == 0
+                and done % DEFAULT_BATCH_LANES == 0
                 and time.monotonic() >= next_publish
             ):
                 epoch += 1
@@ -899,6 +637,10 @@ def _profile_worker(out_queue, count: int, engine: EngineConfig,
                 },
             )
         )
+    except KeyboardInterrupt:
+        out_queue.put(
+            ("error", shard, {"error": "interrupted", "code": "interrupted"})
+        )
     except BaseException as exc:  # noqa: BLE001
         out_queue.put(
             ("error", shard, {"error": f"{type(exc).__name__}: {exc}",
@@ -918,7 +660,9 @@ def run_profile_shards(
 
     ``mix`` is a list of template packet byte-strings cycled by index.
     Returns merged lookup counters and throughput; the aggregate rate is
-    ``count / max(shard busy time)`` (see ``_merge_blocks`` note).
+    ``count / max(shard busy time)`` — what the run would take with one
+    free core per worker (profile workers own their packets up front, so
+    their ``elapsed_s`` is busy time, never time blocked on a transport).
     ``exec_backend`` selects the pipeline executor each worker builds.
     ``telemetry`` receives mid-run publishes (when
     ``engine.publish_interval_s > 0``) and a final snapshot per shard.
@@ -949,38 +693,24 @@ def run_profile_shards(
                 final=bool(payload.get("final", False)),
             )
 
-    _SHARED_PROFILE["composed"] = composed
-    _SHARED_PROFILE["mix"] = list(mix)
-    _SHARED_PROFILE["exec"] = exec_backend
     ctx = _mp_context()
     out_queue = ctx.Queue()
     procs: Dict[int, multiprocessing.Process] = {
         shard: ctx.Process(
             target=_profile_worker,
-            args=(out_queue, count, engine, shard),
+            args=(
+                out_queue, composed, list(mix), exec_backend, count, engine,
+                shard,
+            ),
             daemon=True,
         )
         for shard in range(engine.workers)
     }
     start = time.perf_counter()
     try:
-        if engine.sequential:
-            results: Dict[int, Dict[str, object]] = {}
-            for shard, proc in procs.items():
-                proc.start()
-                results.update(
-                    _collect(
-                        {shard: proc}, out_queue, engine,
-                        on_telemetry=on_telemetry,
-                    )
-                )
-                proc.join()
-        else:
-            for proc in procs.values():
-                proc.start()
-            results = _collect(
-                procs, out_queue, engine, on_telemetry=on_telemetry
-            )
+        for proc in procs.values():
+            proc.start()
+        results = _collect(procs, out_queue, engine, on_telemetry=on_telemetry)
     finally:
         for proc in procs.values():
             if proc.is_alive():
@@ -990,7 +720,6 @@ def run_profile_shards(
                 proc.join(timeout=5)
         out_queue.close()
         out_queue.cancel_join_thread()
-        _SHARED_PROFILE.clear()
     wall_s = time.perf_counter() - start
     shards = [results[shard] for shard in sorted(results)]
     if telemetry is not None:

@@ -1,20 +1,19 @@
 """Resident worker pool: one fork, many runs, parent-side dispatch.
 
-This is the ``ingest="dispatch"`` substrate of the sharded engine
-(:mod:`repro.targets.engine`).  The legacy replay mode makes every
-worker regenerate the *entire* deterministic stream and filter it down
-to its shard — per-worker work is O(total stream), so adding workers
-adds wall-clock on any machine without a spare core per worker.  Here
-the parent generates the stream exactly once, assigns each packet's
-shard (the same pure :func:`~repro.targets.engine.assign_shard`), and
-pushes ``(index, in_port, bytes)`` records to long-lived workers over
-per-shard SPSC shared-memory rings (:mod:`repro.targets.ring`):
+This is the process orchestration of the sharded engine
+(:mod:`repro.targets.engine` holds the shard model it runs) — the only
+way a soak stream reaches worker processes.  The parent generates the
+stream exactly once, assigns each packet's shard (the pure
+:func:`~repro.targets.engine.assign_shard`), and pushes
+``(index, in_port, bytes)`` records to long-lived workers over per-shard
+SPSC shared-memory rings (:mod:`repro.targets.ring`), so per-worker work
+is O(shard), not O(stream):
 
 * **one fork, many runs** — :meth:`WorkerPool.start` spawns the
   workers once; every :meth:`WorkerPool.submit` sends a ``run`` control
   message (program name, soak config, and the *pickled compiled
-  pipeline*) down each worker's pipe.  No ``_SHARED_PIPELINES``
-  fork-inheritance dict, so non-fork start methods work too.
+  pipeline*) down each worker's pipe.  Nothing rides on fork
+  inheritance, so non-fork start methods work too.
 * **batched records** — ring traffic is packed several packets per
   record (a small fixed header per packet), so the per-record ring
   bookkeeping amortizes to noise next to pipeline execution.
@@ -22,10 +21,11 @@ per-shard SPSC shared-memory rings (:mod:`repro.targets.ring`):
   the worker drains it; while blocked the parent keeps polling the
   result queue so a crashed worker surfaces immediately.
 * **determinism preserved** — workers consume exactly the packets their
-  shard owns, in global-index order, and run the very same
-  :func:`~repro.targets.engine._consume` loop (same ``BATCH_SIZE``
-  batching) as replay workers, so per-shard digests — and therefore the
-  pinned golden merged digests — are bit-identical across ingest modes.
+  shard owns, in global-index order, through the shared
+  :func:`~repro.targets.engine._consume` loop, so per-shard digests —
+  and therefore the pinned golden merged digests — equal what a direct
+  in-process call of that loop on the filtered stream produces (the
+  oracle the tests compare every pool run against).
 * **self-healing** — a replica death mid-stream (SIGKILL, hard exit,
   hung ring, watchdog) no longer breaks the pool.  A supervisor
   (:mod:`repro.targets.supervision`) respawns a fresh replica that
@@ -230,7 +230,7 @@ def _run_pool_shard(
         publish=publish if engine.collect_metrics else None,
         recorder=recorder,
         ack=ack if engine.ack_interval_pkts > 0 else None,
-        batch_lanes=getattr(config, "batch_lanes", 256),
+        batch_lanes=config.batch_lanes,
     )
     block["seed"] = shard_seed(config.seed, program, shard)
     block["run"] = run
@@ -1035,8 +1035,8 @@ class WorkerPool:
     def submit(self, config: SoakConfig, program: str,
                telemetry=None) -> Dict[str, object]:
         """Run one program across the resident workers; returns the
-        merged program block (same shape as replay mode's, plus the
-        supervision fields ``restarts`` / ``watermarks`` /
+        merged program block (:func:`~repro.targets.engine._merge_blocks`
+        plus the supervision fields ``restarts`` / ``watermarks`` /
         ``degraded``)."""
         if self._closed or self._broken:
             raise EngineError(

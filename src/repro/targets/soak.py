@@ -68,9 +68,17 @@ TRAFFIC_MIXES = ("mixed", "routable")
 
 #: Ports on every soak switch replica (``build_switch``'s
 #: ``SwitchConfig``).  The engine's parent-side dispatcher draws ingress
-#: ports from the same constant so the stream it generates is
-#: bit-identical to the one a replica would replay itself.
+#: ports from the same constant, so the stream it ships is bit-identical
+#: to the one a restarted replica regenerates for its prefix.
 NUM_PORTS = 16
+
+#: Default lanes per SoA batch handed to ``Switch.process_batch``
+#: (``SoakConfig.batch_lanes`` / ``--batch-lanes``).  A shard batches
+#: exactly this many consecutive owned packets, partial batch only at
+#: end of stream; per-packet verdicts do not depend on batch boundaries
+#: (the SoA parity argument, DESIGN.md §15), so the digest is invariant
+#: to the lane count.
+DEFAULT_BATCH_LANES = 256
 
 
 @dataclass
@@ -101,7 +109,7 @@ class SoakConfig:
     #: are batch-boundary-independent, so this tunes throughput (larger
     #: batches amortize more per numpy op in the vector backend) without
     #: moving the digest.
-    batch_lanes: int = 256
+    batch_lanes: int = DEFAULT_BATCH_LANES
 
     def validate(self) -> None:
         """Reject config values that would otherwise only fail deep
@@ -258,10 +266,9 @@ def iter_stream_bytes(
     Derived purely from ``(config.seed, program, config.traffic)``.
     This is the wire form the engine's parent-side dispatcher ships to
     worker rings: already serialized, one ``tobytes()`` per packet for
-    the whole run (replay mode re-serializes per *worker* for the shard
-    hash).  :func:`iter_stream` wraps the same generator, so the two
-    views cannot drift: the RNG call sequence here is exactly the one
-    the soak has always used.
+    the whole run.  :func:`iter_stream` wraps the same generator, so the
+    two views cannot drift: the RNG call sequence here is exactly the
+    one the soak has always used.
     """
     if config.traffic not in TRAFFIC_MIXES:
         raise TargetError(
@@ -284,8 +291,8 @@ def iter_stream(
     config: SoakConfig, program: str, num_ports: int
 ) -> Iterator[Tuple[int, Packet, int]]:
     """:func:`iter_stream_bytes` with each payload wrapped in a
-    :class:`~repro.net.packet.Packet` — the replay-side view (engine
-    workers regenerate this stream and keep their shard's packets)."""
+    :class:`~repro.net.packet.Packet` — what the single-process soak
+    loop and the differential tests feed straight to a switch."""
     for index, data, in_port in iter_stream_bytes(config, program, num_ports):
         yield index, Packet(data), in_port
 
@@ -477,7 +484,7 @@ def run_soak(
     """
     config.validate()
     if engine is not None:
-        from repro.targets.engine import run_sharded_program
+        from repro.targets.pool import WorkerPool
 
         if trace_writer is not None:
             raise TargetError(
@@ -485,22 +492,12 @@ def run_soak(
                 "without an engine); per-worker trace files are not "
                 "supported"
             )
-        engine.validate()  # reject workers < 1 / unknown policy up front
-        if engine.ingest == "dispatch" and not engine.sequential:
-            # One resident pool for the whole soak: fork once, then
-            # submit every program to the same workers.
-            from repro.targets.pool import WorkerPool
-
-            with WorkerPool(engine) as pool:
-                programs = {
-                    name: pool.submit(config, name, telemetry=telemetry)
-                    for name in config.programs
-                }
-        else:
+        # One resident pool for the whole soak: fork once, then submit
+        # every program to the same workers.  The pool validates the
+        # engine config (workers < 1, unknown policy) before any fork.
+        with WorkerPool(engine) as pool:
             programs = {
-                name: run_sharded_program(
-                    config, name, engine, telemetry=telemetry
-                )
+                name: pool.submit(config, name, telemetry=telemetry)
                 for name in config.programs
             }
     else:
@@ -531,7 +528,6 @@ def run_soak(
     if engine is not None:
         meta["workers"] = engine.workers
         meta["shard_policy"] = engine.shard_policy
-        meta["ingest"] = engine.ingest
         if engine.restart is not None:
             meta["restart_policy"] = engine.restart.to_dict()
         if engine.chaos is not None:

@@ -109,7 +109,7 @@ class TestLiveTelemetry:
         assert shard["run"] == 2 and shard["epoch"] == 1
 
     def test_run_key_absent_when_unset(self):
-        # Single-run publishers (profile, replay path) omit run; the
+        # Single-run publishers (profile, inline soak) omit run; the
         # snapshot schema must not grow a null field for them.
         live = LiveTelemetry()
         live.publish("P4", 0, 1, _snap(x=1))

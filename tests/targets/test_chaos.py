@@ -14,6 +14,7 @@ from repro.targets.faults import ChaosPlan
 from repro.targets.pool import WorkerPool
 from repro.targets.soak import SoakConfig
 from repro.targets.supervision import RestartPolicy
+from tests.targets.helpers import assert_matches_oracle, oracle_run
 
 PACKETS = 2000
 
@@ -75,6 +76,11 @@ class TestKillRecovery:
             chaos_config(), f"kill:shard=0@pkt={PACKETS // 2}"
         )
         assert block["digest"] == clean_digest
+        # ...and not merely equal to another pool run: the recovered
+        # shard's own digest equals a direct in-process shard loop's.
+        assert_matches_oracle(
+            block, oracle_run(chaos_config(), "P4", EngineConfig(workers=2))
+        )
         assert block["uncaught"] == [] and block["ledger_ok"]
         assert block["restarts"] == {"0": 1}
         assert block["packets"] == PACKETS

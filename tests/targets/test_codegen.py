@@ -8,14 +8,12 @@ file pins what is specific to this backend and to the seam bugfix:
   that made a third backend silently unreachable cannot recur);
 * every ``exec_backend`` validation site rejects unknown names with the
   live backend list, not a stale literal;
-* ``--ingest replay`` warns (deprecated) while dispatch stays clean;
 * the batched struct-of-arrays path is digest- and ledger-identical to
   per-packet execution, and declines cleanly where it cannot hold.
 """
 
 import hashlib
 import random
-import warnings
 
 import pytest
 
@@ -110,46 +108,6 @@ class TestValidationSites:
         assert exc.value.code == "unknown-backend"
         for name in EXEC_BACKENDS:
             assert name in str(exc.value)
-
-
-class TestReplayDeprecation:
-    def test_replay_warns(self, capsys):
-        from repro.cli import main
-
-        with pytest.warns(DeprecationWarning, match="replay is deprecated"):
-            rc = main([
-                "soak", "--programs", "P1", "--packets", "50",
-                "--fault-rate", "0", "--workers", "1",
-                "--ingest", "replay",
-            ])
-        assert rc == 0
-        assert "deprecated" in capsys.readouterr().err
-
-    def test_replay_json_mode_keeps_stdout_clean(self, capsys):
-        import json
-
-        from repro.cli import main
-
-        with pytest.warns(DeprecationWarning):
-            rc = main([
-                "soak", "--programs", "P1", "--packets", "50",
-                "--fault-rate", "0", "--workers", "1",
-                "--ingest", "replay", "--json",
-            ])
-        assert rc == 0
-        json.loads(capsys.readouterr().out)
-
-    def test_dispatch_is_warning_free(self):
-        from repro.cli import main
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            rc = main([
-                "soak", "--programs", "P1", "--packets", "50",
-                "--fault-rate", "0", "--workers", "1",
-                "--ingest", "dispatch", "--json",
-            ])
-        assert rc == 0
 
 
 class TestGeneratedSource:
@@ -309,7 +267,7 @@ class TestEngineDigestWithCodegen:
                     programs=["P4"], packets=800, seed=13, fault_rate=0.1,
                     exec_backend=backend,
                 ),
-                engine=EngineConfig(workers=2, ingest="dispatch"),
+                engine=EngineConfig(workers=2),
             )
             assert summary["ok"]
             digests[backend] = summary["digest"]

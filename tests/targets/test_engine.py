@@ -5,8 +5,7 @@ The load-bearing properties:
 * a 1-worker engine run reproduces the inline ``soak_program`` digest
   bit-for-bit (at fault_rate=0, where fault-seed derivation is moot);
 * the merged digest is a pure function of ``(seed, workers,
-  shard_policy)`` — replayable, and independent of whether the workers
-  ran concurrently or one at a time;
+  shard_policy)`` — replayable run after run;
 * merged accounting is exact: shard ledgers balance individually and
   the totals balance after the fold;
 * worker metrics start from a reset registry (fork-inheritance
@@ -81,8 +80,12 @@ class TestConfigValidation:
         assert no_orphans()
 
     def test_unknown_ingest_rejected(self):
-        with pytest.raises(TargetError, match="ingest"):
-            EngineConfig(ingest="osmosis").validate()
+        # One transport, always concurrent: the old mode switches are
+        # not accepted-and-ignored, they are gone.
+        with pytest.raises(TypeError):
+            EngineConfig(ingest="dispatch")
+        with pytest.raises(TypeError):
+            EngineConfig(sequential=True)
 
     def test_tiny_ring_rejected(self):
         with pytest.raises(TargetError, match="ring_bytes"):
@@ -120,15 +123,6 @@ class TestDeterminism:
         )
         assert w2["digest"] != w3["digest"]
         assert w2["digest"] != rr["digest"]
-
-    def test_sequential_equals_concurrent(self):
-        config = quick_config()
-        conc = run_sharded_program(config, "P4", EngineConfig(workers=2))
-        seq = run_sharded_program(
-            config, "P4", EngineConfig(workers=2, sequential=True)
-        )
-        assert seq["digest"] == conc["digest"]
-        assert seq["drops_by_reason"] == conc["drops_by_reason"]
 
     def test_run_soak_engine_summary_is_deterministic(self):
         config = quick_config(packets=300)
@@ -307,11 +301,9 @@ class TestWatchdog:
 
 class TestMergedRates:
     def test_submillisecond_shards_do_not_break_the_aggregate(self):
-        """Regression: ``aggregate_pkts_per_sec`` divided by the busiest
-        shard's elapsed *after* round(_, 3) — a sub-millisecond shard
-        rounded to 0.0, yielding None (or a wildly inflated rate) on
-        quick runs.  The fold must use the raw elapsed and round only
-        the rendered per-shard values."""
+        """The merged rate is wall-clock (``packets / wall_s``), so
+        sub-millisecond shard times cannot distort it; rounding is
+        presentation only, applied to the rendered per-shard values."""
         engine = EngineConfig(workers=2, collect_metrics=False)
         blocks = [
             _shard_block(0, 10, 0.0004),
@@ -320,8 +312,7 @@ class TestMergedRates:
         merged = _merge_blocks(
             "P4", quick_config(), engine, blocks, wall_s=0.002
         )
-        assert merged["aggregate_pkts_per_sec"] == round(20 / 0.0004, 1)
-        # Presentation rounding still applies to the rendered shards.
+        assert merged["pkts_per_sec"] == round(20 / 0.002, 1)
         assert [s["elapsed_s"] for s in merged["shards"]] == [0.0, 0.0]
 
     def test_zero_elapsed_yields_none_not_crash(self):
@@ -330,8 +321,9 @@ class TestMergedRates:
             "P4", quick_config(), engine, [_shard_block(0, 5, 0.0)],
             wall_s=0.0,
         )
-        assert merged["aggregate_pkts_per_sec"] is None
         assert merged["pkts_per_sec"] is None
+        # The modelled one-core-per-replica figure is gone, not None.
+        assert "aggregate_pkts_per_sec" not in merged
 
     def test_real_run_reports_unrounded_busy_time(self):
         merged = run_sharded_program(
@@ -339,9 +331,9 @@ class TestMergedRates:
             "P4",
             EngineConfig(workers=2),
         )
-        # However quick the run, the aggregate must be a real number.
-        assert merged["aggregate_pkts_per_sec"] is not None
-        assert merged["aggregate_pkts_per_sec"] > 0
+        # However quick the run, the rate must be a real number.
+        assert merged["pkts_per_sec"] is not None
+        assert merged["pkts_per_sec"] > 0
 
 
 class TestFailureHandling:
@@ -386,3 +378,46 @@ class TestFailureHandling:
                 EngineConfig(workers=2, sabotage="error"),
             )
         assert no_orphans()
+
+
+class TestProfileShards:
+    """`repro profile --packets N --workers W`: the small fan-out that
+    stays beside the pool."""
+
+    MIX = [b"\x02" * 6 + b"\x01" * 6 + b"\x08\x00" + b"\x00" * 40]
+
+    def test_state_travels_as_process_args_under_spawn(self, monkeypatch):
+        """Regression: the pipeline used to reach workers through a
+        module global that only a *forked* child inherits, so under the
+        non-fork fallback of ``_mp_context`` every worker died with
+        ``KeyError: 'composed'``."""
+        from repro.lib.catalog import build_pipeline
+        from repro.targets import engine as engine_mod
+
+        monkeypatch.setattr(
+            engine_mod, "_mp_context",
+            lambda: multiprocessing.get_context("spawn"),
+        )
+        result = engine_mod.run_profile_shards(
+            build_pipeline("P4"), self.MIX, 12,
+            EngineConfig(workers=2, shard_policy="round-robin"),
+        )
+        assert [s["packets"] for s in result["shards"]] == [6, 6]
+        assert no_orphans()
+
+    def test_worker_interrupt_is_reported_as_interrupted(self, monkeypatch):
+        """Ctrl-C inside a profile worker must reach ``_collect`` as
+        code ``interrupted`` (exit 130), not as a generic worker error."""
+        from repro.targets import engine as engine_mod
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine_mod, "make_pipeline", interrupted)
+        out_queue = queue.Queue()
+        engine_mod._profile_worker(
+            out_queue, None, self.MIX, "interp", 4, EngineConfig(workers=1), 0
+        )
+        # A generic worker error would surface as EngineError instead.
+        with pytest.raises(KeyboardInterrupt):
+            _collect({0: _FakeProc()}, out_queue, EngineConfig(workers=1))

@@ -159,16 +159,6 @@ class TestChaosPlan:
 
 
 class TestEngineConfigChaosValidation:
-    def test_chaos_requires_dispatch_ingest(self):
-        plan = ChaosPlan.from_specs("kill:shard=0@pkt=1")
-        with pytest.raises(TargetError):
-            EngineConfig(workers=2, ingest="replay", chaos=plan).validate()
-
-    def test_chaos_requires_parallel_run(self):
-        plan = ChaosPlan.from_specs("kill:shard=0@pkt=1")
-        with pytest.raises(TargetError):
-            EngineConfig(workers=2, sequential=True, chaos=plan).validate()
-
     def test_chaos_shard_must_exist(self):
         plan = ChaosPlan.from_specs("kill:shard=5@pkt=1")
         with pytest.raises(TargetError):
