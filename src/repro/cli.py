@@ -716,6 +716,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
             f"misses={lookups['misses']}"
         )
         print(f"  lookup strategies: {strategies}")
+        source = [
+            METRICS.gauge(f"codegen.{gauge}")
+            for gauge in ("source_lines", "dispatch_arms", "locals")
+        ]
+        if source[0] is not None:
+            print(
+                "  generated source: {:.0f} lines, {:.0f} action arms, "
+                "{:.0f} locals".format(*source)
+            )
     if args.metrics is not None:
         if args.metrics == "-":
             print()

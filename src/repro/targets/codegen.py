@@ -18,8 +18,10 @@ bytecode:
 * the micro-pipeline byte stack is **scalarized** into one local per
   byte (no per-field dict traffic) whenever the program only touches it
   through field reads/writes and header ops;
-* action bodies are inlined at each table-apply site, so a hit runs
-  straight-line code instead of a dict lookup plus invoker call.
+* the bodies of the actions a table can select
+  (``TableRuntime.selectable_actions``) are inlined at its apply site,
+  so a hit runs straight-line code instead of a dict lookup plus
+  invoker call.
 
 The generated function preserves the interpreter's observable contract
 (the differential suite in ``tests/targets/test_compiled_equiv.py``
@@ -87,7 +89,7 @@ from repro.targets.interpreter import (
     ReturnSignal,
 )
 from repro.targets.pipeline import PacketOut, ParserErrorSignal, _expr_name
-from repro.targets.tables import TableRuntime
+from repro.targets.tables import TableRuntime, table_runtimes
 
 #: Strings safe to re-emit without pinning into a temp: evaluating them
 #: is side-effect free and order-independent (bare locals, literals).
@@ -278,13 +280,13 @@ class _SourceGen:
             "_stm": _stm,
             "_div": _div,
             "_mod": _mod,
-            "_ACTS": frozenset(composed.actions),
         }
         self._out: List[Tuple[int, str]] = []
         self._cur = self._out
         self._bufstack: List[Tuple[List[Tuple[int, str]], int]] = []
         self.ind = 0
         self.nlocals = 0
+        self.dispatch_arms = 0
         self._n = 0
         self._frames: List[Dict[str, Tuple[str, bool]]] = []
         self._labels: List[str] = []
@@ -948,19 +950,26 @@ class _SourceGen:
             self.line("_misses += 1")
         self.line(f"if {an} != 'NoAction':")
         with self.block():
-            self.line(f"if {an} not in _ACTS:")
-            with self.block():
-                umsg = f"table {name!r} selected unknown action %r"
-                self.line(f"raise _TErr({umsg!r} % ({an},))")
             self.line("if lat_on:")
             with self.block():
                 self.line(f"{lt} = _perf()")
-            first = True
-            for aname, adecl in self.composed.actions.items():
-                self.line(f"{'if' if first else 'elif'} {an} == {aname!r}:")
+            # One arm per action the table can select, not per composed
+            # action: see TableRuntime.selectable_actions.
+            kw = "if"
+            for aname, adecl in runtime.selectable_actions.items():
+                self.line(f"{kw} {an} == {aname!r}:")
                 with self.block():
                     self._inline_action(adecl, aa)
-                first = False
+                kw = "elif"
+                self.dispatch_arms += 1
+            umsg = f"table {name!r} selected unknown action %r"
+            unknown = f"raise _TErr({umsg!r} % ({an},))"
+            if kw == "if":
+                self.line(unknown)
+            else:
+                self.line("else:")
+                with self.block():
+                    self.line(unknown)
             self.line("if lat_on:")
             with self.block():
                 self.line(
@@ -1719,9 +1728,10 @@ class SoaLayout:
 # ---------------------------------------------------------------------------
 # Build cache
 #
-# Generating source is cheap (~0.06s) but ``compile()`` dominates the
-# build (~0.26s) and every sharded worker replica used to pay it again
-# for the same program.  The generated module text is deterministic per
+# ``compile()`` is about three quarters of a build (P4: 2.8k lines,
+# ~0.01s to generate and ~0.02s to compile; P7: 29k lines, ~0.1s and
+# ~0.3s) and every sharded worker replica used to pay it again for the
+# same program.  The generated module text is deterministic per
 # composed pipeline and contains no per-instance state (runtime objects
 # are injected through the exec namespace), so code objects can be
 # shared: an in-process dict serves repeat builds in one process, and a
@@ -1805,10 +1815,7 @@ class CodegenPipeline:
         faults: Optional[FaultPlan] = None,
     ) -> None:
         self.composed = composed
-        self.tables = {
-            name: TableRuntime(decl, use_index=use_table_index)
-            for name, decl in composed.tables.items()
-        }
+        self.tables = table_runtimes(composed, use_table_index)
         self.persistent: Dict[str, RegisterState] = {}
         self.last_drop_reason: Optional[str] = None
         self.table_trace: List[str] = []
@@ -1837,9 +1844,14 @@ class CodegenPipeline:
             gen.bs_size, gen.bs_extract_len, gen.bs_scalar, gen.batch_ok
         )
         self.configure_faults(guards=guards, faults=faults)
+        #: Action arms inlined under table applies, over both generated
+        #: functions; linear in tables (TableRuntime.selectable_actions).
+        self.dispatch_arms = gen.dispatch_arms
         if METRICS.enabled:
             METRICS.inc("codegen.builds")
             METRICS.set_gauge("codegen.locals", gen.nlocals)
+            METRICS.set_gauge("codegen.source_lines", self.source.count("\n") + 1)
+            METRICS.set_gauge("codegen.dispatch_arms", gen.dispatch_arms)
 
     def configure_faults(
         self,

@@ -76,7 +76,7 @@ from repro.targets.interpreter import (
     StructValue,
 )
 from repro.targets.pipeline import PacketOut, ParserErrorSignal, _expr_name
-from repro.targets.tables import TableRuntime
+from repro.targets.tables import TableRuntime, table_runtimes
 
 #: Fast-path ``im_t`` methods compiled to direct attribute access.
 _IM_FAST = ("set_out_port", "get_out_port", "get_in_port", "drop")
@@ -851,12 +851,12 @@ class _Compiler:
         if runtime is None:
             return _raising(f"table {decl.name!r} has no runtime state")
         keys = tuple(self.compile_expr(k) for k in runtime.key_exprs)
-        # Pre-compile an invoker for every composed action so a runtime
-        # entry can select any of them; unknown names still raise like
+        # Entries and the default can only name the table's own actions
+        # (TableRuntime.selectable_actions); any other name raises like
         # the interpreter does.
         dispatch = {
             name: self._compile_action_invoker(adecl)
-            for name, adecl in self.composed.actions.items()
+            for name, adecl in runtime.selectable_actions.items()
         }
         name = decl.name
         site = f"table:{name}"
@@ -1283,10 +1283,9 @@ class CompiledPipeline:
         faults: Optional[FaultPlan] = None,
     ) -> None:
         self.composed = composed
-        self.tables: Dict[str, TableRuntime] = {
-            name: TableRuntime(decl, use_index=use_table_index)
-            for name, decl in composed.tables.items()
-        }
+        self.tables: Dict[str, TableRuntime] = table_runtimes(
+            composed, use_table_index
+        )
         self.persistent: Dict[str, object] = {}
         self.last_drop_reason: Optional[str] = None
         self.table_trace: List[str] = []

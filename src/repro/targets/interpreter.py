@@ -296,13 +296,8 @@ def _node_width(expr: ast.Expr, t: Optional[ast.Type], what: str) -> int:
 class Interpreter:
     """Executes statements of a composed pipeline."""
 
-    def __init__(
-        self,
-        tables: Dict[str, TableRuntime],
-        actions: Dict[str, ast.ActionDecl],
-    ) -> None:
+    def __init__(self, tables: Dict[str, TableRuntime]) -> None:
         self.tables = tables
-        self.actions = actions
         self.extract_hook: Optional[Callable] = None  # set by native parser
         self.module_hook: Optional[Callable] = None  # set by orchestration
         self.table_trace: List[str] = []
@@ -589,7 +584,7 @@ class Interpreter:
         if metrics_on:
             METRICS.inc("interp.table_hits" if hit else "interp.table_misses")
         if action_name != "NoAction":
-            action = self.actions.get(action_name)
+            action = runtime.selectable_actions.get(action_name)
             if action is None:
                 raise TargetError(
                     f"table {decl.name!r} selected unknown action "

@@ -169,7 +169,7 @@ class OrchestrationRunner:
             runner = ModuleRunner(unit, linked)
             runner.instance.configure_faults(guards=self.guards, faults=faults)
             self.runners[inst_name] = runner
-        self.interp = Interpreter({}, {})
+        self.interp = Interpreter({})
         self.interp.step_limit = self.guards.interp_step_budget
         self.interp.faults = faults
         self.interp.module_hook = self._invoke_module  # type: ignore[attr-defined]

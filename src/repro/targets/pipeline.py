@@ -38,7 +38,7 @@ from repro.targets.interpreter import (
     ReturnSignal,
     default_value,
 )
-from repro.targets.tables import TableRuntime
+from repro.targets.tables import TableRuntime, table_runtimes
 
 #: Kept for backwards compatibility; the live bound is
 #: ``ResourceGuards.parser_step_budget``.
@@ -91,11 +91,10 @@ class PipelineInstance:
         self.composed = composed
         # TableRuntime caches the per-table key-width vector on the decl,
         # so building many instances of one composition computes it once.
-        self.tables: Dict[str, TableRuntime] = {
-            name: TableRuntime(decl, use_index=use_table_index)
-            for name, decl in composed.tables.items()
-        }
-        self.interp = Interpreter(self.tables, composed.actions)
+        self.tables: Dict[str, TableRuntime] = table_runtimes(
+            composed, use_table_index
+        )
+        self.interp = Interpreter(self.tables)
         # Stateful externs (registers) persist across packets.
         self.persistent: Dict[str, object] = {}
         # Reason code for the last []-returning process() call; the

@@ -53,7 +53,7 @@ scan alive for differential tests and benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import TargetError
 from repro.frontend import astnodes as ast
@@ -297,13 +297,22 @@ class _CompiledScan:
 
 
 class TableRuntime:
-    """Runtime state of one MAT."""
+    """Runtime state of one MAT.
+
+    ``actions`` is the composed program's action map.  Given it,
+    :attr:`selectable_actions` resolves the table's own ``actions`` list
+    (declaration order, ``NoAction`` implicit) to declarations: the only
+    actions an entry or the default can name, and so the only ones an
+    executor lowers under this table's apply.  Without it (a table built
+    on its own) entries can be installed and looked up but not applied.
+    """
 
     def __init__(
         self,
         decl: ast.TableDecl,
         key_widths: Optional[List[int]] = None,
         use_index: bool = True,
+        actions: Optional[Mapping[str, ast.ActionDecl]] = None,
     ) -> None:
         self.decl = decl
         self.name = decl.name
@@ -334,6 +343,42 @@ class TableRuntime:
         self.default_args: List[int] = [
             _literal_value(a) for a in decl.default_action_args
         ]
+        self.selectable_actions: Dict[str, ast.ActionDecl] = (
+            self._resolve_actions(actions)
+        )
+
+    def _resolve_actions(
+        self, actions: Optional[Mapping[str, ast.ActionDecl]]
+    ) -> Dict[str, ast.ActionDecl]:
+        """Check what the typechecker checks for source tables — the
+        midend's synthesised parser/deparser MATs never pass it — so a
+        bad table fails the build, not every packet."""
+        static = [("default_action", self.default_action)] + [
+            (f"const entry {i}", e.action_name)
+            for i, e in enumerate(self.const_entries)
+        ]
+        for where, name in static:
+            if name == "NoAction":
+                continue
+            if name not in self.decl.actions:
+                code, why = "action-not-listed", "not in its actions list"
+            elif actions is not None and name not in actions:
+                code, why = "action-not-composed", "not a composed action"
+            else:
+                continue
+            err = TargetError(
+                f"table {self.name!r}: {where} names action {name!r}, "
+                f"which is {why}"
+            )
+            err.code = code
+            raise err
+        if actions is None:
+            return {}
+        return {
+            name: actions[name]
+            for name in self.decl.actions
+            if name != "NoAction" and name in actions
+        }
 
     # ------------------------------------------------------------------
     # Entry management
@@ -510,6 +555,15 @@ class TableRuntime:
             f"TableRuntime({self.name!r}, {len(self.const_entries)} const + "
             f"{len(self.runtime_entries)} runtime entries)"
         )
+
+
+def table_runtimes(composed, use_index: bool = True) -> Dict[str, TableRuntime]:
+    """The tables of a composed pipeline, each resolved against the
+    pipeline's actions; every executor builds its table state here."""
+    return {
+        name: TableRuntime(decl, use_index=use_index, actions=composed.actions)
+        for name, decl in composed.tables.items()
+    }
 
 
 # ======================================================================

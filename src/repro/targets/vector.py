@@ -1216,7 +1216,7 @@ class _VectorCompiler:
         arms = []
         arm_index: Dict[str, Tuple[int, int]] = {}
         arm_bound = 0
-        for ai, (aname, adecl) in enumerate(self.composed.actions.items()):
+        for ai, (aname, adecl) in enumerate(runtime.selectable_actions.items()):
             self._push_frame()
             slots = tuple(self._define(p.name) for p in adecl.params)
             body, bst = self.stmts(adecl.body.stmts)

@@ -36,7 +36,7 @@ def fresh_env(bs: ByteStack, data: bytes):
 
 
 def run(stmts, env):
-    Interpreter({}, {}).exec_block(stmts, env)
+    Interpreter({}).exec_block(stmts, env)
 
 
 def hdr_lvalue(name="hdr"):

@@ -40,7 +40,7 @@ def binop(op, left, right, width):
 
 @pytest.fixture()
 def interp():
-    return Interpreter({}, {})
+    return Interpreter({})
 
 
 @pytest.fixture()
@@ -51,13 +51,13 @@ def env():
 class TestArithmetic:
     @given(st.integers(0, 255), st.integers(0, 255))
     def test_add_wraps(self, a, b):
-        interp = Interpreter({}, {})
+        interp = Interpreter({})
         result = interp.eval(binop("+", lit(a, 8), lit(b, 8), 8), Env())
         assert result == (a + b) % 256
 
     @given(st.integers(0, 255), st.integers(0, 255))
     def test_sub_wraps(self, a, b):
-        interp = Interpreter({}, {})
+        interp = Interpreter({})
         result = interp.eval(binop("-", lit(a, 8), lit(b, 8), 8), Env())
         assert result == (a - b) % 256
 
@@ -76,7 +76,7 @@ class TestArithmetic:
     @given(st.integers(0, 0xFFFF), st.integers(0, 15), st.integers(0, 15))
     def test_slice_matches_bit_math(self, value, a, b):
         hi, lo = max(a, b), min(a, b)
-        interp = Interpreter({}, {})
+        interp = Interpreter({})
         expr = ast.SliceExpr(base=lit(value, 16), hi=hi, lo=lo)
         expr.type = bit(hi - lo + 1)
         assert interp.eval(expr, Env()) == (value >> lo) & ((1 << (hi - lo + 1)) - 1)
@@ -147,7 +147,7 @@ class TestControlFlow:
         stype = module.types["s_t"]
         env.define("hs", default_value(stype))
         env.define("im", ImState())
-        interp = Interpreter({}, {})
+        interp = Interpreter({})
         interp.exec_block(control.apply_body.stmts, env)
         return env
 
