@@ -146,8 +146,7 @@ class PacketTrace:
         return [e for e in self.tables() if not e.data.get("hit")]
 
     def hit_sequence(self) -> List[str]:
-        """``"table:action"`` for every MAT apply, in execution order
-        (same shape as ``Interpreter.table_trace``)."""
+        """``"table:action"`` for every MAT apply, in execution order."""
         return [f"{e.data['table']}:{e.data['action']}" for e in self.tables()]
 
     def dropped(self) -> bool:

@@ -933,7 +933,6 @@ class _SourceGen:
                 f"_obs('pipeline.latency_us.lookup', "
                 f"(_perf() - {lt}) * 1e6)"
             )
-        self.line(f"_ttrace.append({(name + ':')!r} + {an})")
         self.line("if trace is not None:")
         with self.block():
             self.line(
@@ -1566,7 +1565,6 @@ class _SourceGen:
             self.line("steps = 0")
             self.line("_hits = 0")
             self.line("_misses = 0")
-            self.line("_ttrace = pipe.table_trace")
             self.line("_pers = pipe.persistent")
             self.line("try:")
             with self.block():
@@ -1594,7 +1592,6 @@ class _SourceGen:
             self.line("lat_on = False")
             self.line("_hits = 0")
             self.line("_misses = 0")
-            self.line("_ttrace = pipe.table_trace")
             self.line("_pers = pipe.persistent")
             self.line("_n = len(datas)")
             self.line("_results = [None] * _n")
@@ -1818,7 +1815,6 @@ class CodegenPipeline:
         self.tables = table_runtimes(composed, use_table_index)
         self.persistent: Dict[str, RegisterState] = {}
         self.last_drop_reason: Optional[str] = None
-        self.table_trace: List[str] = []
         self._lat_tick = 0
         self.step_limit = DEFAULT_STEP_BUDGET
         self.faults: Optional[FaultPlan] = None

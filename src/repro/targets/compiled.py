@@ -94,7 +94,6 @@ class _Ctx:
         "ptrace",
         "data",
         "cursor",
-        "table_trace",
         "lat_on",
         "hits",
         "misses",
@@ -860,7 +859,6 @@ class _Compiler:
         }
         name = decl.name
         site = f"table:{name}"
-        prefix = name + ":"
         lookup = runtime.lookup_full
         entry_index = runtime.entry_index
 
@@ -868,7 +866,6 @@ class _Compiler:
             ctx,
             _name=name,
             _site=site,
-            _prefix=prefix,
             _keys=keys,
             _lookup=lookup,
             _entry_index=entry_index,
@@ -891,7 +888,6 @@ class _Compiler:
                     "pipeline.latency_us.lookup",
                     (_perf_counter() - t0) * 1e6,
                 )
-            ctx.table_trace.append(_prefix + action_name)
             ptrace = ctx.ptrace
             if ptrace is not None:
                 ptrace.table(
@@ -1265,8 +1261,7 @@ class CompiledPipeline:
     API-compatible with :class:`~repro.targets.pipeline.PipelineInstance`
     for everything the switch, soak harness, and control API touch:
     ``process`` / ``process_traced``, ``tables``, ``composed``,
-    ``configure_faults``, ``guards``, ``last_drop_reason``, and
-    ``table_trace``.
+    ``configure_faults``, ``guards`` and ``last_drop_reason``.
 
     Orchestration-time module invocation (``process_with`` /
     ``module_hook``) stays on the interpreter — it is control-plane
@@ -1288,7 +1283,6 @@ class CompiledPipeline:
         )
         self.persistent: Dict[str, object] = {}
         self.last_drop_reason: Optional[str] = None
-        self.table_trace: List[str] = []
         # Packet counter driving deterministic stage-latency sampling
         # (see LATENCY_SAMPLE_EVERY); only advances while metrics are on.
         self._lat_tick = 0
@@ -1374,7 +1368,6 @@ class CompiledPipeline:
         ctx.step_limit = self.step_limit
         ctx.faults = self.faults
         ctx.ptrace = trace
-        ctx.table_trace = self.table_trace
         ctx.data = packet.tobytes()
         ctx.cursor = 0
         ctx.lat_on = False

@@ -16,10 +16,11 @@ hardware scales — replicated pipes fed from one shared ingest — and
 per-worker work is O(shard), not O(stream).
 
 This module is the *shard model*: the run configuration, the pure
-assignment and seed functions, the per-shard consume loop every worker
-runs, and the fold of per-shard blocks into one program block.  Process
-orchestration for soak runs lives in :mod:`repro.targets.pool` and
-nowhere else.
+assignment and seed functions, and the fold of per-shard blocks into
+one program block.  The loop every worker runs on its shard is the soak
+loop itself (:func:`repro.targets.soak.consume`, the same one an inline
+run uses); process orchestration for soak runs lives in
+:mod:`repro.targets.pool` and nowhere else.
 
 The determinism contract (DESIGN.md §9, §13):
 
@@ -58,7 +59,7 @@ import queue as queue_mod
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import TargetError
 from repro.net.packet import Packet
@@ -67,7 +68,7 @@ from repro.targets.backends import EXEC_BACKENDS, make_pipeline
 from repro.targets.faults import ChaosPlan
 from repro.targets.ring import DEFAULT_RING_BYTES
 from repro.targets.supervision import RestartPolicy
-from repro.targets.soak import DEFAULT_BATCH_LANES, SoakConfig, update_digest
+from repro.targets.soak import DEFAULT_BATCH_LANES, SoakConfig
 
 #: Shard-assignment policies.
 SHARD_POLICIES = ("flow-hash", "round-robin")
@@ -239,146 +240,6 @@ def _worker_init(engine: EngineConfig) -> None:
         METRICS.disable()
 
 
-def _consume(
-    switch,
-    stream: Iterable[Tuple[int, Packet, int]],
-    engine: EngineConfig,
-    shard: int,
-    publish=None,
-    recorder=None,
-    ack=None,
-    batch_lanes: int = DEFAULT_BATCH_LANES,
-) -> Dict[str, object]:
-    """Process one shard's packet stream and summarize it.
-
-    ``stream`` yields only the packets this shard owns, in global-index
-    order — a pool worker decodes it from its ring (after regenerating
-    its acknowledged prefix, when it is a replacement replica).  The
-    loop itself knows nothing about processes or rings, so it can be
-    called directly on a filtered stream to check a pool run.
-
-    ``publish(epoch, ledger, watermark)`` (when given) posts a mid-run
-    telemetry message every ``engine.publish_interval_s`` seconds;
-    ``recorder`` (a :class:`~repro.obs.telemetry.FlightRecorder`)
-    remembers the last N verdicts for post-mortem dumps.  Neither
-    touches the verdict stream or the digest.
-
-    The *watermark* is the highest global packet index whose verdict
-    has been folded into the digest (-1 until the first batch lands).
-    ``ack(watermark)`` (pool workers) reports it at least every
-    ``engine.ack_interval_pkts`` digested packets, so the supervisor
-    always knows a recent safe resume point; any lag only costs a
-    restarted replica some extra deterministic replay, never
-    correctness (DESIGN.md §14).
-
-    The returned block carries ``elapsed_s`` **unrounded**;
-    presentation rounding happens in :func:`_merge_blocks`.  In a pool
-    worker it includes time blocked on an empty ring, so it is the
-    shard's wall time, not its busy time.
-    """
-    digest = hashlib.sha256()
-    uncaught: List[str] = []
-    unbalanced = 0
-    kinds = {"emit": 0, "drop": 0, "killed": 0}
-    batch: List[Tuple[int, Packet, int]] = []
-    epoch = 0
-    watermark = -1
-    folded = 0
-    acked_at = 0
-    ack_every = engine.ack_interval_pkts if ack is not None else 0
-    next_publish = (
-        time.monotonic() + engine.publish_interval_s
-        if publish is not None and engine.publish_interval_s > 0
-        else None
-    )
-    start = time.perf_counter()
-
-    def flush() -> None:
-        nonlocal unbalanced, watermark, folded
-        if not batch:
-            return
-        try:
-            verdicts = switch.process_batch(
-                ((packet, in_port) for _, packet, in_port in batch),
-                soa=True,
-            )
-        except Exception as exc:  # noqa: BLE001 — the invariant under test
-            # A packet escaped containment.  The switch's stats already
-            # reflect whatever it processed before raising, so do NOT
-            # re-run the batch (that would double-count the ledger) —
-            # record the escape and move on; ``uncaught`` being
-            # non-empty fails the run regardless.
-            if recorder is not None:
-                recorder.note(
-                    batch[0][0], "uncaught", f"{type(exc).__name__}: {exc}"
-                )
-            if len(uncaught) < 10:
-                uncaught.append(
-                    f"batch [{batch[0][0]}..{batch[-1][0]}]: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-            batch.clear()
-            return
-        for (index, _, _), verdict in zip(batch, verdicts):
-            if recorder is not None:
-                recorder.record(index, verdict)
-            if not verdict.balanced():
-                unbalanced += 1
-            kinds[verdict.kind] += 1
-            update_digest(digest, index, verdict)
-        # Only advance past *digested* packets: a restart resumes after
-        # the watermark, so it must never cover un-folded indices.
-        watermark = batch[-1][0]
-        folded += len(batch)
-        batch.clear()
-
-    for index, packet, in_port in stream:
-        batch.append((index, packet, in_port))
-        if len(batch) >= batch_lanes:
-            flush()
-            if ack_every and folded - acked_at >= ack_every:
-                acked_at = folded
-                ack(watermark)
-            if next_publish is not None and time.monotonic() >= next_publish:
-                epoch += 1
-                publish(epoch, dict(switch.stats), watermark)
-                next_publish = time.monotonic() + engine.publish_interval_s
-    flush()
-    elapsed = time.perf_counter() - start
-
-    stats = switch.stats
-    ledger_ok = stats["units"] == stats["out"] + stats["dropped"]
-    block: Dict[str, object] = {
-        "shard": shard,
-        "packets": stats["in"],
-        "emits": stats["out"],
-        "drops": stats["dropped"],
-        "units": stats["units"],
-        "replicated": stats["replicated"],
-        "killed": stats["killed"],
-        "verdicts": kinds,
-        "drops_by_reason": dict(sorted(switch.drops_by_reason.items())),
-        "fault_trips": (
-            dict(sorted(switch.faults.trips.items()))
-            if switch.faults is not None
-            else {}
-        ),
-        "uncaught": uncaught,
-        "unbalanced_verdicts": unbalanced,
-        "ledger_ok": ledger_ok and unbalanced == 0,
-        "digest": digest.hexdigest(),
-        "watermark": watermark,
-        "elapsed_s": elapsed,
-        "pkts_per_sec": round(stats["in"] / elapsed, 1) if elapsed else None,
-    }
-    if engine.collect_metrics:
-        block["metrics"] = METRICS.snapshot()
-    block["telemetry_epochs"] = epoch
-    if recorder is not None and (uncaught or not block["ledger_ok"]):
-        block["flight_recorder"] = recorder.dump()
-    return block
-
-
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
@@ -456,8 +317,11 @@ def _merge_blocks(
     shards: List[Dict[str, object]],
     wall_s: float,
 ) -> Dict[str, object]:
-    """Fold per-shard blocks into one program block (same shape as
-    ``soak_program``'s, plus sharding fields).
+    """Fold per-shard blocks into one program block.
+
+    A shard block and ``soak_program``'s inline block both wrap what
+    :func:`~repro.targets.soak.consume` returns, so the merged block has
+    the inline block's keys plus the sharding fields.
 
     Shard blocks arrive with unrounded ``elapsed_s``; rounding is
     applied only to the rendered per-shard output.  The one rate

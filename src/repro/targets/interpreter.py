@@ -300,7 +300,6 @@ class Interpreter:
         self.tables = tables
         self.extract_hook: Optional[Callable] = None  # set by native parser
         self.module_hook: Optional[Callable] = None  # set by orchestration
-        self.table_trace: List[str] = []
         # Per-packet trace sink; set by the pipeline around process().
         self.ptrace: Optional[PacketTrace] = None
         # Resource guard: statements executed for the current packet.
@@ -570,7 +569,6 @@ class Interpreter:
             METRICS.observe(
                 "pipeline.latency_us.lookup", (_perf_counter() - t0) * 1e6
             )
-        self.table_trace.append(f"{decl.name}:{action_name}")
         if self.ptrace is not None:
             self.ptrace.table(
                 decl.name,

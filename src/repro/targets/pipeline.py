@@ -40,10 +40,6 @@ from repro.targets.interpreter import (
 )
 from repro.targets.tables import TableRuntime, table_runtimes
 
-#: Kept for backwards compatibility; the live bound is
-#: ``ResourceGuards.parser_step_budget``.
-MAX_PARSER_STEPS = 1024
-
 
 @dataclass
 class PacketOut:

@@ -21,8 +21,8 @@ is O(shard), not O(stream):
   the worker drains it; while blocked the parent keeps polling the
   result queue so a crashed worker surfaces immediately.
 * **determinism preserved** — workers consume exactly the packets their
-  shard owns, in global-index order, through the shared
-  :func:`~repro.targets.engine._consume` loop, so per-shard digests —
+  shard owns, in global-index order, through the one soak loop
+  (:func:`~repro.targets.soak.consume`), so per-shard digests —
   and therefore the pinned golden merged digests — equal what a direct
   in-process call of that loop on the filtered stream produces (the
   oracle the tests compare every pool run against).
@@ -62,7 +62,6 @@ from repro.obs.metrics import METRICS
 from repro.targets.engine import (
     EngineConfig,
     EngineError,
-    _consume,
     _merge_blocks,
     _mp_context,
     _publish_final_epochs,
@@ -76,6 +75,7 @@ from repro.targets.soak import (
     SoakConfig,
     build_switch,
     compose_program,
+    consume,
     iter_stream_bytes,
 )
 from repro.targets.supervision import RestartPolicy, Supervisor
@@ -222,16 +222,19 @@ def _run_pool_shard(
         stream = _iter_ring(ring, poll=parent_alive)
     if stalls:
         stream = _stalled(stream, stalls)
-    block = _consume(
+    block = consume(
         switch,
         stream,
-        engine,
-        shard,
-        publish=publish if engine.collect_metrics else None,
-        recorder=recorder,
-        ack=ack if engine.ack_interval_pkts > 0 else None,
         batch_lanes=config.batch_lanes,
+        publish=publish if engine.collect_metrics else None,
+        publish_interval_s=engine.publish_interval_s,
+        ack=ack,
+        ack_interval_pkts=engine.ack_interval_pkts,
+        recorder=recorder,
     )
+    block["shard"] = shard
+    if engine.collect_metrics:
+        block["metrics"] = METRICS.snapshot()
     block["seed"] = shard_seed(config.seed, program, shard)
     block["run"] = run
     block["attempt"] = attempt

@@ -29,10 +29,18 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine uses us)
-    from repro.obs.telemetry import LiveTelemetry, TraceWriter
     from repro.targets.engine import EngineConfig
 
 from repro.errors import TargetError
@@ -44,6 +52,9 @@ from repro.lib.catalog import (
 )
 from repro.net.build import PacketBuilder
 from repro.net.packet import Packet
+from repro.obs.metrics import METRICS
+from repro.obs.pkttrace import PacketTrace
+from repro.obs.telemetry import FlightRecorder, LiveTelemetry, TraceWriter
 from repro.targets.backends import EXEC_BACKENDS, make_pipeline
 from repro.targets.faults import FaultPlan, ResourceGuards
 from repro.targets.switch import Switch, SwitchConfig
@@ -73,11 +84,12 @@ TRAFFIC_MIXES = ("mixed", "routable")
 NUM_PORTS = 16
 
 #: Default lanes per SoA batch handed to ``Switch.process_batch``
-#: (``SoakConfig.batch_lanes`` / ``--batch-lanes``).  A shard batches
-#: exactly this many consecutive owned packets, partial batch only at
-#: end of stream; per-packet verdicts do not depend on batch boundaries
-#: (the SoA parity argument, DESIGN.md §15), so the digest is invariant
-#: to the lane count.
+#: (``SoakConfig.batch_lanes`` / ``--batch-lanes``).  The soak loop
+#: batches exactly this many consecutive packets of the stream it is
+#: given (inline: the whole stream; a shard: the packets it owns),
+#: partial batch only at end of stream; verdicts do not depend on batch
+#: boundaries (the SoA parity argument, DESIGN.md §15), so the digest
+#: is invariant to the lane count.
 DEFAULT_BATCH_LANES = 256
 
 
@@ -97,7 +109,7 @@ class SoakConfig:
     #: well-formed v4/v6 mix that keeps every packet on the exact/lpm
     #: fast path (the engine-scaling benchmark's exact-heavy workload).
     traffic: str = "mixed"
-    #: Execution backend (``interp`` / ``compiled``).  The verdict
+    #: Execution backend (one of ``EXEC_BACKENDS``).  The verdict
     #: stream — and therefore the digest — must not depend on it; the
     #: differential suite pins that equivalence.
     exec_backend: str = "interp"
@@ -311,6 +323,162 @@ def update_digest(digest, index: int, verdict) -> None:
     )
 
 
+def consume(
+    switch: Switch,
+    stream: Iterable[Tuple[int, Packet, int]],
+    batch_lanes: int = DEFAULT_BATCH_LANES,
+    publish: Optional[Callable[[int, Dict[str, int], int], None]] = None,
+    publish_interval_s: float = 0.0,
+    ack: Optional[Callable[[int], None]] = None,
+    ack_interval_pkts: int = 0,
+    recorder: Optional[FlightRecorder] = None,
+    on_trace: Optional[Callable[[int, PacketTrace, object], None]] = None,
+) -> Dict[str, object]:
+    """The soak loop: drive ``stream`` through ``switch`` and summarize.
+
+    The only place a ``(index, packet, in_port)`` stream becomes a
+    result block (DESIGN.md §8).  The inline run hands it the whole
+    stream, a pool worker the packets its shard owns in global-index
+    order; it knows nothing about processes, rings or shards, so the
+    tests call it directly on a filtered stream to check a pool run.
+
+    Packets go through ``switch.process_batch(soa=True)``,
+    ``batch_lanes`` at a time (partial batch only at end of stream);
+    the switch falls back to per-packet processing where the SoA path
+    does not apply.  Batch mode has no per-packet trace by design, so
+    when ``on_trace(index, trace, verdict)`` is given each packet runs
+    through ``switch.process`` with its own :class:`PacketTrace`
+    instead, which also reaches the flight recorder.  Verdicts do not
+    depend on which way a batch ran or where its boundaries fall.
+
+    ``publish(epoch, ledger, watermark)`` posts a mid-run telemetry
+    message every ``publish_interval_s`` seconds (0 disables);
+    ``recorder`` remembers the last N verdicts for post-mortem dumps.
+    Neither touches the verdict stream or the digest.
+
+    The *watermark* is the highest global packet index whose verdict
+    has been folded into the digest (-1 until the first batch lands).
+    ``ack(watermark)`` (pool workers) reports it at least every
+    ``ack_interval_pkts`` digested packets (0 disables), so the
+    supervisor always knows a recent safe resume point; any lag only
+    costs a restarted replica some extra deterministic replay, never
+    correctness (DESIGN.md §14).
+
+    An exception out of the switch is an escape from containment: the
+    first 10 are recorded under ``uncaught`` (non-empty fails the run),
+    the raising batch is not re-run — the switch ledger already holds
+    whatever it processed, a re-run would double-count — none of its
+    verdicts reach the digest, and the loop keeps going.
+
+    ``elapsed_s`` is returned **unrounded**; callers round for
+    presentation.  In a pool worker it includes time blocked on an
+    empty ring, so it is the shard's wall time, not its busy time.
+    """
+    digest = hashlib.sha256()
+    uncaught: List[str] = []
+    unbalanced = 0
+    kinds = {"emit": 0, "drop": 0, "killed": 0}
+    batch: List[Tuple[int, Packet, int]] = []
+    epoch = 0
+    watermark = -1
+    folded = 0
+    acked_at = 0
+    ack_every = ack_interval_pkts if ack is not None else 0
+    next_publish = (
+        time.monotonic() + publish_interval_s
+        if publish is not None and publish_interval_s > 0
+        else None
+    )
+    start = time.perf_counter()
+
+    def flush() -> None:
+        nonlocal unbalanced, watermark, folded
+        if not batch:
+            return
+        traces: List[Optional[PacketTrace]] = [None] * len(batch)
+        try:
+            if on_trace is None:
+                verdicts = switch.process_batch(
+                    ((packet, in_port) for _, packet, in_port in batch),
+                    soa=True,
+                )
+            else:
+                traces = [PacketTrace() for _ in batch]
+                verdicts = [
+                    switch.process(packet, in_port, trace)
+                    for (_, packet, in_port), trace in zip(batch, traces)
+                ]
+        except Exception as exc:  # noqa: BLE001 — the invariant under test
+            if recorder is not None:
+                recorder.note(
+                    batch[0][0], "uncaught", f"{type(exc).__name__}: {exc}"
+                )
+            if len(uncaught) < 10:
+                uncaught.append(
+                    f"batch [{batch[0][0]}..{batch[-1][0]}]: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+            batch.clear()
+            return
+        for (index, _, _), verdict, trace in zip(batch, verdicts, traces):
+            if recorder is not None:
+                recorder.record(index, verdict, trace)
+            if trace is not None:
+                on_trace(index, trace, verdict)
+            if not verdict.balanced():
+                unbalanced += 1
+            kinds[verdict.kind] += 1
+            update_digest(digest, index, verdict)
+        # Only advance past *digested* packets: a restart resumes after
+        # the watermark, so it must never cover un-folded indices.
+        watermark = batch[-1][0]
+        folded += len(batch)
+        batch.clear()
+
+    for item in stream:
+        batch.append(item)
+        if len(batch) >= batch_lanes:
+            flush()
+            if ack_every and folded - acked_at >= ack_every:
+                acked_at = folded
+                ack(watermark)
+            if next_publish is not None and time.monotonic() >= next_publish:
+                epoch += 1
+                publish(epoch, dict(switch.stats), watermark)
+                next_publish = time.monotonic() + publish_interval_s
+    flush()
+    elapsed = time.perf_counter() - start
+
+    stats = switch.stats
+    ledger_ok = stats["units"] == stats["out"] + stats["dropped"]
+    block: Dict[str, object] = {
+        "packets": stats["in"],
+        "emits": stats["out"],
+        "drops": stats["dropped"],
+        "units": stats["units"],
+        "replicated": stats["replicated"],
+        "killed": stats["killed"],
+        "verdicts": kinds,
+        "drops_by_reason": dict(sorted(switch.drops_by_reason.items())),
+        "fault_trips": (
+            dict(sorted(switch.faults.trips.items()))
+            if switch.faults is not None
+            else {}
+        ),
+        "uncaught": uncaught,
+        "unbalanced_verdicts": unbalanced,
+        "ledger_ok": ledger_ok and unbalanced == 0,
+        "digest": digest.hexdigest(),
+        "watermark": watermark,
+        "elapsed_s": elapsed,
+        "pkts_per_sec": round(stats["in"] / elapsed, 1) if elapsed else None,
+        "telemetry_epochs": epoch,
+    }
+    if recorder is not None and (uncaught or not block["ledger_ok"]):
+        block["flight_recorder"] = recorder.dump()
+    return block
+
+
 # ----------------------------------------------------------------------
 # The run
 # ----------------------------------------------------------------------
@@ -352,122 +520,66 @@ def build_switch(
     return switch
 
 
-def _build_switch(config: SoakConfig, program: str) -> Switch:
-    return build_switch(config, program, compose_program(config, program))
-
-
 def soak_program(
     config: SoakConfig,
     program: str,
-    telemetry: Optional["LiveTelemetry"] = None,
-    trace_writer: Optional["TraceWriter"] = None,
+    telemetry: Optional[LiveTelemetry] = None,
+    trace_writer: Optional[TraceWriter] = None,
     publish_interval_s: float = 1.0,
 ) -> Dict[str, object]:
-    """Soak one program; returns its JSON-able summary block.
+    """Soak one program in this process; returns its JSON-able block.
 
-    ``telemetry`` receives periodic epoch-stamped cumulative snapshots
-    (registry + switch ledger) while the run is in flight;
-    ``trace_writer`` streams one JSONL pkttrace record per packet.
-    Both are observation-only: they never alter the verdict stream, so
-    the digest is identical with or without them.
+    The inline run is :func:`consume` on the whole stream, with the
+    program-level fault seed.  ``telemetry`` receives epoch-stamped
+    cumulative snapshots (registry + switch ledger) every
+    ``publish_interval_s`` seconds while the run is in flight and one
+    final snapshot after it; ``trace_writer`` streams one JSONL
+    pkttrace record per packet.  Both are observation-only: they never
+    alter the verdict stream, so the digest is identical with or
+    without them.
     """
-    from repro.obs.metrics import METRICS
-    from repro.obs.pkttrace import PacketTrace
-    from repro.obs.telemetry import FlightRecorder
+    switch = build_switch(config, program, compose_program(config, program))
 
-    switch = _build_switch(config, program)
-    recorder = (
-        FlightRecorder(config.flight_recorder)
-        if config.flight_recorder > 0
-        else None
-    )
-    epoch = 0
-    next_publish = time.monotonic() + publish_interval_s
-
-    def publish(final: bool = False) -> None:
-        nonlocal epoch
-        if telemetry is None:
-            return
-        epoch += 1
+    def publish(
+        epoch: int, ledger: Dict[str, int], watermark: int, final: bool = False
+    ) -> None:
         telemetry.publish(
-            program,
-            0,
-            epoch,
-            METRICS.snapshot(),
-            ledger=dict(switch.stats),
-            final=final,
+            program, 0, epoch, METRICS.snapshot(),
+            ledger=ledger, final=final, watermark=watermark,
         )
 
-    digest = hashlib.sha256()
-    uncaught: List[str] = []
-    unbalanced = 0
-    kinds = {"emit": 0, "drop": 0, "killed": 0}
-    start = time.perf_counter()
-    for index, packet, in_port in iter_stream(
-        config, program, switch.config.num_ports
-    ):
-        trace = PacketTrace() if trace_writer is not None else None
-        try:
-            verdict = switch.process(packet, in_port, trace)
-        except Exception as exc:  # noqa: BLE001 — the invariant under test
-            if recorder is not None:
-                recorder.note(index, "uncaught", f"{type(exc).__name__}: {exc}")
-            if len(uncaught) < 10:
-                uncaught.append(
-                    f"packet {index}: {type(exc).__name__}: {exc}"
-                )
-            else:
-                uncaught.append("...")
-                break
-            continue
-        if recorder is not None:
-            recorder.record(index, verdict, trace)
-        if trace_writer is not None:
-            trace_writer.write(trace, index, program=program, verdict=verdict.kind)
-        if not verdict.balanced():
-            unbalanced += 1
-        kinds[verdict.kind] += 1
-        update_digest(digest, index, verdict)
-        if telemetry is not None and time.monotonic() >= next_publish:
-            publish()
-            next_publish = time.monotonic() + publish_interval_s
-    elapsed = time.perf_counter() - start
-    publish(final=True)
-    stats = switch.stats
-    ledger_ok = stats["units"] == stats["out"] + stats["dropped"]
-    block: Dict[str, object] = {
-        "program": program,
-        "mode": config.mode,
-        "packets": stats["in"],
-        "emits": stats["out"],
-        "drops": stats["dropped"],
-        "units": stats["units"],
-        "replicated": stats["replicated"],
-        "killed": stats["killed"],
-        "verdicts": kinds,
-        "drops_by_reason": dict(sorted(switch.drops_by_reason.items())),
-        "fault_trips": (
-            dict(sorted(switch.faults.trips.items()))
-            if switch.faults is not None
-            else {}
+    def write_trace(index: int, trace: PacketTrace, verdict) -> None:
+        trace_writer.write(trace, index, program=program, verdict=verdict.kind)
+
+    block = consume(
+        switch,
+        iter_stream(config, program, NUM_PORTS),
+        batch_lanes=config.batch_lanes,
+        publish=publish if telemetry is not None else None,
+        publish_interval_s=publish_interval_s,
+        recorder=(
+            FlightRecorder(config.flight_recorder)
+            if config.flight_recorder > 0
+            else None
         ),
-        "uncaught": uncaught,
-        "unbalanced_verdicts": unbalanced,
-        "ledger_ok": ledger_ok and unbalanced == 0,
-        "digest": digest.hexdigest(),
-        "elapsed_s": round(elapsed, 3),
-        "pkts_per_sec": round(config.packets / elapsed, 1) if elapsed else None,
-    }
-    if recorder is not None and (uncaught or not block["ledger_ok"]):
-        block["flight_recorder"] = recorder.dump()
-    return block
+        on_trace=write_trace if trace_writer is not None else None,
+    )
+    if telemetry is not None:
+        publish(
+            block["telemetry_epochs"] + 1,  # type: ignore[operator]
+            dict(switch.stats),
+            block["watermark"],  # type: ignore[arg-type]
+            final=True,
+        )
+    block["elapsed_s"] = round(block["elapsed_s"], 3)  # type: ignore[call-overload]
+    return {"program": program, "mode": config.mode, **block}
 
 
 def run_soak(
     config: SoakConfig,
     engine: Optional["EngineConfig"] = None,
-    telemetry: Optional["LiveTelemetry"] = None,
-    trace_writer: Optional["TraceWriter"] = None,
+    telemetry: Optional[LiveTelemetry] = None,
+    trace_writer: Optional[TraceWriter] = None,
 ) -> Dict[str, object]:
     """Run the whole soak; ``ok`` is True iff every program held both
     containment invariants (no uncaught exceptions, exact accounting).

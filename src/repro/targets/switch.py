@@ -27,9 +27,6 @@ from repro.targets.faults import FaultError, FaultPlan, ResourceGuards, Verdict
 from repro.targets.pipeline import PacketOut, PipelineInstance
 from repro.targets.runtime_api import RuntimeAPI
 
-#: Kept for backwards compatibility; the live bound is
-#: ``ResourceGuards.max_recirculations``.
-MAX_RECIRCULATIONS = 8
 DROP_PORT = 0xFF
 
 
@@ -64,7 +61,8 @@ class Switch:
         When True, contained faults re-raise instead of becoming
         reason-coded drops (the pre-containment behavior, for tests).
     exec_backend:
-        Optional backend name (``"interp"`` / ``"compiled"``).  When it
+        Optional backend name (one of
+        :data:`repro.targets.backends.EXEC_BACKENDS`).  When it
         differs from the backend ``pipeline`` was built under, the
         switch rebuilds the executor for the same composed program.
         Pass it *before* installing table entries — a rebuild starts

@@ -29,10 +29,10 @@ the vector path cannot, so it splits the two phases:
    have.  The first event that fires kills the lane; killed lanes are
    split out of the vector results and reported as ``(None, None, exc)``
    triples, identical to the codegen batch body.
-3. **Commit.**  Table traces, hit/miss counters and lookup metrics are
-   replayed lane-major from the bookkeeping events, honouring each
-   lane's kill ordinal, so observable state matches per-packet
-   execution bit for bit (DESIGN.md §15/§16).
+3. **Commit.**  Hit/miss counters and lookup metrics are counted from
+   the bookkeeping events over the lanes that reached each lookup,
+   honouring each lane's kill ordinal, so observable state matches
+   per-packet execution bit for bit (DESIGN.md §15/§16).
 
 Fault sites whose rate is zero (or that resolve to no site) never draw
 from the RNG in the per-packet path, so they are filtered out of the
@@ -219,7 +219,6 @@ class _VecIndex:
         # negative indexing resolves it on both lists and arrays.
         acts = [e.action_name for e in entries] + [runtime.default_action]
         argses = [list(e.action_args) for e in entries] + [list(runtime.default_args)]
-        self.strs = [f"{runtime.name}:{an}" for an in acts]
         aidx: List[int] = []
         self.bad: List[tuple] = []
         for row, (an, args_row) in enumerate(zip(acts, argses)):
@@ -1463,63 +1462,31 @@ class VectorPipeline(CodegenPipeline):
         return kill
 
     def _commit_bookkeeping(self, events, kill, n: int, metrics_on: bool):
-        """Replay table bookkeeping lane-major: trace strings, hit/miss
-        tallies and lookup metrics, stopping at each lane's kill
-        ordinal — identical to per-lane execution order."""
-        tev = []
+        """Count table hits, misses and lookup metrics over the lanes
+        that reached each lookup — masked in and not killed at an
+        earlier ordinal — the totals per-lane execution produces."""
+        kill_at = None
+        if kill:
+            kill_at = _np.full(n, _HUGE, dtype=_np.int64)
+            for lane, (ordinal, _exc) in kill.items():
+                kill_at[lane] = ordinal
+        hits = misses = 0
         for ordinal, ev in enumerate(events):
             if ev[1] != "T":
                 continue
-            m, _k, vi, slot, hit = ev
-            ml = None if m is None else m.tolist()
-            if isinstance(slot, _np.ndarray):
-                strs = vi.strs
-                lane_strs = [strs[s] for s in slot.tolist()]
-                const_str = None
-                hits_l = hit.tolist()
+            live, _k, vi, _slot, hit = ev
+            if kill_at is not None:
+                live = _mand(live, kill_at > ordinal)
+            counted = n if live is None else int(live.sum())
+            if not counted:
+                continue
+            if isinstance(hit, _np.ndarray):
+                h = int((hit if live is None else hit & live).sum())
             else:
-                lane_strs = None
-                const_str = vi.strs[slot]
-                hits_l = bool(hit)
-            tev.append((ordinal, ml, vi, lane_strs, const_str, hits_l))
-        if not tev:
-            return
-        ap = self.table_trace.append
-        hits = misses = 0
-        counted = [0] * len(tev)
-        if not kill and all(t[1] is None for t in tev):
-            # Fast path: every lane sees every lookup.
-            for idx, (_o, _m, _vi, lane_strs, const_str, hits_l) in enumerate(tev):
-                counted[idx] = n
-                if lane_strs is None:
-                    h = n if hits_l else 0
-                else:
-                    h = sum(hits_l)
-                hits += h
-                misses += n - h
-            for lane in range(n):
-                for _o, _m, _vi, lane_strs, const_str, _h in tev:
-                    ap(const_str if lane_strs is None else lane_strs[lane])
-        else:
-            for lane in range(n):
-                k = kill.get(lane) if kill else None
-                ko = k[0] if k is not None else _HUGE
-                for idx, (ordinal, ml, _vi, lane_strs, const_str, hits_l) in (
-                        enumerate(tev)):
-                    if ordinal >= ko:
-                        break
-                    if ml is not None and not ml[lane]:
-                        continue
-                    ap(const_str if lane_strs is None else lane_strs[lane])
-                    counted[idx] += 1
-                    h = hits_l if lane_strs is None else hits_l[lane]
-                    if h:
-                        hits += 1
-                    else:
-                        misses += 1
+                h = counted if hit else 0
+            hits += h
+            misses += counted - h
+            if metrics_on:
+                METRICS.inc(vi.metric, counted)
         self._hits_out = hits
         self._misses_out = misses
-        if metrics_on:
-            for idx, (_o, _m, vi, _ls, _cs, _h) in enumerate(tev):
-                if counted[idx]:
-                    METRICS.inc(vi.metric, counted[idx])

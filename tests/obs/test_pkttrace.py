@@ -1,19 +1,46 @@
 """Tests of packet-level interpreter traces."""
 
-from tests.integration.helpers import eth_ipv4, eth_ipv6, make_instance
+from tests.integration.helpers import (
+    ENTRY_SETS,
+    eth_ipv4,
+    eth_ipv6,
+    make_instance,
+)
 
 from repro.obs.pkttrace import PacketTrace
+from repro.targets.backends import make_pipeline
+from repro.targets.runtime_api import RuntimeAPI
+from repro.targets.vector import NUMPY_AVAILABLE
+
+#: Backends whose per-packet hit sequence must equal the interpreter's.
+OTHER_BACKENDS = ("compiled", "codegen") + (("vector",) if NUMPY_AVAILABLE else ())
+
+
+def backend_hit_sequence(inst, mode, backend, packet):
+    """The MAT hit sequence ``backend`` records for ``packet`` on the
+    same composed program with the same entries as ``inst``."""
+    other = make_pipeline(inst.composed, backend)
+    api = RuntimeAPI(other)
+    for table, matches, act_micro, act_mono, args in ENTRY_SETS["P4"]:
+        api.add_entry(
+            table, matches, act_micro if mode == "micro" else act_mono, args
+        )
+    return other.process_traced(packet, 1)[1].hit_sequence()
 
 
 class TestMicroMode:
     def test_trace_matches_table_trace(self):
         inst = make_instance("P4", "micro")
-        trace = PacketTrace()
-        outputs = inst.process(eth_ipv4(), 1, trace)
+        outputs, trace = inst.process_traced(eth_ipv4(), 1)
         assert outputs, "expected the packet to be forwarded"
-        # The MAT hit sequence seen by the trace is exactly the
-        # interpreter's own table_trace.
-        assert trace.hit_sequence() == inst.interp.table_trace
+        # The trace is the only record of which MATs a packet applied;
+        # every backend must record the interpreter's sequence.
+        sequence = trace.hit_sequence()
+        assert any("ipv4_lpm_tbl:" in s for s in sequence)
+        for backend in OTHER_BACKENDS:
+            assert sequence == backend_hit_sequence(
+                inst, "micro", backend, eth_ipv4()
+            ), backend
 
     def test_trace_records_extract_and_output(self):
         inst = make_instance("P4", "micro")
@@ -71,9 +98,12 @@ class TestMonolithicMode:
 
     def test_trace_matches_table_trace(self):
         inst = make_instance("P4", "monolithic")
-        trace = PacketTrace()
-        inst.process(eth_ipv6(), 1, trace)
-        assert trace.hit_sequence() == inst.interp.table_trace
+        _, trace = inst.process_traced(eth_ipv6(), 1)
+        assert trace.hit_sequence()
+        for backend in OTHER_BACKENDS:
+            assert trace.hit_sequence() == backend_hit_sequence(
+                inst, "mono", backend, eth_ipv6()
+            ), backend
 
 
 class TestDisabledByDefault:

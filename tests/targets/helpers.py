@@ -3,7 +3,6 @@
 from repro.net.packet import Packet
 from repro.targets.engine import (
     EngineConfig,
-    _consume,
     _merge_blocks,
     assign_shard,
     shard_seed,
@@ -13,6 +12,7 @@ from repro.targets.soak import (
     SoakConfig,
     build_switch,
     compose_program,
+    consume,
     iter_stream_bytes,
 )
 
@@ -20,7 +20,7 @@ from repro.targets.soak import (
 def oracle_run(config: SoakConfig, program: str, engine: EngineConfig) -> dict:
     """What a pool run must produce, computed without any process, ring
     or supervisor: per shard, a fresh seeded switch consumes the stream
-    filtered by ``assign_shard`` through the same ``_consume`` loop, and
+    filtered by ``assign_shard`` through the same ``soak.consume`` loop, and
     ``_merge_blocks`` folds the shard blocks.  Pool runs are compared to
     this (merged and per-shard digests, counts) instead of to a second
     multi-process transport."""
@@ -39,11 +39,9 @@ def oracle_run(config: SoakConfig, program: str, engine: EngineConfig) -> dict:
             )
             if assign_shard(index, data, workers, policy) == shard
         )
-        shards.append(
-            _consume(
-                switch, stream, engine, shard, batch_lanes=config.batch_lanes
-            )
-        )
+        block = consume(switch, stream, batch_lanes=config.batch_lanes)
+        block["shard"] = shard
+        shards.append(block)
     return _merge_blocks(program, config, engine, shards, wall_s=0.0)
 
 

@@ -29,8 +29,10 @@ class TestDigestNeutrality:
         with collecting():
             live = soak_program(
                 quick_config(), "P4", telemetry=telemetry,
-                publish_interval_s=0.0,  # publish on every check
+                publish_interval_s=1e-9,  # publish after every batch
             )
+        assert live["telemetry_epochs"] >= 1
+        assert telemetry.snapshot()["shards"][0]["final"]
         assert live["digest"] == baseline["digest"]
         assert live["packets"] == baseline["packets"]
 
@@ -98,12 +100,16 @@ class TestLivePublishing:
 
 class TestLatencyInstrumentationBothBackends:
     def _stage_counts(self, exec_backend):
-        from repro.targets.soak import _build_switch, _routable_templates
+        from repro.targets.soak import (
+            _routable_templates,
+            build_switch,
+            compose_program,
+        )
 
         config = quick_config(
             fault_rate=0.0, traffic="routable", exec_backend=exec_backend
         )
-        switch = _build_switch(config, "P4")
+        switch = build_switch(config, "P4", compose_program(config, "P4"))
         with collecting():
             for data in _routable_templates():
                 switch.process(Packet(data), 1)

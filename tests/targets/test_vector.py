@@ -123,7 +123,10 @@ class TestDivergenceSplitting:
         want = normalize(run_batch(ref, pkts))
         assert got == want
         assert any(t[0] == "exc" for t in got)  # faults actually fired
-        assert vec.table_trace == ref.table_trace
+        # Lanes killed mid-body stop counting at the same table apply.
+        assert (vec._hits_out, vec._misses_out) == (
+            ref._hits_out, ref._misses_out
+        )
 
     def test_split_lanes_counted(self, metrics):
         pkts = corpus()
@@ -137,7 +140,8 @@ class TestDivergenceSplitting:
         assert snap.get("vector.packets") == len(pkts)
 
     def test_trace_and_metrics_match_per_packet(self, metrics):
-        """Lane-major bookkeeping replay == per-packet execution."""
+        """Batch bookkeeping counts == per-packet execution (batch mode
+        has no per-packet trace; the counters are its record)."""
         pkts = corpus(64)
         vec = build("vector", fault_rate=0.1)
         pp = build("vector", fault_rate=0.1)
@@ -154,7 +158,6 @@ class TestDivergenceSplitting:
         for key in ("vector.table_hits", "vector.table_misses",
                     "interp.lookup.indexed", "interp.lookup.scan"):
             assert batch_snap.get(key, 0) == pkt_snap.get(key, 0), key
-        assert vec.table_trace == pp.table_trace
 
 
 @needs_numpy
@@ -273,18 +276,35 @@ class TestBatchLanes:
         assert config.batch_lanes == 256
 
     @needs_numpy
-    def test_digest_invariant_under_lane_count(self):
-        digests = {
-            lanes: soak_program(
+    def test_digest_invariant_under_lane_count(self, monkeypatch):
+        """``batch_lanes`` takes effect inline (no workers): the stream
+        really is cut into that many lanes per ``process_batch`` call,
+        and the digest does not care."""
+        from repro.targets.switch import Switch
+
+        sizes = []
+        real = Switch.process_batch
+
+        def spy(self, items, soa=False):
+            items = list(items)
+            sizes.append(len(items))
+            return real(self, items, soa=soa)
+
+        monkeypatch.setattr(Switch, "process_batch", spy)
+        digests, calls = {}, {}
+        for lanes in (16, 256):
+            sizes.clear()
+            digests[lanes] = soak_program(
                 SoakConfig(
                     programs=["P4"], packets=400, seed=11, fault_rate=0.1,
                     exec_backend="vector", batch_lanes=lanes,
                 ),
                 "P4",
             )["digest"]
-            for lanes in (16, 256)
-        }
-        assert len(set(digests.values())) == 1, digests
+            calls[lanes] = list(sizes)
+        assert calls[16] == [16] * 25
+        assert calls[256] == [256, 144]
+        assert digests[16] == digests[256]
 
     def test_summary_reports_lanes(self):
         summary = run_soak(
