@@ -10,16 +10,23 @@ model, measuring lookups/sec on three synthetic workloads:
 * **lpm-heavy**   — one lpm key, per-prefix-length buckets (`lpm-buckets`);
 * **ternary**     — ternary keys, precompiled scan (`compiled-scan`);
 
-plus end-to-end packets/sec through the composed P4 pipeline.  Each
-workload is first checked for exact result equivalence between the two
-paths, then timed.  Results are written to ``BENCH_table_lookup.json``
-at the repo root (uploaded as a CI artifact by the bench-smoke job).
+plus end-to-end packets/sec through the composed P4 pipeline, and
+**install under traffic** — inserts/sec into a table that already holds
+4096 entries with one lookup between inserts, exact and lpm: a live
+index takes a tail append in place (DESIGN.md §7), where rebuilding it
+per insert made the indexed table *slower* than the reference scan.
+Each workload is first checked for exact result equivalence between the
+two paths, then timed.  Results are written to
+``BENCH_table_lookup.json`` at the repo root (uploaded as a CI artifact
+by the bench-smoke job), under the host header every BENCH file carries.
 
 Set ``BENCH_TABLE_QUICK=1`` for a fast smoke run (CI).
 """
 
 import json
 import os
+import platform
+import socket
 import time
 from pathlib import Path
 
@@ -30,6 +37,8 @@ from repro.targets.tables import TableRuntime
 
 QUICK = os.environ.get("BENCH_TABLE_QUICK") == "1"
 N_ENTRIES = 96 if QUICK else 512
+CHURN_ENTRIES = 512 if QUICK else 4096  # installed before the timed inserts
+CHURN_INSERTS = 64 if QUICK else 512
 TIME_BUDGET = 0.05 if QUICK else 0.25  # seconds per timed side
 OUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_table_lookup.json"
 
@@ -41,6 +50,11 @@ def write_results():
     yield
     payload = {
         "bench": "table_lookup_throughput",
+        "host": {
+            "hostname": socket.gethostname(),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+        },
         "quick": QUICK,
         "entries_per_table": N_ENTRIES,
         "workloads": RESULTS,
@@ -48,7 +62,7 @@ def write_results():
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def make_table(match_kinds, width=32):
+def make_table(match_kinds, width=32, use_index=True):
     keys = []
     for i, kind in enumerate(match_kinds):
         expr = ast.PathExpr(name=f"k{i}")
@@ -60,7 +74,7 @@ def make_table(match_kinds, width=32):
         actions=["hit", "miss"],
         default_action="miss",
     )
-    return TableRuntime(decl)
+    return TableRuntime(decl, use_index=use_index)
 
 
 def _rate(fn, keys):
@@ -128,6 +142,42 @@ def test_ternary():
     # The compiled scan stays O(n) but drops the per-spec kind branch;
     # just guard against regressing below the reference.
     assert result["speedup"] >= 0.8, result
+
+
+def _install_rate(kind, use_index):
+    """Inserts/sec at ``CHURN_ENTRIES`` entries, each insert followed by
+    one lookup of the key it installed."""
+    def match(i):
+        return [i * 7] if kind == "exact" else [(i << 8, 24)]
+
+    table = make_table([kind], use_index=use_index)
+    for i in range(CHURN_ENTRIES):
+        table.add_entry(match(i), "hit", [i])
+    table.lookup([0])
+    start = time.perf_counter()
+    for i in range(CHURN_ENTRIES, CHURN_ENTRIES + CHURN_INSERTS):
+        table.add_entry(match(i), "hit", [i])
+        assert table.lookup([i * 7 if kind == "exact" else (i << 8) + 9])[1] == [i]
+    return CHURN_INSERTS / (time.perf_counter() - start), table
+
+
+@pytest.mark.parametrize("kind", ["exact", "lpm"])
+def test_install_under_traffic(kind):
+    indexed, table = _install_rate(kind, use_index=True)
+    scan, _ = _install_rate(kind, use_index=False)
+    RESULTS[f"install_under_traffic_{kind}"] = {
+        "strategy": table.index_info()["strategy"],
+        "entries": CHURN_ENTRIES,
+        "inserts": CHURN_INSERTS,
+        "index_events": table.index_info()["index_events"],
+        "indexed_inserts_per_sec": round(indexed),
+        "scan_inserts_per_sec": round(scan),
+        "speedup": round(indexed / scan, 2),
+    }
+    # One full build, then every insert filed in place.  With a rebuild
+    # per insert the indexed side lost to the scan (~0.2x at 4096).
+    assert table.index_events["tables.index.rebuilt"] == 1
+    assert indexed >= scan * 3.0, RESULTS[f"install_under_traffic_{kind}"]
 
 
 def test_pipeline_end_to_end():

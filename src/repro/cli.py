@@ -355,15 +355,17 @@ def _profile_mix() -> List[bytes]:
     ]
 
 
-def _table_strategies(composed) -> dict:
-    from repro.targets.pipeline import PipelineInstance
+def _table_report(instance) -> dict:
+    """``table_strategies`` (tables per lookup strategy) and ``tables``
+    (``RuntimeAPI.lookup_info`` of ``instance``) for the profile report."""
     from repro.targets.runtime_api import RuntimeAPI
 
+    tables = RuntimeAPI(instance).lookup_info()
     strategies: dict = {}
-    for info in RuntimeAPI(PipelineInstance(composed)).lookup_info().values():
+    for info in tables.values():
         name = str(info["strategy"])
         strategies[name] = strategies.get(name, 0) + 1
-    return strategies
+    return {"table_strategies": strategies, "tables": tables}
 
 
 def _run_profile_packets(
@@ -425,7 +427,7 @@ def _run_profile_packets(
             "hits": METRICS.counter(f"{exec_backend}.table_hits"),
             "misses": METRICS.counter(f"{exec_backend}.table_misses"),
         },
-        "table_strategies": _table_strategies(composed),
+        **_table_report(instance),
     }
 
 
@@ -446,7 +448,13 @@ def _run_profile_sharded(
         composed, _profile_mix(), count, engine, exec_backend=exec_backend,
         telemetry=telemetry,
     )
-    behavior["table_strategies"] = _table_strategies(composed)
+    from repro.targets.pipeline import PipelineInstance
+
+    # The shards' own tables live in the workers; their index events
+    # arrive merged in the metrics, so only the strategies are shown.
+    behavior["table_strategies"] = _table_report(
+        PipelineInstance(composed)
+    )["table_strategies"]
     return behavior
 
 
@@ -716,6 +724,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
             f"misses={lookups['misses']}"
         )
         print(f"  lookup strategies: {strategies}")
+        for name, info in sorted(behavior.get("tables", {}).items()):
+            events = ", ".join(
+                f"{metric} {count}"
+                for metric, count in sorted(info["index_events"].items())
+            )
+            print(
+                f"    {name}: {info['strategy']}, {info['entries']} entries"
+                + (f"; {events}" if events else "")
+            )
         source = [
             METRICS.gauge(f"codegen.{gauge}")
             for gauge in ("source_lines", "dispatch_arms", "locals")

@@ -128,7 +128,12 @@ class RuntimeAPI:
 
     def lookup_info(self) -> Dict[str, Dict[str, object]]:
         """Per-table lookup strategy (exact-hash / lpm-buckets /
-        compiled-scan / reference-scan), entry and residual counts."""
+        compiled-scan / reference-scan), entry and residual counts, and
+        ``index_events``: how often the table's index was built in full
+        (``tables.index.rebuilt``) or took an install in place
+        (``tables.index.appended``), and under ``--exec vector`` the same
+        for its batch snapshot (``vector.index.extended`` /
+        ``vector.index.rebuilt.<reason>``)."""
         return {
             name: t.index_info() for name, t in self.instance.tables.items()
         }

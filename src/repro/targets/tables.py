@@ -32,8 +32,11 @@ ternary live in TCAM (Bosshart et al., RMT).  A linear scan over
 ``const_entries + runtime_entries`` instead collapses under the
 homogenization passes that turn parsers and deparsers into large MATs
 (§5.3), so :class:`TableRuntime` mirrors the hardware cost model with a
-per-match-kind index, built lazily on first lookup and invalidated by
-any entry mutation:
+per-match-kind index, built lazily on first lookup.  A *tail append* —
+an ``add_entry`` whose priority is no higher than any installed runtime
+entry's, so no existing entry's position moves — is filed into the live
+index in place, the way hardware writes one SRAM/TCAM word; only an
+insert that lands mid-list and ``clear_runtime_entries`` drop it:
 
 * exact-only tables hash the full key tuple (``_ExactIndex``);
 * tables with one ``lpm`` key and otherwise-exact keys bucket entries by
@@ -52,6 +55,7 @@ scan alive for differential tests and benchmarks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -167,19 +171,27 @@ class _ExactIndex:
     strategy = "exact-hash"
 
     def __init__(self, entries: Sequence[Entry], key_widths: Sequence[int]) -> None:
+        self.key_widths = key_widths
         # key tuple -> (order, entry); first entry per tuple wins.
         self.map: Dict[Tuple[int, ...], Tuple[int, Entry]] = {}
         # Entries with a don't-care spec cannot live in the hash; they
         # stay in a (usually empty) priority-ordered residual list.
         self.residual: List[tuple] = []
+        self.order_of: Dict[int, int] = {}
         for order, entry in enumerate(entries):
-            if all(spec[0] == "exact" for spec in entry.matches):
-                key = tuple(spec[1] for spec in entry.matches)
-                if key not in self.map:
-                    self.map[key] = (order, entry)
-            else:
-                tchecks, rchecks = _compile_checks(entry, key_widths)
-                self.residual.append((order, entry, tchecks, rchecks))
+            self.add(order, entry)
+
+    def add(self, order: int, entry: Entry) -> None:
+        """File ``entry`` at ``order``, which must be past every order
+        filed so far (the build loop and a tail append both are)."""
+        self.order_of[id(entry)] = order
+        if all(spec[0] == "exact" for spec in entry.matches):
+            key = tuple(spec[1] for spec in entry.matches)
+            if key not in self.map:
+                self.map[key] = (order, entry)
+        else:
+            tchecks, rchecks = _compile_checks(entry, self.key_widths)
+            self.residual.append((order, entry, tchecks, rchecks))
 
     def lookup(self, key_values) -> Optional[Entry]:
         best = self.map.get(tuple(key_values))
@@ -202,31 +214,45 @@ class _LpmIndex:
     def __init__(
         self, entries: Sequence[Entry], key_widths: Sequence[int], lpm_pos: int
     ) -> None:
+        self.key_widths = key_widths
         self.lpm_pos = lpm_pos
-        width = key_widths[lpm_pos]
         # prefix_len -> {masked key tuple: (order, entry)}
         self.buckets: Dict[int, Dict[Tuple[int, ...], Tuple[int, Entry]]] = {}
         self.masks: Dict[int, int] = {}
+        # Bucket lengths, longest first: the probe order.
+        self.lengths: List[int] = []
         # Entries with a don't-care on an exact key position.
         self.residual: List[tuple] = []
+        self.order_of: Dict[int, int] = {}
         for order, entry in enumerate(entries):
-            prefix_len, fast = self._classify(entry, lpm_pos)
-            if fast:
-                mask = _prefix_mask(width, prefix_len)
-                key = tuple(
-                    (spec[1] & mask if spec[0] == "lpm" else 0)
-                    if pos == lpm_pos
-                    else spec[1]
-                    for pos, spec in enumerate(entry.matches)
-                )
-                bucket = self.buckets.setdefault(prefix_len, {})
-                self.masks[prefix_len] = mask
-                if key not in bucket:
-                    bucket[key] = (order, entry)
-            else:
-                tchecks, rchecks = _compile_checks(entry, key_widths)
-                self.residual.append((order, prefix_len, entry, tchecks, rchecks))
-        self.lengths = sorted(self.buckets, reverse=True)
+            self.add(order, entry)
+
+    def add(self, order: int, entry: Entry) -> None:
+        """File ``entry`` at ``order``, which must be past every order
+        filed so far (the build loop and a tail append both are)."""
+        self.order_of[id(entry)] = order
+        lpm_pos = self.lpm_pos
+        prefix_len, fast = self._classify(entry, lpm_pos)
+        if not fast:
+            tchecks, rchecks = _compile_checks(entry, self.key_widths)
+            self.residual.append((order, prefix_len, entry, tchecks, rchecks))
+            return
+        bucket = self.buckets.get(prefix_len)
+        if bucket is None:
+            bucket = self.buckets[prefix_len] = {}
+            self.masks[prefix_len] = _prefix_mask(
+                self.key_widths[lpm_pos], prefix_len
+            )
+            self.lengths = sorted(self.buckets, reverse=True)
+        mask = self.masks[prefix_len]
+        key = tuple(
+            (spec[1] & mask if spec[0] == "lpm" else 0)
+            if pos == lpm_pos
+            else spec[1]
+            for pos, spec in enumerate(entry.matches)
+        )
+        if key not in bucket:
+            bucket[key] = (order, entry)
 
     @staticmethod
     def _classify(entry: Entry, lpm_pos: int) -> Tuple[int, bool]:
@@ -275,11 +301,18 @@ class _CompiledScan:
     def __init__(
         self, entries: Sequence[Entry], key_widths: Sequence[int], has_lpm: bool
     ) -> None:
+        self.key_widths = key_widths
         self.has_lpm = has_lpm
-        self.rows = []
-        for entry in entries:
-            tchecks, rchecks = _compile_checks(entry, key_widths)
-            self.rows.append((entry.lpm_length(), entry, tchecks, rchecks))
+        self.rows: List[tuple] = []
+        self.order_of: Dict[int, int] = {}
+        for order, entry in enumerate(entries):
+            self.add(order, entry)
+
+    def add(self, order: int, entry: Entry) -> None:
+        """File ``entry`` at ``order`` — its position in ``rows``."""
+        self.order_of[id(entry)] = order
+        tchecks, rchecks = _compile_checks(entry, self.key_widths)
+        self.rows.append((entry.lpm_length(), entry, tchecks, rchecks))
 
     def lookup(self, key_values) -> Optional[Entry]:
         if not self.has_lpm:
@@ -335,6 +368,14 @@ class TableRuntime:
         # per-table lookup structures (the vector backend) can tell when
         # a cached structure is stale without comparing entry lists.
         self.version = 0
+        # Bumped only by a mutation that is *not* a tail append — a
+        # mid-list insert, a clear, a new default — with the reason
+        # beside it.  A snapshot holder that finds ``version`` moved but
+        # ``epoch`` not has missed nothing but ``combined[n:]``.
+        self.epoch = 0
+        self.epoch_reason = ""
+        # Index maintenance per table, by metric name (see ``count_index_event``).
+        self.index_events: Dict[str, int] = {}
         self.const_entries: List[Entry] = [
             self._convert_const_entry(e) for e in decl.const_entries
         ]
@@ -409,18 +450,21 @@ class TableRuntime:
         ``matches`` items may be: an int (exact), a ``(value, length)``
         tuple for lpm keys, a ``(value, mask)`` tuple for ternary keys, a
         ``(lo, hi)`` tuple for range keys, or ``None`` for don't-care.
-        Values are masked to the key width; lpm prefix lengths and range
-        bounds are validated here so bad entries fail at install time.
+        Values are masked to the key width; lpm prefix lengths, range
+        bounds, the action and its argument count are validated here so
+        bad entries fail at install time.
+
+        An entry whose priority is no higher than any installed one's
+        goes to the tail: no order moves, and a live index takes it in
+        place.  Anything else shifts the orders behind it, so the index
+        is dropped and ``epoch`` moves.
         """
         if len(matches) != len(self.match_kinds):
             raise TargetError(
                 f"table {self.name!r}: {len(matches)} matches for "
                 f"{len(self.match_kinds)} keys"
             )
-        if action_name not in self.decl.actions and action_name != "NoAction":
-            raise TargetError(
-                f"table {self.name!r} has no action {action_name!r}"
-            )
+        args = self._checked_action(action_name, action_args)
         specs: List[MatchSpec] = []
         for m, kind, width, name in zip(
             matches, self.match_kinds, self.key_widths, self._key_names
@@ -428,33 +472,68 @@ class TableRuntime:
             specs.append(
                 _runtime_match_to_spec(m, kind, width, table=self.name, key=name)
             )
-        self.runtime_entries.append(
-            Entry(
-                matches=specs,
-                action_name=action_name,
-                action_args=list(action_args or []),
-                priority=priority,
-            )
+        entry = Entry(
+            matches=specs, action_name=action_name, action_args=args,
+            priority=priority,
         )
-        # Higher priority wins; stable for equal priorities.
-        self.runtime_entries.sort(key=lambda e: -e.priority)
-        self._index = None
-        self.version += 1
+        # Higher priority wins; insertion order among equals.
+        entries = self.runtime_entries
+        if entries and entries[-1].priority < priority:
+            entries.insert(
+                bisect_right([-e.priority for e in entries], -priority), entry
+            )
+            self._index = None
+            self._new_epoch("reordered")
+        else:
+            entries.append(entry)
+            self.version += 1
+            if self._index is not None:
+                self._index.add(
+                    len(self.const_entries) + len(entries) - 1, entry
+                )
+                self.count_index_event("tables.index.appended")
 
     def set_default(self, action_name: str, args: Optional[Sequence[int]] = None) -> None:
-        if action_name not in self.decl.actions and action_name != "NoAction":
-            raise TargetError(
-                f"table {self.name!r} has no action {action_name!r}"
-            )
+        self.default_args = self._checked_action(action_name, args)
         self.default_action = action_name
-        self.default_args = list(args or [])
-        self._index = None
-        self.version += 1
+        # No scalar index stores the default row (a miss reads it
+        # live); only snapshots that copied it must notice.
+        self._new_epoch("default")
 
     def clear_runtime_entries(self) -> None:
         self.runtime_entries = []
         self._index = None
+        self._new_epoch("cleared")
+
+    def _checked_action(
+        self, action_name: str, args: Optional[Sequence[int]]
+    ) -> List[int]:
+        """``args`` as a list, once the table can select ``action_name``
+        with that many arguments."""
+        if action_name not in self.decl.actions and action_name != "NoAction":
+            raise TargetError(
+                f"table {self.name!r} has no action {action_name!r}"
+            )
+        args = list(args or [])
+        decl = self.selectable_actions.get(action_name)
+        if decl is not None and len(args) != len(decl.params):
+            raise TargetError(
+                f"table {self.name!r}: action {action_name!r} expects "
+                f"{len(decl.params)} args, got {len(args)}"
+            )
+        return args
+
+    def _new_epoch(self, reason: str) -> None:
+        self.epoch += 1
+        self.epoch_reason = reason
         self.version += 1
+
+    def count_index_event(self, metric: str) -> None:
+        """One index-maintenance event, per table (``index_info``) and
+        in the process-wide counters."""
+        self.index_events[metric] = self.index_events.get(metric, 0) + 1
+        if METRICS.enabled:
+            METRICS.inc(metric)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -526,13 +605,17 @@ class TableRuntime:
         else:
             index = _CompiledScan(combined, self.key_widths, self._has_lpm)
         self._index = index
+        self.count_index_event("tables.index.rebuilt")
         return index
 
     def index_info(self) -> Dict[str, object]:
-        """Strategy and entry stats for reporting (CLI, control API)."""
+        """Strategy, entry stats and index-maintenance counts for
+        reporting (CLI, control API)."""
         info: Dict[str, object] = {
             "entries": len(self.const_entries) + len(self.runtime_entries),
             "indexed": self.use_index,
+            # Before the build this report itself may trigger below.
+            "index_events": dict(self.index_events),
         }
         if self.use_index:
             index = self._index if self._index is not None else self._build_index()
@@ -543,9 +626,13 @@ class TableRuntime:
         return info
 
     def entry_index(self, entry: Entry) -> int:
-        """Position of an entry in the const+runtime priority order."""
-        combined = [*self.const_entries, *self.runtime_entries]
-        for index, candidate in enumerate(combined):
+        """Position of an entry in the const+runtime priority order:
+        the order the live index filed it at, else a scan."""
+        if self._index is not None:
+            return self._index.order_of.get(id(entry), -1)
+        for index, candidate in enumerate(
+            [*self.const_entries, *self.runtime_entries]
+        ):
             if candidate is entry:
                 return index
         return -1

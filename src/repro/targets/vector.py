@@ -197,8 +197,8 @@ class _VecIndex:
 
     Maps the whole batch's key columns to an entry *slot* per lane:
     0..E-1 in const-then-runtime priority order, -1 for a default-action
-    miss.  Rebuilt whenever :attr:`TableRuntime.version` moves.  Three
-    strategies, all reproducing ``TableRuntime._scan_match`` semantics:
+    miss.  Three strategies, all reproducing
+    ``TableRuntime._scan_match`` semantics:
 
     * all-exact entries: keys encoded into one integer (object dtype for
       > 63-bit key tuples) and probed via sorted-array ``searchsorted``;
@@ -207,47 +207,21 @@ class _VecIndex:
       with);
     * large non-exact tables: per-lane probes through the runtime's own
       index (or reference scan when indexing is disabled).
+
+    The snapshot starts as the default row alone and every entry enters
+    through :meth:`_file`; when :attr:`TableRuntime.version` moves,
+    :meth:`extend` files what the table gained at its tail the same way,
+    and only a mutation that cannot be expressed as such a delta costs a
+    new snapshot.
     """
 
     def __init__(self, runtime: TableRuntime, arm_index: Dict[str, Tuple[int, int]]):
+        self._runtime = runtime
+        self._arms = arm_index
         self.version = runtime.version
+        self.epoch = runtime.epoch
         self.name = runtime.name
         self.widths = tuple(runtime.key_widths)
-        entries = [*runtime.const_entries, *runtime.runtime_entries]
-        self.nentries = len(entries)
-        # Row data per slot; row -1 (the default action) is last, so
-        # negative indexing resolves it on both lists and arrays.
-        acts = [e.action_name for e in entries] + [runtime.default_action]
-        argses = [list(e.action_args) for e in entries] + [list(runtime.default_args)]
-        aidx: List[int] = []
-        self.bad: List[tuple] = []
-        for row, (an, args_row) in enumerate(zip(acts, argses)):
-            slot_id = row if row < self.nentries else -1
-            if an == "NoAction":
-                aidx.append(-1)
-                continue
-            arm = arm_index.get(an)
-            if arm is None:
-                self.bad.append((slot_id, _mk_terr(
-                    f"table {runtime.name!r} selected unknown action {an!r}"
-                )))
-                aidx.append(-2)
-                continue
-            ai, nparams = arm
-            if len(args_row) != nparams:
-                self.bad.append((slot_id, _mk_terr(
-                    f"action {an!r} expects {nparams} args, got {len(args_row)}"
-                )))
-                aidx.append(-2)
-                continue
-            aidx.append(ai)
-        self.aidx = _np.array(aidx, dtype=_np.int64)
-        self.used = sorted({a for a in aidx if a >= 0})
-        max_arity = max((len(a) for a in argses), default=0)
-        self.args = [
-            _intarr([a[j] if j < len(a) else 0 for a in argses])
-            for j in range(max_arity)
-        ]
         # One metric tick per counted lane, named after the probe the
         # per-packet runtime would have used for the same lookup.
         if runtime.use_index:
@@ -257,38 +231,122 @@ class _VecIndex:
             self.metric = index.metric
         else:
             self.metric = "interp.lookup.scan"
-
-        all_exact = all(k == "exact" for k in runtime.match_kinds) and all(
-            all(sp[0] == "exact" for sp in e.matches) for e in entries
-        )
-        self._runtime = None
-        self.rows = None
-        if all_exact:
+        entries = [*runtime.const_entries, *runtime.runtime_entries]
+        # The strategy holds for the snapshot's life: extend() refuses a
+        # delta that would have chosen another one.
+        if self._all_exact(entries):
             self.strategy = "exact-sorted"
             self.wide = sum(self.widths) > 63
-            first: Dict[int, int] = {}
-            for order, entry in enumerate(entries):
-                enc = self._fold([sp[1] for sp in entry.matches])
-                if enc not in first:
-                    first[enc] = order
-            self.map = first
-            ordered = sorted(first)
-            self.keys_sorted = _intarr(ordered) if ordered else None
-            self.slots_sorted = _np.array(
-                [first[k] for k in ordered], dtype=_np.int64
-            )
-        elif self.nentries <= VECTOR_SCAN_LIMIT:
+            self.map: Dict[int, int] = {}
+            self.keys_sorted = None
+            self.slots_sorted = _np.empty(0, _np.int64)
+        elif len(entries) <= VECTOR_SCAN_LIMIT:
             self.strategy = "masked-scan"
             self.has_lpm = runtime._has_lpm
-            self.rows = [
-                (entry.lpm_length(), order)
-                + _compile_checks(entry, runtime.key_widths)
-                for order, entry in enumerate(entries)
-            ]
+            self.rows = []
         else:
             self.strategy = "per-lane"
-            self._runtime = runtime
-            self._slot_of = {id(e): order for order, e in enumerate(entries)}
+        # Row data per slot; row -1 (the default action) is last, so
+        # negative indexing resolves it on both lists and arrays.
+        self.nentries = 0
+        self.bad: List[tuple] = []
+        default_args = list(runtime.default_args)
+        self.aidx = _np.array(
+            [self._arm(-1, runtime.default_action, default_args)], _np.int64
+        )
+        self.used = [a for a in self.aidx.tolist() if a >= 0]
+        self.args = [_intarr([a]) for a in default_args]
+        self._file(entries)
+
+    def _all_exact(self, entries) -> bool:
+        return all(k == "exact" for k in self._runtime.match_kinds) and all(
+            sp[0] == "exact" for e in entries for sp in e.matches
+        )
+
+    def _arm(self, slot: int, action: str, args) -> int:
+        """Action-arm number of one row: -1 for ``NoAction``, -2 (and a
+        ``bad`` record that kills the lanes selecting it) for a row the
+        table cannot run."""
+        if action == "NoAction":
+            return -1
+        arm = self._arms.get(action)
+        if arm is None:
+            msg = f"table {self.name!r} selected unknown action {action!r}"
+        elif len(args) != arm[1]:
+            msg = f"action {action!r} expects {arm[1]} args, got {len(args)}"
+        else:
+            return arm[0]
+        self.bad.append((slot, _mk_terr(msg)))
+        return -2
+
+    def _file(self, entries) -> None:
+        """Append ``entries`` at slots ``nentries..``, the default row
+        staying last: the one place a row enters the snapshot."""
+        if not entries:
+            return
+        base = self.nentries
+        self.nentries = base + len(entries)
+        aidx = [
+            self._arm(base + i, e.action_name, e.action_args)
+            for i, e in enumerate(entries)
+        ]
+        self.aidx = _np.concatenate(
+            [self.aidx[:-1], _np.array(aidx, _np.int64), self.aidx[-1:]]
+        )
+        self.used = sorted(set(self.used).union(a for a in aidx if a >= 0))
+        while len(self.args) < max(len(e.action_args) for e in entries):
+            self.args.append(_np.zeros(base + 1, _np.int64))
+        for j, col in enumerate(self.args):
+            new = _intarr([
+                e.action_args[j] if j < len(e.action_args) else 0
+                for e in entries
+            ])
+            # (int64 joins object as object: an argument >= 2**63.)
+            self.args[j] = _np.concatenate([col[:-1], new, col[-1:]])
+        if self.strategy == "masked-scan":
+            self.rows.extend(
+                (e.lpm_length(), base + i) + _compile_checks(e, self.widths)
+                for i, e in enumerate(entries)
+            )
+        elif self.strategy == "exact-sorted":
+            fresh: Dict[int, int] = {}  # first entry per key wins
+            for i, e in enumerate(entries):
+                enc = self._fold([sp[1] for sp in e.matches])
+                if enc not in self.map:
+                    self.map[enc] = fresh[enc] = base + i
+            if not fresh:
+                return
+            ordered = sorted(fresh)
+            keys = _intarr(ordered)
+            old = self.keys_sorted
+            if old is None:
+                old = _np.empty(0, keys.dtype)
+            elif old.dtype != keys.dtype:  # a key >= 2**63 arrived
+                old, keys = old.astype(object), keys.astype(object)
+            pos = _np.searchsorted(old, keys)
+            self.keys_sorted = _np.insert(old, pos, keys)
+            self.slots_sorted = _np.insert(
+                self.slots_sorted, pos, [fresh[k] for k in ordered]
+            )
+
+    def extend(self) -> Optional[str]:
+        """Catch up with the table by filing what it gained at its tail.
+        Returns the reason when only a new snapshot can: ``epoch`` moved
+        (the runtime says why), or the delta changes the strategy."""
+        runtime = self._runtime
+        if runtime.epoch != self.epoch:
+            return runtime.epoch_reason
+        delta = runtime.runtime_entries[
+            self.nentries - len(runtime.const_entries):
+        ]
+        if self.strategy == "exact-sorted" and not self._all_exact(delta):
+            return "kind"
+        if (self.strategy == "masked-scan"
+                and self.nentries + len(delta) > VECTOR_SCAN_LIMIT):
+            return "scan-limit"
+        self._file(delta)
+        self.version = runtime.version
+        return None
 
     # -- key encoding (exact strategy) ---------------------------------
     def _fold(self, kv):
@@ -394,11 +452,14 @@ class _VecIndex:
             if index is None:
                 index = runtime._build_index()
             probe = index.lookup
+            slot_of = index.order_of
         else:
             probe = runtime._scan_match
+            slot_of = {id(e): order for order, e in enumerate(
+                [*runtime.const_entries, *runtime.runtime_entries]
+            )}
         cols = [_aslist(_toint(v), n) for v in kv]
         slot = _np.full(n, -1, _np.int64)
-        slot_of = self._slot_of
         for lane in range(n):
             entry = probe(tuple(int(col[lane]) for col in cols))
             if entry is not None:
@@ -1235,8 +1296,12 @@ class _VectorCompiler:
             kv = [kf(ctx, m) for kf in _keys]
             vi = _cache[0]
             if vi is None or vi.version != _rt.version:
-                vi = _VecIndex(_rt, _ai)
-                _cache[0] = vi
+                why = "first" if vi is None else vi.extend()
+                if why is None:
+                    _rt.count_index_event("vector.index.extended")
+                else:
+                    vi = _cache[0] = _VecIndex(_rt, _ai)
+                    _rt.count_index_event(f"vector.index.rebuilt.{why}")
             slot = vi.lookup(kv, ctx.n)
             scalar = not isinstance(slot, _np.ndarray)
             hit = slot >= 0

@@ -86,6 +86,13 @@ def assert_equivalent(table, query):
     assert indexed[1] == scan[1]
     assert indexed[2] == scan[2]
     assert indexed[3] is scan[3]  # the very same Entry object
+    if scan[3] is not None:
+        # The order a live index hands out is the entry's position in
+        # the const-then-runtime list, whatever was appended since.
+        combined = [*table.const_entries, *table.runtime_entries]
+        assert table.entry_index(scan[3]) == next(
+            i for i, e in enumerate(combined) if e is scan[3]
+        )
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,11 +104,22 @@ def test_indexed_matches_reference_scan(config):
         table.add_entry(list(matches), "hit", [i], priority=priority)
     for query in queries:
         assert_equivalent(table, query)
-    # Mutations must invalidate the index and stay equivalent.
+    # Mutations under traffic: a lookup right before each install means
+    # the index is live when the entry arrives, so a tail append
+    # (priority <= every installed one) is filed in place and a
+    # mid-list insert drops the index; both must stay equivalent.
     for i, (matches, priority) in enumerate(second_batch):
+        table.lookup(queries[0])
+        live = table._index
+        tail = all(priority <= e.priority for e in table.runtime_entries)
         table.add_entry(list(matches), "hit", [100 + i], priority=priority)
+        assert table._index is (live if tail else None)
         for query in queries:
             assert_equivalent(table, query)
+    table.set_default("hit", [7])
+    assert table._index is not None  # no index stores the default row
+    for query in queries:
+        assert_equivalent(table, query)
     table.clear_runtime_entries()
     for query in queries:
         assert_equivalent(table, query)
@@ -130,3 +148,46 @@ def test_pipeline_traces_identical(name):
         assert [(e.kind, e.data) for e in trace_i.events] == [
             (e.kind, e.data) for e in trace_s.events
         ]
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled", "codegen"])
+def test_traced_entry_order_at_a_thousand_routes(backend):
+    """A traced table hit reports the entry's position in the
+    const-then-runtime order.  The live index hands that out from the
+    order it filed the entry at — including entries appended in place
+    after it was built — where the reference instance scans the list;
+    at 1200 routes installed under traffic both agree, event for event."""
+    from repro.lib.catalog import build_pipeline
+    from repro.net.packet import Packet
+    from repro.targets.backends import make_pipeline
+    from repro.targets.runtime_api import RuntimeAPI
+    from tests.integration.helpers import MAC_A, MAC_B, eth_ipv4, mac
+
+    composed = build_pipeline("P4")
+    indexed = make_pipeline(composed, backend, use_table_index=True)
+    scan = make_pipeline(composed, backend, use_table_index=False)
+
+    def traced(instance, dst):
+        outputs, trace = instance.process_traced(Packet(eth_ipv4(dst=dst).tobytes()), 1)
+        return [o.port for o in outputs], [(e.kind, e.data) for e in trace.events]
+
+    routes = 1200
+    for i in range(routes):
+        for instance in (indexed, scan):
+            api = RuntimeAPI(instance)
+            api.add_entry("ipv4_lpm_tbl", [((11 << 24) + (i << 8), 24)], "process", [100 + i])
+            api.add_entry("forward_tbl", [100 + i], "forward",
+                          [mac(MAC_A), mac(MAC_B), 1 + i % 7])
+        if i % 100 == 0:  # traffic between installs keeps the index live
+            dst = "11.%d.%d.9" % (i >> 8, i & 255)
+            assert traced(indexed, dst) == traced(scan, dst)
+    lpm = RuntimeAPI(indexed)._table("ipv4_lpm_tbl")
+    assert lpm.index_events == {
+        "tables.index.rebuilt": 1, "tables.index.appended": routes - 1,
+    }
+    for i in (0, 1, 599, routes - 1):
+        ports, events = traced(indexed, "11.%d.%d.9" % (i >> 8, i & 255))
+        assert (ports, events) == traced(scan, "11.%d.%d.9" % (i >> 8, i & 255))
+        hits = [d["entry"] for kind, d in events
+                if kind == "table" and d["table"].endswith(("ipv4_lpm_tbl", "forward_tbl"))]
+        assert hits == [i, i]

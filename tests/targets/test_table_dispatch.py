@@ -251,6 +251,56 @@ class TestForeignActionParity:
         assert (len(runtime.runtime_entries), runtime.default_action) == before
 
 
+class TestArgumentCountAtInstall:
+    """A wrong number of action arguments used to install fine and then
+    kill every packet that hit the entry; it is refused where the other
+    install-time checks are, the same way on every backend."""
+
+    @pytest.mark.parametrize("backend", RUN_BACKENDS)
+    def test_install_refuses_a_wrong_argument_count(self, backend):
+        switch = _p4_switch(backend)
+        runtime = _table(switch, "ipv4_lpm_tbl")
+        action = next(a for a in runtime.selectable_actions if a.endswith("process"))
+        before = (
+            list(runtime.runtime_entries), runtime.default_action,
+            list(runtime.default_args), runtime.version,
+        )
+        text = (
+            f"table {runtime.name!r}: action {action!r} expects 1 args, got {{}}"
+        )
+        with pytest.raises(TargetError, match=re.escape(text.format(0))):
+            switch.api.add_entry("ipv4_lpm_tbl", [(0x0A020000, 16)], "process")
+        with pytest.raises(TargetError, match=re.escape(text.format(2))):
+            switch.api.add_entry(
+                "ipv4_lpm_tbl", [(0x0A020000, 16)], "process", [1, 2]
+            )
+        with pytest.raises(TargetError, match=re.escape(text.format(3))):
+            switch.api.set_default("ipv4_lpm_tbl", "process", [1, 2, 3])
+        assert before == (
+            list(runtime.runtime_entries), runtime.default_action,
+            list(runtime.default_args), runtime.version,
+        )
+        verdict = switch.process(Packet(eth_ipv4(dst=FOREIGN_DST).tobytes()), 1)
+        assert verdict.kind != "killed"
+
+    @pytest.mark.parametrize("backend", RUN_BACKENDS)
+    def test_forced_entry_still_fails_per_packet(self, backend):
+        """Behind the API the per-packet check is what is left."""
+        switch = _p4_switch(backend)
+        runtime = _table(switch, "ipv4_lpm_tbl")
+        action = next(a for a in runtime.selectable_actions if a.endswith("process"))
+        runtime.runtime_entries.append(
+            Entry(matches=[("lpm", 0x0A020000, 16)], action_name=action)
+        )
+        runtime._index = None
+        runtime.version += 1
+        verdict = switch.process(Packet(eth_ipv4(dst=FOREIGN_DST).tobytes()), 1)
+        assert (verdict.kind, dict(verdict.reasons)) == ("killed", {"internal": 1})
+        assert verdict.error == (
+            f"TargetError: action {action!r} expects 1 args, got 0"
+        )
+
+
 # ----------------------------------------------------------------------
 # Build output is linear in tables
 # ----------------------------------------------------------------------

@@ -248,7 +248,7 @@ class TestIndexing:
         t = make_table(["exact"])
         t.add_entry([1], "hit", [1])
         assert t.lookup([2])[0] == "miss"  # index built here
-        t.add_entry([2], "hit", [2])
+        t.add_entry([2], "hit", [2])  # ... and must not go stale
         assert t.lookup([2])[1] == [2]
 
     def test_clear_invalidates_index(self):
@@ -257,6 +257,51 @@ class TestIndexing:
         assert t.lookup([1])[0] == "hit"
         t.clear_runtime_entries()
         assert t.lookup([1])[0] == "miss"
+
+    @pytest.mark.parametrize("kinds, first, second, probe", [
+        (["exact"], [1], [2], [2]),
+        # A prefix length no bucket exists for yet.
+        (["lpm"], [(0x0A000000, 8)], [(0x0A010000, 16)], [0x0A010203]),
+        (["ternary"], [(0x10, 0xF0)], [(0x20, 0xF0)], [0x25]),
+    ])
+    def test_tail_append_is_filed_in_the_live_index(self, kinds, first, second, probe):
+        t = make_table(kinds)
+        t.add_entry(first, "hit", [1])
+        assert t.lookup(probe)[1] != [2]
+        index, version, epoch = t._index, t.version, t.epoch
+        t.add_entry(second, "hit", [2], priority=-3)  # lower: still the tail
+        assert t._index is index
+        assert (t.version, t.epoch) == (version + 1, epoch)
+        assert t.lookup(probe) == ("hit", [2], True)
+        assert t.entry_index(t.lookup_full(probe)[3]) == 1
+        assert t.index_events == {
+            "tables.index.rebuilt": 1, "tables.index.appended": 1,
+        }
+
+    def test_mid_list_insert_drops_the_index(self):
+        t = make_table(["exact"])
+        t.add_entry([1], "hit", [1])
+        t.lookup([1])
+        epoch = t.epoch
+        t.add_entry([1], "hit", [2], priority=1)  # ahead of the first
+        assert t._index is None
+        assert (t.epoch, t.epoch_reason) == (epoch + 1, "reordered")
+        assert t.lookup([1])[1] == [2]
+        assert [e.action_args for e in t.runtime_entries] == [[2], [1]]
+
+    def test_set_default_keeps_the_index(self):
+        """No index stores the default row: a miss reads it live."""
+        t = make_table(["lpm"])
+        t.add_entry([(0x0A000000, 8)], "hit", [1])
+        t.lookup([0])
+        index, version, epoch = t._index, t.version, t.epoch
+        t.set_default("hit", [9])
+        assert t._index is index
+        assert (t.version, t.epoch, t.epoch_reason) == (
+            version + 1, epoch + 1, "default"
+        )
+        assert t.lookup([0]) == ("hit", [9], False)
+        assert t.index_events == {"tables.index.rebuilt": 1}
 
     def test_dont_care_residual_keeps_priority_order(self):
         t = make_table(["exact"])

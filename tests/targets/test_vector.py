@@ -19,17 +19,24 @@ is *specific* to columnwise execution:
 """
 
 import hashlib
+import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TargetError
 from repro.lib.catalog import build_monolithic, build_pipeline
+from repro.net.packet import Packet
 from repro.obs.metrics import METRICS
 from repro.targets import vector as vector_mod
 from repro.targets.backends import make_pipeline
 from repro.targets.faults import FaultPlan, ResourceGuards
 from repro.targets.runtime_api import RuntimeAPI
 from repro.targets.soak import SoakConfig, run_soak, soak_program
+from repro.targets.switch import Switch
+from repro.targets.tables import TableRuntime
 from repro.targets.vector import NUMPY_AVAILABLE, VectorPipeline
 from tests.integration.helpers import (
     ENTRY_SETS,
@@ -350,3 +357,309 @@ class TestBuildCache:
         snap = METRICS.snapshot()["counters"]
         assert snap.get("vector.packets") == 1
         assert "codegen.packets" not in snap
+
+
+# ----------------------------------------------------------------------
+# Table mutation under traffic: the _VecIndex is extended in place
+# ----------------------------------------------------------------------
+
+CHURN_SRC = """
+header x_h { bit<48> a; bit<48> b; bit<32> c; bit<16> d; bit<64> e; }
+struct hdr_t { x_h x; }
+program Churn : implements Unicast<> {
+  parser P(extractor ex, pkt p, out hdr_t h) {
+    state start { ex.extract(p, h.x); transition accept; }
+  }
+  control C(pkt p, inout hdr_t h, im_t im) {
+    action drop_pkt() { im.drop(); }
+    action stamp(bit<64> v) { h.x.e = v; }
+    action fwd(bit<8> port) { im.set_out_port(port); }
+    action fwd_stamp(bit<8> port, bit<64> v) {
+      im.set_out_port(port);
+      h.x.e = v;
+    }
+    table wide_tbl {
+      key = { h.x.a : exact; h.x.b : exact; }
+      actions = { stamp; drop_pkt; }
+    }
+    table lpm_tbl {
+      key = { h.x.c : lpm; }
+      actions = { fwd; fwd_stamp; drop_pkt; }
+      default_action = fwd(1);
+    }
+    table narrow_tbl {
+      key = { h.x.d : exact; }
+      actions = { fwd; drop_pkt; }
+    }
+    table tern_tbl {
+      key = { h.x.d : ternary; h.x.c : exact; }
+      actions = { stamp; drop_pkt; }
+    }
+    apply {
+      im.set_out_port(1);
+      wide_tbl.apply();
+      lpm_tbl.apply();
+      narrow_tbl.apply();
+      tern_tbl.apply();
+    }
+  }
+  control D(emitter em, pkt p, in hdr_t h) {
+    apply { em.emit(p, h.x); }
+  }
+}
+Churn(P, C, D) main;
+"""
+
+# Small pools, so packets hit what was installed and installs collide
+# (duplicate and shadowed keys).  The wide key tuple is 96 bits and the
+# stamps reach past int64.
+_A = [0, 1, (1 << 47) + 5, (1 << 47) + 5]
+_B = [0, 1 << 47]
+_C = [0x0A000001, 0x0A000101, 0x0A010001, 0xC0A80001]
+_D = [0, 1, 2, 0x8001]
+_STAMP = [0, 7, 1 << 63, (1 << 64) - 1]
+_PORT = st.integers(1, 7)
+_PRIORITY = st.sampled_from([0, 0, 0, 0, -1, 1, 2])  # equal, lower, higher
+
+_ARGS = {
+    "stamp": st.tuples(st.sampled_from(_STAMP)),
+    "fwd": st.tuples(_PORT),
+    "fwd_stamp": st.tuples(_PORT, st.sampled_from(_STAMP)),
+    "drop_pkt": st.tuples(),
+}
+_TABLES = {
+    # An ``any`` spec landing in the all-exact snapshot changes its kind.
+    "wide_tbl": (
+        st.tuples(st.sampled_from(_A + _A + [None]), st.sampled_from(_B)),
+        ["stamp", "stamp", "drop_pkt"],
+    ),
+    # Every prefix length but 24 is new to a table that starts with /24s.
+    "lpm_tbl": (
+        st.tuples(st.tuples(
+            st.sampled_from(_C), st.sampled_from([0, 8, 16, 24, 24, 32])
+        )),
+        ["fwd", "fwd_stamp", "drop_pkt"],
+    ),
+    "narrow_tbl": (
+        st.tuples(st.sampled_from(_D + _D + [None])),
+        ["fwd", "drop_pkt"],
+    ),
+    "tern_tbl": (
+        st.tuples(
+            st.one_of(st.none(), st.tuples(
+                st.sampled_from(_D), st.sampled_from([0xFFFF, 0x8000, 3])
+            )),
+            st.sampled_from(_C + [None]),
+        ),
+        ["stamp", "drop_pkt"],
+    ),
+}
+
+
+def _churn_op():
+    """One step: mostly installs, a batch every few, now and then a new
+    default, a clear, or a row forced in behind the API."""
+    def build(kind_table):
+        kind, table = kind_table
+        matches, actions = _TABLES[table]
+        matches = matches.map(list)
+        action = st.sampled_from(actions).flatmap(
+            lambda a: st.tuples(st.just(a), _ARGS[a].map(list))
+        )
+        if kind == "batch":
+            return st.tuples(st.just(kind), st.integers(0, 2 ** 16))
+        if kind == "add":
+            return st.tuples(st.just(kind), st.just(table), matches, action, _PRIORITY)
+        if kind == "default":
+            return st.tuples(st.just(kind), st.just(table), action)
+        if kind == "inject":
+            # One argument too many: no install would accept the row.
+            return st.tuples(st.just(kind), st.just(table), matches, st.just(actions[0]))
+        return st.tuples(st.just(kind), st.just(table))
+
+    kinds = ["add"] * 12 + ["batch"] * 5 + ["default", "clear", "inject"]
+    return st.tuples(
+        st.sampled_from(kinds), st.sampled_from(sorted(_TABLES))
+    ).flatmap(build)
+
+
+# Snapshots worth extending, taken before the random part starts: an
+# all-/24 lpm table one entry short of the (patched) scan limit, and
+# all-exact tables whose keys and arguments so far fit int64.
+_CHURN_PREFIX = [
+    ("add", "lpm_tbl", [(0x0A000100, 24)], ("fwd", [3]), 0),
+    ("add", "lpm_tbl", [(0x0A010000, 24)], ("fwd", [4]), 0),
+    ("add", "narrow_tbl", [1], ("fwd", [3]), 0),
+    ("add", "wide_tbl", [0, 0], ("stamp", [7]), 0),
+    ("batch", 0),
+]
+
+
+def _apply_op(switch, op):
+    kind, table = op[0], op[1]
+    if kind == "add":
+        _, _, matches, (action, args), priority = op
+        switch.api.add_entry(table, matches, action, args, priority)
+    elif kind == "default":
+        action, args = op[2]
+        switch.api.set_default(table, action, args)
+    elif kind == "clear":
+        switch.api.clear(table)
+    elif kind == "inject":
+        _, _, matches, action = op
+        runtime = switch.api._table(table)
+        before = len(runtime.runtime_entries)
+        nparams = len(runtime.selectable_actions[
+            switch.api._resolve_action(runtime, action)].params)
+        switch.api.add_entry(table, matches, action, [0] * nparams, -5)
+        assert len(runtime.runtime_entries) == before + 1
+        runtime.runtime_entries[-1].action_args.append(0)
+        runtime._index = None
+        runtime.version += 1
+
+
+def _churn_batch(seed, lanes=64):
+    rng = random.Random(seed)
+    items = []
+    for _ in range(lanes):
+        fields = (
+            rng.choice(_A).to_bytes(6, "big") + rng.choice(_B).to_bytes(6, "big")
+            + (rng.choice(_C) + rng.choice([0, 0, 1, 256])).to_bytes(4, "big")
+            + rng.choice(_D).to_bytes(2, "big") + bytes(8)
+        )
+        # Truncated and padded lanes ride along.
+        data = fields[: rng.choice([26, 26, 26, 26, 20])] + b"pay" * rng.randrange(3)
+        items.append((Packet(data), rng.randrange(4)))
+    return items
+
+
+def _churn_result(switch, backend, seed):
+    """What one batch shows from outside: verdicts, drop reasons, kill
+    texts, and the hit/miss counters it moved."""
+    METRICS.reset()
+    verdicts = switch.process_batch(_churn_batch(seed), soa=True)
+    counters = METRICS.snapshot()["counters"]
+    # A snapshot that blew up would be hidden by the replay through the
+    # per-lane batch body: the batch must have run columnwise.
+    assert not counters.get("vector.soa_errors")
+    assert not counters.get("vector.soa_fallback_batches")
+    return (
+        [
+            (v.kind, dict(v.reasons), v.error,
+             [(o.packet.tobytes(), o.port) for o in v.outputs])
+            for v in verdicts
+        ],
+        counters.get(f"{backend}.table_hits", 0),
+        counters.get(f"{backend}.table_misses", 0),
+    )
+
+
+@needs_numpy
+class TestIndexMaintenance:
+    @pytest.fixture(scope="class")
+    def composed(self):
+        from repro.core.api import build_dataplane, compile_module
+
+        return build_dataplane(
+            compile_module(CHURN_SRC, "churn.up4")
+        ).instance.composed
+
+    @staticmethod
+    def _switch(composed, backend):
+        return Switch(make_pipeline(composed, exec_backend=backend))
+
+    def test_mutation_under_traffic_equals_fresh_build(self, composed, metrics):
+        """A long-lived vector pipeline whose table snapshots are
+        extended, re-kinded and rebuilt under a random interleaving of
+        installs, defaults, clears and batches answers every batch like
+        a vector pipeline built afterwards from the same mutations, and
+        like the interpreter."""
+        seen = set()
+
+        @settings(max_examples=60, deadline=None,
+                  suppress_health_check=list(HealthCheck))
+        @given(st.lists(_churn_op(), min_size=8, max_size=48))
+        def run(ops):
+            live = self._switch(composed, "vector")
+            reference = self._switch(composed, "interp")
+            assert live.pipeline.vector_plan is not None
+            log = []
+            for op in _CHURN_PREFIX + ops + [("batch", 1)]:
+                if op[0] != "batch":
+                    _apply_op(live, op)
+                    _apply_op(reference, op)
+                    log.append(op)
+                    continue
+                fresh = self._switch(composed, "vector")
+                for done in log:
+                    _apply_op(fresh, done)
+                got = _churn_result(live, "vector", op[1])
+                assert got == _churn_result(fresh, "vector", op[1])
+                assert got == _churn_result(reference, "interp", op[1])
+            for runtime in live.pipeline.tables.values():
+                seen.update(runtime.index_events)
+
+        with patch.object(vector_mod, "VECTOR_SCAN_LIMIT", 3):
+            run()
+        # Every way a snapshot catches up was taken at least once.
+        assert {
+            "vector.index.extended",
+            "vector.index.rebuilt.first",
+            "vector.index.rebuilt.reordered",
+            "vector.index.rebuilt.default",
+            "vector.index.rebuilt.cleared",
+            "vector.index.rebuilt.scan-limit",
+            "vector.index.rebuilt.kind",
+            "tables.index.appended",
+            "tables.index.rebuilt",
+        } <= seen
+
+    def test_tail_installs_never_rebuild(self, monkeypatch):
+        """512 installs, each followed by a lookup and a batch: one full
+        scalar build and one full vector snapshot per table, the rest
+        filed in place.  (Counts, not clocks: at the parent every install
+        cost both builds.)"""
+        scalar, snapshots = [], []
+        build_index = TableRuntime._build_index
+        vec_init = vector_mod._VecIndex.__init__
+
+        def spy_build(runtime):
+            scalar.append(runtime.name)
+            return build_index(runtime)
+
+        def spy_init(vi, runtime, arms):
+            snapshots.append(runtime.name)
+            vec_init(vi, runtime, arms)
+
+        monkeypatch.setattr(TableRuntime, "_build_index", spy_build)
+        monkeypatch.setattr(vector_mod._VecIndex, "__init__", spy_init)
+        switch = Switch(build("vector", entries=False))
+        api = switch.api
+        lpm = api._table("ipv4_lpm_tbl")
+        exact = api._table("forward_tbl")
+
+        def install(i):
+            api.add_entry("ipv4_lpm_tbl", [((11 << 24) + (i << 8), 24)], "process", [100 + i])
+            api.add_entry("forward_tbl", [100 + i], "forward",
+                          [mac(MAC_A), mac(MAC_B), 1 + i % 7])
+
+        # Past the scan limit first, so the lpm snapshot's strategy does
+        # not change under the counted installs.
+        base = vector_mod.VECTOR_SCAN_LIMIT + 1
+        for i in range(base):
+            install(i)
+        for i in range(base, base + 512):
+            dst = "11.%d.%d.9" % (i >> 8, i & 255)
+            pending = switch.process_batch([(eth_ipv4(dst=dst), 1)] * 4, soa=True)
+            assert [v.kind for v in pending] == ["drop"] * 4
+            install(i)
+            assert lpm.lookup([(11 << 24) + (i << 8) + 9])[1:] == ([100 + i], True)
+            assert exact.lookup([100 + i])[2]
+            landed = switch.process_batch([(eth_ipv4(dst=dst), 1)] * 4, soa=True)
+            assert [[o.port for o in v.outputs] for v in landed] == [[1 + i % 7]] * 4
+        for name in (lpm.name, exact.name):
+            assert scalar.count(name) == 1, (name, scalar.count(name))
+            assert snapshots.count(name) == 1, (name, snapshots.count(name))
+            events = switch.pipeline.tables[name].index_events
+            assert events["tables.index.rebuilt"] == 1
+            assert events["vector.index.extended"] == 512
