@@ -14,6 +14,12 @@ These benches toggle each pass and measure the consequences our model
 predicts: without alignment the programs violate ALU limits (and
 without splitting they are rejected outright — the paper's initial P2
 failure); with splitting they compile but pay extra stages and PHV.
+
+§8.1 is the midend half (``repro.midend.optimize``): ``TestMidendMatrix``
+crosses its two passes — trivial-MAT elision and byte-stack copy
+shrinking — and reports tables, action statements and generated
+executor source per program; ``TestMatElision`` / ``TestGlobalParser``
+measure what each buys in Tofino stages.
 """
 
 import pytest
@@ -127,6 +133,69 @@ class TestDescriptorSweep:
         tiny = TnaBackend(descriptor=TofinoDescriptor().scaled(0.2))
         with pytest.raises(ResourceError):
             tiny.compile(composed)
+
+
+def _midend_variant(name, elide, shrink):
+    """P<name> composed, then shrunk and/or elided — in the order the
+    driver's ``optimize_mats`` uses (shrink reads the MAT records that
+    elision prunes)."""
+    from repro.midend.optimize import elide_trivial_mats, shrink_copies
+
+    composed = build_pipeline(name)
+    if shrink:
+        composed = shrink_copies(composed)
+    if elide:
+        elide_trivial_mats(composed)
+    return composed
+
+
+class TestMidendMatrix:
+    """§8.1 none / elide / shrink / both."""
+
+    VARIANTS = {
+        "none": (False, False),
+        "elide": (True, False),
+        "shrink": (False, True),
+        "both": (True, True),
+    }
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        from repro.midend.optimize import action_statements
+        from repro.targets.codegen import CodegenPipeline
+
+        out = {}
+        for name in PROGRAMS:
+            for label, (elide, shrink) in self.VARIANTS.items():
+                composed = _midend_variant(name, elide, shrink)
+                out[name, label] = (
+                    len(composed.tables),
+                    action_statements(composed),
+                    len(CodegenPipeline(composed).source.splitlines()),
+                )
+        return out
+
+    def test_print_matrix(self, matrix, capsys):
+        with capsys.disabled():
+            print("\n=== Ablation: §8.1 midend passes — "
+                  "tables / action statements / codegen lines ===")
+            print(f"{'prog':5s}" + "".join(f"{v:>20s}" for v in self.VARIANTS))
+            for name in PROGRAMS:
+                cells = (matrix[name, v] for v in self.VARIANTS)
+                print(f"{name:5s}" + "".join(
+                    f"{t:6d}/{s:5d}/{n:6d} " for t, s, n in cells
+                ))
+
+    @pytest.mark.parametrize("name", PROGRAMS)
+    def test_each_pass_pays_and_they_compose(self, matrix, name):
+        none, elide, shrink, both = (matrix[name, v] for v in self.VARIANTS)
+        # Shrinking never touches a table; elision is what removes them.
+        assert shrink[0] == none[0] and both[0] == elide[0] < none[0]
+        # Statements and generated source fall with each pass and are
+        # lowest with both.
+        for metric in (1, 2):
+            assert both[metric] < min(elide[metric], shrink[metric])
+            assert max(elide[metric], shrink[metric]) < none[metric]
 
 
 class TestMatElision:

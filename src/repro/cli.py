@@ -653,6 +653,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         else:
             modules = _read_modules([Path(p) for p in args.modules], compiler)
         result = compiler.compile_modules(modules[0], modules[1:])
+        composed = result.composed
+        if args.packets and not args.optimize:
+            # The executors run the shrunk program (``make_pipeline``);
+            # run the pass under the tracer so the table shows it.
+            composed = compiler.shrink(composed)
         behavior = None
         if args.trace_out and args.workers:
             from repro.errors import TargetError
@@ -665,14 +670,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
             if args.packets:
                 if args.workers:
                     behavior = _run_profile_sharded(
-                        result.composed, args.packets,
+                        composed, args.packets,
                         args.workers, args.shard_policy,
                         exec_backend=args.exec,
                         telemetry=telemetry,
                     )
                 else:
                     behavior = _run_profile_packets(
-                        result.composed, args.packets, exec_backend=args.exec,
+                        composed, args.packets, exec_backend=args.exec,
                         telemetry=telemetry, trace_writer=trace_writer,
                     )
         finally:
@@ -755,6 +760,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Parser and entry point
 # ----------------------------------------------------------------------
+_OPTIMIZE_HELP = (
+    "§8.1 on the compile path: drop dead byte-stack copies, then elide "
+    "trivial synthesized MATs.  Not the default because elision removes "
+    "tables, hence `table:` fault sites and table trace events (soak "
+    "digests under faults change); dead-copy removal alone is always "
+    "applied to the behavioral executors"
+)
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -781,7 +795,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--target", choices=("v1model", "tna"), default="v1model")
     p_build.add_argument("--monolithic", action="store_true")
     p_build.add_argument("--optimize", action="store_true",
-                         help="elide trivial synthesized MATs (§8.1)")
+                         help=_OPTIMIZE_HELP)
     p_build.add_argument("--no-align", action="store_true",
                          help="disable the TNA field-alignment pass (§6.3)")
     p_build.add_argument("--no-split", action="store_true",
@@ -819,7 +833,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--target", choices=("v1model", "tna"), default="tna"
     )
     p_profile.add_argument("--optimize", action="store_true",
-                           help="elide trivial synthesized MATs (§8.1)")
+                           help=_OPTIMIZE_HELP)
     p_profile.add_argument(
         "--packets", type=int, default=0, metavar="N",
         help="also push N synthetic packets through the behavioral "

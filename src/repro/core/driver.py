@@ -46,6 +46,7 @@ PASS_ORDER = (
     "midend.link",
     "midend.analyze",
     "midend.compose",
+    "midend.shrink",
     "midend.optimize",
     "backend",
 )
@@ -57,7 +58,9 @@ class CompilerOptions:
 
     target: str = "v1model"
     monolithic: bool = False
-    # §8.1 midend optimization: elide trivial synthesized MATs.
+    # §8.1 midend optimizations on the compile path: drop dead byte-stack
+    # copies, then elide trivial synthesized MATs.  (The behavioral
+    # executors always get the first half: ``make_pipeline``.)
     optimize_mats: bool = False
     # TNA backend passes (§6.3).
     align_fields: bool = True
@@ -149,11 +152,25 @@ class Up4Compiler:
         if self.options.optimize_mats:
             from repro.midend.optimize import elide_trivial_mats
 
+            # Shrink first: it reads the parser/deparser MAT records
+            # that elision prunes along with the tables it removes.
+            composed = self.shrink(composed)
             with self.tracer.span(
                 "midend.optimize", tables=len(composed.tables)
             ) as sp:
                 stats = elide_trivial_mats(composed)
                 sp.set(elided=stats.total, tables=len(composed.tables))
+        return composed
+
+    def shrink(self, composed: ComposedPipeline) -> ComposedPipeline:
+        """§8.1 byte-stack liveness (``shrink_copies``) under a span."""
+        from repro.midend.optimize import action_statements, shrink_copies
+
+        with self.tracer.span(
+            "midend.shrink", statements=action_statements(composed)
+        ) as sp:
+            composed = shrink_copies(composed)
+            sp.set(statements_after=action_statements(composed))
         return composed
 
     # ------------------------------------------------------------------

@@ -7,17 +7,29 @@ do not each need to know every node's field layout.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.frontend import astnodes as ast
 
+# Checker annotations, not program structure: a traversal that entered
+# ``Expr.type`` would re-walk a header's whole field list from every
+# expression that mentions it.
+_ANNOTATIONS = ("loc", "type", "decl")
+
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
 
 def children(node: ast.Node) -> Iterator[ast.Node]:
-    """Yield the direct child nodes of ``node``."""
-    for f in dataclasses.fields(node):
-        if f.name in ("loc",):
-            continue
-        yield from _nodes_in(getattr(node, f.name))
+    """Yield the direct child nodes of ``node`` (annotations excluded)."""
+    names = _CHILD_FIELDS.get(type(node))
+    if names is None:
+        names = _CHILD_FIELDS[type(node)] = tuple(
+            f.name
+            for f in dataclasses.fields(node)
+            if f.name not in _ANNOTATIONS
+        )
+    for name in names:
+        yield from _nodes_in(getattr(node, name))
 
 
 def _nodes_in(value: Any) -> Iterator[ast.Node]:
@@ -68,7 +80,7 @@ def rewrite_expressions(
 
     def _rewrite_children(n: ast.Node) -> None:
         for f in dataclasses.fields(n):
-            if f.name in ("loc", "type", "decl"):
+            if f.name in _ANNOTATIONS:
                 continue
             setattr(n, f.name, rewrite_value(getattr(n, f.name)))
 

@@ -38,6 +38,12 @@ class MatDeparser:
     table: ast.TableDecl
     actions: Dict[str, ast.ActionDecl]
     emitted: List[ast.Expr]  # header lvalues in emit order
+    # The module instance (its MatParser is ``parser_mats[prefix]``) and
+    # the stack offset its first emitted byte lands on.  Entry ``i`` of
+    # ``table.const_entries`` is keyed on (parser path id, validity of
+    # each emitted header), in that order.
+    prefix: str = ""
+    base_offset: int = 0
 
     def apply_stmt(self) -> ast.MethodCallStmt:
         target = ast.MemberExpr(
@@ -167,7 +173,13 @@ def deparser_to_mat(
         default_action=noop_name,
         const_entries=entries,
     )
-    return MatDeparser(table=table, actions=actions, emitted=emitted)
+    return MatDeparser(
+        table=table,
+        actions=actions,
+        emitted=emitted,
+        prefix=prefix,
+        base_offset=base_offset,
+    )
 
 
 def _make_writeback_action(

@@ -17,6 +17,12 @@ Four backends execute a :class:`~repro.midend.inline.ComposedPipeline`:
   the optional ``[vector]`` extra (numpy); constructing it without
   numpy raises a reason-coded ``error[vector-unavailable]``.
 
+``make_pipeline`` hands every backend the same program: the composed
+pipeline after :func:`repro.midend.optimize.shrink_copies` (byte-stack
+copies that cannot change a packet's fate removed; tables untouched).
+The constructors themselves run exactly what they are given, which is
+how the tests get an unshrunk reference.
+
 All expose the same execution surface (``process``/``process_traced``,
 ``tables``, ``composed``, ``configure_faults``, ``guards``,
 ``last_drop_reason``, ``persistent``), so the switch, control API, soak
@@ -29,10 +35,12 @@ only spot that knows the names.
 
 from __future__ import annotations
 
-from typing import Optional
+import weakref
+from typing import Dict, Optional, Tuple
 
 from repro.errors import TargetError
 from repro.midend.inline import ComposedPipeline
+from repro.midend.optimize import shrink_copies
 from repro.targets.codegen import CodegenPipeline
 from repro.targets.compiled import CompiledPipeline
 from repro.targets.faults import FaultPlan, ResourceGuards
@@ -42,6 +50,27 @@ from repro.targets.pipeline import PipelineInstance
 EXEC_BACKENDS = ("interp", "compiled", "codegen", "vector")
 
 DEFAULT_EXEC_BACKEND = "interp"
+
+# id(composed) -> (weak reference to it, its shrunk form or None when it
+# is its own): one composed program is usually built under several
+# backends, and the pass should run once for all of them.
+_SHRUNK: Dict[int, Tuple[weakref.ref, Optional[ComposedPipeline]]] = {}
+
+
+def executable_form(composed: ComposedPipeline) -> ComposedPipeline:
+    """The program the executors built by :func:`make_pipeline` run for
+    ``composed``; ``composed`` itself is left as it was.  Remembered per
+    program object: edit a composed program in place (``elide_trivial_
+    mats``) before the first executor is built from it, not after."""
+    key = id(composed)
+    hit = _SHRUNK.get(key)
+    if hit is None or hit[0]() is not composed:
+        shrunk = shrink_copies(composed)
+        hit = _SHRUNK[key] = (
+            weakref.ref(composed, lambda _: _SHRUNK.pop(key, None)),
+            None if shrunk is composed else shrunk,
+        )
+    return hit[1] if hit[1] is not None else composed
 
 
 def make_pipeline(
@@ -54,6 +83,8 @@ def make_pipeline(
     """Build a pipeline executor for ``composed`` under the named
     backend.  Unknown names raise a reason-coded :class:`TargetError`
     instead of silently falling back."""
+    if exec_backend in EXEC_BACKENDS:
+        composed = executable_form(composed)
     if exec_backend == "interp":
         return PipelineInstance(
             composed,

@@ -76,6 +76,7 @@ from repro.targets.soak import (
     build_switch,
     compose_program,
     consume,
+    executed_statements,
     iter_stream_bytes,
 )
 from repro.targets.supervision import RestartPolicy, Supervisor
@@ -1090,6 +1091,7 @@ class WorkerPool:
                 telemetry, program, shards, state.epochs_seen, run=run
             )
         merged = _merge_blocks(program, config, engine, shards, wall_s)
+        merged.update(executed_statements(composed))
         merged["restarts"] = {
             str(s): n for s, n in sorted(sup.restarts.items()) if n
         }

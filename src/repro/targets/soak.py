@@ -50,12 +50,13 @@ from repro.lib.catalog import (
     build_monolithic,
     build_pipeline,
 )
+from repro.midend.optimize import action_statements
 from repro.net.build import PacketBuilder
 from repro.net.packet import Packet
 from repro.obs.metrics import METRICS
 from repro.obs.pkttrace import PacketTrace
 from repro.obs.telemetry import FlightRecorder, LiveTelemetry, TraceWriter
-from repro.targets.backends import EXEC_BACKENDS, make_pipeline
+from repro.targets.backends import EXEC_BACKENDS, executable_form, make_pipeline
 from repro.targets.faults import FaultPlan, ResourceGuards
 from repro.targets.switch import Switch, SwitchConfig
 
@@ -507,8 +508,22 @@ def build_switch(
     fault_seed: Optional[str] = None,
 ) -> Switch:
     """A fully-programmed switch replica around a compiled pipeline."""
-    switch = Switch(
+    return switch_around(
         make_pipeline(composed, exec_backend=config.exec_backend),
+        config,
+        program,
+        fault_seed,
+    )
+
+
+def switch_around(
+    pipeline, config: SoakConfig, program: str, fault_seed: Optional[str] = None
+) -> Switch:
+    """The soak switch for an executor the caller built — the
+    differential tests hand it one from a backend's own constructor,
+    which (unlike ``make_pipeline``) runs the program as composed."""
+    switch = Switch(
+        pipeline,
         SwitchConfig(num_ports=NUM_PORTS, multicast_groups={1: [2, 3]}),
         guards=config.guards or ResourceGuards(),
         faults=_fault_plan(config, program, seed=fault_seed),
@@ -518,6 +533,15 @@ def build_switch(
         action = act_micro if config.mode == "micro" else act_mono
         switch.api.add_entry(table, matches, action, args)
     return switch
+
+
+def executed_statements(composed) -> Dict[str, int]:
+    """What a soak of ``composed`` runs: action statements as composed
+    and in the form ``make_pipeline`` hands the executors."""
+    return {
+        "statements_before": action_statements(composed),
+        "statements_after": action_statements(executable_form(composed)),
+    }
 
 
 def soak_program(
@@ -538,7 +562,8 @@ def soak_program(
     alter the verdict stream, so the digest is identical with or
     without them.
     """
-    switch = build_switch(config, program, compose_program(config, program))
+    composed = compose_program(config, program)
+    switch = build_switch(config, program, composed)
 
     def publish(
         epoch: int, ledger: Dict[str, int], watermark: int, final: bool = False
@@ -572,7 +597,12 @@ def soak_program(
             final=True,
         )
     block["elapsed_s"] = round(block["elapsed_s"], 3)  # type: ignore[call-overload]
-    return {"program": program, "mode": config.mode, **block}
+    return {
+        "program": program,
+        "mode": config.mode,
+        **executed_statements(composed),
+        **block,
+    }
 
 
 def run_soak(
@@ -671,6 +701,10 @@ def render_summary(summary: Dict[str, object]) -> str:
             f"\n{name}: {block['packets']} in -> {block['emits']} out, "
             f"{block['drops']} dropped, {block['killed']} killed "
             f"({block['pkts_per_sec']} pkt/s)"
+        )
+        lines.append(
+            f"  executed {block['statements_after']} of "
+            f"{block['statements_before']} composed action statements"
         )
         for shard in block.get("shards", ()):
             lines.append(

@@ -16,6 +16,7 @@ from repro.targets.backends import (
     DEFAULT_EXEC_BACKEND,
     EXEC_BACKENDS,
     backend_of,
+    executable_form,
     make_pipeline,
 )
 from repro.targets.codegen import CodegenPipeline
@@ -100,7 +101,8 @@ class TestSwitchSeam:
     def test_rebuild_on_mismatch(self, composed):
         switch = Switch(PipelineInstance(composed), exec_backend="compiled")
         assert isinstance(switch.pipeline, CompiledPipeline)
-        assert switch.pipeline.composed is composed
+        # Same program, in the form every make_pipeline executor runs.
+        assert switch.pipeline.composed is executable_form(composed)
 
     def test_no_rebuild_on_match(self, composed):
         instance = PipelineInstance(composed)
@@ -149,3 +151,57 @@ class TestEnvUndefinedName:
         assert child.get("x") == 7
         child.set("x", 9)
         assert parent.get("x") == 9
+
+
+class TestShrunkInput:
+    """``make_pipeline`` builds every backend from the composed program
+    after ``shrink_copies`` — once per program, not once per backend —
+    and leaves the program it was given alone."""
+
+    def test_one_pass_for_all_backends(self, monkeypatch):
+        import gc
+
+        from repro.midend.optimize import action_statements
+        from repro.targets import backends
+
+        calls = []
+        real = backends.shrink_copies
+        monkeypatch.setattr(
+            backends, "shrink_copies", lambda c: calls.append(c) or real(c)
+        )
+        composed = build_pipeline("P4")
+        names = [
+            b for b in EXEC_BACKENDS if b != "vector" or NUMPY_AVAILABLE
+        ]
+        pipes = [make_pipeline(composed, b) for b in names]
+        assert calls == [composed]
+        shrunk = pipes[0].composed
+        assert all(p.composed is shrunk for p in pipes)
+        assert shrunk is executable_form(composed) is not composed
+        # The caller's program is as composed: 11 tables, 185 statements.
+        assert len(composed.tables) == len(shrunk.tables) == 11
+        assert action_statements(composed) == 185
+        assert action_statements(shrunk) == 109
+        # Rebuilding from an executor's own program shrinks nothing more.
+        assert make_pipeline(shrunk, "interp").composed is shrunk
+        # The memo does not keep a dropped program alive.
+        key = id(composed)
+        del composed, calls[:]
+        gc.collect()
+        assert key not in backends._SHRUNK
+
+    def test_unknown_backend_is_rejected_before_any_work(self, monkeypatch):
+        from repro.targets import backends
+
+        monkeypatch.setattr(
+            backends, "shrink_copies", lambda c: pytest.fail("pass ran")
+        )
+        with pytest.raises(TargetError):
+            make_pipeline(build_pipeline("P4"), "jit")
+
+    def test_no_new_parameter(self):
+        import inspect
+
+        assert list(inspect.signature(make_pipeline).parameters) == [
+            "composed", "exec_backend", "use_table_index", "guards", "faults",
+        ]

@@ -102,6 +102,10 @@ class TestDeterminism:
         assert merged["emits"] == inline["emits"]
         assert merged["drops"] == inline["drops"]
         assert merged["units"] == inline["units"]
+        # Both say what they executed, and it is the same program.
+        for key in ("statements_before", "statements_after"):
+            assert merged[key] == inline[key]
+        assert merged["statements_after"] < merged["statements_before"]
         assert merged["drops_by_reason"] == inline["drops_by_reason"]
 
     def test_same_parameters_replay_exactly(self):

@@ -171,6 +171,10 @@ class TestOneLoop:
         assert {k: v for k, v in inline.items() if k not in timing} == {
             "program": "P4",
             "mode": "micro",
+            # What the run executed: P4's action statements as composed
+            # and after make_pipeline's shrink_copies.
+            "statements_before": 185,
+            "statements_after": 109,
             **{k: v for k, v in direct.items() if k not in timing},
         }
         assert inline["watermark"] == 299

@@ -306,8 +306,9 @@ class TestArgumentCountAtInstall:
 # ----------------------------------------------------------------------
 
 #: P7's generated module was 395 481 lines when every table apply
-#: inlined every composed action; it is ~29 k with table-scoped arms.
-P7_SOURCE_LINE_BUDGET = 40_000
+#: inlined every composed action, 29 215 with table-scoped arms, and is
+#: ~21 k now that make_pipeline shrinks the byte-stack copies first.
+P7_SOURCE_LINE_BUDGET = 22_000
 
 _ARM = re.compile(r"^\s*(?:if|elif) _t\d+ == '", re.M)
 
