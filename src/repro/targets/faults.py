@@ -171,6 +171,10 @@ class FaultPlan:
     with ``f"{seed}/{site}"``, so the same seed and plan yield an
     identical fault sequence regardless of which *other* sites exist —
     the determinism the soak harness asserts.
+
+    ``sites`` is fixed at construction and never mutated afterwards:
+    :meth:`trip` resolves each ``(category, name)`` to its site once per
+    plan and remembers the answer until :meth:`reset`.
     """
 
     def __init__(
@@ -193,6 +197,8 @@ class FaultPlan:
         self._rngs: Dict[str, random.Random] = {
             site: random.Random(f"{self.seed}/{site}") for site in self.sites
         }
+        #: ``(category, name)`` -> site, filled by :meth:`trip`.
+        self._resolved: Dict[Tuple[str, Optional[str]], Optional[str]] = {}
         self.trips.clear()
 
     @classmethod
@@ -253,7 +259,11 @@ class FaultPlan:
 
     def trip(self, category: str, name: Optional[str] = None) -> bool:
         """Deterministically decide whether this site faults now."""
-        site = self._site_for(category, name)
+        key = (category, name)
+        try:
+            site = self._resolved[key]
+        except KeyError:
+            site = self._resolved[key] = self._site_for(category, name)
         if site is None:
             return False
         rate = self.sites[site]

@@ -380,6 +380,8 @@ class _RunState:
         self.pending_chaos: list = []
         #: Scheduled SIGCONTs for chaos-stopped workers.
         self.resumes: List[Tuple[float, object]] = []
+        #: Worker processes a chaos ``kill`` was already sent to.
+        self.chaos_killed: set = set()
 
 
 class WorkerPool:
@@ -429,6 +431,9 @@ class WorkerPool:
         #: restart clears the failed shard's buffer — catch-up covers
         #: those indices).
         self._buffers: Optional[List[bytearray]] = None
+        #: Ring-full spins of rings already reaped, per shard (a restart
+        #: replaces the ring; its count must not vanish with it).
+        self._reaped_spins: List[int] = []
 
     # ------------------------------------------------------------------
     def _spawn_worker(self, shard: int) -> None:
@@ -470,9 +475,17 @@ class WorkerPool:
             self._conns[shard] = None
         ring = self._rings[shard]
         if ring is not None:
+            self._reaped_spins[shard] += ring.full_spins
             ring.close()
             ring.unlink()
             self._rings[shard] = None
+
+    def _full_spins(self) -> List[int]:
+        """Per shard, how often a put has found the ring full so far."""
+        return [
+            reaped + (ring.full_spins if ring is not None else 0)
+            for reaped, ring in zip(self._reaped_spins, self._rings)
+        ]
 
     def start(self) -> "WorkerPool":
         if self._started:
@@ -485,6 +498,7 @@ class WorkerPool:
         self._out_queue = self._ctx.Queue()
         self._rings = [None] * self.engine.workers
         self._conns = [None] * self.engine.workers
+        self._reaped_spins = [0] * self.engine.workers
         self._procs = {}
         try:
             for shard in range(self.engine.workers):
@@ -606,16 +620,24 @@ class WorkerPool:
                 event.fired = True  # nothing left to disturb
                 continue
             proc = self._procs.get(shard)
-            if proc is None or not proc.is_alive():
+            if (
+                proc is None
+                or proc in state.chaos_killed
+                or not proc.is_alive()
+            ):
                 # The incumbent is already dead (possibly from our own
-                # earlier event, not yet detected) — hold the event so
-                # it lands on the *replacement* replica instead of a
-                # corpse.  A double-kill means two distinct casualties.
+                # earlier event, not yet detected — or not yet even
+                # delivered: ``is_alive`` stays true for a moment after
+                # SIGKILL, and the dispatcher can cover hundreds of
+                # packets in that moment) — hold the event so it lands
+                # on the *replacement* replica instead of a corpse.  A
+                # double-kill means two distinct casualties.
                 still_pending.append(event)
                 continue
             event.fired = True
             try:
                 if event.action == "kill":
+                    state.chaos_killed.add(proc)
                     os.kill(proc.pid, signal.SIGKILL)
                 elif event.action == "stop":
                     os.kill(proc.pid, signal.SIGSTOP)
@@ -1041,7 +1063,8 @@ class WorkerPool:
         """Run one program across the resident workers; returns the
         merged program block (:func:`~repro.targets.engine._merge_blocks`
         plus the supervision fields ``restarts`` / ``watermarks`` /
-        ``degraded``)."""
+        ``degraded`` and the who-was-waiting pair ``dispatch_s`` /
+        ``ring_full_spins``)."""
         if self._closed or self._broken:
             raise EngineError(
                 "worker pool is closed or broken (failed run); "
@@ -1077,7 +1100,10 @@ class WorkerPool:
                 self._send_run(state, shard)
             if state.failures:
                 self._process_failures(state)
+            spins_before = self._full_spins()
+            dispatch_start = time.perf_counter()
             self._dispatch(state)
+            dispatch_s = time.perf_counter() - dispatch_start
             self._collect_supervised(state)
         except BaseException:
             self._broken = True
@@ -1097,6 +1123,17 @@ class WorkerPool:
         }
         merged["watermarks"] = {
             str(s): w for s, w in sorted(sup.watermarks.items())
+        }
+        # Who was waiting: the parent spends ``dispatch_s`` generating and
+        # shipping the stream; spins count the polls it sat blocked on a
+        # full ring.  ~0 spins is a parent-bound run, many a worker-bound
+        # one.
+        merged["dispatch_s"] = round(dispatch_s, 3)
+        merged["ring_full_spins"] = {
+            str(shard): after - before
+            for shard, (before, after) in enumerate(
+                zip(spins_before, self._full_spins())
+            )
         }
         merged["degraded"] = False  # abandonment raises instead
         if sup.total_restarts:

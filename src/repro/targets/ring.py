@@ -139,6 +139,9 @@ class ShardRing:
         # Local copies of this side's and the peer's last-seen indices.
         self._head = self._load(_HEAD_OFF)
         self._tail = self._load(_TAIL_OFF)
+        #: Times the producer found the ring full and had to wait one
+        #: poll interval — nonzero means the consumer is the slow side.
+        self.full_spins = 0
 
     def __reduce__(self):
         return (_attach, (self.name, self.capacity))
@@ -187,6 +190,7 @@ class ShardRing:
                 if contig >= _LEN.size:
                     _LEN.pack_into(self._buf, _DATA_OFF + pos, WRAP)
                 return 0, self._head + contig + need
+            self.full_spins += 1
             if poll is not None:
                 poll()
             if deadline is not None and time.monotonic() > deadline:

@@ -25,10 +25,12 @@ of the configuration.  ``python -m repro soak`` is the CLI entry point;
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -36,6 +38,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Tuple,
 )
@@ -74,9 +77,6 @@ _BASE_ENTRIES = [
     ("forward_tbl", [9], "forward", "forward", [0x020000000001, 0x020000000002, 4]),
 ]
 
-
-#: Recognized packet-mix names (``SoakConfig.traffic``).
-TRAFFIC_MIXES = ("mixed", "routable")
 
 #: Ports on every soak switch replica (``build_switch``'s
 #: ``SwitchConfig``).  The engine's parent-side dispatcher draws ingress
@@ -129,7 +129,7 @@ class SoakConfig:
         inside a run (or inside N forked workers at once).
 
         Validation is against the live registries — ``EXEC_BACKENDS``
-        from the backends seam, ``TRAFFIC_MIXES`` — never local
+        from the backends seam, the stream registry — never local
         literals, so a new backend is accepted here the moment the seam
         knows it.  :func:`run_soak` and the resident pool's parent-side
         ``submit`` both call this up front.
@@ -141,11 +141,7 @@ class SoakConfig:
             )
             err.code = "unknown-backend"
             raise err
-        if self.traffic not in TRAFFIC_MIXES:
-            raise TargetError(
-                f"unknown traffic mix {self.traffic!r}; "
-                f"known: {', '.join(TRAFFIC_MIXES)}"
-            )
+        _stream_for(self.traffic)  # raises on an unknown mix
         if self.mode not in ("micro", "mono"):
             raise TargetError(
                 f"unknown compile mode {self.mode!r}; known: micro, mono"
@@ -183,121 +179,165 @@ def _fault_plan(
 # ----------------------------------------------------------------------
 # Packet generation
 # ----------------------------------------------------------------------
-_V4_DSTS = ["10.0.0.5", "10.1.2.3", "172.16.0.1", "192.1.2.3", "10.255.0.1"]
-_V6_DSTS = ["2001:db8::5", "fe80::1", "2001:db8::1", "fd00::9"]
+# The seeded stream is a contract (DESIGN.md §8, "Seeded stream"): per
+# traffic class, the same public ``random.Random`` calls in the same
+# order.  Everything that does not depend on a draw is built once, into
+# the tables below; tests/targets/test_stream.py holds the per-packet
+# ``PacketBuilder`` generator these replaced and compares the two.
+_MACS = ("02:00:00:00:00:01", "02:00:00:00:00:02")
+_V4_DSTS = ("10.0.0.5", "10.1.2.3", "172.16.0.1", "192.1.2.3", "10.255.0.1")
+_V4_PROTOS = (6, 17, 1)
+_V4_TTLS = (0, 1, 64, 255)
+_V6_DSTS = ("2001:db8::5", "fe80::1", "2001:db8::1", "fd00::9")
+_V6_NEXT_HDRS = (6, 17, 59)
+_V6_HOP_LIMITS = (0, 1, 64)
 
 
-def _gen_packet(rng: random.Random) -> Packet:
-    """One randomized packet: valid, short, garbage, or odd-typed."""
-    roll = rng.random()
-    if roll < 0.40:  # plausible IPv4
-        return (
-            PacketBuilder()
-            .ethernet("02:00:00:00:00:01", "02:00:00:00:00:02", 0x0800)
-            .ipv4(
-                "192.168.0.1",
-                rng.choice(_V4_DSTS),
-                rng.choice((6, 17, 1)),
-                ttl=rng.choice((0, 1, 64, 255)),
+def _build_v4(dst: str, protocol: int, ttl: int, payload: bytes = b"") -> bytes:
+    return (
+        PacketBuilder()
+        .ethernet(*_MACS, 0x0800)
+        .ipv4("192.168.0.1", dst, protocol, ttl=ttl)
+        .payload(payload)
+        .build()
+        .tobytes()
+    )
+
+
+def _build_v6(dst: str, next_hdr: int, hop_limit: int, payload: bytes) -> bytes:
+    return (
+        PacketBuilder()
+        .ethernet(*_MACS, 0x86DD)
+        .ipv6("fd00::1", dst, next_hdr, payload_len=8, hop_limit=hop_limit)
+        .payload(payload)
+        .build()
+        .tobytes()
+    )
+
+
+class _MixedTables(NamedTuple):
+    """Every draw-independent byte of the ``mixed`` corpus."""
+
+    #: ``(dst, protocol, ttl)`` -> 34-byte eth+ipv4 header.  ``totalLen``
+    #: is 20 whatever payload follows (the corpus never set it), so the
+    #: header and its checksum depend on the key alone.
+    v4: Dict[Tuple[str, int, int], bytes]
+    #: ``(dst, next_hdr, hop_limit)`` -> the whole 62-byte packet.
+    v6: Dict[Tuple[str, int, int], bytes]
+    #: ``dst`` -> the 39-byte valid packet the truncation class cuts.
+    cut: Dict[str, bytes]
+    #: dst+src MAC, the prefix of the unknown-etherType class.
+    macs: bytes
+
+
+@functools.lru_cache(maxsize=None)
+def _mixed_tables() -> _MixedTables:
+    v4 = {
+        (dst, protocol, ttl): _build_v4(dst, protocol, ttl)
+        for dst in _V4_DSTS
+        for protocol in _V4_PROTOS
+        for ttl in _V4_TTLS
+    }
+    return _MixedTables(
+        v4=v4,
+        v6={
+            (dst, next_hdr, hop_limit): _build_v6(
+                dst, next_hdr, hop_limit, b"soakfuzz"
             )
-            .payload(bytes(rng.randrange(256) for _ in range(rng.randrange(32))))
-            .build()
-        )
-    if roll < 0.65:  # plausible IPv6
-        return (
-            PacketBuilder()
-            .ethernet("02:00:00:00:00:01", "02:00:00:00:00:02", 0x86DD)
-            .ipv6(
-                "fd00::1",
-                rng.choice(_V6_DSTS),
-                rng.choice((6, 17, 59)),
-                payload_len=8,
-                hop_limit=rng.choice((0, 1, 64)),
-            )
-            .payload(b"soakfuzz")
-            .build()
-        )
-    if roll < 0.80:  # valid packet truncated at a random byte
-        base = (
-            PacketBuilder()
-            .ethernet("02:00:00:00:00:01", "02:00:00:00:00:02", 0x0800)
-            .ipv4("192.168.0.1", rng.choice(_V4_DSTS), 6)
-            .payload(b"cutme")
-            .build()
-        )
-        data = base.tobytes()
-        return Packet(data[: rng.randrange(len(data))])
-    if roll < 0.90:  # unknown etherType
-        return (
-            PacketBuilder()
-            .ethernet(
-                "02:00:00:00:00:01", "02:00:00:00:00:02", rng.randrange(0x10000)
-            )
-            .payload(b"mystery")
-            .build()
-        )
-    # pure garbage bytes, possibly shorter than any header
-    return Packet(bytes(rng.randrange(256) for _ in range(rng.randrange(64))))
+            for dst in _V6_DSTS
+            for next_hdr in _V6_NEXT_HDRS
+            for hop_limit in _V6_HOP_LIMITS
+        },
+        cut={dst: v4[dst, 6, 64] + b"cutme" for dst in _V4_DSTS},
+        macs=v4[_V4_DSTS[0], 6, 64][:12],
+    )
 
 
-#: Prebuilt routable packets for ``traffic="routable"``: every v4/v6
-#: destination in the soak pools with a sane TTL, built once so stream
-#: generation costs one choice + one bytearray copy per packet.  Keeps
-#: generation overhead negligible next to pipeline execution — the
-#: property the engine-scaling benchmark depends on.
-_ROUTABLE_TEMPLATES: List[bytes] = []
+@functools.lru_cache(maxsize=None)
+def _routable_templates() -> Tuple[bytes, ...]:
+    """The ``routable`` corpus: every v4/v6 destination in the soak
+    pools with a sane TTL, so a packet is one ``choice``."""
+    return tuple(
+        [_build_v4(dst, 6, 64, b"engine!!") for dst in _V4_DSTS]
+        + [_build_v6(dst, 6, 64, b"engine!!") for dst in _V6_DSTS]
+    )
 
 
-def _routable_templates() -> List[bytes]:
-    if not _ROUTABLE_TEMPLATES:
-        for dst in _V4_DSTS:
-            _ROUTABLE_TEMPLATES.append(
-                PacketBuilder()
-                .ethernet("02:00:00:00:00:01", "02:00:00:00:00:02", 0x0800)
-                .ipv4("192.168.0.1", dst, 6, ttl=64)
-                .payload(b"engine!!")
-                .build()
-                .tobytes()
-            )
-        for dst in _V6_DSTS:
-            _ROUTABLE_TEMPLATES.append(
-                PacketBuilder()
-                .ethernet("02:00:00:00:00:01", "02:00:00:00:00:02", 0x86DD)
-                .ipv6("fd00::1", dst, 6, payload_len=8, hop_limit=64)
-                .payload(b"engine!!")
-                .build()
-                .tobytes()
-            )
-    return _ROUTABLE_TEMPLATES
+_Stream = Iterator[Tuple[int, bytes, int]]
+#: ``(rng, packets, num_ports) -> stream``
+_StreamFn = Callable[[random.Random, int, int], _Stream]
+
+
+def _mixed_stream(rng: random.Random, packets: int, num_ports: int) -> _Stream:
+    """Hostile fuzz corpus: valid, short, garbage, or odd-typed.
+
+    Each expression below draws left to right in the order DESIGN.md §8
+    tabulates — a payload's length before its bytes — and reordering
+    one moves every later packet of the stream.
+    """
+    v4, v6, cut, macs = _mixed_tables()
+    random_, choice, randrange = rng.random, rng.choice, rng.randrange
+    for index in range(packets):
+        roll = random_()
+        if roll < 0.40:  # plausible IPv4, 0-31 random payload bytes
+            data = v4[
+                choice(_V4_DSTS), choice(_V4_PROTOS), choice(_V4_TTLS)
+            ] + bytes(map(randrange, repeat(256, randrange(32))))
+        elif roll < 0.65:  # plausible IPv6
+            data = v6[
+                choice(_V6_DSTS), choice(_V6_NEXT_HDRS), choice(_V6_HOP_LIMITS)
+            ]
+        elif roll < 0.80:  # valid packet truncated at a random byte
+            data = cut[choice(_V4_DSTS)]
+            data = data[: randrange(len(data))]
+        elif roll < 0.90:  # unknown etherType
+            data = macs + randrange(0x10000).to_bytes(2, "big") + b"mystery"
+        else:  # pure garbage bytes, possibly shorter than any header
+            data = bytes(map(randrange, repeat(256, randrange(64))))
+        yield index, data, randrange(num_ports)
+
+
+def _routable_stream(rng: random.Random, packets: int, num_ports: int) -> _Stream:
+    """Cheap well-formed v4/v6 mix that stays on the exact/lpm path."""
+    templates = _routable_templates()
+    for index in range(packets):
+        data = rng.choice(templates)
+        yield index, data, rng.randrange(num_ports)
+
+
+#: ``SoakConfig.traffic`` name -> stream function.  The one registry:
+#: ``validate`` accepts exactly the mixes the generator can produce.
+_STREAMS: Dict[str, _StreamFn] = {
+    "mixed": _mixed_stream,
+    "routable": _routable_stream,
+}
+
+#: Recognized packet-mix names (``SoakConfig.traffic``).
+TRAFFIC_MIXES = tuple(_STREAMS)
+
+
+def _stream_for(traffic: str) -> _StreamFn:
+    try:
+        return _STREAMS[traffic]
+    except KeyError:
+        raise TargetError(
+            f"unknown traffic mix {traffic!r}; "
+            f"known: {', '.join(TRAFFIC_MIXES)}"
+        ) from None
 
 
 def iter_stream_bytes(
     config: SoakConfig, program: str, num_ports: int
-) -> Iterator[Tuple[int, bytes, int]]:
+) -> _Stream:
     """The run's deterministic ``(index, bytes, in_port)`` stream.
 
     Derived purely from ``(config.seed, program, config.traffic)``.
     This is the wire form the engine's parent-side dispatcher ships to
-    worker rings: already serialized, one ``tobytes()`` per packet for
-    the whole run.  :func:`iter_stream` wraps the same generator, so the
-    two views cannot drift: the RNG call sequence here is exactly the
-    one the soak has always used.
+    worker rings: already serialized.  :func:`iter_stream` wraps the
+    same generator, so the two views cannot drift.
     """
-    if config.traffic not in TRAFFIC_MIXES:
-        raise TargetError(
-            f"unknown traffic mix {config.traffic!r}; "
-            f"known: {', '.join(TRAFFIC_MIXES)}"
-        )
     rng = random.Random(f"{config.seed}:{program}:packets")
-    if config.traffic == "routable":
-        templates = _routable_templates()
-        for index in range(config.packets):
-            data = rng.choice(templates)
-            yield index, data, rng.randrange(num_ports)
-    else:
-        for index in range(config.packets):
-            data = _gen_packet(rng).tobytes()
-            yield index, data, rng.randrange(num_ports)
+    return _stream_for(config.traffic)(rng, config.packets, num_ports)
 
 
 def iter_stream(
@@ -711,6 +751,15 @@ def render_summary(summary: Dict[str, object]) -> str:
                 f"  shard {shard['shard']}: {shard['packets']} pkts -> "
                 f"{shard['emits']} out, {shard['drops']} dropped "
                 f"[{shard['digest'][:12]}...]"
+            )
+        if "dispatch_s" in block:
+            spins = ", ".join(
+                f"shard{s}={n}"
+                for s, n in sorted(block["ring_full_spins"].items())
+            )
+            lines.append(
+                f"  parent dispatch {block['dispatch_s']}s of "
+                f"{block['elapsed_s']}s; waits on a full ring: {spins}"
             )
         restarts = block.get("restarts") or {}
         if restarts:

@@ -97,6 +97,8 @@ class TestKillRecovery:
         )
         assert block["digest"] == clean_digest
         assert block["restarts"] == {"0": 1}
+        # The waits on the killed replica's ring survive its ring.
+        assert all(n > 0 for n in block["ring_full_spins"].values())
         assert no_orphans()
 
     def test_sigkill_under_spawn_start_method(self, clean_digest):

@@ -15,6 +15,7 @@ The load-bearing properties:
   :class:`EngineError` and never leaves orphan processes.
 """
 
+import json
 import multiprocessing
 import queue
 import threading
@@ -33,7 +34,8 @@ from repro.targets.engine import (
     run_sharded_program,
     shard_seed,
 )
-from repro.targets.soak import SoakConfig, run_soak, soak_program
+from repro.targets.pool import WorkerPool
+from repro.targets.soak import SoakConfig, render_summary, run_soak, soak_program
 
 
 def quick_config(**kw):
@@ -167,6 +169,53 @@ class TestAccounting:
         for key in ("packets", "emits", "drops", "units", "killed"):
             assert merged[key] == inline[key]
         assert merged["verdicts"] == inline["verdicts"]
+
+
+class TestWhoWasWaiting:
+    """A sharded block says how long the parent dispatched and how often
+    it sat on a full ring (digest-neutral, beside restarts/watermarks)."""
+
+    def test_keys_and_types(self):
+        merged = run_sharded_program(quick_config(), "P4", EngineConfig(workers=2))
+        assert isinstance(merged["dispatch_s"], float)
+        assert 0.0 <= merged["dispatch_s"] <= merged["elapsed_s"] + 0.001
+        spins = merged["ring_full_spins"]
+        assert sorted(spins) == ["0", "1"]
+        assert all(isinstance(n, int) and n >= 0 for n in spins.values())
+        assert merged["restarts"] == {} and sorted(merged["watermarks"]) == ["0", "1"]
+        json.dumps(merged)
+
+    def test_tiny_ring_reads_as_worker_bound(self):
+        # 400 packets cannot fit a 4 KiB ring while the worker is still
+        # building its pipeline: the parent must wait, and say so.
+        config = quick_config()
+        tiny = run_sharded_program(
+            config, "P4", EngineConfig(workers=2, ring_bytes=4096)
+        )
+        roomy = run_sharded_program(config, "P4", EngineConfig(workers=2))
+        assert sum(tiny["ring_full_spins"].values()) > 0
+        assert tiny["digest"] == roomy["digest"]
+
+    def test_counts_are_per_run_on_a_resident_pool(self):
+        config = quick_config()
+        with WorkerPool(EngineConfig(workers=2, ring_bytes=4096)) as pool:
+            first = pool.submit(config, "P4")
+            # Workers are resident and warm now; the ring objects (and
+            # their lifetime counters) are the same ones.
+            second = pool.submit(config, "P4")
+            lifetime = pool._full_spins()
+        assert first["digest"] == second["digest"]
+        assert [
+            first["ring_full_spins"][s] + second["ring_full_spins"][s]
+            for s in ("0", "1")
+        ] == lifetime
+
+    def test_summary_prints_them(self):
+        summary = run_soak(quick_config(packets=200), engine=EngineConfig(workers=2))
+        text = render_summary(summary)
+        assert "parent dispatch" in text and "waits on a full ring: shard0=" in text
+        inline = render_summary(run_soak(quick_config(packets=200)))
+        assert "parent dispatch" not in inline
 
 
 class TestMetricsMerging:

@@ -121,6 +121,23 @@ class TestBackpressure:
                 break
         assert len(calls) >= 3
 
+    def test_full_spins_count_only_the_blocked_path(self, ring):
+        puts = 0
+        while True:  # every put that fits leaves the counter alone
+            try:
+                ring.put(b"v" * 400, timeout=0.05)
+                puts += 1
+                assert ring.full_spins == 0
+            except RingTimeout:
+                break
+        assert puts >= 3
+        spins = ring.full_spins
+        assert spins >= 1  # one per poll interval spent waiting
+        for _ in range(puts):
+            ring.get(timeout=1)
+        ring.put(b"v" * 400, timeout=1)
+        assert ring.full_spins == spins
+
 
 class TestLifecycle:
     def test_attach_by_name_shares_data(self):
