@@ -7,14 +7,16 @@ analysis depends only on program *structure* (conditionals, actions per
 MAT), not table contents.
 
 These benches generate synthetic programs of growing size — parser
-chains, table pipelines, composition depth — and measure frontend +
-analysis time, asserting it stays far from exponential.
+chains, table pipelines, composition depth, header-stack depth — and
+measure frontend + analysis (for stacks: whole-driver) time, asserting
+it stays far from exponential.
 """
 
 import time
 
 import pytest
 
+from repro.core.driver import CompilerOptions, Up4Compiler
 from repro.frontend.typecheck import check_program
 from repro.ir.parse_graph import build_parse_graph
 from repro.midend.analysis import analyze
@@ -82,6 +84,51 @@ Tables(P, C, D) main;
 """
 
 
+def mpls_stack_program(depth: int) -> str:
+    """Ethernet plus an MPLS label stack of ``depth`` (App. C): a
+    ``next``/``last`` parser loop, push/pop actions, every element
+    emitted — ``tests/midend/test_hdr_stack.py``'s program, sized."""
+    emits = " ".join(f"em.emit(p, h.mpls[{i}]);" for i in range(depth))
+    return f"""
+header eth_h  {{ bit<48> dstMac; bit<48> srcMac; bit<16> etherType; }}
+header mpls_h {{ bit<20> label; bit<3> tc; bit<1> bos; bit<8> ttl; }}
+struct hdr_t {{ eth_h eth; mpls_h mpls[{depth}]; }}
+program Stacked : implements Unicast<> {{
+  parser P(extractor ex, pkt p, out hdr_t h) {{
+    state start {{
+      ex.extract(p, h.eth);
+      transition select(h.eth.etherType) {{
+        0x8847 : parse_mpls; default : accept;
+      }}
+    }}
+    state parse_mpls {{
+      ex.extract(p, h.mpls.next);
+      transition select(h.mpls.last.bos) {{ 0 : parse_mpls; 1 : accept; }}
+    }}
+  }}
+  control C(pkt p, inout hdr_t h, im_t im) {{
+    action push_label(bit<20> lbl) {{
+      h.mpls.push_front(1);
+      h.mpls[0].setValid();
+      h.mpls[0].label = lbl;
+      h.mpls[0].ttl = 64;
+    }}
+    action pop_label() {{ h.mpls.pop_front(1); }}
+    table lbl_tbl {{
+      key = {{ h.mpls[0].label : exact; }}
+      actions = {{ push_label; pop_label; }}
+      default_action = pop_label();
+    }}
+    apply {{ lbl_tbl.apply(); }}
+  }}
+  control D(emitter em, pkt p, in hdr_t h) {{
+    apply {{ em.emit(p, h.eth); {emits} }}
+  }}
+}}
+Stacked(P, C, D) main;
+"""
+
+
 class TestParseGraphScaling:
     @pytest.mark.parametrize("size", [4, 16, 64])
     def test_linear_chain_analyzes(self, size):
@@ -111,6 +158,63 @@ class TestControlScaling:
         linked = link_modules(module, [])
         region = analyze(linked)
         assert region.extract_length == 4
+
+
+class TestHeaderStackDepthScaling:
+    """The MPLS-stack program at depth 1, 2, 4, 8 through the driver
+    (frontend with lowering → link → analyze → compose → TNA)."""
+
+    DEPTHS = (1, 2, 4, 8)
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        rows = {}
+        for depth in self.DEPTHS:
+            start = time.perf_counter()
+            result = Up4Compiler(CompilerOptions(target="tna")).compile_sources(
+                mpls_stack_program(depth), main_name=f"stack{depth}.up4"
+            )
+            rows[depth] = (time.perf_counter() - start, result.composed)
+        return rows
+
+    def test_tables_and_byte_stack_grow_linearly(self, sweep):
+        for depth, (_, composed) in sweep.items():
+            # Parser MAT, lbl_tbl, deparser MAT — whatever the depth.
+            assert len(composed.tables) == 3
+            # 14 B Ethernet + 4 B per label + 4 B per label of push room.
+            assert composed.byte_stack_size == 14 + 8 * depth
+
+    def test_deparser_entries_are_the_exponential_term(self, sweep):
+        """What a stack really costs: one deparser-MAT entry per parser
+        path × validity combination of the emitted headers, (d+1) ·
+        2^(d+1) of them — 4 608 entries and as many copy-back actions at
+        depth 8.  (Not the clone cost PR 18 removed: no catalog module
+        declares a stack.)"""
+        for depth, (_, composed) in sweep.items():
+            entries = composed.tables["main_deparser_tbl"].const_entries
+            assert len(entries) == (depth + 1) * 2 ** (depth + 1)
+
+    def test_time_is_polynomial_in_what_is_emitted(self, sweep):
+        """Nothing *else* blows up: per deparser entry, depth 8 costs a
+        small multiple of depth 2 (entries get longer: more headers to
+        write back, a longer tail to shift)."""
+        def per_entry(depth):
+            seconds, composed = sweep[depth]
+            entries = composed.tables["main_deparser_tbl"].const_entries
+            return max(seconds, 1e-4) / len(entries)
+
+        assert per_entry(8) < 10 * per_entry(2)
+
+    @pytest.mark.xfail(
+        strict=False,
+        reason="deparser MAT enumerates 2^(d+1) validity combinations per "
+        "path (ROADMAP: compile time); holds once they are pruned or "
+        "matched per validity class",
+    )
+    def test_growth_is_polynomial_in_depth(self, sweep):
+        """The gate the parser chains pass (4x the size within 40x the
+        time).  Measured in PR 18: t[2] 0.02 s, t[8] 8.7 s — ~400x."""
+        assert sweep[8][0] < 40 * max(sweep[2][0], 1e-4)
 
 
 @pytest.mark.parametrize("size", [16, 64])

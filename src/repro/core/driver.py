@@ -107,8 +107,7 @@ class Up4Compiler:
             with self.tracer.span("frontend.check", module=name):
                 module = check_program(source, name)
             with self.tracer.span("frontend.lower", module=name):
-                lower_header_stacks(module)
-                lower_varlen_headers(module)
+                module = lower_varlen_headers(lower_header_stacks(module))
             sp.set(programs=len(module.programs))
         return module
 

@@ -26,7 +26,15 @@ class Node:
     loc: SourceLocation = field(default=UNKNOWN_LOC, repr=False, compare=False)
 
     def clone(self) -> "Node":
-        """Deep copy; midend passes transform clones, never originals."""
+        """Copy this subtree; midend passes transform clones, never originals.
+
+        Statement, expression and declaration nodes are copied; the
+        *values* they are annotated with — checked :class:`Type` objects
+        and source locations — are immutable and shared (see
+        ``Type.__deepcopy__``).  One ``deepcopy`` memo spans the call, so
+        aliased nodes (``PathExpr.decl``, ``call.resolved``) are
+        re-pointed into the clone.
+        """
         return _copy.deepcopy(self)
 
 
@@ -37,7 +45,18 @@ class Node:
 
 @dataclass
 class Type(Node):
-    """Base class for type nodes."""
+    """Base class for type nodes.
+
+    A type is a *value*: immutable once the parser or checker has built
+    it, together with everything reachable only through it (a struct's
+    field list, an extern's method signatures).  Passes that need a
+    different type construct a new one; :meth:`Node.clone` therefore
+    shares types by reference instead of copying the type graph an
+    expression's ``.type`` annotation drags along.
+    """
+
+    def __deepcopy__(self, memo: dict) -> "Type":
+        return self
 
 
 @dataclass

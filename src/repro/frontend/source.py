@@ -17,6 +17,9 @@ class SourceLocation:
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"
 
+    def __deepcopy__(self, memo: dict) -> "SourceLocation":
+        return self  # frozen: AST clones share locations
+
 
 UNKNOWN_LOC = SourceLocation("<unknown>", 0, 0)
 

@@ -17,7 +17,7 @@ parser→MAT and deparser→MAT passes:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import AnalysisError
 from repro.frontend import astnodes as ast
@@ -141,6 +141,10 @@ class ByteStack:
         total_bits = bit_off
         if total_bits % 8 != 0:
             raise AnalysisError(f"header {header_type.name} is not byte aligned")
+        # One ``hdr.f`` node per field, shared by the slices of every byte
+        # the field covers (nothing downstream rewrites expressions in
+        # place; a 128-bit address would otherwise clone its lvalue 16x).
+        field_exprs: Dict[str, ast.Expr] = {}
         out: List[ast.AssignStmt] = []
         for byte_index in range(total_bits // 8):
             lo_bit = 8 * byte_index
@@ -149,10 +153,12 @@ class ByteStack:
             for start, end, fname, width in spans:
                 if end <= lo_bit or start >= hi_bit:
                     continue
-                field_expr: ast.Expr = ast.MemberExpr(
-                    base=hdr_lvalue.clone(), member=fname
-                )
-                field_expr.type = ast.BitType(width=width)
+                field_expr = field_exprs.get(fname)
+                if field_expr is None:
+                    field_expr = field_exprs[fname] = ast.MemberExpr(
+                        base=hdr_lvalue.clone(), member=fname
+                    )
+                    field_expr.type = ast.BitType(width=width)
                 cut_lo = max(start, lo_bit)
                 cut_hi = min(end, hi_bit)
                 if cut_lo > start or cut_hi < end:

@@ -68,8 +68,10 @@ def lower_header_stacks(module: Module) -> Module:
             new_fields: List[Tuple[str, ast.Type]] = []
             for fname, ftype in decl.fields:
                 if isinstance(ftype, ast.HeaderStackType):
+                    # Types are shared values: every element field names
+                    # the same element type node.
                     for i in range(ftype.size):
-                        new_fields.append((_element_name(fname, i), ftype.element.clone()))
+                        new_fields.append((_element_name(fname, i), ftype.element))
                 else:
                     new_fields.append((fname, ftype))
             decl.fields = new_fields

@@ -143,7 +143,11 @@ class Composer:
         bindings: Dict[str, ast.Expr],
     ) -> List[ast.Stmt]:
         info = unit.program
-        prog = info.decl.clone()
+        # Step spans under ``compose.inline.<prefix>``: where inlining
+        # this instance goes (callees nest their own between them).
+        span, step = self.tracer.span, f"compose.inline.{prefix}"
+        with span(f"{step}.clone"):
+            prog = info.decl.clone()
         parser = _find_decl(prog, ast.ParserDecl, info.parser.name) if info.parser else None
         control = _find_decl(prog, ast.ControlDecl, info.control.name)
         deparser = (
@@ -152,15 +156,20 @@ class Composer:
             else None
         )
 
-        renames = self._build_renames(info, parser, control, deparser, prefix, bindings)
-        for decl in (parser, control, deparser):
-            if decl is not None:
-                _apply_renames(decl, renames)
+        with span(f"{step}.rename"):
+            renames = self._build_renames(
+                info, parser, control, deparser, prefix, bindings
+            )
+            for decl in (parser, control, deparser):
+                if decl is not None:
+                    _apply_renames(decl, renames)
 
         stmts: List[ast.Stmt] = []
         parser_mat: Optional[MatParser] = None
         if parser is not None:
-            parser_mat = parser_to_mat(parser, base_offset, self.bs, prefix)
+            with span(f"{step}.parser_to_mat") as sp:
+                parser_mat = parser_to_mat(parser, base_offset, self.bs, prefix)
+                sp.set(paths=len(parser_mat.paths))
             self._register_mat_parser(parser_mat)
             stmts.append(parser_mat.apply_stmt())
 
@@ -187,9 +196,14 @@ class Composer:
         stmts.extend(body.stmts)
 
         if deparser is not None and parser_mat is not None:
-            deparser_mat = deparser_to_mat(
-                deparser, parser_mat.paths, base_offset, self.bs, prefix
-            )
+            with span(f"{step}.deparser_to_mat") as sp:
+                deparser_mat = deparser_to_mat(
+                    deparser, parser_mat.paths, base_offset, self.bs, prefix
+                )
+                sp.set(
+                    entries=len(deparser_mat.table.const_entries),
+                    actions=len(deparser_mat.actions),
+                )
             self._register_mat_deparser(deparser_mat)
             stmts.append(deparser_mat.apply_stmt())
         return stmts

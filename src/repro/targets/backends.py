@@ -73,6 +73,35 @@ def executable_form(composed: ComposedPipeline) -> ComposedPipeline:
     return hit[1] if hit[1] is not None else composed
 
 
+def executor_class(exec_backend: str):
+    """The executor class behind a backend name, its module imported.
+    Unknown names raise a reason-coded :class:`TargetError` instead of
+    silently falling back.
+
+    A parent that forks workers resolves the name first
+    (:meth:`SoakConfig.validate <repro.targets.soak.SoakConfig.validate>`
+    does), so the children inherit the import instead of each paying it.
+    """
+    if exec_backend == "interp":
+        return PipelineInstance
+    if exec_backend == "compiled":
+        return CompiledPipeline
+    if exec_backend == "codegen":
+        return CodegenPipeline
+    if exec_backend == "vector":
+        # Imported lazily: the module is numpy-tolerant, but the other
+        # backends should not pay its import on every process start.
+        from repro.targets.vector import VectorPipeline
+
+        return VectorPipeline
+    err = TargetError(
+        f"unknown exec backend {exec_backend!r}; "
+        f"known: {', '.join(EXEC_BACKENDS)}"
+    )
+    err.code = "unknown-backend"
+    raise err
+
+
 def make_pipeline(
     composed: ComposedPipeline,
     exec_backend: str = DEFAULT_EXEC_BACKEND,
@@ -81,48 +110,13 @@ def make_pipeline(
     faults: Optional[FaultPlan] = None,
 ):
     """Build a pipeline executor for ``composed`` under the named
-    backend.  Unknown names raise a reason-coded :class:`TargetError`
-    instead of silently falling back."""
-    if exec_backend in EXEC_BACKENDS:
-        composed = executable_form(composed)
-    if exec_backend == "interp":
-        return PipelineInstance(
-            composed,
-            use_table_index=use_table_index,
-            guards=guards,
-            faults=faults,
-        )
-    if exec_backend == "compiled":
-        return CompiledPipeline(
-            composed,
-            use_table_index=use_table_index,
-            guards=guards,
-            faults=faults,
-        )
-    if exec_backend == "codegen":
-        return CodegenPipeline(
-            composed,
-            use_table_index=use_table_index,
-            guards=guards,
-            faults=faults,
-        )
-    if exec_backend == "vector":
-        # Imported lazily: the module is numpy-tolerant, but the other
-        # backends should not pay its import on every process start.
-        from repro.targets.vector import VectorPipeline
-
-        return VectorPipeline(
-            composed,
-            use_table_index=use_table_index,
-            guards=guards,
-            faults=faults,
-        )
-    err = TargetError(
-        f"unknown exec backend {exec_backend!r}; "
-        f"known: {', '.join(EXEC_BACKENDS)}"
+    backend (:func:`executor_class` rejects unknown names)."""
+    return executor_class(exec_backend)(
+        executable_form(composed),
+        use_table_index=use_table_index,
+        guards=guards,
+        faults=faults,
     )
-    err.code = "unknown-backend"
-    raise err
 
 
 def backend_of(pipeline) -> str:

@@ -64,7 +64,7 @@ from typing import Dict, List, Optional
 from repro.errors import TargetError
 from repro.net.packet import Packet
 from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.targets.backends import EXEC_BACKENDS, make_pipeline
+from repro.targets.backends import executor_class, make_pipeline
 from repro.targets.faults import ChaosPlan
 from repro.targets.ring import DEFAULT_RING_BYTES
 from repro.targets.supervision import RestartPolicy
@@ -532,15 +532,10 @@ def run_profile_shards(
     ``engine.publish_interval_s > 0``) and a final snapshot per shard.
     """
     engine.validate()
-    if exec_backend not in EXEC_BACKENDS:
-        # Validate in the parent against the live seam registry; workers
-        # would otherwise each die on the same unknown-backend error.
-        err = TargetError(
-            f"unknown exec backend {exec_backend!r}; "
-            f"known: {', '.join(EXEC_BACKENDS)}"
-        )
-        err.code = "unknown-backend"
-        raise err
+    # Resolve in the parent, before the fork: workers would otherwise
+    # each die on the same unknown-backend error, or each import the
+    # backend's module themselves.
+    executor_class(exec_backend)
     program = str(getattr(composed, "name", "profile"))
     epochs_seen: Dict[int, int] = {}
 

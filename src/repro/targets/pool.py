@@ -1070,13 +1070,15 @@ class WorkerPool:
                 "worker pool is closed or broken (failed run); "
                 "create a new pool"
             )
-        self.start()
-        engine = self.engine
         # Validate and compile in the parent: a bad backend name or
         # program fails here, once, before any worker sees a control
         # message (workers would otherwise die N times on the same
-        # unknown-backend error from the seam).
+        # unknown-backend error from the seam).  Validation comes before
+        # the first fork: it imports the backend's module, so workers
+        # and their supervised replacements inherit it.
         config.validate()
+        self.start()
+        engine = self.engine
         composed = compose_program(config, program)
         self._run_id += 1
         run = self._run_id
@@ -1202,7 +1204,7 @@ class WorkerPool:
         self._started = False
 
     def __enter__(self) -> "WorkerPool":
-        return self.start()
+        return self  # the first submit() starts the workers
 
     def __exit__(self, *exc: object) -> None:
         self.close()

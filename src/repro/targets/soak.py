@@ -59,7 +59,7 @@ from repro.net.packet import Packet
 from repro.obs.metrics import METRICS
 from repro.obs.pkttrace import PacketTrace
 from repro.obs.telemetry import FlightRecorder, LiveTelemetry, TraceWriter
-from repro.targets.backends import EXEC_BACKENDS, executable_form, make_pipeline
+from repro.targets.backends import executable_form, executor_class, make_pipeline
 from repro.targets.faults import FaultPlan, ResourceGuards
 from repro.targets.switch import Switch, SwitchConfig
 
@@ -128,19 +128,15 @@ class SoakConfig:
         """Reject config values that would otherwise only fail deep
         inside a run (or inside N forked workers at once).
 
-        Validation is against the live registries — ``EXEC_BACKENDS``
-        from the backends seam, the stream registry — never local
-        literals, so a new backend is accepted here the moment the seam
-        knows it.  :func:`run_soak` and the resident pool's parent-side
-        ``submit`` both call this up front.
+        Validation is against the live registries — the backends seam,
+        the stream registry — never local literals, so a new backend is
+        accepted here the moment the seam knows it.  :func:`run_soak`
+        and the resident pool's parent-side ``submit`` both call this up
+        front, before any fork: resolving the backend imports its
+        module (numpy, for ``vector``) once in the parent instead of in
+        every worker and every supervised restart.
         """
-        if self.exec_backend not in EXEC_BACKENDS:
-            err = TargetError(
-                f"unknown exec backend {self.exec_backend!r}; "
-                f"known: {', '.join(EXEC_BACKENDS)}"
-            )
-            err.code = "unknown-backend"
-            raise err
+        executor_class(self.exec_backend)  # raises on an unknown name
         _stream_for(self.traffic)  # raises on an unknown mix
         if self.mode not in ("micro", "mono"):
             raise TargetError(

@@ -159,3 +159,51 @@ class TestRegions:
 
     def test_mode(self, composed):
         assert composed.mode == "micro"
+
+
+class TestInlineSpans:
+    """``compose.inline.<prefix>`` and its four step spans
+    (``repro profile`` shows where a callee's inlining goes)."""
+
+    STEPS = ("clone", "rename", "parser_to_mat", "deparser_to_mat")
+
+    @staticmethod
+    def unit_spans(program):
+        """name -> span, for each inlined instance of ``program``."""
+        from repro.lib.catalog import build_pipeline
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer()
+        build_pipeline(program, tracer=tracer)
+        spans = {s.name: s for s in tracer.spans()}
+        assert len(spans) == len(tracer.spans())  # names are unique
+        steps = tuple(f".{step}" for step in TestInlineSpans.STEPS)
+        return {n: s for n, s in spans.items() if not n.endswith(steps)}
+
+    @pytest.mark.parametrize("program", [f"P{i}" for i in range(1, 8)])
+    def test_step_names_are_stable(self, program):
+        units = self.unit_spans(program)
+        assert "compose.inline.main" in units and len(units) >= 4
+        for name, span in units.items():
+            steps = [
+                c.name[len(name) + 1:] for c in span.children
+                if c.name not in units
+            ]
+            # Every instance is cloned and renamed; the MAT steps exist
+            # exactly when the module has a parser / deparser.
+            assert steps[:2] == ["clone", "rename"], (name, steps)
+            assert set(steps) <= set(self.STEPS), (name, steps)
+            assert len(steps) == len(set(steps))
+            assert all(c.name.startswith(name) for c in span.children)
+
+    def test_steps_account_for_the_instances_on_p7(self):
+        units = self.unit_spans("P7")
+        total = units["compose.inline.main"].duration
+        uncovered = sum(
+            span.duration - sum(c.duration for c in span.children)
+            for span in units.values()
+        )
+        assert 0.0 <= uncovered <= 0.10 * total, (uncovered, total)
+        srv6 = units["compose.inline.main_l3_i_srv6_i"]
+        mat = srv6.find("compose.inline.main_l3_i_srv6_i.deparser_to_mat")
+        assert mat.attrs == {"entries": 48, "actions": 49}

@@ -242,3 +242,58 @@ class TestSpawnStartMethod:
             spawned = pool.submit(config, "P4")
         assert_matches_oracle(spawned, oracle_run(config, "P4", engine))
         assert no_orphans()
+
+
+class TestForkAfterImports:
+    """The parent resolves the run's backend before the first fork, so
+    workers (and supervised replacements) inherit the executor's module
+    instead of each importing it — numpy, for ``vector``."""
+
+    PROBE = """
+import sys
+from repro.targets.engine import EngineConfig, run_sharded_program
+from repro.targets.pool import WorkerPool
+from repro.targets.soak import SoakConfig
+
+imported_at_fork = []
+spawn = WorkerPool._spawn_worker
+
+def spy(self, shard):
+    imported_at_fork.append("repro.targets.vector" in sys.modules)
+    spawn(self, shard)
+
+WorkerPool._spawn_worker = spy
+assert "repro.targets.vector" not in sys.modules
+config = SoakConfig(programs=["P4"], packets=64, seed=7, exec_backend="vector")
+block = run_sharded_program(config, "P4", EngineConfig(workers=2))
+assert block["ledger_ok"] and block["packets"] == 64
+print(imported_at_fork)
+"""
+
+    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
+    def test_vector_is_imported_before_the_workers_fork(self):
+        import subprocess
+        import sys
+
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[True, True]"
+
+    def test_submit_validates_before_it_starts_workers(self, monkeypatch):
+        order = []
+        monkeypatch.setattr(
+            SoakConfig, "validate", lambda self: order.append("validate")
+        )
+
+        def start(self):
+            order.append("start")
+            raise RuntimeError("stop here")
+
+        monkeypatch.setattr(WorkerPool, "start", start)
+        with pytest.raises(RuntimeError, match="stop here"):
+            with WorkerPool(EngineConfig(workers=2)) as pool:
+                pool.submit(small_config(), "P4")
+        assert order == ["validate", "start"]
