@@ -130,22 +130,26 @@ class MetricsRegistry:
             self._gauge_seq += 1
             self._gauge_meta[key] = (policy, self._gauge_seq)
 
-    def observe(self, key: str, value: float) -> None:
+    def observe(self, key: str, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` (a batch reports
+        its per-lane share once instead of once per lane)."""
         if not self.enabled:
             return
         hist = self._hists.get(key)
         bucket = frexp(value)[1] if value > 0 else _NONPOS_BUCKET
         if hist is None:
-            self._hists[key] = [1, value, value, value, {bucket: 1}]
+            self._hists[key] = [
+                count, value * count, value, value, {bucket: count}
+            ]
         else:
-            hist[0] += 1
-            hist[1] += value
+            hist[0] += count
+            hist[1] += value * count
             if value < hist[2]:
                 hist[2] = value
             if value > hist[3]:
                 hist[3] = value
             buckets = hist[4]
-            buckets[bucket] = buckets.get(bucket, 0) + 1
+            buckets[bucket] = buckets.get(bucket, 0) + count
 
     # ------------------------------------------------------------------
     # Reading

@@ -15,9 +15,13 @@ bytecode:
   indexing);
 * widths, masks, pack/unpack plans, fault-site strings and trace labels
   are inlined **constants**;
-* the micro-pipeline byte stack is **scalarized** into one local per
-  byte (no per-field dict traffic) whenever the program only touches it
-  through field reads/writes and header ops;
+* header fields are **placed**, the way µP4C's backends place them in
+  PHV containers: every struct/header variable the program only touches
+  through typed field accesses and header ops — the micro-pipeline byte
+  stack first of all — is one local per leaf field plus one validity
+  local per header, no object built and no dict probed per packet
+  (:mod:`repro.targets.lanes` decides per variable; a variable that is
+  copied whole or handed to an extern keeps the object form);
 * the bodies of the actions a table can select
   (``TableRuntime.selectable_actions``) are inlined at its apply site,
   so a hit runs straight-line code instead of a dict lookup plus
@@ -56,6 +60,7 @@ import marshal
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -88,6 +93,7 @@ from repro.targets.interpreter import (
     RegisterState,
     ReturnSignal,
 )
+from repro.targets.lanes import FlatLayout, lane_variables, resolve_member
 from repro.targets.pipeline import PacketOut, ParserErrorSignal, _expr_name
 from repro.targets.tables import TableRuntime, table_runtimes
 
@@ -171,73 +177,6 @@ class _Block:
 
 
 # ======================================================================
-# Escape analysis for byte-stack scalarization
-# ======================================================================
-
-
-def _bs_escapes(composed: ComposedPipeline) -> bool:
-    """True when the byte-stack instance is used in any way other than
-    field access (``bs.bN``) or a header op on the stack itself — the
-    only shapes the scalarized representation can express."""
-    bs = composed.byte_stack
-    if bs is None:
-        return True
-    size = bs.size
-    field_re = re.compile(r"b(\d+)\Z")
-
-    def walk(node) -> bool:
-        if isinstance(node, (list, tuple)):
-            return any(walk(n) for n in node)
-        if not isinstance(node, ast.Node):
-            return False
-        if isinstance(node, ast.PathExpr):
-            return node.name == BS_INSTANCE
-        if isinstance(node, ast.VarDeclStmt):
-            if node.name == BS_INSTANCE:
-                return True
-            return walk(node.init)
-        if isinstance(node, ast.MemberExpr):
-            base = node.base
-            if isinstance(base, ast.PathExpr) and base.name == BS_INSTANCE:
-                m = field_re.match(node.member)
-                return not (m and int(m.group(1)) < size)
-            return walk(base)
-        if isinstance(node, ast.MethodCallExpr):
-            resolved = getattr(node, "resolved", None)
-            target = node.target
-            if (
-                isinstance(target, ast.MemberExpr)
-                and isinstance(target.base, ast.PathExpr)
-                and target.base.name == BS_INSTANCE
-            ):
-                if resolved is not None and resolved[0] == "header_op":
-                    return any(walk(a) for a in node.args)
-                return True
-            return walk(target) or any(walk(a) for a in node.args)
-        if isinstance(node, ast.Type):
-            return False
-        for attr, value in vars(node).items():
-            # Resolution back-references would re-walk whole declarations.
-            if attr in ("decl", "resolved"):
-                continue
-            if walk(value):
-                return True
-        return False
-
-    roots: List[object] = [composed.statements]
-    for adecl in composed.actions.values():
-        roots.append(adecl.params)
-        roots.append(adecl.body)
-    for tdecl in composed.tables.values():
-        roots.append(tdecl)
-    for adecl in composed.actions.values():
-        for p in adecl.params:
-            if p.name == BS_INSTANCE:
-                return True
-    return any(walk(r) for r in roots)
-
-
-# ======================================================================
 # The source generator
 # ======================================================================
 
@@ -288,12 +227,22 @@ class _SourceGen:
         self.nlocals = 0
         self.dispatch_arms = 0
         self._n = 0
-        self._frames: List[Dict[str, Tuple[str, bool]]] = []
+        # name -> (local, is_int), or (None, False, bound lane node,
+        # cell locals) for a flattened variable (repro.targets.lanes).
+        self._frames: List[Dict[str, tuple]] = []
         self._labels: List[str] = []
         self._pool_ids: Dict[int, str] = {}
         self.in_parser = False
+        self.in_batch = False
         self.uses_recirc = False
-        # Byte-stack scalarization plan (micro mode only).
+        self.lane_vars = lane_variables(composed)
+        #: name -> layout of every variable lowered as per-cell locals.
+        self.flat = dict(self.lane_vars.flat)
+        # Width of every flattened bit<W> cell local: they are only ever
+        # stored masked, so a copy between two of them needs no mask.
+        self._cell_width: Dict[str, int] = {}
+        # The byte stack is the one flattened variable with fixed cell
+        # names: the batch arena loads and stores them by position.
         self.bs_scalar = False
         self.bs_size = 0
         self.bs_extract_len = 0
@@ -302,8 +251,9 @@ class _SourceGen:
             self.bs_extract_len = composed.region.extract_length
             self.bs_scalar = (
                 self.bs_extract_len <= self.bs_size
-                and not _bs_escapes(composed)
+                and BS_INSTANCE in self.flat
             )
+        self.bs_layout = self.flat.pop(BS_INSTANCE, None)
         self.bs_locals = tuple(f"_bs{i}" for i in range(self.bs_size))
 
     # ------------------------------------------------------------------
@@ -329,6 +279,23 @@ class _SourceGen:
         delta = self.ind - base
         for ind, text in lines:
             self._cur.append((ind + delta, text))
+
+    @contextmanager
+    def _observing(self, cond: str):
+        """A table apply's body under a per-packet observability
+        condition (``lat_on``, ``trace is not None``).  ``_cg_run_batch``
+        has neither — the batch path never samples latency or traces —
+        so there the body is generated and dropped."""
+        if self.in_batch:
+            self._buf_push()
+            try:
+                yield
+            finally:
+                self._buf_pop()
+        else:
+            self.line(f"if {cond}:")
+            with self.block():
+                yield
 
     def tmp(self) -> str:
         self._n += 1
@@ -364,15 +331,45 @@ class _SourceGen:
         frame[name] = (local, is_int)
         return local
 
-    def _define_special(self, name: str, marker: str) -> None:
-        self._frames[-1][name] = (marker, False)
+    def _define_flat(
+        self, name: str, layout: FlatLayout, cells: Optional[tuple] = None
+    ) -> Tuple[str, ...]:
+        """Bind ``name`` to one local per cell of ``layout`` (``cells``
+        when the names are fixed) and return the locals."""
+        frame = self._frames[-1]
+        ent = frame.get(name)
+        if ent is not None:
+            # Same-frame redeclaration reuses the locals, like _define.
+            return ent[3]
+        if cells is None:
+            self._n += 1
+            cells = tuple(
+                f"v{self._n}_{i}_{label}"
+                for i, label in enumerate(layout.labels)
+            )
+            self.nlocals += len(cells)
+        for local, width in zip(cells, layout.widths):
+            if width is not None:
+                self._cell_width[local] = width
+        frame[name] = (None, False, layout.bind(cells), cells)
+        return cells
 
-    def _find(self, name: str) -> Optional[Tuple[str, bool]]:
+    def _find(self, name: str) -> Optional[tuple]:
         for frame in reversed(self._frames):
             ent = frame.get(name)
             if ent is not None:
                 return ent
         return None
+
+    def _flat_root(self, name: str):
+        ent = self._find(name)
+        return ent[2] if ent is not None and len(ent) > 2 else None
+
+    def _flat_node(self, e: ast.Expr):
+        """The lane node of a member chain rooted at a flattened
+        variable (lane_variables admits only leaf accesses and header
+        ops on those), else None."""
+        return resolve_member(e, self._flat_root)
 
     def _undef(self, name: str, doing: str) -> str:
         msg = (
@@ -433,14 +430,8 @@ class _SourceGen:
             ent = self._find(node.name)
             return ent is not None and ent[1]
         if isinstance(node, ast.MemberExpr):
-            base = node.base
-            if (
-                self.bs_scalar
-                and isinstance(base, ast.PathExpr)
-                and self._find(base.name) == ("__BS__", False)
-            ):
-                return True
-            return False
+            leaf = self._flat_node(node)
+            return leaf is not None and leaf[2] is not None
         if isinstance(node, ast.SliceExpr):
             return True
         if isinstance(node, ast.CastExpr):
@@ -480,6 +471,7 @@ class _SourceGen:
             ent = self._find(e.name)
             if ent is None:
                 return self._undef(e.name, "read of")
+            assert ent[0] is not None, f"whole-value read of flattened {e.name!r}"
             return ent[0]
         if isinstance(e, ast.MemberExpr):
             return self._member(e)
@@ -517,8 +509,9 @@ class _SourceGen:
                 and isinstance(decl.type, ast.EnumType)
             ):
                 return repr(e.member)
-            if self.bs_scalar and self._find(base.name) == ("__BS__", False):
-                return self.bs_locals[int(e.member[1:])]
+        leaf = self._flat_node(e)
+        if leaf is not None:
+            return leaf[1]
         bt = getattr(base, "type", None)
         b = self.expr(base)
         if isinstance(bt, (ast.HeaderType, ast.StructType)) and any(
@@ -610,9 +603,7 @@ class _SourceGen:
             if ent is None:
                 self.line(self._undef(lhs.name, "assignment to"))
                 return
-            if ent[0] == "__BS__":
-                self.line(self._undef(lhs.name, "assignment to"))
-                return
+            assert ent[0] is not None, f"whole-value store to flattened {lhs.name!r}"
             if isinstance(lhs.type, ast.BitType):
                 mask = (1 << lhs.type.width) - 1
                 vi = vs if v_int else f"int({vs})"
@@ -622,17 +613,15 @@ class _SourceGen:
             return
         if isinstance(lhs, ast.MemberExpr):
             base = lhs.base
-            if (
-                self.bs_scalar
-                and isinstance(base, ast.PathExpr)
-                and self._find(base.name) == ("__BS__", False)
-            ):
-                local = self.bs_locals[int(lhs.member[1:])]
-                vi = vs if v_int else f"int({vs})"
-                mask = (1 << lhs.type.width) - 1 if isinstance(
-                    lhs.type, ast.BitType
-                ) else 255
-                self.line(f"{local} = {vi} & {mask}")
+            leaf = self._flat_node(lhs)
+            if leaf is not None:
+                _kind, local, width = leaf
+                if width is None or self._cell_width.get(vs, width + 1) <= width:
+                    # A bool, or a copy from a cell no wider than this one.
+                    self.line(f"{local} = {vs}")
+                else:
+                    vi = vs if v_int else f"int({vs})"
+                    self.line(f"{local} = {vi} & {(1 << width) - 1}")
                 return
             bt = getattr(base, "type", None)
             typed = isinstance(bt, (ast.HeaderType, ast.StructType)) and any(
@@ -702,7 +691,12 @@ class _SourceGen:
             buf = self._buf_pop()
             self._splice(buf)
             v_int = self.is_int(s.rhs)
-            if not isinstance(s.lhs, ast.PathExpr) and not _ATOM.match(vs):
+            if (
+                not isinstance(s.lhs, ast.PathExpr)
+                and not _ATOM.match(vs)
+                and self._flat_node(s.lhs) is None
+            ):
+                # The lvalue's base expression must run after the value.
                 t = self.tmp()
                 self.line(f"{t} = {vs}")
                 vs = t
@@ -715,20 +709,7 @@ class _SourceGen:
                 local = self._define(s.name, self.is_int(s.init))
                 self.line(f"{local} = {vs}")
                 return
-            t = s.var_type
-            if isinstance(t, ast.BitType):
-                local = self._define(s.name, True)
-                self.line(f"{local} = 0")
-            elif isinstance(t, ast.BoolType):
-                local = self._define(s.name, False)
-                self.line(f"{local} = False")
-            elif isinstance(t, ast.EnumType):
-                local = self._define(s.name, False)
-                self.line(f"{local} = {(t.members[0] if t.members else '')!r}")
-            else:
-                factory = self.pooled(_factory_for(t), "_K")
-                local = self._define(s.name, False)
-                self.line(f"{local} = {factory}()")
+            self._default_init(s.name, s.var_type)
             return
         if isinstance(s, ast.MethodCallStmt):
             self.step()
@@ -847,18 +828,16 @@ class _SourceGen:
         target = c.target
         assert isinstance(target, ast.MemberExpr)
         base = target.base
-        if (
-            self.bs_scalar
-            and isinstance(base, ast.PathExpr)
-            and self._find(base.name) == ("__BS__", False)
-        ):
+        hdr = self._flat_node(base)
+        if hdr is not None:
+            valid = hdr[1]
             if op == "isValid":
-                return "_bsvld"
+                return valid
             if op == "setValid":
-                self.line("_bsvld = True")
+                self.line(f"{valid} = True")
                 return "None"
             if op == "setInvalid":
-                self.line("_bsvld = False")
+                self.line(f"{valid} = False")
                 return "None"
             msg = f"unknown header op {op!r}"
             self.line(f"raise _TErr({msg!r})")
@@ -912,8 +891,7 @@ class _SourceGen:
                 f"site={('table:' + name)!r})"
             )
         lt = self.tmp()
-        self.line("if lat_on:")
-        with self.block():
+        with self._observing("lat_on"):
             self.line(f"{lt} = _perf()")
         keys = self._eval_all(list(runtime.key_exprs))
         ints = [
@@ -927,14 +905,12 @@ class _SourceGen:
             self.line(f"{kv} = ()")
         an, aa, hit, en = self.tmp(), self.tmp(), self.tmp(), self.tmp()
         self.line(f"{an}, {aa}, {hit}, {en} = {lk}({kv})")
-        self.line("if lat_on:")
-        with self.block():
+        with self._observing("lat_on"):
             self.line(
                 f"_obs('pipeline.latency_us.lookup', "
                 f"(_perf() - {lt}) * 1e6)"
             )
-        self.line("if trace is not None:")
-        with self.block():
+        with self._observing("trace is not None"):
             self.line(
                 f"trace.table({name!r}, {kv}, {an}, {hit}, "
                 f"entry={ei}({en}) if {en} is not None else None, "
@@ -949,8 +925,7 @@ class _SourceGen:
             self.line("_misses += 1")
         self.line(f"if {an} != 'NoAction':")
         with self.block():
-            self.line("if lat_on:")
-            with self.block():
+            with self._observing("lat_on"):
                 self.line(f"{lt} = _perf()")
             # One arm per action the table can select, not per composed
             # action: see TableRuntime.selectable_actions.
@@ -969,8 +944,7 @@ class _SourceGen:
                 self.line("else:")
                 with self.block():
                     self.line(unknown)
-            self.line("if lat_on:")
-            with self.block():
+            with self._observing("lat_on"):
                 self.line(
                     f"_obs('pipeline.latency_us.action', "
                     f"(_perf() - {lt}) * 1e6)"
@@ -1179,6 +1153,7 @@ class _SourceGen:
     # Native parser (monolithic mode)
     # ------------------------------------------------------------------
     def _default_init(self, name: str, t: ast.Type) -> None:
+        """Declare ``name`` with its type's fresh value."""
         if isinstance(t, ast.BitType):
             local = self._define(name, True)
             self.line(f"{local} = 0")
@@ -1188,6 +1163,15 @@ class _SourceGen:
         elif isinstance(t, ast.EnumType):
             local = self._define(name, False)
             self.line(f"{local} = {(t.members[0] if t.members else '')!r}")
+        elif name in self.flat:
+            layout = self.flat[name]
+            cells = self._define_flat(name, layout)
+            fields = [c for c, w in zip(cells, layout.widths) if w is not None]
+            flags = [c for c, w in zip(cells, layout.widths) if w is None]
+            if fields:
+                self.line(f"{' = '.join(fields)} = 0")
+            if flags:
+                self.line(f"{' = '.join(flags)} = False")
         else:
             factory = self.pooled(_factory_for(t), "_K")
             local = self._define(name, False)
@@ -1333,7 +1317,11 @@ class _SourceGen:
         reg_inits = []
         for name, vtype in self.composed.variables.items():
             if self.bs_scalar and name == BS_INSTANCE:
-                self._define_special(name, "__BS__")
+                # Loaded by the prologue, not initialised here; a
+                # header's validity cell comes before its fields.
+                self._define_flat(
+                    name, self.bs_layout, ("_bsvld",) + self.bs_locals
+                )
                 continue
             if isinstance(vtype, ast.ExternType):
                 if vtype.name == "register":
@@ -1348,21 +1336,7 @@ class _SourceGen:
                     local = self._define(name, False)
                     self.line(f"{local} = None")
                 continue
-            if isinstance(vtype, ast.BitType):
-                local = self._define(name, True)
-                self.line(f"{local} = 0")
-                continue
-            if isinstance(vtype, ast.BoolType):
-                local = self._define(name, False)
-                self.line(f"{local} = False")
-                continue
-            if isinstance(vtype, ast.EnumType):
-                local = self._define(name, False)
-                self.line(f"{local} = {(vtype.members[0] if vtype.members else '')!r}")
-                continue
-            factory = self.pooled(_factory_for(vtype), "_K")
-            local = self._define(name, False)
-            self.line(f"{local} = {factory}()")
+            self._default_init(name, vtype)
         for local, name in reg_inits:
             self.line(f"{local} = _pers.setdefault({name!r}, _Reg())")
         for local in mc_wires:
@@ -1588,8 +1562,6 @@ class _SourceGen:
         self.line("")
         self.line("def _cg_run_batch(pipe, datas, ports, pkts, step_limit, faults):")
         with self.block():
-            self.line("trace = None")
-            self.line("lat_on = False")
             self.line("_hits = 0")
             self.line("_misses = 0")
             self.line("_pers = pipe.persistent")
@@ -1699,6 +1671,7 @@ class _SourceGen:
             and not self.uses_recirc
         )
         if self.batch_ok:
+            self.in_batch = True
             self._gen_run_batch()
         return self.render()
 
@@ -1839,6 +1812,9 @@ class CodegenPipeline:
         self.soa_layout = SoaLayout(
             gen.bs_size, gen.bs_extract_len, gen.bs_scalar, gen.batch_ok
         )
+        #: Which struct/header variables are flattened, and why the rest
+        #: are not (repro.targets.lanes).
+        self.lane_vars = gen.lane_vars
         self.configure_faults(guards=guards, faults=faults)
         #: Action arms inlined under table applies, over both generated
         #: functions; linear in tables (TableRuntime.selectable_actions).

@@ -164,6 +164,12 @@ def _checks_match(key_values, tchecks, rchecks) -> bool:
     return True
 
 
+# Every index strategy below carries ``memo``: key tuple -> what its
+# ``lookup`` answered (None: a miss) since the last mutation.
+# ``TableRuntime.lookup_full`` fills and reads it, ``add_entry`` and
+# ``_new_epoch`` empty it, and it dies with the index.
+
+
 class _ExactIndex:
     """All keys ``exact``: one dict probe on the full key tuple."""
 
@@ -178,6 +184,7 @@ class _ExactIndex:
         # stay in a (usually empty) priority-ordered residual list.
         self.residual: List[tuple] = []
         self.order_of: Dict[int, int] = {}
+        self.memo: Dict[tuple, Optional[Entry]] = {}
         for order, entry in enumerate(entries):
             self.add(order, entry)
 
@@ -224,6 +231,7 @@ class _LpmIndex:
         # Entries with a don't-care on an exact key position.
         self.residual: List[tuple] = []
         self.order_of: Dict[int, int] = {}
+        self.memo: Dict[tuple, Optional[Entry]] = {}
         for order, entry in enumerate(entries):
             self.add(order, entry)
 
@@ -305,6 +313,7 @@ class _CompiledScan:
         self.has_lpm = has_lpm
         self.rows: List[tuple] = []
         self.order_of: Dict[int, int] = {}
+        self.memo: Dict[tuple, Optional[Entry]] = {}
         for order, entry in enumerate(entries):
             self.add(order, entry)
 
@@ -327,6 +336,10 @@ class _CompiledScan:
             if prefix_len > best_len and _checks_match(key_values, tchecks, rchecks):
                 best_entry, best_len = entry, prefix_len
         return best_entry
+
+
+#: Keys a table's lookup memo holds before it is emptied and refilled.
+_MEMO_CAP = 4096
 
 
 class TableRuntime:
@@ -491,6 +504,7 @@ class TableRuntime:
                 self._index.add(
                     len(self.const_entries) + len(entries) - 1, entry
                 )
+                self._index.memo.clear()
                 self.count_index_event("tables.index.appended")
 
     def set_default(self, action_name: str, args: Optional[Sequence[int]] = None) -> None:
@@ -527,6 +541,8 @@ class TableRuntime:
         self.epoch += 1
         self.epoch_reason = reason
         self.version += 1
+        if self._index is not None:
+            self._index.memo.clear()
 
     def count_index_event(self, metric: str) -> None:
         """One index-maintenance event, per table (``index_info``) and
@@ -547,7 +563,15 @@ class TableRuntime:
         self, key_values: Sequence[int]
     ) -> Tuple[str, List[int], bool, Optional[Entry]]:
         """Like :meth:`lookup`, but also returns the matched entry (or
-        ``None`` on a default-action miss) for packet tracing."""
+        ``None`` on a default-action miss) for packet tracing.
+
+        The parser/deparser MATs are keyed on little more than packet
+        length and traffic repeats keys, so the index sits behind a memo
+        of what it answered for each key tuple since the last mutation.
+        The memo changes only how the entry is found: counters, the
+        live default row and the caller-owned ``args`` list are as on an
+        index probe.
+        """
         if not self.use_index:
             return self.lookup_scan_full(key_values)
         index = self._index
@@ -555,7 +579,15 @@ class TableRuntime:
             index = self._build_index()
         if METRICS.enabled:
             METRICS.inc(index.metric)
-        entry = index.lookup(key_values)
+        if key_values.__class__ is not tuple:
+            key_values = tuple(key_values)
+        memo = index.memo
+        entry = memo.get(key_values, memo)
+        if entry is memo:
+            entry = index.lookup(key_values)
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[key_values] = entry
         if entry is None:
             return self.default_action, list(self.default_args), False, None
         return entry.action_name, list(entry.action_args), True, entry

@@ -61,6 +61,7 @@ from repro.obs.metrics import METRICS
 from repro.targets.codegen import CodegenPipeline
 from repro.targets.compiled import _IM_FAST
 from repro.targets.faults import FaultError, FaultPlan, ResourceGuards
+from repro.targets.lanes import LaneVars, resolve_member
 from repro.targets.pipeline import PacketOut
 from repro.targets.tables import TableRuntime, _checks_match, _compile_checks
 
@@ -553,10 +554,11 @@ class _VectorCompiler:
     _CMP = {"==", "!=", "<", "<=", ">", ">="}
 
     def __init__(self, composed: ComposedPipeline, tables: Dict[str, TableRuntime],
-                 layout) -> None:
+                 layout, lane_vars: LaneVars) -> None:
         self.composed = composed
         self.tables = tables
         self.layout = layout
+        self.lane_vars = lane_vars
         self._frames: List[Dict[str, object]] = []
         self.nslots = 0
 
@@ -606,11 +608,24 @@ class _VectorCompiler:
             elif isinstance(vtype, ast.BoolType):
                 consts.append((self._define(name), False))
             elif isinstance(vtype, ast.StructType):
-                # Parsed-header structs flatten to one slot per leaf
-                # field plus a validity slot per header (fields start 0,
-                # headers start invalid — _factory_for semantics).
-                desc = self._flatten_struct(vtype, consts)
-                self._define_special(name, ("__STRUCT__", desc))
+                # Parsed-header structs take the flattened form the
+                # per-lane body uses: one slot per cell (lanes.py).
+                flat = self.lane_vars.flat.get(name)
+                if flat is None:
+                    raise _Unvectorizable(
+                        f"root variable {name!r}: "
+                        f"{self.lane_vars.object_form[name]}"
+                    )
+                base = self.nslots
+                self.nslots += len(flat.widths)
+                consts.extend(
+                    (base + cell, 0 if width is not None else False)
+                    for cell, width in enumerate(flat.widths)
+                )
+                self._define_special(
+                    name,
+                    ("__STRUCT__", flat.bind(range(base, self.nslots))),
+                )
             else:
                 raise _Unvectorizable(
                     f"root variable {name!r} of type {type(vtype).__name__}"
@@ -627,62 +642,17 @@ class _VectorCompiler:
         )
 
     # -- flattened structs/headers -------------------------------------
-    def _flatten_struct(self, stype, consts) -> Dict[str, tuple]:
-        desc: Dict[str, tuple] = {}
-        for fname, ftype in stype.fields:
-            if isinstance(ftype, ast.HeaderType):
-                vslot = self.nslots
-                self.nslots += 1
-                consts.append((vslot, False))
-                fields: Dict[str, Tuple[int, int]] = {}
-                for hfname, hftype in ftype.fields:
-                    if not isinstance(hftype, ast.BitType):
-                        raise _Unvectorizable(
-                            f"header field {hfname!r} of "
-                            f"{type(hftype).__name__}"
-                        )
-                    slot = self.nslots
-                    self.nslots += 1
-                    consts.append((slot, 0))
-                    fields[hfname] = (slot, hftype.width)
-                desc[fname] = ("hdr", vslot, fields)
-            elif isinstance(ftype, ast.BitType):
-                slot = self.nslots
-                self.nslots += 1
-                consts.append((slot, 0))
-                desc[fname] = ("val", slot, ftype.width)
-            elif isinstance(ftype, ast.BoolType):
-                slot = self.nslots
-                self.nslots += 1
-                consts.append((slot, False))
-                desc[fname] = ("val", slot, None)
-            elif isinstance(ftype, ast.StructType):
-                desc[fname] = ("struct", self._flatten_struct(ftype, consts))
-            else:
-                raise _Unvectorizable(
-                    f"struct field {fname!r} of {type(ftype).__name__}"
-                )
-        return desc
+    def _struct_root(self, name: str):
+        ent = self._find(name)
+        if isinstance(ent, tuple) and ent[0] == "__STRUCT__":
+            return ent[1]
+        return None
 
     def _resolve_member(self, e) -> Optional[tuple]:
         """Compile-time resolution of a member chain rooted at a
         flattened struct variable; ``None`` when the chain is rooted
         elsewhere."""
-        if isinstance(e, ast.PathExpr):
-            ent = self._find(e.name)
-            if isinstance(ent, tuple) and ent[0] == "__STRUCT__":
-                return ("struct", ent[1])
-            return None
-        if isinstance(e, ast.MemberExpr):
-            base = self._resolve_member(e.base)
-            if base is not None and base[0] == "struct":
-                return base[1].get(e.member)
-            if base is not None and base[0] == "hdr":
-                hit = base[2].get(e.member)
-                if hit is not None:
-                    return ("val",) + hit
-            return None
-        return None
+        return resolve_member(e, self._struct_root)
 
     # -- statements ----------------------------------------------------
     def stmts(self, body) -> Tuple[object, int]:
@@ -1378,7 +1348,7 @@ class VectorPipeline(CodegenPipeline):
         if self.batch_supported:
             try:
                 self.vector_plan = _VectorCompiler(
-                    composed, self.tables, self.soa_layout
+                    composed, self.tables, self.soa_layout, self.lane_vars
                 ).build()
             except _Unvectorizable as exc:
                 self.vector_decline_reason = exc.reason

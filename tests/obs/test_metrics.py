@@ -34,6 +34,21 @@ class TestRegistry:
         }
         assert reg.histogram("missing") is None
 
+    def test_observe_count_equals_repeated_observes(self):
+        """One ``observe(v, count=n)`` — what a SoA batch reports — reads
+        as ``n`` single observes, on a fresh key and on a used one."""
+        batched = MetricsRegistry(enabled=True)
+        single = MetricsRegistry(enabled=True)
+        for value, n in ((3.7, 256), (0.11, 16), (3.7, 1), (0.0, 5)):
+            batched.observe("switch.latency_us.packet", value, count=n)
+            for _ in range(n):
+                single.observe("switch.latency_us.packet", value)
+        got = batched.histogram("switch.latency_us.packet")
+        want = single.histogram("switch.latency_us.packet")
+        for field in ("count", "min", "max", "buckets"):
+            assert got[field] == want[field]
+        assert abs(got["sum"] - want["sum"]) <= 1e-9 * want["sum"]
+
     def test_keys_and_len(self):
         reg = MetricsRegistry(enabled=True)
         reg.inc("a.counter")

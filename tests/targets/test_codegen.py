@@ -272,3 +272,330 @@ class TestEngineDigestWithCodegen:
             assert summary["ok"]
             digests[backend] = summary["digest"]
         assert digests["interp"] == digests["codegen"]
+
+
+# ----------------------------------------------------------------------
+# Lane representation: which struct/header variables become per-field
+# locals (repro.targets.lanes), and that it never shows.
+# ----------------------------------------------------------------------
+
+_LANE_TYPES = """
+header eth_h { bit<48> dstMac; bit<48> srcMac; bit<16> etherType; }
+struct hdr_t { eth_h eth; eth_h inner; }
+struct tmp_t { bit<16> x; bool seen; }
+"""
+
+_LANE_PROGRAM = _LANE_TYPES + """
+%(decls)s
+program T : implements Unicast<> {
+  parser P(extractor ex, pkt p, out hdr_t h) {
+    state start {
+      ex.extract(p, h.eth);
+      ex.extract(p, h.inner);
+      transition accept;
+    }
+  }
+  control C(pkt p, inout hdr_t h, im_t im) {
+    %(locals)s
+    apply {
+      %(body)s
+    }
+  }
+  control D(emitter em, pkt p, in hdr_t h) {
+    apply { em.emit(p, h.eth); em.emit(p, h.inner); }
+  }
+}
+T(P, C, D) main;
+"""
+
+_LANE_CALLEE = """
+struct tag_t { bit<16> tag; bool mark; }
+struct none_t { }
+program Inner : implements Unicast<> {
+  parser P(extractor ex, pkt p, out none_t h) {
+    state start { transition accept; }
+  }
+  control C(pkt p, inout none_t h, im_t im, inout tag_t m) {
+    apply { m.tag = m.tag + 16w1; m.mark = true; }
+  }
+  control D(emitter em, pkt p, in none_t h) { apply { } }
+}
+"""
+
+#: name -> (decls, control locals, apply body, callee source or None,
+#: names that must be flattened, names that must keep the object form).
+_LANE_CASES = {
+    # (i) a header copied whole
+    "whole-copy": (
+        "", "",
+        "h.eth = h.inner; h.eth.etherType = 16w7; im.set_out_port(2);",
+        None, (), ("main_hdr",),
+    ),
+    # (ii) a struct handed to an extern ...
+    "extern-arg": (
+        "", "",
+        """if (h.eth.etherType == 16w0x0800) { recirculate(h); }
+      im.set_out_port(2);""",
+        None, (), ("main_hdr",),
+    ),
+    # ... and to a callee's apply, which the composer binds by name:
+    # the callee's parameter *is* the caller's variable, nothing copied.
+    "callee-arg": (
+        "struct tag_t { bit<16> tag; bool mark; }\n"
+        "Inner(pkt p, im_t im, inout tag_t m);",
+        "Inner() inner_i;",
+        """tag_t m;
+      m.tag = h.eth.etherType;
+      inner_i.apply(p, im, m);
+      h.eth.etherType = m.tag;
+      if (m.mark) { im.set_out_port(2); } else { im.drop(); }""",
+        _LANE_CALLEE, ("main_hdr", "main_m", "main_inner_i_hdr"), (),
+    ),
+    # (iii) a field read after setInvalid keeps its last value
+    "read-after-invalid": (
+        "", "",
+        """h.inner.setInvalid();
+      if (h.inner.etherType == 16w0x0800) { im.set_out_port(3); }
+      else { im.set_out_port(2); }
+      h.eth.srcMac = h.inner.dstMac;
+      if (!h.inner.isValid()) { h.eth.etherType = 16w0x9999; }""",
+        None, ("main_hdr",), (),
+    ),
+    # (iv) one name declared in sibling blocks: two variables, one name
+    "sibling-redeclaration": (
+        "", "",
+        """if (h.eth.etherType == 16w0x0800) {
+        tmp_t t;
+        t.x = h.eth.dstMac[15:0];
+        t.seen = true;
+        h.inner.etherType = t.x;
+      } else {
+        tmp_t t;
+        if (t.seen) { im.drop(); }
+        t.x = t.x + 16w7;
+        h.eth.etherType = t.x;
+      }
+      im.set_out_port(2);""",
+        None, ("main_hdr", "main_t"), (),
+    ),
+    # ... and when one of the two escapes, the *name* keeps objects
+    "sibling-one-escapes": (
+        "", "",
+        """if (h.eth.etherType == 16w0x0800) {
+        tmp_t t;
+        t.x = 16w5;
+        h.inner.etherType = t.x;
+      } else {
+        tmp_t t;
+        tmp_t u;
+        u.x = 16w9;
+        t = u;
+        h.eth.etherType = t.x;
+      }
+      im.set_out_port(2);""",
+        None, ("main_hdr",), ("main_t", "main_u"),
+    ),
+    # (v) nothing escapes
+    "plain": (
+        "", "",
+        """h.eth.srcMac = h.inner.dstMac;
+      h.inner.etherType = h.eth.etherType + 16w1;
+      h.eth.dstMac[7:0] = 8w0xAB;
+      im.set_out_port(2);""",
+        None, ("main_hdr",), (),
+    ),
+}
+
+
+def _lane_composed(case):
+    from repro.core.api import compile_module, compose_modules
+
+    decls, local_decls, body, callee, _flat, _objects = _LANE_CASES[case]
+    main = compile_module(
+        _LANE_PROGRAM % {"decls": decls, "locals": local_decls, "body": body},
+        f"{case}.up4",
+    )
+    libraries = [compile_module(callee, "inner.up4")] if callee else None
+    return compose_modules(main, libraries)
+
+
+def _lane_packets():
+    rng = random.Random(21)
+    packets = []
+    for i in range(60):
+        size = rng.choice((0, 13, 14, 27, 28, 28, 40, 64))
+        data = bytearray(rng.randrange(256) for _ in range(size))
+        if size >= 14 and i % 2:
+            data[12:14] = b"\x08\x00"
+        if size >= 28 and i % 3 == 0:
+            data[26:28] = b"\x08\x00"
+        packets.append((bytes(data), rng.randrange(NUM_PORTS)))
+    return packets
+
+
+class _RecordingPlan(FaultPlan):
+    """A FaultPlan that also keeps the order its sites were drawn in."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.order = []
+
+    def trip(self, category, name=None):
+        tripped = super().trip(category, name)
+        self.order.append((category, name, tripped))
+        return tripped
+
+
+def _lane_outcome(outputs, reason, exc):
+    return (
+        None if outputs is None else [
+            (o.packet.tobytes(), o.port, o.mcast_grp, o.recirculate)
+            for o in outputs
+        ],
+        reason,
+        None if exc is None else f"{type(exc).__name__}: {exc}",
+    )
+
+
+def _lane_run(composed, backend, soa, fault_rate, packets):
+    """Outcomes, pkttrace events (per-packet runs), the fault plan and
+    register cells of one executor over ``packets``."""
+    from repro.obs.pkttrace import PacketTrace
+
+    pipe = make_pipeline(composed, backend)
+    plan = _RecordingPlan(
+        seed=3, sites={"extern": fault_rate, "table": fault_rate}
+    )
+    pipe.configure_faults(faults=plan)
+    outcomes, events = [], []
+    if soa:
+        if not pipe.batch_supported:
+            return None
+        pkts = [Packet(data) for data, _ in packets]
+        outcomes = [
+            _lane_outcome(*lane)
+            for lane in pipe.process_soa(
+                [data for data, _ in packets],
+                [port for _, port in packets], pkts,
+            )
+        ]
+    else:
+        for data, port in packets:
+            trace = PacketTrace()
+            try:
+                outputs = pipe.process(Packet(data), port, trace)
+                outcomes.append(
+                    _lane_outcome(
+                        outputs, None if outputs else pipe.last_drop_reason,
+                        None,
+                    )
+                )
+            except Exception as exc:  # noqa: BLE001 — compared across backends
+                outcomes.append(_lane_outcome(None, None, exc))
+            events.append(trace.events)
+    registers = {
+        name: dict(reg.cells) for name, reg in pipe.persistent.items()
+    }
+    return outcomes, events, plan, registers
+
+
+class TestLaneFlattening:
+    @pytest.mark.parametrize("case", sorted(_LANE_CASES))
+    def test_decision_is_reported_and_shared_with_vector(self, case):
+        from repro.targets.vector import NUMPY_AVAILABLE
+
+        _d, _l, _b, _c, flat, objects = _LANE_CASES[case]
+        composed = _lane_composed(case)
+        pipe = make_pipeline(composed, "codegen")
+        decided = pipe.lane_vars
+        assert not set(decided.flat) & set(decided.object_form)
+        for name in flat:
+            assert name in decided.flat, decided.object_form.get(name)
+        for name in objects:
+            assert decided.object_form.get(name), f"{name} has no reason"
+        # The byte stack is a flattened header like any other.
+        assert "upa_bs" in decided.flat
+        if not NUMPY_AVAILABLE:
+            return
+        vec = make_pipeline(composed, "vector")
+        if not vec.batch_supported:
+            return
+        # A root struct in object form is exactly a plan the vector
+        # compiler declines, with the same reason.
+        root_objects = [
+            name for name in decided.object_form
+            if name in composed.variables
+        ]
+        if root_objects:
+            assert vec.vector_plan is None
+            assert any(
+                decided.object_form[name] in vec.vector_decline_reason
+                for name in root_objects
+            )
+        elif vec.vector_plan is None:
+            assert "root variable" not in vec.vector_decline_reason
+
+    @pytest.mark.parametrize("case", sorted(_LANE_CASES))
+    def test_flattened_names_have_no_object_form_left(self, case):
+        """Flattened: no factory, no ``.fields[`` anywhere when nothing
+        kept the object form."""
+        pipe = make_pipeline(_lane_composed(case), "codegen")
+        if not pipe.lane_vars.object_form:
+            assert ".fields[" not in pipe.source
+            assert "_HV" not in pipe.source
+
+    @pytest.mark.parametrize("fault_rate", (0.0, 0.1))
+    @pytest.mark.parametrize("case", sorted(_LANE_CASES))
+    def test_every_executor_agrees_with_the_interpreter(self, case, fault_rate):
+        from repro.targets.vector import NUMPY_AVAILABLE
+
+        composed = _lane_composed(case)
+        packets = _lane_packets()
+        want, want_events, want_plan, want_regs = _lane_run(
+            composed, "interp", False, fault_rate, packets
+        )
+        assert any(out for out, _r, _e in want), "nothing was forwarded"
+        runs = [("codegen", False), ("codegen", True)]
+        if NUMPY_AVAILABLE:
+            runs.append(("vector", True))
+        for backend, soa in runs:
+            got = _lane_run(composed, backend, soa, fault_rate, packets)
+            if got is None:
+                continue  # no batch body (the program recirculates)
+            outcomes, events, plan, regs = got
+            label = f"{case}/{backend}/{'soa' if soa else 'process'}"
+            assert outcomes == want, label
+            if not soa:
+                assert events == want_events, label
+            if fault_rate:
+                # (a zero rate draws nothing, so there is no order)
+                assert plan.order == want_plan.order, label
+            assert plan.trips == want_plan.trips, label
+            assert regs == want_regs, label
+
+
+class TestCatalogLaneBody:
+    """P1–P7 through make_pipeline: every struct is flattened, and the
+    batch body carries no observability branch."""
+
+    @pytest.mark.parametrize("program", [f"P{i}" for i in range(1, 8)])
+    def test_no_objects_and_no_dead_branches(self, program):
+        import io
+        import re
+        import tokenize
+
+        pipe = make_pipeline(build_pipeline(program), "codegen")
+        assert not pipe.lane_vars.object_form
+        assert len(pipe.lane_vars.flat) >= 4
+        assert not re.search(r"_K\d+\(\)", pipe.source)
+        assert ".fields[" not in pipe.source
+        batch = pipe.source[pipe.source.index("def _cg_run_batch("):]
+        names = {
+            tok.string
+            for tok in tokenize.generate_tokens(io.StringIO(batch).readline)
+            if tok.type == tokenize.NAME
+        }
+        assert not names & {"lat_on", "trace", "_perf", "_obs"}
+        # The per-packet function still samples latency and traces.
+        single = pipe.source[:pipe.source.index("def _cg_run_batch(")]
+        assert "if lat_on:" in single and "if trace is not None:" in single

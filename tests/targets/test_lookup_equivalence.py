@@ -80,12 +80,16 @@ def build_table(kinds):
 
 
 def assert_equivalent(table, query):
-    indexed = table.lookup_full(query)
     scan = table.lookup_scan_full(query)
-    assert indexed[0] == scan[0], (query, indexed, scan)
-    assert indexed[1] == scan[1]
-    assert indexed[2] == scan[2]
-    assert indexed[3] is scan[3]  # the very same Entry object
+    # Twice: whatever the first lookup found in the memo, the second
+    # one is a memo hit, and both must be the reference scan's answer.
+    for _ in range(2):
+        indexed = table.lookup_full(query)
+        assert indexed[0] == scan[0], (query, indexed, scan)
+        assert indexed[1] == scan[1]
+        assert indexed[2] == scan[2]
+        assert indexed[3] is scan[3]  # the very same Entry object
+        assert table._index.memo[tuple(query)] is scan[3]
     if scan[3] is not None:
         # The order a live index hands out is the entry's position in
         # the const-then-runtime list, whatever was appended since.
@@ -104,16 +108,19 @@ def test_indexed_matches_reference_scan(config):
         table.add_entry(list(matches), "hit", [i], priority=priority)
     for query in queries:
         assert_equivalent(table, query)
-    # Mutations under traffic: a lookup right before each install means
-    # the index is live when the entry arrives, so a tail append
-    # (priority <= every installed one) is filed in place and a
-    # mid-list insert drops the index; both must stay equivalent.
+    # Mutations under traffic: every query was looked up (and memoised)
+    # right before each install, so the index is live and its memo warm
+    # when the entry arrives.  A tail append (priority <= every
+    # installed one) is filed in place and a mid-list insert drops the
+    # index; either way no answer from before the install may survive.
     for i, (matches, priority) in enumerate(second_batch):
         table.lookup(queries[0])
         live = table._index
         tail = all(priority <= e.priority for e in table.runtime_entries)
         table.add_entry(list(matches), "hit", [100 + i], priority=priority)
         assert table._index is (live if tail else None)
+        if tail:
+            assert not live.memo
         for query in queries:
             assert_equivalent(table, query)
     table.set_default("hit", [7])
@@ -123,6 +130,66 @@ def test_indexed_matches_reference_scan(config):
     table.clear_runtime_entries()
     for query in queries:
         assert_equivalent(table, query)
+
+
+def _routes(n=8):
+    table = build_table(["lpm", "exact"])
+    for i in range(n):
+        table.add_entry([(i << 8, 8), i % 2], "hit", [i, i + 1])
+    return table
+
+
+def test_memo_hit_counts_like_an_index_probe():
+    """``interp.lookup.*`` moves the same with a cold and a warm memo."""
+    from repro.obs.metrics import METRICS, collecting
+
+    queries = [(i << 8 | 5, i % 2) for i in range(8)] + [(0xFFFF, 0)]
+    for kinds, second in ((["lpm", "exact"], 8), (["ternary", "exact"], 0xFF00)):
+        table = build_table(kinds)
+        for i in range(8):
+            table.add_entry([(i << 8, second), i % 2], "hit", [i])
+        counts = []
+        for _ in ("cold", "warm"):
+            with collecting():
+                for query in queries:
+                    table.lookup_full(query)
+                counts.append({
+                    key: METRICS.counter(key)
+                    for key in ("interp.lookup.indexed", "interp.lookup.scan")
+                })
+        assert counts[0] == counts[1]
+        assert sum(counts[0].values()) == len(queries)
+        assert len(table._index.memo) == len(queries)
+
+
+def test_memo_is_bounded():
+    from repro.targets.tables import _MEMO_CAP
+
+    table = _routes()
+    for key in range(_MEMO_CAP + 50):
+        table.lookup_full((key, 0))
+        assert len(table._index.memo) <= _MEMO_CAP
+    assert_equivalent(table, (0x0105, 1))
+
+
+def test_memo_never_shares_an_args_list():
+    table = _routes()
+    for query in ((0x0105, 1), (0xFFFF, 0)):  # a hit and a default miss
+        first = table.lookup_full(query)
+        first[1].append(99)
+        again = table.lookup_full(query)
+        assert again[1] is not first[1]
+        assert again[1] == table.lookup_scan_full(query)[1]
+        assert 99 not in again[1]
+
+
+def test_reference_scan_mode_has_no_memo():
+    decl = build_table(["lpm", "exact"]).decl
+    table = TableRuntime(decl, use_index=False)
+    table.add_entry([(0x0100, 8), 1], "hit", [1])
+    for _ in range(3):
+        assert table.lookup_full((0x0105, 1))[2]
+    assert table._index is None  # the memo lives on the index
 
 
 @pytest.mark.parametrize("name", ["P2", "P4"])
