@@ -331,130 +331,92 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_mix() -> List[bytes]:
-    """The profile run's 3-packet template mix (ipv4 / ipv6 / unknown)."""
-    from repro.net.build import PacketBuilder
-
-    def _eth(ethertype: int):
-        return PacketBuilder().ethernet(
-            "02:00:00:00:00:01", "02:00:00:00:00:02", ethertype
-        )
-
-    return [
-        _eth(0x0800)
-        .ipv4("192.168.0.1", "10.0.0.5", 6)
-        .payload(b"profile")
-        .build()
-        .tobytes(),
-        _eth(0x86DD)
-        .ipv6("fd00::1", "2001:db8::5", 59, payload_len=7)
-        .payload(b"profile")
-        .build()
-        .tobytes(),
-        _eth(0x9999).payload(b"profile").build().tobytes(),
-    ]
-
-
-def _table_report(instance) -> dict:
-    """``table_strategies`` (tables per lookup strategy) and ``tables``
-    (``RuntimeAPI.lookup_info`` of ``instance``) for the profile report."""
-    from repro.targets.runtime_api import RuntimeAPI
-
-    tables = RuntimeAPI(instance).lookup_info()
-    strategies: dict = {}
-    for info in tables.values():
-        name = str(info["strategy"])
-        strategies[name] = strategies.get(name, 0) + 1
-    return {"table_strategies": strategies, "tables": tables}
-
-
-def _run_profile_packets(
-    composed,
-    count: int,
-    exec_backend: str = "interp",
-    telemetry=None,
-    trace_writer=None,
+def _run_profile_soak(
+    args: argparse.Namespace, composed, program: str, telemetry, trace_writer
 ) -> dict:
-    """Push ``count`` synthetic packets through the behavioral target so
-    the ``interp.*``/``compiled.*`` lookup counters have something to
-    report."""
-    import time
+    """The behavioral push of ``profile --packets``: a fault-free
+    routable soak of the program just compiled, inline or over
+    ``--workers`` pool replicas, as the ``behavior`` report."""
+    from collections import Counter
 
-    from repro.net.packet import Packet
-    from repro.targets.backends import make_pipeline
+    from repro.obs.metrics import MetricsRegistry
+    from repro.targets.soak import SoakConfig, soak_program
 
-    mix = _profile_mix()
-    instance = make_pipeline(composed, exec_backend=exec_backend)
-    program = str(getattr(composed, "name", "profile"))
-    epoch = 0
-    next_publish = time.monotonic() + 0.5
-    outputs = 0
-    start = time.perf_counter()
-    for i in range(count):
-        if trace_writer is not None:
-            from repro.obs.pkttrace import PacketTrace
+    config = SoakConfig(
+        programs=[program],
+        packets=args.packets,
+        fault_rate=0.0,
+        traffic="routable",
+        exec_backend=args.exec,
+    )
+    config.validate()
+    if args.workers:
+        from repro.targets.engine import EngineConfig
+        from repro.targets.pipeline import PipelineInstance
+        from repro.targets.pool import WorkerPool
+        from repro.targets.runtime_api import RuntimeAPI
 
-            trace = PacketTrace()
-            outputs += len(instance.process(Packet(mix[i % len(mix)]), 1, trace))
-            trace_writer.write(trace, i, program=program)
-        else:
-            outputs += len(instance.process(Packet(mix[i % len(mix)]), 1))
-        if telemetry is not None and time.monotonic() >= next_publish:
-            epoch += 1
-            telemetry.publish(
-                program, 0, epoch, METRICS.snapshot(),
-                ledger={"in": i + 1, "out": outputs},
+        engine = EngineConfig(
+            workers=args.workers,
+            shard_policy=args.shard_policy,
+            publish_interval_s=0.5 if telemetry is not None else 0.0,
+        )
+        with WorkerPool(engine) as pool:
+            block = pool.submit(
+                config, program, telemetry=telemetry, composed=composed
             )
-            next_publish = time.monotonic() + 0.5
-    elapsed = time.perf_counter() - start
-    if telemetry is not None:
-        telemetry.publish(
-            program, 0, epoch + 1, METRICS.snapshot(),
-            ledger={"in": count, "out": outputs}, final=True,
+        # The replicas counted in their own registries, and their tables
+        # live in the workers: the merged block carries the fold of the
+        # former, and a table's strategy follows from its match kinds.
+        registry = MetricsRegistry.from_snapshot(block["metrics"])
+        tables = RuntimeAPI(PipelineInstance(composed)).lookup_info()
+    else:
+        block = soak_program(
+            config, program, telemetry=telemetry, trace_writer=trace_writer,
+            composed=composed,
         )
-    return {
-        "packets": count,
-        "outputs": outputs,
-        "exec": exec_backend,
-        "elapsed_ms": round(elapsed * 1000, 3),
-        "pkts_per_sec": round(count / elapsed, 1) if elapsed > 0 else None,
+        registry = METRICS
+        tables = block["tables"]
+    backend = args.exec
+    behavior = {
+        "packets": block["packets"],
+        "outputs": block["emits"],
+        "exec": backend,
+        "elapsed_ms": round(block["elapsed_s"] * 1000, 3),
+        "pkts_per_sec": block["pkts_per_sec"],
+        "digest": block["digest"],
+        "drops_by_reason": block["drops_by_reason"],
+        "ledger_ok": block["ledger_ok"],
         "lookups": {
-            # TableRuntime counts lookups under interp.lookup.* for both
-            # backends (it is runtime-layer state, not backend code);
+            # TableRuntime counts lookups under interp.lookup.* whatever
+            # the backend (it is runtime-layer state, not backend code);
             # hit/miss counters are per-backend.
-            "indexed": METRICS.counter("interp.lookup.indexed"),
-            "scan": METRICS.counter("interp.lookup.scan"),
-            "hits": METRICS.counter(f"{exec_backend}.table_hits"),
-            "misses": METRICS.counter(f"{exec_backend}.table_misses"),
+            "indexed": registry.counter("interp.lookup.indexed"),
+            "scan": registry.counter("interp.lookup.scan"),
+            "hits": registry.counter(f"{backend}.table_hits"),
+            "misses": registry.counter(f"{backend}.table_misses"),
         },
-        **_table_report(instance),
+        "table_strategies": dict(
+            Counter(str(info["strategy"]) for info in tables.values())
+        ),
     }
-
-
-def _run_profile_sharded(
-    composed, count: int, workers: int, policy: str,
-    exec_backend: str = "interp",
-    telemetry=None,
-) -> dict:
-    """Fan the synthetic profile push over engine worker processes."""
-    from repro.targets.engine import EngineConfig, run_profile_shards
-
-    engine = EngineConfig(
-        workers=workers,
-        shard_policy=policy,
-        publish_interval_s=0.5 if telemetry is not None else 0.0,
-    )
-    behavior = run_profile_shards(
-        composed, _profile_mix(), count, engine, exec_backend=exec_backend,
-        telemetry=telemetry,
-    )
-    from repro.targets.pipeline import PipelineInstance
-
-    # The shards' own tables live in the workers; their index events
-    # arrive merged in the metrics, so only the strategies are shown.
-    behavior["table_strategies"] = _table_report(
-        PipelineInstance(composed)
-    )["table_strategies"]
+    if args.workers:
+        behavior.update(
+            workers=block["workers"],
+            shard_policy=block["shard_policy"],
+            shards=[
+                {
+                    "shard": shard["shard"],
+                    "packets": shard["packets"],
+                    "outputs": shard["emits"],
+                    "elapsed_s": shard["elapsed_s"],
+                }
+                for shard in block["shards"]
+            ],
+            metrics=block["metrics"],
+        )
+    else:
+        behavior["tables"] = tables
     return behavior
 
 
@@ -633,8 +595,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         target=args.target, optimize_mats=args.optimize
     )
     compiler = Up4Compiler(options, tracer=tracer)
-
     with collecting():
+        name = None
         if len(args.modules) == 1 and not Path(args.modules[0]).suffix:
             name = args.modules[0]
             recipe = COMPOSITIONS.get(name) or EXTRA_COMPOSITIONS.get(name)
@@ -668,18 +630,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
         telemetry, server, trace_writer = _setup_telemetry(args)
         try:
             if args.packets:
-                if args.workers:
-                    behavior = _run_profile_sharded(
-                        composed, args.packets,
-                        args.workers, args.shard_policy,
-                        exec_backend=args.exec,
-                        telemetry=telemetry,
-                    )
-                else:
-                    behavior = _run_profile_packets(
-                        composed, args.packets, exec_backend=args.exec,
-                        telemetry=telemetry, trace_writer=trace_writer,
-                    )
+                behavior = _run_profile_soak(
+                    args,
+                    composed,
+                    # A catalog name seeds the stream `repro soak` sees.
+                    name or composed.name,
+                    telemetry,
+                    trace_writer,
+                )
         finally:
             _finish_telemetry(
                 args, telemetry, server, trace_writer,
@@ -720,9 +678,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         if "workers" in behavior:
             print(
                 f"  workers: {behavior['workers']} "
-                f"({behavior['shard_policy']}), aggregate "
-                f"{behavior['aggregate_pkts_per_sec']:.0f} pkt/s"
+                f"({behavior['shard_policy']})"
             )
+        for reason, count in behavior["drops_by_reason"].items():
+            print(f"  drop[{reason}]: {count}")
+        print(f"  digest: {behavior['digest']}")
         print(
             f"  table lookups: indexed={lookups['indexed']} "
             f"scan={lookups['scan']} hits={lookups['hits']} "
@@ -836,13 +796,14 @@ def make_parser() -> argparse.ArgumentParser:
                            help=_OPTIMIZE_HELP)
     p_profile.add_argument(
         "--packets", type=int, default=0, metavar="N",
-        help="also push N synthetic packets through the behavioral "
-        "target and report table-lookup counters (indexed vs. scan)",
+        help="also run an N-packet fault-free routable soak of the "
+        "compiled program and report its rate, digest and table-lookup "
+        "counters (indexed vs. scan)",
     )
     p_profile.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="shard the --packets push over N worker processes "
-        "(pipeline replicas) and merge the lookup counters",
+        help="run the --packets soak over N resident worker processes "
+        "(switch replicas) and merge the lookup counters",
     )
     p_profile.add_argument(
         "--shard-policy", choices=("flow-hash", "round-robin"),
@@ -851,9 +812,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_profile.add_argument(
         "--exec", choices=EXEC_BACKENDS, default=DEFAULT_EXEC_BACKEND,
-        help="execution backend for the --packets push: tree-walking "
-        "interpreter (default), the closure-compiled pipeline, or the "
-        "source-codegen pipeline",
+        help="execution backend for the --packets soak: "
+        f"{', '.join(EXEC_BACKENDS)} (default: {DEFAULT_EXEC_BACKEND})",
     )
     p_profile.add_argument(
         "--metrics",

@@ -9,10 +9,16 @@ composed IR produced by the midend/backends directly.
 * :mod:`~repro.targets.interpreter` — expression/statement evaluator.
 * :mod:`~repro.targets.pipeline` — packet-in/packet-out execution of a
   :class:`~repro.midend.inline.ComposedPipeline`.
-* :mod:`~repro.targets.compiled` — the closure-compiled execution
-  backend: same semantics, pre-bound closures instead of tree-walking.
-* :mod:`~repro.targets.backends` — the ``ExecBackend`` seam mapping
-  backend names (``interp`` / ``compiled``) to executors.
+* :mod:`~repro.targets.plan` — build-time facts the executors share
+  (default-value factories, header pack/unpack plans, ``IM_FAST``).
+* :mod:`~repro.targets.compiled`, :mod:`~repro.targets.codegen`,
+  :mod:`~repro.targets.vector` — the closure-compiled, generated-source
+  and columnwise-numpy executors: same semantics as the interpreter,
+  resolved before the first packet; :mod:`~repro.targets.lanes` says
+  which struct/header variables the latter two keep as plain cells.
+* :mod:`~repro.targets.backends` — the ``ExecBackend`` seam mapping the
+  names in ``EXEC_BACKENDS`` (``interp`` / ``compiled`` / ``codegen`` /
+  ``vector``) to executors.
 * :mod:`~repro.targets.switch` — a V1Model-style switch: ports, packet
   replication engine (multicast groups), recirculation.
 * :mod:`~repro.targets.runtime_api` — the "control API" of the paper's
@@ -22,9 +28,13 @@ composed IR produced by the midend/backends directly.
   :class:`FaultPlan` injector.
 * :mod:`~repro.targets.soak` — the soak/fuzz harness behind
   ``python -m repro soak``.
-* :mod:`~repro.targets.engine` — the sharded traffic engine: fans a
-  soak stream over N worker processes, each owning a switch replica,
-  with deterministic shard seeds and mergeable results.
+* :mod:`~repro.targets.engine` — the shard model of the sharded
+  traffic engine: run configuration, pure shard assignment and seeds,
+  the fold of per-shard blocks.
+* :mod:`~repro.targets.pool` — its process orchestration: resident
+  worker processes, each owning a switch replica, fed by the parent
+  over the shared-memory rings of :mod:`~repro.targets.ring` and
+  restarted within the policy of :mod:`~repro.targets.supervision`.
 """
 
 from repro.targets.tables import TableRuntime, Entry

@@ -72,12 +72,6 @@ from repro.midend.inline import IM_VAR, PKT_VAR, ComposedPipeline
 from repro.net.packet import Packet
 from repro.obs.metrics import LATENCY_SAMPLE_EVERY, METRICS
 from repro.obs.pkttrace import PacketTrace
-from repro.targets.compiled import (
-    _IM_FAST,
-    _factory_for,
-    _pack_plan,
-    _unpack_plan,
-)
 from repro.targets.faults import (
     DEFAULT_STEP_BUDGET,
     FaultError,
@@ -94,7 +88,14 @@ from repro.targets.interpreter import (
     ReturnSignal,
 )
 from repro.targets.lanes import FlatLayout, lane_variables, resolve_member
-from repro.targets.pipeline import PacketOut, ParserErrorSignal, _expr_name
+from repro.targets.pipeline import PacketOut, ParserErrorSignal
+from repro.targets.plan import (
+    IM_FAST,
+    expr_name,
+    factory_for,
+    pack_plan,
+    unpack_plan,
+)
 from repro.targets.tables import TableRuntime, table_runtimes
 
 #: Strings safe to re-emit without pinning into a temp: evaluating them
@@ -1072,7 +1073,7 @@ class _SourceGen:
             return r
         if (
             extern == "im_t"
-            and method in _IM_FAST
+            and method in IM_FAST
             and len(c.args) <= 1
             and (method != "set_out_port" or len(c.args) == 1)
         ):
@@ -1120,8 +1121,8 @@ class _SourceGen:
             self.line("raise _TErr('extract target is not a header')")
             return "None"
         size = htype.byte_width
-        plan = _unpack_plan(htype)
-        name = _expr_name(lvalue)
+        plan = unpack_plan(htype)
+        name = expr_name(lvalue)
         g = self.expr(lvalue)
         h = self.tmp()
         self.line(f"{h} = {g}")
@@ -1173,7 +1174,7 @@ class _SourceGen:
             if flags:
                 self.line(f"{' = '.join(flags)} = False")
         else:
-            factory = self.pooled(_factory_for(t), "_K")
+            factory = self.pooled(factory_for(t), "_K")
             local = self._define(name, False)
             self.line(f"{local} = {factory}()")
 
@@ -1328,7 +1329,7 @@ class _SourceGen:
                     local = self._define(name, False)
                     reg_inits.append((local, name))
                 elif vtype.name == "mc_engine":
-                    factory = self.pooled(_factory_for(vtype), "_K")
+                    factory = self.pooled(factory_for(vtype), "_K")
                     local = self._define(name, False)
                     self.line(f"{local} = {factory}()")
                     mc_wires.append(local)
@@ -1495,7 +1496,7 @@ class _SourceGen:
             self.line(f"if {h}.valid:")
             with self.block():
                 if isinstance(htype, ast.HeaderType):
-                    plan = _pack_plan(htype)
+                    plan = pack_plan(htype)
                     nbytes = htype.fixed_bit_width // 8
                 else:
                     plan = ()
@@ -1506,7 +1507,7 @@ class _SourceGen:
                 for fname, width, fmask in plan:
                     term = f"({f}[{fname!r}] & {fmask})"
                     fold = term if fold == "0" else f"(({fold} << {width}) | {term})"
-                name = _expr_name(emit)
+                name = expr_name(emit)
                 self.line(f"_pk = ({fold}).to_bytes({nbytes}, 'big')")
                 self.line("if trace is not None:")
                 with self.block():

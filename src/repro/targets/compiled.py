@@ -73,13 +73,16 @@ from repro.targets.interpreter import (
     PktObject,
     RegisterState,
     ReturnSignal,
-    StructValue,
 )
-from repro.targets.pipeline import PacketOut, ParserErrorSignal, _expr_name
+from repro.targets.pipeline import PacketOut, ParserErrorSignal
+from repro.targets.plan import (
+    IM_FAST,
+    expr_name,
+    factory_for,
+    pack_plan,
+    unpack_plan,
+)
 from repro.targets.tables import TableRuntime, table_runtimes
-
-#: Fast-path ``im_t`` methods compiled to direct attribute access.
-_IM_FAST = ("set_out_port", "get_out_port", "get_in_port", "drop")
 
 
 class _Ctx:
@@ -118,85 +121,6 @@ class _PState:
         self.name = name
         self.stmts = stmts
         self.transition = transition
-
-
-# ======================================================================
-# Default-value factories (per-packet fresh values, built once)
-# ======================================================================
-
-
-def _header_factory(htype: ast.HeaderType) -> Callable[[], HeaderValue]:
-    template = {name: 0 for name, _ in htype.fields}
-    new = HeaderValue.__new__
-
-    def make() -> HeaderValue:
-        hv = new(HeaderValue)
-        hv.fields = template.copy()
-        hv.valid = False
-        return hv
-
-    return make
-
-
-def _struct_factory(stype: ast.StructType) -> Callable[[], StructValue]:
-    makers = tuple((name, _factory_for(ftype)) for name, ftype in stype.fields)
-    new = StructValue.__new__
-
-    def make() -> StructValue:
-        sv = new(StructValue)
-        sv.fields = {name: mk() for name, mk in makers}
-        return sv
-
-    return make
-
-
-def _factory_for(t: ast.Type) -> Callable[[], object]:
-    """Mirror of :func:`repro.targets.interpreter.default_value` as a
-    zero-arg factory; unsupported types raise at *call* time so the
-    failure stays inside the containment boundary, like the
-    interpreter's per-packet ``default_value`` raise."""
-    if isinstance(t, ast.BitType):
-        return lambda: 0
-    if isinstance(t, ast.BoolType):
-        return lambda: False
-    if isinstance(t, ast.HeaderType):
-        return _header_factory(t)
-    if isinstance(t, ast.StructType):
-        return _struct_factory(t)
-    if isinstance(t, ast.ExternType):
-        if t.name == "mc_engine":
-            return McEngine
-        if t.name == "register":
-            return RegisterState
-        return lambda: None
-    if isinstance(t, ast.EnumType):
-        member = t.members[0] if t.members else ""
-        return lambda: member
-    def unsupported() -> object:
-        raise TargetError(f"cannot build a default value for {t}")
-
-    return unsupported
-
-
-def _pack_plan(htype: ast.HeaderType) -> Tuple[Tuple[str, int, int], ...]:
-    """``(field, width, mask)`` in declaration order, for packing."""
-    return tuple(
-        (fname, ftype.width, (1 << ftype.width) - 1)
-        for fname, ftype in htype.fields
-        if isinstance(ftype, ast.BitType)
-    )
-
-
-def _unpack_plan(htype: ast.HeaderType) -> Tuple[Tuple[str, int, int], ...]:
-    """``(field, shift, mask)`` against the big-endian fixed image."""
-    plan = []
-    pos = htype.fixed_bit_width
-    for fname, ftype in htype.fields:
-        if not isinstance(ftype, ast.BitType):
-            continue
-        pos -= ftype.width
-        plan.append((fname, pos, (1 << ftype.width) - 1))
-    return tuple(plan)
 
 
 def _raising(message: str, code: Optional[str] = None) -> Callable:
@@ -322,7 +246,7 @@ class _Compiler:
             if isinstance(vtype, ast.EnumType):
                 self.template[slot] = vtype.members[0] if vtype.members else ""
                 continue
-            factory = _factory_for(vtype)
+            factory = factory_for(vtype)
             if isinstance(vtype, ast.ExternType):
                 if vtype.name == "mc_engine":
                     self.mc_slots.append(slot)
@@ -383,7 +307,7 @@ class _Compiler:
                     ctx.regs[_slot] = _init(ctx)
 
                 return run_decl
-            factory = _factory_for(stmt.var_type)
+            factory = factory_for(stmt.var_type)
             slot = self._define(stmt.name)
 
             def run_decl_default(ctx, _factory=factory, _slot=slot):
@@ -1038,7 +962,7 @@ class _Compiler:
 
             return reg_read
 
-        if extern == "im_t" and method in _IM_FAST and len(call.args) <= 1:
+        if extern == "im_t" and method in IM_FAST and len(call.args) <= 1:
             if method == "set_out_port":
                 arg0 = argcs[0]
 
@@ -1119,8 +1043,8 @@ class _Compiler:
 
             return bad_target
         size = htype.byte_width
-        plan = _unpack_plan(htype)
-        name = _expr_name(lvalue)
+        plan = unpack_plan(htype)
+        name = expr_name(lvalue)
 
         def do_extract(
             ctx, _get=getter, _size=size, _plan=plan, _name=name,
@@ -1177,7 +1101,7 @@ class _Compiler:
 
                 inits.append(run_init)
             else:
-                factory = _factory_for(local.var_type)
+                factory = factory_for(local.var_type)
                 slot = self._define(local.name)
 
                 def run_init_default(ctx, _factory=factory, _slot=slot):
@@ -1315,12 +1239,12 @@ class CompiledPipeline:
                 getter = compiler.compile_expr(emit)
                 htype = emit.type
                 if isinstance(htype, ast.HeaderType):
-                    plan = _pack_plan(htype)
+                    plan = pack_plan(htype)
                     nbytes = htype.fixed_bit_width // 8
                 else:
                     plan = ()
                     nbytes = 0
-                emits.append((getter, _expr_name(emit), nbytes, plan))
+                emits.append((getter, expr_name(emit), nbytes, plan))
             self._emits = tuple(emits)
 
         self._template = compiler.template

@@ -55,20 +55,16 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import queue as queue_mod
-import time
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import TargetError
-from repro.net.packet import Packet
 from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.targets.backends import executor_class, make_pipeline
 from repro.targets.faults import ChaosPlan
 from repro.targets.ring import DEFAULT_RING_BYTES
 from repro.targets.supervision import RestartPolicy
-from repro.targets.soak import DEFAULT_BATCH_LANES, SoakConfig
+from repro.targets.soak import SoakConfig
 
 #: Shard-assignment policies.
 SHARD_POLICIES = ("flow-hash", "round-robin")
@@ -243,73 +239,6 @@ def _worker_init(engine: EngineConfig) -> None:
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-def _collect(
-    procs: Dict[int, multiprocessing.Process],
-    out_queue,
-    engine: EngineConfig,
-    on_telemetry=None,
-) -> Dict[int, Dict[str, object]]:
-    """Gather one result per shard; raise on worker failure or death.
-
-    Mid-run ``("telemetry", shard, payload)`` messages are forwarded to
-    ``on_telemetry(shard, payload)`` (or dropped when no consumer is
-    wired) without affecting result accounting.  Any message from a
-    still-pending shard re-arms the watchdog — a worker that publishes
-    telemetry is alive, however long its shard takes.
-    """
-    results: Dict[int, Dict[str, object]] = {}
-    pending = set(procs)
-    deadline = time.monotonic() + engine.watchdog_s
-
-    def handle(kind: str, shard: int, payload: Dict[str, object]) -> None:
-        nonlocal deadline
-        if shard in pending:
-            deadline = time.monotonic() + engine.watchdog_s
-        if kind == "telemetry":
-            if on_telemetry is not None:
-                on_telemetry(shard, payload)
-            return
-        if kind == "error":
-            if payload.get("code") == "interrupted":
-                raise KeyboardInterrupt
-            raise EngineError(
-                f"shard {shard} worker failed: {payload.get('error')}",
-                shard=shard,
-                worker_error=payload,
-            )
-        results[shard] = payload
-        pending.discard(shard)
-
-    while pending:
-        try:
-            handle(*out_queue.get(timeout=0.2))
-            continue
-        except queue_mod.Empty:
-            pass
-        dead = [s for s in pending if not procs[s].is_alive()]
-        if dead:
-            # A result may have raced the exit — drain before deciding.
-            try:
-                while True:
-                    handle(*out_queue.get_nowait())
-            except queue_mod.Empty:
-                pass
-            dead = [s for s in dead if s in pending]
-            if dead:
-                shard = dead[0]
-                raise EngineError(
-                    f"shard {shard} worker died (exit code "
-                    f"{procs[shard].exitcode}) before reporting a result",
-                    shard=shard,
-                )
-        if time.monotonic() > deadline:
-            raise EngineError(
-                f"engine watchdog: shards {sorted(pending)} reported "
-                f"nothing within {engine.watchdog_s}s"
-            )
-    return results
-
-
 def _merge_blocks(
     program: str,
     config: SoakConfig,
@@ -444,185 +373,3 @@ def run_sharded_program(
 
     with WorkerPool(engine) as pool:
         return pool.submit(config, program, telemetry=telemetry)
-
-
-# ----------------------------------------------------------------------
-# Sharded profile runs (`repro profile --packets N --workers W`)
-# ----------------------------------------------------------------------
-def _profile_worker(out_queue, composed, mix: List[bytes], exec_backend: str,
-                    count: int, engine: EngineConfig, shard: int) -> None:
-    try:
-        METRICS.reset()
-        METRICS.enable()
-        workers, policy = engine.workers, engine.shard_policy
-        instance = make_pipeline(composed, exec_backend=exec_backend)
-        mine = [
-            (i, mix[i % len(mix)])
-            for i in range(count)
-            if assign_shard(i, mix[i % len(mix)], workers, policy) == shard
-        ]
-        outputs = 0
-        epoch = 0
-        interval = engine.publish_interval_s
-        next_publish = time.monotonic() + interval if interval > 0 else None
-        start = time.perf_counter()
-        for done, (_, data) in enumerate(mine, 1):
-            outputs += len(instance.process(Packet(data), 1))
-            if (
-                next_publish is not None
-                and done % DEFAULT_BATCH_LANES == 0
-                and time.monotonic() >= next_publish
-            ):
-                epoch += 1
-                out_queue.put(
-                    (
-                        "telemetry",
-                        shard,
-                        {
-                            "epoch": epoch,
-                            "metrics": METRICS.snapshot(),
-                            "ledger": {"in": done, "out": outputs},
-                            "final": False,
-                        },
-                    )
-                )
-                next_publish = time.monotonic() + interval
-        elapsed = time.perf_counter() - start
-        out_queue.put(
-            (
-                "ok",
-                shard,
-                {
-                    "shard": shard,
-                    "packets": len(mine),
-                    "outputs": outputs,
-                    "elapsed_s": elapsed,
-                    "metrics": METRICS.snapshot(),
-                },
-            )
-        )
-    except KeyboardInterrupt:
-        out_queue.put(
-            ("error", shard, {"error": "interrupted", "code": "interrupted"})
-        )
-    except BaseException as exc:  # noqa: BLE001
-        out_queue.put(
-            ("error", shard, {"error": f"{type(exc).__name__}: {exc}",
-                              "code": getattr(exc, "code", "worker-error")})
-        )
-
-
-def run_profile_shards(
-    composed,
-    mix: List[bytes],
-    count: int,
-    engine: EngineConfig,
-    exec_backend: str = "interp",
-    telemetry=None,
-) -> Dict[str, object]:
-    """Shard a synthetic ``count``-packet push over pipeline replicas.
-
-    ``mix`` is a list of template packet byte-strings cycled by index.
-    Returns merged lookup counters and throughput; the aggregate rate is
-    ``count / max(shard busy time)`` — what the run would take with one
-    free core per worker (profile workers own their packets up front, so
-    their ``elapsed_s`` is busy time, never time blocked on a transport).
-    ``exec_backend`` selects the pipeline executor each worker builds.
-    ``telemetry`` receives mid-run publishes (when
-    ``engine.publish_interval_s > 0``) and a final snapshot per shard.
-    """
-    engine.validate()
-    # Resolve in the parent, before the fork: workers would otherwise
-    # each die on the same unknown-backend error, or each import the
-    # backend's module themselves.
-    executor_class(exec_backend)
-    program = str(getattr(composed, "name", "profile"))
-    epochs_seen: Dict[int, int] = {}
-
-    def on_telemetry(shard: int, payload: Dict[str, object]) -> None:
-        epoch = int(payload.get("epoch", 0))  # type: ignore[arg-type]
-        epochs_seen[shard] = max(epochs_seen.get(shard, 0), epoch)
-        if telemetry is not None:
-            telemetry.publish(
-                program,
-                shard,
-                epoch,
-                payload.get("metrics", {}),
-                ledger=payload.get("ledger"),
-                final=bool(payload.get("final", False)),
-            )
-
-    ctx = _mp_context()
-    out_queue = ctx.Queue()
-    procs: Dict[int, multiprocessing.Process] = {
-        shard: ctx.Process(
-            target=_profile_worker,
-            args=(
-                out_queue, composed, list(mix), exec_backend, count, engine,
-                shard,
-            ),
-            daemon=True,
-        )
-        for shard in range(engine.workers)
-    }
-    start = time.perf_counter()
-    try:
-        for proc in procs.values():
-            proc.start()
-        results = _collect(procs, out_queue, engine, on_telemetry=on_telemetry)
-    finally:
-        for proc in procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs.values():
-            if proc.pid is not None:
-                proc.join(timeout=5)
-        out_queue.close()
-        out_queue.cancel_join_thread()
-    wall_s = time.perf_counter() - start
-    shards = [results[shard] for shard in sorted(results)]
-    if telemetry is not None:
-        for block in shards:
-            shard = int(block["shard"])  # type: ignore[arg-type]
-            telemetry.publish(
-                program,
-                shard,
-                epochs_seen.get(shard, 0) + 1,
-                block.get("metrics", {}),
-                ledger={"in": block["packets"], "out": block["outputs"]},
-                final=True,
-            )
-    registry = MetricsRegistry()
-    for block in shards:
-        registry.merge(block["metrics"])  # type: ignore[arg-type]
-    busiest = max(float(block["elapsed_s"]) for block in shards)
-    return {
-        "packets": count,
-        "outputs": sum(int(block["outputs"]) for block in shards),
-        "workers": engine.workers,
-        "shard_policy": engine.shard_policy,
-        "elapsed_ms": round(wall_s * 1000, 3),
-        "pkts_per_sec": round(count / wall_s, 1) if wall_s else None,
-        "aggregate_pkts_per_sec": (
-            round(count / busiest, 1) if busiest > 0 else None
-        ),
-        "exec": exec_backend,
-        "lookups": {
-            # TableRuntime counts under interp.lookup.* for both
-            # backends; hit/miss counters are per-backend.
-            "indexed": registry.counter("interp.lookup.indexed"),
-            "scan": registry.counter("interp.lookup.scan"),
-            "hits": registry.counter(f"{exec_backend}.table_hits"),
-            "misses": registry.counter(f"{exec_backend}.table_misses"),
-        },
-        "shards": [
-            {
-                "shard": block["shard"],
-                "packets": block["packets"],
-                "outputs": block["outputs"],
-                "elapsed_s": round(float(block["elapsed_s"]), 3),
-            }
-            for block in shards
-        ],
-        "metrics": registry.snapshot(),
-    }

@@ -38,6 +38,7 @@ from repro.targets.interpreter import (
     ReturnSignal,
     default_value,
 )
+from repro.targets.plan import expr_name
 from repro.targets.tables import TableRuntime, table_runtimes
 
 
@@ -342,7 +343,7 @@ class PipelineInstance:
             assert isinstance(htype, ast.HeaderType)
             packed = _pack_header(value, htype)
             if trace is not None:
-                trace.emit(_expr_name(emit), len(packed))
+                trace.emit(expr_name(emit), len(packed))
             out.extend(packed)
         out.extend(payload)
         if lat_on:
@@ -390,7 +391,7 @@ class PipelineInstance:
                 raise ParserErrorSignal("truncated-extract")
             _unpack_header(header, htype, data[cursor : cursor + size])
             if trace is not None:
-                trace.extract(_expr_name(lvalue), size, offset=cursor)
+                trace.extract(expr_name(lvalue), size, offset=cursor)
             cursor += size
             return None
 
@@ -454,18 +455,6 @@ class PipelineInstance:
             hi = self.interp.eval(keyset.hi, env)
             return int(lo) <= int(subject) <= int(hi)
         return self.interp.eval(keyset, env) == subject
-
-
-def _expr_name(expr: ast.Expr) -> str:
-    """Dotted-path rendering of a header lvalue for trace events."""
-    if isinstance(expr, ast.PathExpr):
-        return expr.name
-    if isinstance(expr, ast.MemberExpr):
-        return f"{_expr_name(expr.base)}.{expr.member}"
-    if isinstance(expr, ast.IndexExpr):
-        idx = expr.index.value if isinstance(expr.index, ast.IntLit) else "?"
-        return f"{_expr_name(expr.base)}[{idx}]"
-    return type(expr).__name__
 
 
 # ======================================================================

@@ -1059,12 +1059,14 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def submit(self, config: SoakConfig, program: str,
-               telemetry=None) -> Dict[str, object]:
+               telemetry=None, composed=None) -> Dict[str, object]:
         """Run one program across the resident workers; returns the
         merged program block (:func:`~repro.targets.engine._merge_blocks`
         plus the supervision fields ``restarts`` / ``watermarks`` /
         ``degraded`` and the who-was-waiting pair ``dispatch_s`` /
-        ``ring_full_spins``)."""
+        ``ring_full_spins``).  ``composed`` is the program to ship when
+        the caller already compiled it; ``program`` then only labels the
+        run and seeds its stream."""
         if self._closed or self._broken:
             raise EngineError(
                 "worker pool is closed or broken (failed run); "
@@ -1079,7 +1081,8 @@ class WorkerPool:
         config.validate()
         self.start()
         engine = self.engine
-        composed = compose_program(config, program)
+        if composed is None:
+            composed = compose_program(config, program)
         self._run_id += 1
         run = self._run_id
         policy = engine.restart if engine.restart is not None else RestartPolicy()

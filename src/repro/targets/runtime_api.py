@@ -43,7 +43,10 @@ class RuntimeAPI:
             if not name.endswith("_parser_tbl") and not name.endswith("_deparser_tbl")
         ]
 
-    def _table(self, name: str):
+    def find_table(self, name: str):
+        """The runtime of the table ``name`` addresses (composed name,
+        original name or unambiguous suffix), ``None`` when the program
+        declares no such table; an ambiguous name raises."""
         table = self.instance.tables.get(name)
         if table is not None:
             return table
@@ -61,9 +64,16 @@ class RuntimeAPI:
             raise TargetError(
                 f"table name {name!r} is ambiguous: {', '.join(candidates)}"
             )
-        raise TargetError(
-            f"unknown table {name!r}; available: {', '.join(self.tables())}"
-        )
+        return None
+
+    def _table(self, name: str):
+        table = self.find_table(name)
+        if table is None:
+            raise TargetError(
+                f"unknown table {name!r}; "
+                f"available: {', '.join(self.tables())}"
+            )
+        return table
 
     # ------------------------------------------------------------------
     def add_entry(

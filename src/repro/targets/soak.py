@@ -138,6 +138,18 @@ class SoakConfig:
         """
         executor_class(self.exec_backend)  # raises on an unknown name
         _stream_for(self.traffic)  # raises on an unknown mix
+        if self.packets < 0:
+            err = TargetError(
+                f"packet count must be >= 0, got {self.packets}"
+            )
+            err.code = "bad-packet-count"
+            raise err
+        if not 0.0 <= self.fault_rate <= 1.0:
+            err = TargetError(
+                f"fault rate must be in [0, 1], got {self.fault_rate}"
+            )
+            err.code = "bad-fault-rate"
+            raise err
         if self.mode not in ("micro", "mono"):
             raise TargetError(
                 f"unknown compile mode {self.mode!r}; known: micro, mono"
@@ -557,7 +569,12 @@ def switch_around(
 ) -> Switch:
     """The soak switch for an executor the caller built — the
     differential tests hand it one from a backend's own constructor,
-    which (unlike ``make_pipeline``) runs the program as composed."""
+    which (unlike ``make_pipeline``) runs the program as composed.
+
+    Each ``_BASE_ENTRIES`` row is installed when the program declares
+    its table: all of them for every catalog composition, the rows that
+    apply for a user's module files (``repro profile FILES --packets``).
+    """
     switch = Switch(
         pipeline,
         SwitchConfig(num_ports=NUM_PORTS, multicast_groups={1: [2, 3]}),
@@ -566,6 +583,8 @@ def switch_around(
         strict=config.strict,
     )
     for table, matches, act_micro, act_mono, args in _BASE_ENTRIES:
+        if switch.api.find_table(table) is None:
+            continue
         action = act_micro if config.mode == "micro" else act_mono
         switch.api.add_entry(table, matches, action, args)
     return switch
@@ -586,6 +605,7 @@ def soak_program(
     telemetry: Optional[LiveTelemetry] = None,
     trace_writer: Optional[TraceWriter] = None,
     publish_interval_s: float = 1.0,
+    composed=None,
 ) -> Dict[str, object]:
     """Soak one program in this process; returns its JSON-able block.
 
@@ -597,8 +617,14 @@ def soak_program(
     pkttrace record per packet.  Both are observation-only: they never
     alter the verdict stream, so the digest is identical with or
     without them.
+
+    ``composed`` is the program to run when the caller already compiled
+    it (``repro profile``, under its tracer); ``program`` is then only
+    the label that seeds the stream.  ``tables`` in the block is the
+    replica's ``RuntimeAPI.lookup_info()`` after the run.
     """
-    composed = compose_program(config, program)
+    if composed is None:
+        composed = compose_program(config, program)
     switch = build_switch(config, program, composed)
 
     def publish(
@@ -638,6 +664,7 @@ def soak_program(
         "mode": config.mode,
         **executed_statements(composed),
         **block,
+        "tables": switch.api.lookup_info(),
     }
 
 

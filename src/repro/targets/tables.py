@@ -125,7 +125,7 @@ def _prefix_mask(width: int, prefix_len: int) -> int:
     return ((1 << prefix_len) - 1) << (width - prefix_len)
 
 
-def _compile_checks(entry: Entry, key_widths: Sequence[int]):
+def compile_checks(entry: Entry, key_widths: Sequence[int]):
     """Flatten an entry's specs into ``(pos, mask, value)`` ternary checks
     and ``(pos, lo, hi)`` range checks — no kind branch left at lookup
     time."""
@@ -154,7 +154,7 @@ def _compile_checks(entry: Entry, key_widths: Sequence[int]):
     return tuple(tchecks), tuple(rchecks)
 
 
-def _checks_match(key_values, tchecks, rchecks) -> bool:
+def checks_match(key_values, tchecks, rchecks) -> bool:
     for pos, mask, want in tchecks:
         if key_values[pos] & mask != want:
             return False
@@ -197,7 +197,7 @@ class _ExactIndex:
             if key not in self.map:
                 self.map[key] = (order, entry)
         else:
-            tchecks, rchecks = _compile_checks(entry, self.key_widths)
+            tchecks, rchecks = compile_checks(entry, self.key_widths)
             self.residual.append((order, entry, tchecks, rchecks))
 
     def lookup(self, key_values) -> Optional[Entry]:
@@ -205,7 +205,7 @@ class _ExactIndex:
         for order, entry, tchecks, rchecks in self.residual:
             if best is not None and best[0] < order:
                 break
-            if _checks_match(key_values, tchecks, rchecks):
+            if checks_match(key_values, tchecks, rchecks):
                 best = (order, entry)
                 break
         return best[1] if best is not None else None
@@ -242,7 +242,7 @@ class _LpmIndex:
         lpm_pos = self.lpm_pos
         prefix_len, fast = self._classify(entry, lpm_pos)
         if not fast:
-            tchecks, rchecks = _compile_checks(entry, self.key_widths)
+            tchecks, rchecks = compile_checks(entry, self.key_widths)
             self.residual.append((order, prefix_len, entry, tchecks, rchecks))
             return
         bucket = self.buckets.get(prefix_len)
@@ -294,7 +294,7 @@ class _LpmIndex:
         for order, prefix_len, entry, tchecks, rchecks in self.residual:
             if prefix_len < best_len or (prefix_len == best_len and order > best_order):
                 continue
-            if _checks_match(key_values, tchecks, rchecks):
+            if checks_match(key_values, tchecks, rchecks):
                 best_len, best_order, best_entry = prefix_len, order, entry
         return best_entry
 
@@ -320,20 +320,20 @@ class _CompiledScan:
     def add(self, order: int, entry: Entry) -> None:
         """File ``entry`` at ``order`` — its position in ``rows``."""
         self.order_of[id(entry)] = order
-        tchecks, rchecks = _compile_checks(entry, self.key_widths)
+        tchecks, rchecks = compile_checks(entry, self.key_widths)
         self.rows.append((entry.lpm_length(), entry, tchecks, rchecks))
 
     def lookup(self, key_values) -> Optional[Entry]:
         if not self.has_lpm:
             for _, entry, tchecks, rchecks in self.rows:
-                if _checks_match(key_values, tchecks, rchecks):
+                if checks_match(key_values, tchecks, rchecks):
                     return entry
             return None
         best_entry = None
         best_len = -1
         for prefix_len, entry, tchecks, rchecks in self.rows:
             # Strict > keeps the earliest entry among equal lengths.
-            if prefix_len > best_len and _checks_match(key_values, tchecks, rchecks):
+            if prefix_len > best_len and checks_match(key_values, tchecks, rchecks):
                 best_entry, best_len = entry, prefix_len
         return best_entry
 

@@ -59,11 +59,11 @@ from repro.midend.inline import IM_VAR, PKT_VAR, ComposedPipeline
 from repro.net.packet import Packet
 from repro.obs.metrics import METRICS
 from repro.targets.codegen import CodegenPipeline
-from repro.targets.compiled import _IM_FAST
 from repro.targets.faults import FaultError, FaultPlan, ResourceGuards
 from repro.targets.lanes import LaneVars, resolve_member
 from repro.targets.pipeline import PacketOut
-from repro.targets.tables import TableRuntime, _checks_match, _compile_checks
+from repro.targets.plan import IM_FAST
+from repro.targets.tables import TableRuntime, checks_match, compile_checks
 
 try:  # pragma: no cover - exercised via the no-numpy CI job
     import numpy as _np
@@ -306,7 +306,7 @@ class _VecIndex:
             self.args[j] = _np.concatenate([col[:-1], new, col[-1:]])
         if self.strategy == "masked-scan":
             self.rows.extend(
-                (e.lpm_length(), base + i) + _compile_checks(e, self.widths)
+                (e.lpm_length(), base + i) + compile_checks(e, self.widths)
                 for i, e in enumerate(entries)
             )
         elif self.strategy == "exact-sorted":
@@ -389,12 +389,12 @@ class _VecIndex:
             key = tuple(int(v) for v in kv)
             if not self.has_lpm:
                 for _plen, order, tchecks, rchecks in self.rows:
-                    if _checks_match(key, tchecks, rchecks):
+                    if checks_match(key, tchecks, rchecks):
                         return order
                 return -1
             best, best_len = -1, -1
             for plen, order, tchecks, rchecks in self.rows:
-                if plen > best_len and _checks_match(key, tchecks, rchecks):
+                if plen > best_len and checks_match(key, tchecks, rchecks):
                     best, best_len = order, plen
             return best
         slot = _np.full(n, -1, _np.int64)
@@ -1198,7 +1198,7 @@ class _VectorCompiler:
         if not (isinstance(base, ast.PathExpr)
                 and self._find(base.name) == "__IM__"):
             raise _Unvectorizable("im_t call on a non-metadata value")
-        if method not in _IM_FAST or len(c.args) > 1 or (
+        if method not in IM_FAST or len(c.args) > 1 or (
                 method == "set_out_port") != (len(c.args) == 1):
             raise _Unvectorizable(f"im_t method {method!r}")
         fmsg = f"injected fault in extern {extern!r}.{method}"

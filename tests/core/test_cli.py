@@ -251,6 +251,60 @@ class TestProfile:
             "exact-hash", "lpm-buckets", "compiled-scan",
         }
 
+    def test_profile_exec_vector_runs_columnwise(self, capsys):
+        # The push is a soak, so batches reach the vector plan (a
+        # per-packet loop built the plan and never ran it) and the base
+        # routes are installed (without them every packet was dropped).
+        pytest.importorskip("numpy")
+        rc = main(["profile", "P4", "--packets", "600", "--exec", "vector",
+                   "--json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        counters = payload["metrics"]["counters"]
+        assert any(
+            name.startswith("vector.index.") and count > 0
+            for name, count in counters.items()
+        )
+        assert "vector.soa_fallback_batches" not in counters
+        assert payload["behavior"]["outputs"] > 0
+        assert "aggregate_pkts_per_sec" not in payload["behavior"]
+
+    def test_profile_module_files_sharded_matches_inline(
+        self, module_files, capsys
+    ):
+        files = [module_files["eth"], module_files["l3_v4v6"],
+                 module_files["ipv4"], module_files["ipv6"]]
+        assert main(["profile", *files, "--packets", "200", "--json"]) == 0
+        inline = json.loads(capsys.readouterr().out)["behavior"]
+        assert main(["profile", *files, "--packets", "200", "--workers", "2",
+                     "--shard-policy", "round-robin", "--json"]) == 0
+        sharded = json.loads(capsys.readouterr().out)["behavior"]
+        assert inline["outputs"] > 0
+        for key in ("outputs", "lookups", "table_strategies"):
+            assert sharded[key] == inline[key], key
+        assert inline["ledger_ok"] and sharded["ledger_ok"]
+
+    def test_profile_installs_only_the_routes_a_program_declares(
+        self, tmp_path, capsys
+    ):
+        from tests.midend.test_hdr_stack import SRC
+
+        path = tmp_path / "stacked.up4"
+        path.write_text(SRC)  # none of the catalog's base tables
+        assert main(["profile", str(path), "--packets", "50", "--json"]) == 0
+        behavior = json.loads(capsys.readouterr().out)["behavior"]
+        assert behavior["packets"] == 50
+        assert behavior["ledger_ok"]
+
+    @pytest.mark.parametrize("json_flag", ([], ["--json"]))
+    def test_profile_negative_packets_rejected(self, json_flag, capsys):
+        rc = main(["profile", "P4", "--packets", "-5", *json_flag])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert "error[bad-packet-count]:" in captured.err
+        if json_flag:
+            assert json.loads(captured.out)["code"] == "bad-packet-count"
+
 
 class TestOptimizeFlag:
     def test_build_with_optimize(self, module_files, capsys):
@@ -335,6 +389,18 @@ class TestSoak:
         assert "workers=2 (flow-hash)" in out
         assert "shard 0:" in out
         assert "shard 1:" in out
+
+    @pytest.mark.parametrize("json_flag", ([], ["--json"]))
+    def test_soak_negative_packets_rejected(self, json_flag, capsys):
+        # Regression: exit 0 with `"ok": true` and nothing run.
+        rc = main(["soak", "--programs", "P4", "--packets", "-5", *json_flag])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert "error[bad-packet-count]:" in captured.err
+        if json_flag:
+            payload = json.loads(captured.out)
+            assert payload["ok"] is False
+            assert payload["code"] == "bad-packet-count"
 
     def test_soak_negative_workers_rejected(self, capsys):
         # Regression: -3 must not silently fall back to the inline path.

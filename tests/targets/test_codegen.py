@@ -97,18 +97,6 @@ class TestValidationSites:
                 pool.submit(SoakConfig(packets=10, exec_backend="jit"), "P1")
             assert exc.value.code == "unknown-backend"
 
-    def test_profile_shards_reject_in_parent(self):
-        from repro.targets.engine import EngineConfig, run_profile_shards
-
-        with pytest.raises(TargetError) as exc:
-            run_profile_shards(
-                build_pipeline("P1"), [b"\x00" * 16], 4,
-                EngineConfig(workers=1), exec_backend="jit",
-            )
-        assert exc.value.code == "unknown-backend"
-        for name in EXEC_BACKENDS:
-            assert name in str(exc.value)
-
 
 class TestGeneratedSource:
     def test_micro_generates_batch_fast_path(self):

@@ -17,8 +17,6 @@ The load-bearing properties:
 
 import json
 import multiprocessing
-import queue
-import threading
 import time
 
 import pytest
@@ -28,7 +26,6 @@ from repro.obs.metrics import METRICS, collecting
 from repro.targets.engine import (
     EngineConfig,
     EngineError,
-    _collect,
     _merge_blocks,
     assign_shard,
     run_sharded_program,
@@ -262,15 +259,6 @@ class TestMetricsMerging:
         assert "metrics" not in merged
 
 
-class _FakeProc:
-    """Stand-in for a live worker process in direct ``_collect`` tests."""
-
-    exitcode = None
-
-    def is_alive(self):
-        return True
-
-
 def _shard_block(shard: int, packets: int, elapsed_s: float) -> dict:
     return {
         "shard": shard,
@@ -293,40 +281,28 @@ def _shard_block(shard: int, packets: int, elapsed_s: float) -> dict:
 
 
 class TestWatchdog:
-    def test_telemetry_publishes_rearm_the_deadline(self):
-        """Regression: the watchdog deadline was fixed at start, so a
-        healthy worker publishing telemetry on a long shard still
-        tripped 'reported nothing within Ns'.  Any message from a
-        pending shard must re-arm it."""
-        out_queue = queue.Queue()
-        engine = EngineConfig(workers=1, watchdog_s=0.4)
-        seen = []
-
-        def feed():
-            # Heartbeats at 0.15s intervals for ~3x the watchdog window,
-            # then the result: only a deadline that re-arms survives.
-            for epoch in range(1, 9):
-                time.sleep(0.15)
-                out_queue.put(
-                    ("telemetry", 0, {"epoch": epoch, "metrics": {}})
-                )
-            out_queue.put(("ok", 0, {"shard": 0}))
-
-        threading.Thread(target=feed, daemon=True).start()
-        results = _collect(
-            {0: _FakeProc()}, out_queue, engine,
-            on_telemetry=lambda shard, payload: seen.append(payload["epoch"]),
-        )
-        assert results[0] == {"shard": 0}
-        assert seen == list(range(1, 9))
-
     def test_watchdog_still_trips_when_silent(self):
-        out_queue = queue.Queue()
-        engine = EngineConfig(workers=1, watchdog_s=0.3)
+        # The whole stream fits the ring, so the parent is done
+        # dispatching while shard 0 sleeps on its last packet: nothing
+        # re-arms the collect deadline, and with no restart budget the
+        # watchdog failure is the run's error.
+        from repro.targets.faults import ChaosPlan
+        from repro.targets.supervision import RestartPolicy
+
+        engine = EngineConfig(
+            workers=2,
+            shard_policy="round-robin",
+            watchdog_s=1.0,
+            chaos=ChaosPlan.from_specs(["stall:shard=0@pkt=298@for=30"]),
+            restart=RestartPolicy(max_restarts_per_shard=0, restart_budget=0),
+        )
         start = time.monotonic()
         with pytest.raises(EngineError, match="watchdog"):
-            _collect({0: _FakeProc()}, out_queue, engine)
-        assert time.monotonic() - start < 5
+            run_sharded_program(
+                quick_config(packets=300, fault_rate=0.0), "P4", engine
+            )
+        assert time.monotonic() - start < 15
+        assert no_orphans()
 
     def test_watchdog_end_to_end_with_live_publishes(self):
         # A real sharded run whose watchdog window is far shorter than
@@ -431,46 +407,3 @@ class TestFailureHandling:
                 EngineConfig(workers=2, sabotage="error"),
             )
         assert no_orphans()
-
-
-class TestProfileShards:
-    """`repro profile --packets N --workers W`: the small fan-out that
-    stays beside the pool."""
-
-    MIX = [b"\x02" * 6 + b"\x01" * 6 + b"\x08\x00" + b"\x00" * 40]
-
-    def test_state_travels_as_process_args_under_spawn(self, monkeypatch):
-        """Regression: the pipeline used to reach workers through a
-        module global that only a *forked* child inherits, so under the
-        non-fork fallback of ``_mp_context`` every worker died with
-        ``KeyError: 'composed'``."""
-        from repro.lib.catalog import build_pipeline
-        from repro.targets import engine as engine_mod
-
-        monkeypatch.setattr(
-            engine_mod, "_mp_context",
-            lambda: multiprocessing.get_context("spawn"),
-        )
-        result = engine_mod.run_profile_shards(
-            build_pipeline("P4"), self.MIX, 12,
-            EngineConfig(workers=2, shard_policy="round-robin"),
-        )
-        assert [s["packets"] for s in result["shards"]] == [6, 6]
-        assert no_orphans()
-
-    def test_worker_interrupt_is_reported_as_interrupted(self, monkeypatch):
-        """Ctrl-C inside a profile worker must reach ``_collect`` as
-        code ``interrupted`` (exit 130), not as a generic worker error."""
-        from repro.targets import engine as engine_mod
-
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(engine_mod, "make_pipeline", interrupted)
-        out_queue = queue.Queue()
-        engine_mod._profile_worker(
-            out_queue, None, self.MIX, "interp", 4, EngineConfig(workers=1), 0
-        )
-        # A generic worker error would surface as EngineError instead.
-        with pytest.raises(KeyboardInterrupt):
-            _collect({0: _FakeProc()}, out_queue, EngineConfig(workers=1))

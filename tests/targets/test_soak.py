@@ -7,9 +7,14 @@ import os
 
 import pytest
 
+from repro.errors import TargetError
+from repro.lib.catalog import COMPOSITIONS, EXTRA_COMPOSITIONS
 from repro.obs.telemetry import FlightRecorder, TraceWriter
 from repro.targets.backends import EXEC_BACKENDS
+from repro.targets.pipeline import PipelineInstance
+from repro.targets.runtime_api import RuntimeAPI
 from repro.targets.soak import (
+    _BASE_ENTRIES,
     NUM_PORTS,
     SoakConfig,
     build_switch,
@@ -137,12 +142,38 @@ class TestDeterminism:
         assert a["emits"] > a["packets"] // 2
 
     def test_unknown_traffic_mix_rejected(self):
-        import pytest
-
-        from repro.errors import TargetError
-
         with pytest.raises(TargetError, match="unknown traffic mix"):
             soak_program(quick_config(traffic="jumbo"), "P4")
+
+    @pytest.mark.parametrize(
+        "field, value, code",
+        [
+            ("packets", -5, "bad-packet-count"),
+            # -1 was silently "no faults"; 2 failed deep in FaultPlan.
+            ("fault_rate", -1.0, "bad-fault-rate"),
+            ("fault_rate", 2.0, "bad-fault-rate"),
+        ],
+    )
+    def test_out_of_range_counts_rejected_up_front(self, field, value, code):
+        with pytest.raises(TargetError) as exc:
+            run_soak(quick_config(**{field: value}))
+        assert exc.value.code == code
+
+
+class TestBaseEntries:
+    """``switch_around`` installs a base row where its table is declared;
+    every catalog program must declare them all, or that rule would
+    silently un-route its soak."""
+
+    @pytest.mark.parametrize("mode", ("micro", "mono"))
+    @pytest.mark.parametrize(
+        "program", sorted({*COMPOSITIONS, *EXTRA_COMPOSITIONS})
+    )
+    def test_every_base_table_resolves(self, program, mode):
+        composed = compose_program(SoakConfig(mode=mode), program)
+        api = RuntimeAPI(PipelineInstance(composed))
+        for table in sorted({row[0] for row in _BASE_ENTRIES}):
+            assert api.find_table(table) is not None, table
 
 
 class TestInlineGolden:
@@ -176,6 +207,8 @@ class TestOneLoop:
             "statements_before": 185,
             "statements_after": 109,
             **{k: v for k, v in direct.items() if k not in timing},
+            # ... and the replica's tables as the run left them.
+            "tables": switch.api.lookup_info(),
         }
         assert inline["watermark"] == 299
 
