@@ -286,7 +286,14 @@ def _zero_arg(param: ast.Param) -> ast.Expr:
 
 
 def extract_logical_tables(composed: ComposedPipeline) -> List[LogicalTable]:
-    """Flatten a composed pipeline into ordered logical tables."""
+    """Flatten a composed pipeline into ordered logical tables.
+
+    Derived once per program object: every target backend starts from
+    the same list, and none of them edits a table it is handed."""
+    return list(composed.derive("logical_tables", _logical_tables))
+
+
+def _logical_tables(composed: ComposedPipeline) -> List[LogicalTable]:
     tables: List[LogicalTable] = []
     actions = composed.actions
     run: List[ast.Stmt] = []

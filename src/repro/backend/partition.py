@@ -23,7 +23,7 @@ Live scalars crossing the boundary become synthesized
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set
+from typing import List, Set, Tuple
 
 from repro.errors import BackendError
 from repro.frontend import astnodes as ast
@@ -36,48 +36,32 @@ EGRESS_ONLY_META = {"DEQ_TIMESTAMP", "ENQ_TIMESTAMP", "QUEUE_DEPTH"}
 INGRESS_ONLY_METHODS = {"set_out_port", "drop"}
 
 
-def _uses_egress_only_meta(table: LogicalTable) -> bool:
-    for stmt in _all_stmts(table):
+def _placement_constraints(stmts: List[ast.Stmt]) -> Tuple[bool, bool]:
+    """``(ingress_only, egress_only)`` for ``stmts``, from one walk:
+    whether they call an ingress-only ``im_t`` method, and whether they
+    read egress-only intrinsic metadata."""
+    ingress_only = egress_only = False
+    for stmt in stmts:
         for expr in walk_expressions(stmt):
-            if isinstance(expr, ast.MethodCallExpr):
-                resolved = getattr(expr, "resolved", None)
+            if not isinstance(expr, ast.MethodCallExpr):
+                continue
+            resolved = getattr(expr, "resolved", None)
+            if (
+                resolved is None
+                or resolved[0] != "extern"
+                or resolved[1] != "im_t"
+            ):
+                continue
+            if resolved[2] in INGRESS_ONLY_METHODS:
+                ingress_only = True
+            elif resolved[2] == "get_value":
+                arg = expr.args[0]
                 if (
-                    resolved is not None
-                    and resolved[0] == "extern"
-                    and resolved[1] == "im_t"
-                    and resolved[2] == "get_value"
+                    isinstance(arg, ast.MemberExpr)
+                    and arg.member in EGRESS_ONLY_META
                 ):
-                    arg = expr.args[0]
-                    if (
-                        isinstance(arg, ast.MemberExpr)
-                        and arg.member in EGRESS_ONLY_META
-                    ):
-                        return True
-    return False
-
-
-def _uses_ingress_only_ops(table: LogicalTable) -> bool:
-    for stmt in _all_stmts(table):
-        for expr in walk_expressions(stmt):
-            if isinstance(expr, ast.MethodCallExpr):
-                resolved = getattr(expr, "resolved", None)
-                if (
-                    resolved is not None
-                    and resolved[0] == "extern"
-                    and resolved[1] == "im_t"
-                    and resolved[2] in INGRESS_ONLY_METHODS
-                ):
-                    return True
-    return False
-
-
-def _all_stmts(table: LogicalTable) -> List[ast.Stmt]:
-    stmts = list(table.stmts)
-    if table.decl is not None:
-        # Action bodies are reached through the assignments we collected
-        # plus any extern calls; walk the action declarations directly.
-        pass
-    return stmts
+                    egress_only = True
+    return ingress_only, egress_only
 
 
 def _table_action_stmts(table: LogicalTable, actions) -> List[ast.Stmt]:
@@ -104,8 +88,7 @@ def _split_mixed_runs(tables: List[LogicalTable], actions) -> List[LogicalTable]
         if table.kind != "statements" or len(table.stmts) <= 1:
             out.append(table)
             continue
-        probe = LogicalTable(name=table.name, kind=table.kind, stmts=table.stmts)
-        if not (_uses_egress_only_meta(probe) and _uses_ingress_only_ops(probe)):
+        if not all(_placement_constraints(table.stmts)):
             out.append(table)
             continue
         for index, stmt in enumerate(table.stmts):
@@ -145,12 +128,9 @@ def partition(tables: List[LogicalTable], actions=None) -> PartitionResult:
     actions = actions or {}
     classified: List[tuple] = []
     for table in _split_mixed_runs(tables, actions):
-        body_stmts = _all_stmts(table) + _table_action_stmts(table, actions)
-        probe = LogicalTable(
-            name=table.name, kind=table.kind, stmts=body_stmts
+        ingress_only, egress_only = _placement_constraints(
+            table.stmts + _table_action_stmts(table, actions)
         )
-        egress_only = _uses_egress_only_meta(probe)
-        ingress_only = _uses_ingress_only_ops(probe)
         if egress_only and ingress_only:
             raise BackendError(
                 f"table {table.name!r} both sets the egress port and reads "

@@ -23,7 +23,7 @@ disabled and costs nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.backend.tna import TnaBackend, TnaReport
 from repro.backend.tna.descriptor import TofinoDescriptor
@@ -35,6 +35,7 @@ from repro.midend.hdr_stack import lower_header_stacks
 from repro.midend.inline import ComposedPipeline, compose, compose_monolithic
 from repro.midend.linker import LinkedProgram, link_modules
 from repro.midend.varlen import lower_varlen_headers
+from repro.obs.metrics import METRICS
 from repro.obs.trace import NULL_TRACER, Tracer
 
 TARGETS = ("v1model", "tna")
@@ -50,6 +51,16 @@ PASS_ORDER = (
     "midend.optimize",
     "backend",
 )
+
+
+# µP4-IR per module source, process-wide: separate compilation (Fig. 4a)
+# means a module is checked once and linked many times.  Sharing one
+# Module across links is safe because types and locations are immutable
+# values and composition clones every declaration it rewrites (DESIGN
+# §18).  Oldest entry out at the cap, so a process that compiles
+# unboundedly many distinct sources does not keep them all.
+_MODULES: Dict[Tuple[str, str], Module] = {}
+_MODULES_CAP = 256
 
 
 @dataclass
@@ -100,14 +111,26 @@ class Up4Compiler:
     # Frontend
     # ------------------------------------------------------------------
     def frontend(self, source: str, name: str = "<module>") -> Module:
-        """Parse and type-check one µP4 module (Fig. 4a)."""
+        """Parse, type-check and lower one µP4 module (Fig. 4a) — once
+        per ``(source, name)`` in this process: a repeat returns the
+        same :class:`Module` under a ``frontend`` span marked
+        ``cached`` with no child spans."""
+        key = (source, name)
+        module = _MODULES.get(key)
         with self.tracer.span(
             "frontend", module=name, source_bytes=len(source)
         ) as sp:
-            with self.tracer.span("frontend.check", module=name):
-                module = check_program(source, name)
-            with self.tracer.span("frontend.lower", module=name):
-                module = lower_varlen_headers(lower_header_stacks(module))
+            if module is None:
+                with self.tracer.span("frontend.check", module=name):
+                    module = check_program(source, name)
+                with self.tracer.span("frontend.lower", module=name):
+                    module = lower_varlen_headers(lower_header_stacks(module))
+                if len(_MODULES) >= _MODULES_CAP:
+                    del _MODULES[next(iter(_MODULES))]
+                _MODULES[key] = module
+            else:
+                METRICS.inc("frontend.modules_cached")
+                sp.set(cached=True)
             sp.set(programs=len(module.programs))
         return module
 

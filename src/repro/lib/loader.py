@@ -1,19 +1,21 @@
 """Loading and compiling library module sources.
 
 Module sources ship as package data (``modules/*.up4`` and
-``monolithic/*.p4``).  Compilation results are cached per (kind, name):
-the frontend is deterministic, and the midend clones every declaration
-it transforms, so sharing checked modules is safe.
+``monolithic/*.p4``).  Compiling one is :meth:`Up4Compiler.frontend
+<repro.core.driver.Up4Compiler.frontend>` on its text — the same
+check-and-lower passes and the same process-wide module cache as
+``repro compile`` of that file, so a catalog recipe and the driver
+share one :class:`Module` per source.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-from functools import lru_cache
 from typing import List
 
+from repro.core.driver import Up4Compiler
 from repro.errors import CompileError
-from repro.frontend.typecheck import Module, check_program
+from repro.frontend.typecheck import Module
 
 
 def _resource_dir(kind: str):
@@ -45,8 +47,7 @@ def load_module_source(name: str, kind: str = "modules") -> str:
         ) from None
 
 
-@lru_cache(maxsize=None)
 def compile_library_module(name: str, kind: str = "modules") -> Module:
-    """Compile (and cache) one library module to µP4-IR."""
-    source = load_module_source(name, kind)
-    return check_program(source, f"{name}.up4" if kind == "modules" else f"{name}.p4")
+    """One library module as µP4-IR, through the driver's front-end."""
+    suffix = ".up4" if kind == "modules" else ".p4"
+    return Up4Compiler().frontend(load_module_source(name, kind), name + suffix)

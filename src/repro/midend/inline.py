@@ -24,7 +24,7 @@ comparison baseline used throughout the paper's evaluation (§7.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, TypeVar
 
 from repro.errors import AnalysisError, LinkError
 from repro.frontend import astnodes as ast
@@ -43,6 +43,8 @@ from repro.midend.bytestack import (
 from repro.midend.deparser_to_mat import MatDeparser, deparser_to_mat
 from repro.midend.linker import LinkedProgram, LinkedUnit
 from repro.midend.parser_to_mat import PATH_VAR_WIDTH, MatParser, parser_to_mat
+
+T = TypeVar("T")
 
 PKT_VAR = "upa_pkt"
 IM_VAR = "upa_im"
@@ -70,10 +72,35 @@ class ComposedPipeline:
     # standalone for orchestration-time invocation), each is bound to a
     # synthetic pipeline variable: param name -> variable name.
     arg_vars: Dict[str, str] = field(default_factory=dict)
+    # Facts derived from this program and kept with it (``derive``):
+    # the executable form, the logical tables, the generated module —
+    # what several consumers would each recompute from the same
+    # program.  Lives and dies with the object, is not copied by
+    # ``dataclasses.replace`` and is not pickled (a pool worker derives
+    # its own); a pass that edits the program in place must call
+    # ``invalidate_derived``.
+    derived: Dict[str, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def byte_stack_size(self) -> int:
         return self.byte_stack.size if self.byte_stack is not None else 0
+
+    def derive(self, key: str, build: Callable[["ComposedPipeline"], T]) -> T:
+        """``build(self)``, computed once per program object."""
+        try:
+            return self.derived[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self.derived[key] = build(self)
+            return value
+
+    def invalidate_derived(self) -> None:
+        """Forget every derived fact: the program was edited in place."""
+        self.derived.clear()
+
+    def __getstate__(self) -> dict:
+        return dict(self.__dict__, derived={})
 
 
 class Composer:

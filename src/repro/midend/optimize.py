@@ -179,6 +179,7 @@ def elide_trivial_mats(composed: ComposedPipeline) -> OptimizationStats:
 
     composed.statements = rewrite(composed.statements)
     _prune_elided(composed, stats)
+    composed.invalidate_derived()
     METRICS.inc("optimize.mats_elided", stats.total)
     return stats
 

@@ -35,8 +35,7 @@ only spot that knows the names.
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.errors import TargetError
 from repro.midend.inline import ComposedPipeline
@@ -51,26 +50,14 @@ EXEC_BACKENDS = ("interp", "compiled", "codegen", "vector")
 
 DEFAULT_EXEC_BACKEND = "interp"
 
-# id(composed) -> (weak reference to it, its shrunk form or None when it
-# is its own): one composed program is usually built under several
-# backends, and the pass should run once for all of them.
-_SHRUNK: Dict[int, Tuple[weakref.ref, Optional[ComposedPipeline]]] = {}
-
 
 def executable_form(composed: ComposedPipeline) -> ComposedPipeline:
     """The program the executors built by :func:`make_pipeline` run for
-    ``composed``; ``composed`` itself is left as it was.  Remembered per
-    program object: edit a composed program in place (``elide_trivial_
-    mats``) before the first executor is built from it, not after."""
-    key = id(composed)
-    hit = _SHRUNK.get(key)
-    if hit is None or hit[0]() is not composed:
-        shrunk = shrink_copies(composed)
-        hit = _SHRUNK[key] = (
-            weakref.ref(composed, lambda _: _SHRUNK.pop(key, None)),
-            None if shrunk is composed else shrunk,
-        )
-    return hit[1] if hit[1] is not None else composed
+    ``composed``; ``composed`` itself is left as it was.  Derived once
+    per program object (:meth:`ComposedPipeline.derive`) — one composed
+    program is usually built under several backends — and derived again
+    after an in-place edit such as ``elide_trivial_mats``."""
+    return composed.derive("executable_form", shrink_copies)
 
 
 def executor_class(exec_backend: str):

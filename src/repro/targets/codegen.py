@@ -61,6 +61,7 @@ import os
 import re
 import tempfile
 from contextlib import contextmanager
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -87,7 +88,12 @@ from repro.targets.interpreter import (
     RegisterState,
     ReturnSignal,
 )
-from repro.targets.lanes import FlatLayout, lane_variables, resolve_member
+from repro.targets.lanes import (
+    FlatLayout,
+    LaneVars,
+    lane_variables,
+    resolve_member,
+)
 from repro.targets.pipeline import PacketOut, ParserErrorSignal
 from repro.targets.plan import (
     IM_FAST,
@@ -177,6 +183,21 @@ class _Block:
         return False
 
 
+class _Region:
+    """One budget check and what it covers so far (``_SourceGen.step``):
+    ``buf[header]`` is its ``steps += count`` line, and a statement
+    joins it only if it starts at line ``end`` of ``buf``, at ``ind``."""
+
+    __slots__ = ("buf", "header", "count", "end", "ind")
+
+    def __init__(self, buf, header: int, ind: int) -> None:
+        self.buf = buf
+        self.header = header
+        self.count = 1
+        self.end = -1
+        self.ind = ind
+
+
 # ======================================================================
 # The source generator
 # ======================================================================
@@ -188,10 +209,16 @@ class _SourceGen:
     Mirrors the scoping model of ``compiled._Compiler``: lexical frames
     map pipeline names to generated function locals, redeclaration in
     the same frame reuses the local, shadowing in a child frame gets a
-    fresh one.  Every emitted statement carries the same three-line step
-    accounting the closure backend performs, and all dynamic error
-    messages are rendered with ``%`` formatting so the strings are
-    byte-identical to the interpreter's f-strings.
+    fresh one.  Every statement is counted against the step budget
+    exactly as the interpreter counts it, one check per *side-effect
+    region* (:meth:`step`), and all dynamic error messages are rendered
+    with ``%`` formatting so the strings are byte-identical to the
+    interpreter's f-strings.
+
+    ``tables`` is read for what a table *is* (key expressions,
+    selectable actions), never for its entries: the text, and so the
+    :class:`GeneratedModule` made from it, belongs to the program, not
+    to the executor whose tables these are.
     """
 
     def __init__(
@@ -231,8 +258,16 @@ class _SourceGen:
         # name -> (local, is_int), or (None, False, bound lane node,
         # cell locals) for a flattened variable (repro.targets.lanes).
         self._frames: List[Dict[str, tuple]] = []
+        self._flat_memo: Dict[int, Optional[tuple]] = {}
         self._labels: List[str] = []
         self._pool_ids: Dict[int, str] = {}
+        #: table name -> suffix of its ``_LK``/``_EI`` namespace slots,
+        #: which each executor binds to its own TableRuntime.
+        self.table_slots: Dict[str, str] = {}
+        # Step regions (see ``step``): the check covering the statement
+        # being emitted, and the one the next statement may still join.
+        self._checked: Optional[_Region] = None
+        self._region: Optional[_Region] = None
         self.in_parser = False
         self.in_batch = False
         self.uses_recirc = False
@@ -313,10 +348,12 @@ class _SourceGen:
             label = self._labels[-1] if self._labels else "pipeline"
         self._frames.append({})
         self._labels.append(label)
+        self._flat_memo.clear()
 
     def _pop_frame(self) -> None:
         self._frames.pop()
         self._labels.pop()
+        self._flat_memo.clear()
 
     def _define(self, name: str, is_int: bool) -> str:
         frame = self._frames[-1]
@@ -330,6 +367,7 @@ class _SourceGen:
         self.nlocals += 1
         local = f"v{self._n}"
         frame[name] = (local, is_int)
+        self._flat_memo.clear()
         return local
 
     def _define_flat(
@@ -353,6 +391,7 @@ class _SourceGen:
             if width is not None:
                 self._cell_width[local] = width
         frame[name] = (None, False, layout.bind(cells), cells)
+        self._flat_memo.clear()
         return cells
 
     def _find(self, name: str) -> Optional[tuple]:
@@ -369,8 +408,15 @@ class _SourceGen:
     def _flat_node(self, e: ast.Expr):
         """The lane node of a member chain rooted at a flattened
         variable (lane_variables admits only leaf accesses and header
-        ops on those), else None."""
-        return resolve_member(e, self._flat_root)
+        ops on those), else None.  Asked several times per statement
+        (purity, int-ness, rendering), so remembered per node until a
+        scope or binding changes."""
+        memo = self._flat_memo
+        key = id(e)
+        if key in memo:
+            return memo[key]
+        node = memo[key] = resolve_member(e, self._flat_root)
+        return node
 
     def _undef(self, name: str, doing: str) -> str:
         msg = (
@@ -598,14 +644,38 @@ class _SourceGen:
     # non-atomic) — the interpreter computes the RHS before any lvalue
     # base expression runs.
     # ------------------------------------------------------------------
-    def store(self, lhs: ast.Expr, vs: str, v_int: bool) -> None:
+    def _masked_width(self, e: ast.Expr) -> Optional[int]:
+        """W when ``e`` renders already masked to W bits (a slice, a
+        cast to ``bit<W>``, ``bit<W>`` arithmetic), so a store into W or
+        more bits needs no second mask."""
+        if isinstance(e, ast.SliceExpr):
+            return e.hi - e.lo + 1
+        if isinstance(e, ast.CastExpr) and isinstance(e.target, ast.BitType):
+            return e.target.width
+        if (
+            isinstance(e, ast.BinaryExpr)
+            and e.op in ("+", "-", "*", "<<", "/", "%")
+            and isinstance(e.type, ast.BitType)
+        ):
+            return e.type.width
+        return None
+
+    def store(
+        self, lhs: ast.Expr, vs: str, v_int: bool, v_width: Optional[int] = None
+    ) -> None:
+        """``v_width``: the value is an int already masked to that many
+        bits (:meth:`_masked_width`; cell locals are looked up here)."""
+        if v_width is None:
+            v_width = self._cell_width.get(vs)
         if isinstance(lhs, ast.PathExpr):
             ent = self._find(lhs.name)
             if ent is None:
                 self.line(self._undef(lhs.name, "assignment to"))
                 return
             assert ent[0] is not None, f"whole-value store to flattened {lhs.name!r}"
-            if isinstance(lhs.type, ast.BitType):
+            if isinstance(lhs.type, ast.BitType) and not (
+                v_width is not None and v_width <= lhs.type.width
+            ):
                 mask = (1 << lhs.type.width) - 1
                 vi = vs if v_int else f"int({vs})"
                 self.line(f"{ent[0]} = {vi} & {mask}")
@@ -617,8 +687,8 @@ class _SourceGen:
             leaf = self._flat_node(lhs)
             if leaf is not None:
                 _kind, local, width = leaf
-                if width is None or self._cell_width.get(vs, width + 1) <= width:
-                    # A bool, or a copy from a cell no wider than this one.
+                if width is None or (v_width is not None and v_width <= width):
+                    # A bool, or a value no wider than this cell.
                     self.line(f"{local} = {vs}")
                 else:
                     vi = vs if v_int else f"int({vs})"
@@ -664,8 +734,29 @@ class _SourceGen:
     # Statements
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """The same statement-exact accounting the closure backend
-        performs; the format happens only on the cold path."""
+        """Count the statement about to be emitted against the budget.
+
+        The interpreter checks before every statement.  Here one check
+        covers a *side-effect region*: a run of pure statements (each
+        only assigns locals from an expression that cannot raise and
+        calls nothing, :meth:`_pure`) plus the statement after the run.
+        The check sits ahead of the run and adds the whole count, so it
+        fires iff the interpreter would have fired somewhere in the
+        region; what it skips in that case is assignments to locals of
+        a packet that is killed either way (DESIGN.md §15).  The format
+        happens only on the cold path."""
+        region, self._region = self._region, None
+        if (
+            region is not None
+            and region.buf is self._cur
+            and region.end == len(self._cur)
+            and region.ind == self.ind
+        ):
+            region.count += 1
+            region.buf[region.header] = (self.ind, f"steps += {region.count}")
+            self._checked = region
+            return
+        self._checked = _Region(self._cur, len(self._cur), self.ind)
         self.line("steps += 1")
         self.line("if steps > step_limit:")
         with self.block():
@@ -674,6 +765,113 @@ class _SourceGen:
                 "%d statements for one packet' % step_limit)"
             )
 
+    def _pure_done(self) -> None:
+        """The statement just emitted was pure: the next statement of
+        this block, if it starts right here, joins its check."""
+        self._region = self._checked
+        self._region.end = len(self._cur)
+
+    def _pure(self, e: ast.Expr) -> bool:
+        """Whether ``e`` renders to an expression over locals and
+        literals that cannot raise and calls nothing but ``bool``:
+        operands of arithmetic are statically ints (no ``int()`` of a
+        table-supplied argument), no division, no object-form member."""
+        if isinstance(e, (ast.IntLit, ast.BoolLit)):
+            return True
+        if isinstance(e, ast.PathExpr):
+            decl = getattr(e, "decl", None)
+            if isinstance(decl, Symbol) and decl.kind == "const":
+                return True
+            ent = self._find(e.name)
+            return ent is not None and ent[0] is not None
+        if isinstance(e, ast.MemberExpr):
+            base = e.base
+            decl = getattr(base, "decl", None)
+            if (
+                isinstance(base, ast.PathExpr)
+                and isinstance(decl, Symbol)
+                and decl.kind == "type"
+                and isinstance(decl.type, ast.EnumType)
+            ):
+                return True
+            leaf = self._flat_node(e)
+            return leaf is not None and leaf[0] == "val"
+        if isinstance(e, ast.SliceExpr):
+            return self.is_int(e.base) and self._pure(e.base)
+        if isinstance(e, ast.UnaryExpr):
+            if e.op == "!":
+                return self._pure(e.operand)
+            t = e.type if e.type else e.operand.type
+            return (
+                e.op in ("~", "-")
+                and isinstance(t, ast.BitType)
+                and self.is_int(e.operand)
+                and self._pure(e.operand)
+            )
+        if isinstance(e, ast.CastExpr):
+            if isinstance(e.target, ast.BitType):
+                return self.is_int(e.operand) and self._pure(e.operand)
+            return isinstance(e.target, ast.BoolType) and self._pure(e.operand)
+        if isinstance(e, ast.BinaryExpr):
+            op = e.op
+            if not (self._pure(e.left) and self._pure(e.right)):
+                return False
+            if op in ("&&", "||", "==", "!="):
+                return True
+            if not (self.is_int(e.left) and self.is_int(e.right)):
+                return False
+            if op in ("<", "<=", ">", ">=", "&", "|", "^", ">>"):
+                return True
+            if op == "++":
+                return isinstance(e.right.type, ast.BitType)
+            if op in ("+", "-", "*"):
+                return isinstance(e.type, ast.BitType)
+            if op == "<<":
+                # A data-dependent shift count can ask for gigabytes.
+                return isinstance(e.type, ast.BitType) and isinstance(
+                    e.right, ast.IntLit
+                )
+            return False
+        if isinstance(e, ast.MethodCallExpr):
+            return self._flat_header_op(e) == "isValid"
+        return False
+
+    def _flat_header_op(self, c: ast.MethodCallExpr) -> Optional[str]:
+        """The header op ``c`` performs on a flattened header — a read
+        or write of its validity local — else None."""
+        resolved = getattr(c, "resolved", None)
+        if (
+            resolved is None
+            or resolved[0] != "header_op"
+            or resolved[1] not in ("isValid", "setValid", "setInvalid")
+            or not isinstance(c.target, ast.MemberExpr)
+        ):
+            return None
+        hdr = self._flat_node(c.target.base)
+        return resolved[1] if hdr is not None and hdr[0] == "hdr" else None
+
+    def _pure_assign(self, s: ast.AssignStmt) -> bool:
+        """Whether ``s`` stores a pure value into a scalar local or a
+        flattened cell (possibly a slice of one)."""
+        lhs, int_needed = s.lhs, False
+        if isinstance(lhs, ast.SliceExpr):
+            lhs, int_needed = lhs.base, True
+            if not self.is_int(lhs):
+                return False
+        if isinstance(lhs, ast.PathExpr):
+            ent = self._find(lhs.name)
+            if ent is None or ent[0] is None:
+                return False
+            int_needed = int_needed or isinstance(lhs.type, ast.BitType)
+        elif isinstance(lhs, ast.MemberExpr):
+            leaf = self._flat_node(lhs)
+            if leaf is None or leaf[0] != "val":
+                return False
+            int_needed = int_needed or leaf[2] is not None
+        else:
+            return False
+        return (not int_needed or self.is_int(s.rhs)) and self._pure(s.rhs)
+
     def stmts(self, body: List[ast.Stmt]) -> None:
         for s in body:
             self.stmt(s)
@@ -681,12 +879,14 @@ class _SourceGen:
     def stmt(self, s: ast.Stmt) -> None:
         if isinstance(s, ast.BlockStmt):
             self.step()
+            self._pure_done()
             self._push_frame()
             self.stmts(s.stmts)
             self._pop_frame()
             return
         if isinstance(s, ast.AssignStmt):
             self.step()
+            pure = self._pure_assign(s)
             self._buf_push()
             vs = self.expr(s.rhs)
             buf = self._buf_pop()
@@ -701,25 +901,33 @@ class _SourceGen:
                 t = self.tmp()
                 self.line(f"{t} = {vs}")
                 vs = t
-            self.store(s.lhs, vs, v_int)
+            self.store(s.lhs, vs, v_int, self._masked_width(s.rhs))
+            if pure:
+                self._pure_done()
             return
         if isinstance(s, ast.VarDeclStmt):
             self.step()
             if s.init is not None:
+                pure = self._pure(s.init)
                 vs = self.expr(s.init)
                 local = self._define(s.name, self.is_int(s.init))
                 self.line(f"{local} = {vs}")
-                return
-            self._default_init(s.name, s.var_type)
+            else:
+                pure = self._default_init(s.name, s.var_type)
+            if pure:
+                self._pure_done()
             return
         if isinstance(s, ast.MethodCallStmt):
             self.step()
+            pure = self._flat_header_op(s.call) is not None
             self._buf_push()
             cs = self.call(s.call)
             buf = self._buf_pop()
             self._splice(buf)
             if cs != "None" and not _ATOM.match(cs):
                 self.line(cs)
+            if pure:
+                self._pure_done()
             return
         if isinstance(s, ast.IfStmt):
             self.step()
@@ -737,6 +945,7 @@ class _SourceGen:
             return
         if isinstance(s, ast.EmptyStmt):
             self.step()
+            self._pure_done()
             return
         if isinstance(s, ast.ExitStmt):
             self.step()
@@ -879,11 +1088,12 @@ class _SourceGen:
             msg = f"table {decl.name!r} has no runtime state"
             return f"_te({msg!r})"
         name = decl.name
-        pool = self.pooled(runtime, "_TR")
-        lk = f"_LK{pool[3:]}"
-        ei = f"_EI{pool[3:]}"
-        self.namespace[lk] = runtime.lookup_full
-        self.namespace[ei] = runtime.entry_index
+        slot = self.table_slots.get(name)
+        if slot is None:
+            self._n += 1
+            slot = self.table_slots[name] = str(self._n)
+        lk = f"_LK{slot}"
+        ei = f"_EI{slot}"
         fmsg = f"injected lookup failure in table {name!r}"
         self.line(f"if faults is not None and faults.trip('table', {name!r}):")
         with self.block():
@@ -1153,8 +1363,9 @@ class _SourceGen:
     # ------------------------------------------------------------------
     # Native parser (monolithic mode)
     # ------------------------------------------------------------------
-    def _default_init(self, name: str, t: ast.Type) -> None:
-        """Declare ``name`` with its type's fresh value."""
+    def _default_init(self, name: str, t: ast.Type) -> bool:
+        """Declare ``name`` with its type's fresh value; True when that
+        took only literals (no factory call)."""
         if isinstance(t, ast.BitType):
             local = self._define(name, True)
             self.line(f"{local} = 0")
@@ -1177,6 +1388,8 @@ class _SourceGen:
             factory = self.pooled(factory_for(t), "_K")
             local = self._define(name, False)
             self.line(f"{local} = {factory}()")
+            return False
+        return True
 
     def _parser_emit(self, parser) -> None:
         """State machine as an integer-dispatched loop: states index
@@ -1663,18 +1876,30 @@ class _SourceGen:
                 self.line("pipe._misses_out = _misses")
             self.line("return _results")
 
-    def generate(self) -> str:
+    def generate(self) -> "GeneratedModule":
         self._gen_run()
-        self.batch_ok = (
+        batch_ok = (
             self.composed.mode == "micro"
             and self.bs_scalar
             and self.bs_size > 0
             and not self.uses_recirc
         )
-        if self.batch_ok:
+        if batch_ok:
             self.in_batch = True
             self._gen_run_batch()
-        return self.render()
+        source = self.render()
+        if METRICS.enabled:
+            METRICS.inc("codegen.generations")
+        return GeneratedModule(
+            source,
+            _compile_cached(source, f"<codegen:{self.composed.name}>"),
+            self.namespace,
+            self.table_slots,
+            SoaLayout(self.bs_size, self.bs_extract_len, self.bs_scalar, batch_ok),
+            self.lane_vars,
+            self.dispatch_arms,
+            self.nlocals,
+        )
 
 
 class SoaLayout:
@@ -1696,20 +1921,73 @@ class SoaLayout:
         self.batch_ok = batch_ok
 
 
+@dataclass(frozen=True)
+class GeneratedModule:
+    """What generation yields for one composed program: the module
+    text, its code object, and everything else an executor needs that
+    is a fact about the program rather than about the executor.
+
+    ``shared`` is the namespace every instance starts from (helpers,
+    ``_K…`` constants and factories, ``_BN``); ``table_slots`` maps a
+    table name to the suffix of the ``_LK``/``_EI`` names its apply
+    sites call.  :meth:`instantiate` binds those to one executor's own
+    :class:`TableRuntime` objects, so any number of ``CodegenPipeline``
+    / ``VectorPipeline`` instances run one code object and share no
+    table state.
+    """
+
+    source: str
+    code: Any
+    shared: Dict[str, object]
+    table_slots: Dict[str, str]
+    soa_layout: "SoaLayout"
+    lane_vars: LaneVars
+    dispatch_arms: int
+    nlocals: int
+
+    def instantiate(self, tables: Dict[str, TableRuntime]):
+        """``(_cg_run, _cg_run_batch or None)`` over ``tables``."""
+        ns = dict(self.shared)
+        for name, slot in self.table_slots.items():
+            runtime = tables[name]
+            ns[f"_LK{slot}"] = runtime.lookup_full
+            ns[f"_EI{slot}"] = runtime.entry_index
+        exec(self.code, ns)
+        return ns["_cg_run"], ns.get("_cg_run_batch")
+
+
+def generated_module(
+    composed: ComposedPipeline, tables: Dict[str, TableRuntime]
+) -> GeneratedModule:
+    """The generated module of ``composed``, made once per program
+    object however many executors are built from it (``tables``: any
+    executor's, see :class:`_SourceGen`)."""
+    module = composed.derived.get("generated_module")
+    if module is None:
+        module = _SourceGen(composed, tables).generate()
+        composed.derived["generated_module"] = module
+    elif METRICS.enabled:
+        METRICS.inc("codegen.build_cache_hits")
+    return module
+
+
 # ---------------------------------------------------------------------------
 # Build cache
 #
-# ``compile()`` is about three quarters of a build (P4: 2.8k lines,
-# ~0.01s to generate and ~0.02s to compile; P7: 29k lines, ~0.1s and
-# ~0.3s) and every sharded worker replica used to pay it again for the
-# same program.  The generated module text is deterministic per
-# composed pipeline and contains no per-instance state (runtime objects
-# are injected through the exec namespace), so code objects can be
-# shared: an in-process dict serves repeat builds in one process, and a
-# marshal file under the tempdir serves fresh worker processes.  Keyed
-# on the interpreter's bytecode magic + the exact source, so stale or
-# foreign cache files can never produce wrong code.  Disable with
-# ``REPRO_CODEGEN_CACHE=0``; relocate with ``REPRO_CODEGEN_CACHE_DIR``.
+# ``compile()`` is about two thirds of a generation (P4: 0.9k lines,
+# ~10 ms to generate and ~15 ms to compile; P7: 8k lines, ~50 ms and
+# ~70 ms).  One program object pays it once in a process: its
+# GeneratedModule is remembered with it (``generated_module``).  What is
+# cached here serves everyone else with the same program — a second
+# composition of the same sources, and every sharded worker replica,
+# which receives the program pickled and so without its module.  The
+# text is deterministic per composed pipeline and holds no per-instance
+# state, so code objects can be shared: an in-process dict for repeat
+# generations in one process, and a marshal file under the tempdir for
+# fresh worker processes.  Keyed on the interpreter's bytecode magic +
+# the exact source, so stale or foreign cache files can never produce
+# wrong code.  Disable with ``REPRO_CODEGEN_CACHE=0``; relocate with
+# ``REPRO_CODEGEN_CACHE_DIR``.
 # ---------------------------------------------------------------------------
 
 _CODE_CACHE: Dict[str, Any] = {}
@@ -1802,29 +2080,23 @@ class CodegenPipeline:
         self._m_packets = f"{self.backend}.packets"
         self._m_hits = f"{self.backend}.table_hits"
         self._m_misses = f"{self.backend}.table_misses"
-        gen = _SourceGen(composed, self.tables)
-        self.source = gen.generate()
-        ns = gen.namespace
-        code = _compile_cached(self.source, f"<codegen:{composed.name}>")
-        exec(code, ns)
-        self._run = ns["_cg_run"]
-        self._run_batch = ns.get("_cg_run_batch")
+        module = generated_module(composed, self.tables)
+        self.source = module.source
+        self._run, self._run_batch = module.instantiate(self.tables)
         self.batch_supported = self._run_batch is not None
-        self.soa_layout = SoaLayout(
-            gen.bs_size, gen.bs_extract_len, gen.bs_scalar, gen.batch_ok
-        )
+        self.soa_layout = module.soa_layout
         #: Which struct/header variables are flattened, and why the rest
         #: are not (repro.targets.lanes).
-        self.lane_vars = gen.lane_vars
+        self.lane_vars = module.lane_vars
         self.configure_faults(guards=guards, faults=faults)
         #: Action arms inlined under table applies, over both generated
         #: functions; linear in tables (TableRuntime.selectable_actions).
-        self.dispatch_arms = gen.dispatch_arms
+        self.dispatch_arms = module.dispatch_arms
         if METRICS.enabled:
             METRICS.inc("codegen.builds")
-            METRICS.set_gauge("codegen.locals", gen.nlocals)
+            METRICS.set_gauge("codegen.locals", module.nlocals)
             METRICS.set_gauge("codegen.source_lines", self.source.count("\n") + 1)
-            METRICS.set_gauge("codegen.dispatch_arms", gen.dispatch_arms)
+            METRICS.set_gauge("codegen.dispatch_arms", module.dispatch_arms)
 
     def configure_faults(
         self,

@@ -104,3 +104,77 @@ class TestLoweredProgramsForward:
         packet = _packet(0x1234).payload(option + b"rest").build().tobytes()
         (out,) = self._outputs(VARLEN_SRC, packet)
         assert out == packet
+
+
+class TestFrontendCache:
+    """One front-end per source (DESIGN.md §18): a repeat is the same
+    ``Module``, still one ``frontend`` span, and counted apart."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        from repro.core import driver
+
+        monkeypatch.setattr(driver, "_MODULES", {})
+
+    def test_a_hit_keeps_its_span_and_loses_the_children(self):
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer()
+        compiler = Up4Compiler(tracer=tracer)
+        first = compiler.frontend(STACK_SRC, "stack.up4")
+        assert compiler.frontend(STACK_SRC, "stack.up4") is first
+        # Another name is another module: locations carry the file name.
+        assert compiler.frontend(STACK_SRC, "other.up4") is not first
+        spans = [
+            (span.name, span.attrs.get("cached")) for span in tracer.spans()
+        ]
+        miss = [
+            ("frontend", None), ("frontend.check", None),
+            ("frontend.lower", None),
+        ]
+        assert spans == miss + [("frontend", True)] + miss
+
+    def test_the_cache_is_bounded(self, monkeypatch):
+        from repro.core import driver
+
+        monkeypatch.setattr(driver, "_MODULES_CAP", 2)
+        compiler = Up4Compiler()
+        first = compiler.frontend(STACK_SRC, "a.up4")
+        compiler.frontend(STACK_SRC, "b.up4")
+        compiler.frontend(STACK_SRC, "c.up4")
+        assert len(driver._MODULES) == 2
+        assert compiler.frontend(STACK_SRC, "a.up4") is not first
+
+    def test_a_catalog_pass_does_each_piece_of_work_once(self, monkeypatch):
+        """P1-P7 from source, every exec backend: 16 distinct module
+        sources are checked (34 front-end calls), and one module is
+        generated and compiled per program however many codegen-family
+        executors are built from it."""
+        from repro.lib.catalog import COMPOSITIONS, PROGRAMS
+        from repro.lib.loader import load_module_source
+        from repro.obs.metrics import collecting
+        from repro.targets import codegen
+        from repro.targets.backends import EXEC_BACKENDS
+
+        monkeypatch.setattr(codegen, "_CODE_CACHE", {})
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", "0")
+        backends = [
+            b for b in EXEC_BACKENDS if b != "vector" or NUMPY_AVAILABLE
+        ]
+        with collecting() as registry:
+            for name in PROGRAMS:
+                compiler = Up4Compiler()
+                modules = [
+                    compiler.frontend(load_module_source(m), f"{m}.up4")
+                    for m in COMPOSITIONS[name]
+                ]
+                linked = compiler.link(modules[0], modules[1:])
+                composed = compiler.midend(linked, compiler.analyze(linked))
+                for backend in backends:
+                    make_pipeline(composed, backend)
+            counters = registry.snapshot()["counters"]
+        assert counters["frontend.modules_checked"] == 16
+        assert counters["frontend.modules_cached"] == 34 - 16
+        assert counters["codegen.generations"] == 7
+        assert counters["codegen.build_cache_misses"] == 7
+        assert counters["codegen.builds"] == 7 * (len(backends) - 2)

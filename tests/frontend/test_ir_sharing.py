@@ -12,11 +12,14 @@ import pytest
 
 from repro.core.driver import CompilerOptions, Up4Compiler
 from repro.frontend import astnodes as ast
+from repro.frontend.json_ir import dump_module
 from repro.frontend.typecheck import check_program
 from repro.ir.visitor import walk
 from repro.lib.catalog import COMPOSITIONS, PROGRAMS, link_composition
-from repro.lib.loader import compile_library_module
+from repro.lib.loader import compile_library_module, load_module_source
+from repro.midend.hdr_stack import lower_header_stacks
 from repro.midend.inline import compose
+from repro.midend.varlen import lower_varlen_headers
 from repro.targets.backends import make_pipeline
 from repro.targets.vector import NUMPY_AVAILABLE
 from tests.midend.test_hdr_stack import SRC as STACK_SRC
@@ -207,6 +210,57 @@ class TestCompilingLeavesTheLibraryAlone:
         first = compile_everything(module, [])
         assert compile_everything(module, []) == first
         assert fingerprint(module) == before
+
+
+class TestModulesSharedAcrossCompositions:
+    """Separate compilation (Fig. 4a): the driver keeps one ``Module``
+    per source, and P1 and P4 link the *same* ``eth`` / ``ipv4`` /
+    ``ipv6`` objects — in either order, with the outputs fresh
+    front-ends give and the shared modules' µP4-IR untouched."""
+
+    @staticmethod
+    def outputs(name, frontend):
+        modules = [
+            frontend(load_module_source(m), f"{m}.up4")
+            for m in COMPOSITIONS[name]
+        ]
+        compiler = Up4Compiler()
+        linked = compiler.link(modules[0], modules[1:])
+        composed = compiler.midend(linked, compiler.analyze(linked))
+        tna = Up4Compiler(CompilerOptions(target="tna")).backend(composed)
+        v1model = Up4Compiler(CompilerOptions(target="v1model")).backend(composed)
+        return (
+            tna.num_stages,
+            tna.bits_allocated,
+            hashlib.sha256(v1model.source_text.encode()).hexdigest(),
+        )
+
+    @pytest.mark.parametrize("order", [("P1", "P4"), ("P4", "P1")])
+    def test_both_orders(self, order, monkeypatch):
+        from repro.core import driver
+
+        def uncached(source, name):
+            return lower_varlen_headers(
+                lower_header_stacks(check_program(source, name))
+            )
+
+        fresh = {name: self.outputs(name, uncached) for name in order}
+
+        monkeypatch.setattr(driver, "_MODULES", {})
+        frontend = Up4Compiler().frontend
+        shared = {
+            m: frontend(load_module_source(m), f"{m}.up4")
+            for m in ("eth", "ipv4", "ipv6")
+        }
+        ir_before = {m: dump_module(mod) for m, mod in shared.items()}
+        for name in order:
+            assert self.outputs(name, frontend) == fresh[name]
+            for m, module in shared.items():
+                assert m in COMPOSITIONS[name]
+                # The composition linked this very object ...
+                assert frontend(load_module_source(m), f"{m}.up4") is module
+                # ... and left its µP4-IR byte for byte as it was.
+                assert dump_module(module) == ir_before[m]
 
 
 class TestCopyCount:

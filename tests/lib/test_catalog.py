@@ -44,6 +44,24 @@ class TestLoader:
         b = compile_library_module("ipv4")
         assert a is b
 
+    def test_loader_and_driver_are_one_frontend(self, monkeypatch):
+        """A module with a header stack comes out of the loader lowered,
+        as the driver's front-end gives it — and is the driver's very
+        object, so catalog recipes and ``repro compile`` share modules."""
+        from repro.core.driver import Up4Compiler
+        from repro.lib import loader
+        from repro.midend.hdr_stack import has_header_stacks
+        from tests.midend.test_hdr_stack import SRC as STACK_SRC
+
+        monkeypatch.setattr(
+            loader, "load_module_source", lambda name, kind="modules": STACK_SRC
+        )
+        loaded = compile_library_module("stacked")
+        assert not has_header_stacks(loaded.source)
+        driven = Up4Compiler().frontend(STACK_SRC, "stacked.up4")
+        assert dump_module(loaded) == dump_module(driven)
+        assert loaded is driven
+
     @pytest.mark.parametrize("name", sorted(set(
         module for recipe in COMPOSITIONS.values() for module in recipe
     )))

@@ -160,6 +160,7 @@ class TestShrunkInput:
 
     def test_one_pass_for_all_backends(self, monkeypatch):
         import gc
+        import weakref
 
         from repro.midend.optimize import action_statements
         from repro.targets import backends
@@ -184,11 +185,64 @@ class TestShrunkInput:
         assert action_statements(shrunk) == 109
         # Rebuilding from an executor's own program shrinks nothing more.
         assert make_pipeline(shrunk, "interp").composed is shrunk
-        # The memo does not keep a dropped program alive.
-        key = id(composed)
+        # The memo lives on the program, so it keeps nothing alive.
+        dropped = weakref.ref(composed)
         del composed, calls[:]
         gc.collect()
-        assert key not in backends._SHRUNK
+        assert dropped() is None
+
+    def test_an_in_place_edit_is_seen_by_the_next_build(self):
+        """``elide_trivial_mats`` edits a composed program in place; an
+        executor built afterwards runs the elided program (it used to
+        get the form remembered from before the edit), and so do the
+        target backends."""
+        import hashlib
+
+        from repro.core.driver import CompilerOptions, Up4Compiler
+        from repro.midend.optimize import elide_trivial_mats
+
+        def targets(program):
+            tna = Up4Compiler(CompilerOptions(target="tna")).backend(program)
+            v1model = Up4Compiler(
+                CompilerOptions(target="v1model")
+            ).backend(program)
+            return (
+                tna.num_stages, tna.bits_allocated,
+                hashlib.sha256(v1model.source_text.encode()).hexdigest(),
+            )
+
+        composed = build_pipeline("P4")
+        before = make_pipeline(composed, "codegen")
+        targets(composed)
+        assert len(before.tables) == 11
+        assert elide_trivial_mats(composed).total == 5
+        after = make_pipeline(composed, "codegen")
+        assert set(after.tables) == set(composed.tables)
+        assert len(after.tables) == 6
+        assert after.source != before.source
+
+        fresh = build_pipeline("P4")
+        elide_trivial_mats(fresh)
+        assert targets(composed) == targets(fresh)
+        assert after.source == make_pipeline(fresh, "codegen").source
+
+    def test_the_memo_is_not_pickled(self):
+        import pickle
+
+        composed = build_pipeline("P4")
+        make_pipeline(composed, "codegen")
+        assert set(composed.derived) == {"executable_form"}
+        assert set(composed.derived["executable_form"].derived) == {
+            "generated_module"
+        }
+        shipped = pickle.loads(pickle.dumps(composed))
+        assert shipped.derived == {}
+        assert shipped.tables.keys() == composed.tables.keys()
+        # What a worker builds from it is what the parent built.
+        assert (
+            make_pipeline(shipped, "codegen").source
+            == make_pipeline(composed, "codegen").source
+        )
 
     def test_unknown_backend_is_rejected_before_any_work(self, monkeypatch):
         from repro.targets import backends

@@ -587,3 +587,78 @@ class TestCatalogLaneBody:
         # The per-packet function still samples latency and traces.
         single = pipe.source[:pipe.source.index("def _cg_run_batch(")]
         assert "if lat_on:" in single and "if trace is not None:" in single
+        # A value that comes masked is not masked again: byte-stack
+        # cells take their slices as they are.
+        assert not re.search(r"& \d+\) & \d+$", pipe.source, re.M)
+        assert re.search(r"^\s+_bs\d+ = \(\(\w+ >> \d+\) & 255\)$", pipe.source, re.M)
+
+    def test_one_check_per_side_effect_region(self):
+        """Step accounting is per region (DESIGN.md §15): P1–P7 carry
+        under half the budget checks they have statements, and the
+        whole catalog fits in 20 000 generated lines."""
+        import re
+
+        lines = checks = counted = 0
+        for i in range(1, 8):
+            source = make_pipeline(build_pipeline(f"P{i}"), "codegen").source
+            lines += source.count("\n") + 1
+            steps = [int(n) for n in re.findall(r"steps \+= (\d+)$", source, re.M)]
+            checks += len(steps)
+            counted += sum(steps)
+            assert source.count("if steps > step_limit:") == len(steps)
+        assert lines <= 20_000
+        assert checks * 2 < counted
+
+
+class TestGeneratedModule:
+    """One generated module per composed program; executors are
+    instances of it."""
+
+    def test_codegen_and_vector_share_code_and_no_table_state(self, monkeypatch):
+        from repro.targets import codegen
+        from repro.targets.vector import NUMPY_AVAILABLE
+
+        if not NUMPY_AVAILABLE:
+            pytest.skip("vector backend needs numpy")
+        generations = []
+        real = codegen._SourceGen.generate
+        monkeypatch.setattr(
+            codegen._SourceGen, "generate",
+            lambda gen: generations.append(gen) or real(gen),
+        )
+        composed = build_pipeline("P4")
+        cg = make_pipeline(composed, "codegen")
+        vec = make_pipeline(composed, "vector")
+        again = make_pipeline(composed, "codegen")
+        assert len(generations) == 1
+        assert cg._run.__code__ is vec._run.__code__ is again._run.__code__
+        assert cg._run_batch.__code__ is vec._run_batch.__code__
+        assert cg._run is not vec._run
+        assert cg.lane_vars is vec.lane_vars
+        for name, runtime in cg.tables.items():
+            assert vec.tables[name] is not runtime
+            assert again.tables[name] is not runtime
+
+        # Entries, a new default and a clear on one executor's tables
+        # never show on another's.
+        from repro.targets.runtime_api import RuntimeAPI
+        from tests.integration.helpers import ENTRY_SETS, eth_ipv4
+
+        def install(pipe):
+            api = RuntimeAPI(pipe)
+            for table, matches, action, _mono, args in ENTRY_SETS["P4"]:
+                api.add_entry(table, matches, action, args)
+            return api
+
+        def ports(pipe):
+            return [o.port for o in pipe.process(eth_ipv4(), 1)]
+
+        api = install(cg)
+        assert ports(cg) == [2] and ports(vec) == ports(again) == []
+        install(vec)
+        api.clear("forward_tbl")
+        assert ports(cg) == [] and ports(vec) == [2]
+        api.set_default("forward_tbl", "forward", [1, 2, 5])
+        assert ports(cg) == [5] and ports(vec) == [2] and ports(again) == []
+        lanes = vec.process_soa([eth_ipv4().tobytes()], [1], [eth_ipv4()])
+        assert [o.port for o in lanes[0][0]] == [2] and lanes[0][2] is None
