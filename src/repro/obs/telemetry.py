@@ -320,9 +320,10 @@ class FlightRecorder:
     """Bounded ring of the last N per-packet outcomes.
 
     Recording is a tuple build plus a deque append — cheap enough to
-    leave on for whole soaks — and the ring only becomes dicts at
-    :meth:`dump` time (on fault, ledger mismatch, or worker death).
-    ``capacity=0`` disables recording entirely.
+    leave on for whole soaks, and :meth:`record_batch` builds only the
+    last ``capacity`` of a batch, the ones the ring keeps — and the ring
+    only becomes dicts at :meth:`dump` time (on fault, ledger mismatch,
+    or worker death).  ``capacity=0`` disables recording entirely.
     """
 
     __slots__ = ("capacity", "shard", "_ring")
@@ -348,6 +349,17 @@ class FlightRecorder:
             verdict.error,
             trace.to_dict() if trace is not None else None,
         ))
+
+    def record_batch(self, indices, verdicts, traces) -> None:
+        """:meth:`record` each ``(index, verdict, trace)`` in order; the
+        ring is the same as after recording all of them."""
+        keep = self.capacity
+        if keep <= 0:
+            return
+        for index, verdict, trace in zip(
+            indices[-keep:], verdicts[-keep:], traces[-keep:]
+        ):
+            self.record(index, verdict, trace)
 
     def note(self, index: int, event: str, detail: str) -> None:
         """Remember a non-verdict event (e.g. an uncaught escape)."""

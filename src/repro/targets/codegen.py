@@ -25,7 +25,11 @@ bytecode:
 * the bodies of the actions a table can select
   (``TableRuntime.selectable_actions``) are inlined at its apply site,
   so a hit runs straight-line code instead of a dict lookup plus
-  invoker call.
+  invoker call;
+* a table with const entries and no ``lpm`` key — every parser and
+  deparser MAT the midend makes — is answered at its apply site while
+  nothing has written it (``TableRuntime.as_declared``): one dict probe
+  or a first-match chain instead of a ``lookup_full`` call.
 
 The generated function preserves the interpreter's observable contract
 (the differential suite in ``tests/targets/test_compiled_equiv.py``
@@ -264,6 +268,11 @@ class _SourceGen:
         #: table name -> suffix of its ``_LK``/``_EI`` namespace slots,
         #: which each executor binds to its own TableRuntime.
         self.table_slots: Dict[str, str] = {}
+        #: Tables answered inline while as declared (``_table_apply``),
+        #: in the order of their ``_lq`` counters.
+        self.inline_tables: List[str] = []
+        # Whether the body just generated reads the ``pkt`` extern.
+        self._pkt_read = False
         # Step regions (see ``step``): the check covering the statement
         # being emitted, and the one the next statement may still join.
         self._checked: Optional[_Region] = None
@@ -297,6 +306,18 @@ class _SourceGen:
     # ------------------------------------------------------------------
     def line(self, text: str) -> None:
         self._cur.append((self.ind, text))
+
+    def reserve(self) -> Tuple[List[Tuple[int, Optional[str]]], int, int]:
+        """Hold the current line for text known only after the body
+        below it is generated (:meth:`fill`); left empty, it renders
+        as nothing."""
+        self._cur.append((self.ind, None))
+        return self._cur, len(self._cur) - 1, self.ind
+
+    @staticmethod
+    def fill(at, text: str) -> None:
+        buf, index, ind = at
+        buf[index] = (ind, text)
 
     def block(self) -> _Block:
         return _Block(self)
@@ -338,7 +359,9 @@ class _SourceGen:
         return f"_t{self._n}"
 
     def render(self) -> str:
-        return "\n".join("    " * ind + text for ind, text in self._out)
+        return "\n".join(
+            "    " * ind + text for ind, text in self._out if text is not None
+        )
 
     # ------------------------------------------------------------------
     # Scopes
@@ -519,6 +542,8 @@ class _SourceGen:
             if ent is None:
                 return self._undef(e.name, "read of")
             assert ent[0] is not None, f"whole-value read of flattened {e.name!r}"
+            if e.name == PKT_VAR:
+                self._pkt_read = True
             return ent[0]
         if isinstance(e, ast.MemberExpr):
             return self._member(e)
@@ -1104,18 +1129,38 @@ class _SourceGen:
         lt = self.tmp()
         with self._observing("lat_on"):
             self.line(f"{lt} = _perf()")
-        keys = self._eval_all(list(runtime.key_exprs))
-        ints = [
-            self.as_int(node, ks)
-            for node, ks in zip(runtime.key_exprs, keys)
-        ]
-        kv = self.tmp()
-        if ints:
-            self.line(f"{kv} = ({', '.join(ints)},)")
-        else:
-            self.line(f"{kv} = ()")
+        keys = []
+        for node, ks in zip(
+            runtime.key_exprs, self._eval_all(list(runtime.key_exprs))
+        ):
+            ki = self.as_int(node, ks)
+            if not _ATOM.match(ki):
+                t = self.tmp()
+                self.line(f"{t} = {ki}")
+                ki = t
+            keys.append(ki)
+        # Atoms only, so the tuple display may be written twice.
+        kv = f"({', '.join(keys)},)" if keys else "()"
         an, aa, hit, en = self.tmp(), self.tmp(), self.tmp(), self.tmp()
-        self.line(f"{an}, {aa}, {hit}, {en} = {lk}({kv})")
+        answer = f"{an}, {aa}, {hit}, {en}"
+        form = runtime.declared_form()
+        if form is None:
+            self.line(f"{answer} = {lk}({kv})")
+        else:
+            # DESIGN.md §15 "Answers as declared".
+            if name not in self.inline_tables:
+                self.inline_tables.append(name)
+            self.line(f"if _TR{slot}.as_declared:")
+            with self.block():
+                self.line(f"_lq{slot} += 1")
+                if form[0] == "exact":
+                    self.line(f"{answer} = _AN{slot}.get({kv}, _AD{slot})")
+                else:
+                    self._answer_chain(form[1], keys, runtime.key_widths,
+                                       slot, answer)
+            self.line("else:")
+            with self.block():
+                self.line(f"{answer} = {lk}({kv})")
         with self._observing("lat_on"):
             self.line(
                 f"_obs('pipeline.latency_us.lookup', "
@@ -1161,6 +1206,45 @@ class _SourceGen:
                     f"(_perf() - {lt}) * 1e6)"
                 )
         return hit
+
+    def _answer_chain(self, rows, keys, widths, slot: str, answer: str) -> None:
+        """First match over the const entries' checks
+        (``TableRuntime.declared_form``), else the default row.  Keys
+        fit their widths, so a full mask and a bound at the edge of the
+        key's range need no test."""
+        kw = "if"
+        for i, (tchecks, rchecks) in enumerate(rows):
+            conds = []
+            for pos, mask, want in tchecks:
+                k = keys[pos]
+                if mask == (1 << widths[pos]) - 1:
+                    conds.append(f"{k} == {want}")
+                else:
+                    conds.append(f"({k} & {mask}) == {want}")
+            for pos, lo, hi in rchecks:
+                k, full = keys[pos], (1 << widths[pos]) - 1
+                if lo and hi != full:
+                    conds.append(f"{lo} <= {k} <= {hi}")
+                elif lo:
+                    conds.append(f"{k} >= {lo}")
+                elif hi != full:
+                    conds.append(f"{k} <= {hi}")
+            if not conds:
+                # Matches every key: the rows after it are unreachable.
+                if kw == "if":
+                    self.line(f"{answer} = _AR{slot}[{i}]")
+                else:
+                    self.line("else:")
+                    with self.block():
+                        self.line(f"{answer} = _AR{slot}[{i}]")
+                return
+            self.line(f"{kw} {' and '.join(conds)}:")
+            with self.block():
+                self.line(f"{answer} = _AR{slot}[{i}]")
+            kw = "elif"
+        self.line("else:")
+        with self.block():
+            self.line(f"{answer} = _AD{slot}")
 
     def _inline_action(self, adecl, args_tmp: str) -> None:
         """One action body, inlined at a table-apply dispatch arm."""
@@ -1526,7 +1610,9 @@ class _SourceGen:
         im = self._define(IM_VAR, False)
         self.line(f"{im} = _IM(in_port={in_port_s}, pkt_len={pktlen_s})")
         pk = self._define(PKT_VAR, False)
-        self.line(f"{pk} = _PktObj({pktobj_s})")
+        # Built only if the body turns out to read it (_pkt_object).
+        self._pkt_init = (self.reserve(), f"{pk} = _PktObj({pktobj_s})")
+        self._pkt_read = False
         mc_wires = []
         reg_inits = []
         for name, vtype in self.composed.variables.items():
@@ -1555,6 +1641,22 @@ class _SourceGen:
             self.line(f"{local} = _pers.setdefault({name!r}, _Reg())")
         for local in mc_wires:
             self.line(f"{local}.im = {im}")
+
+    def _pkt_object(self) -> None:
+        """After a body: build the ``pkt`` extern object only if the
+        body reads it."""
+        if self._pkt_read:
+            self.fill(*self._pkt_init)
+
+    def _counters(self, init) -> None:
+        """After a body: zero the ``_lq`` counters of its inline
+        answers at ``init`` (a reserved line), and hand them to the
+        executor beside ``_hits``/``_misses`` — this line goes in the
+        ``finally``."""
+        if self.inline_tables:
+            names = [f"_lq{self.table_slots[t]}" for t in self.inline_tables]
+            self.fill(init, " = ".join(names) + " = 0")
+            self.line(f"pipe._lq_out = ({', '.join(names)},)")
 
     def _micro_scalar_prologue(self) -> None:
         E, S = self.bs_extract_len, self.bs_size
@@ -1753,6 +1855,7 @@ class _SourceGen:
             self.line("steps = 0")
             self.line("_hits = 0")
             self.line("_misses = 0")
+            counters = self.reserve()
             self.line("_pers = pipe.persistent")
             self.line("try:")
             with self.block():
@@ -1763,10 +1866,12 @@ class _SourceGen:
                 else:
                     self._mono_per_packet()
                 self._pop_frame()
+            self._pkt_object()
             self.line("finally:")
             with self.block():
                 self.line("pipe._hits_out = _hits")
                 self.line("pipe._misses_out = _misses")
+                self._counters(counters)
 
     def _gen_run_batch(self) -> None:
         E, S = self.bs_extract_len, self.bs_size
@@ -1778,6 +1883,7 @@ class _SourceGen:
         with self.block():
             self.line("_hits = 0")
             self.line("_misses = 0")
+            counters = self.reserve()
             self.line("_pers = pipe.persistent")
             self.line("_n = len(datas)")
             self.line("_results = [None] * _n")
@@ -1849,6 +1955,7 @@ class _SourceGen:
                             self.line("_outlens[_lane] = out_len")
                             self.line(f"_ims[_lane] = {im}")
                         self._pop_frame()
+                        self._pkt_object()
                     self.line("except Exception as _exc:")
                     with self.block():
                         self.line("_results[_lane] = (None, None, _exc)")
@@ -1874,6 +1981,7 @@ class _SourceGen:
             with self.block():
                 self.line("pipe._hits_out = _hits")
                 self.line("pipe._misses_out = _misses")
+                self._counters(counters)
             self.line("return _results")
 
     def generate(self) -> "GeneratedModule":
@@ -1895,6 +2003,7 @@ class _SourceGen:
             _compile_cached(source, f"<codegen:{self.composed.name}>"),
             self.namespace,
             self.table_slots,
+            tuple(self.inline_tables),
             SoaLayout(self.bs_size, self.bs_extract_len, self.bs_scalar, batch_ok),
             self.lane_vars,
             self.dispatch_arms,
@@ -1930,30 +2039,44 @@ class GeneratedModule:
     ``shared`` is the namespace every instance starts from (helpers,
     ``_K…`` constants and factories, ``_BN``); ``table_slots`` maps a
     table name to the suffix of the ``_LK``/``_EI`` names its apply
-    sites call.  :meth:`instantiate` binds those to one executor's own
-    :class:`TableRuntime` objects, so any number of ``CodegenPipeline``
-    / ``VectorPipeline`` instances run one code object and share no
-    table state.
+    sites call, and ``inline_tables`` lists the tables whose sites also
+    answer inline while the table is as declared (``_TR``/``_AN``/
+    ``_AR``/``_AD``, counted in ``_lq``).  :meth:`instantiate` binds all
+    of those to one executor's own :class:`TableRuntime` objects, so
+    any number of ``CodegenPipeline`` / ``VectorPipeline`` instances
+    run one code object and share no table state.
     """
 
     source: str
     code: Any
     shared: Dict[str, object]
     table_slots: Dict[str, str]
+    inline_tables: Tuple[str, ...]
     soa_layout: "SoaLayout"
     lane_vars: LaneVars
     dispatch_arms: int
     nlocals: int
 
     def instantiate(self, tables: Dict[str, TableRuntime]):
-        """``(_cg_run, _cg_run_batch or None)`` over ``tables``."""
+        """``(_cg_run, _cg_run_batch or None, metrics)`` over
+        ``tables``; ``metrics[i]`` is the lookup counter the ``_lq``
+        count of ``inline_tables[i]`` stands for."""
         ns = dict(self.shared)
         for name, slot in self.table_slots.items():
             runtime = tables[name]
             ns[f"_LK{slot}"] = runtime.lookup_full
             ns[f"_EI{slot}"] = runtime.entry_index
+        metrics = []
+        for name in self.inline_tables:
+            slot, runtime = self.table_slots[name], tables[name]
+            answers = runtime.declared_answers()
+            ns[f"_TR{slot}"] = runtime
+            ns[f"_AN{slot}"] = answers.by_key
+            ns[f"_AR{slot}"] = answers.rows
+            ns[f"_AD{slot}"] = answers.default
+            metrics.append(answers.metric)
         exec(self.code, ns)
-        return ns["_cg_run"], ns.get("_cg_run_batch")
+        return ns["_cg_run"], ns.get("_cg_run_batch"), tuple(metrics)
 
 
 def generated_module(
@@ -2073,6 +2196,7 @@ class CodegenPipeline:
         self.guards = ResourceGuards()
         self._hits_out = 0
         self._misses_out = 0
+        self._lq_out: Tuple[int, ...] = ()
         # Metric family follows the registered backend name so subclasses
         # (the vector backend) report under their own keys even on paths
         # inherited from here — the CLI/engine summaries read
@@ -2082,7 +2206,9 @@ class CodegenPipeline:
         self._m_misses = f"{self.backend}.table_misses"
         module = generated_module(composed, self.tables)
         self.source = module.source
-        self._run, self._run_batch = module.instantiate(self.tables)
+        self._run, self._run_batch, self._lq_metrics = module.instantiate(
+            self.tables
+        )
         self.batch_supported = self._run_batch is not None
         self.soa_layout = module.soa_layout
         #: Which struct/header variables are flattened, and why the rest
@@ -2118,6 +2244,7 @@ class CodegenPipeline:
         self.last_drop_reason = None
         self._hits_out = 0
         self._misses_out = 0
+        self._lq_out = ()
         try:
             return self._run(
                 self,
@@ -2131,10 +2258,19 @@ class CodegenPipeline:
             )
         finally:
             if METRICS.enabled:
-                if self._hits_out:
-                    METRICS.inc(self._m_hits, self._hits_out)
-                if self._misses_out:
-                    METRICS.inc(self._m_misses, self._misses_out)
+                self._count_run()
+
+    def _count_run(self) -> None:
+        """The table counters of the run that just ended: hits and
+        misses, and the lookups its sites answered inline under the
+        names ``lookup_full`` would have counted them."""
+        if self._hits_out:
+            METRICS.inc(self._m_hits, self._hits_out)
+        if self._misses_out:
+            METRICS.inc(self._m_misses, self._misses_out)
+        for metric, count in zip(self._lq_metrics, self._lq_out):
+            if count:
+                METRICS.inc(metric, count)
 
     def process_traced(self, packet: Packet, in_port: int = 0):
         trace = PacketTrace()
@@ -2154,11 +2290,9 @@ class CodegenPipeline:
         self.last_drop_reason = None
         self._hits_out = 0
         self._misses_out = 0
+        self._lq_out = ()
         try:
             return self._run_batch(self, datas, ports, pkts, self.step_limit, self.faults)
         finally:
             if METRICS.enabled:
-                if self._hits_out:
-                    METRICS.inc(self._m_hits, self._hits_out)
-                if self._misses_out:
-                    METRICS.inc(self._m_misses, self._misses_out)
+                self._count_run()

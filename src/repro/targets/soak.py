@@ -358,18 +358,24 @@ def iter_stream(
         yield index, Packet(data), in_port
 
 
+def _digest_record(index: int, kind: str, verdict) -> str:
+    """One verdict's record in the verdict-stream digest."""
+    return (
+        f"{index}|{kind}|{len(verdict.outputs)}|"
+        f"{sorted(verdict.reasons.items())}"
+    )
+
+
 def update_digest(digest, index: int, verdict) -> None:
     """Fold one verdict into a verdict-stream digest.
 
     The digest input is strictly ``(global packet index, verdict kind,
     emit count, reason counts)`` — no timings, no stats, no per-run
     metadata — so same seed (and same sharding parameters) always means
-    the same digest.
+    the same digest.  :func:`consume` feeds the same records a batch at
+    a time; SHA-256 is a stream, so the digest is the same.
     """
-    digest.update(
-        f"{index}|{verdict.kind}|{len(verdict.outputs)}|"
-        f"{sorted(verdict.reasons.items())}".encode()
-    )
+    digest.update(_digest_record(index, verdict.kind, verdict).encode())
 
 
 def consume(
@@ -400,10 +406,15 @@ def consume(
     instead, which also reaches the flight recorder.  Verdicts do not
     depend on which way a batch ran or where its boundaries fall.
 
+    Each batch is folded into the digest with one ``update`` over its
+    verdicts' records (``update_digest``'s, concatenated — the same
+    bytes in the same order), reading each verdict's ``kind`` once.
+
     ``publish(epoch, ledger, watermark)`` posts a mid-run telemetry
     message every ``publish_interval_s`` seconds (0 disables);
-    ``recorder`` remembers the last N verdicts for post-mortem dumps.
-    Neither touches the verdict stream or the digest.
+    ``recorder`` remembers the last N verdicts for post-mortem dumps,
+    taking from each batch only the last N it would keep.  Neither
+    touches the verdict stream or the digest.
 
     The *watermark* is the highest global packet index whose verdict
     has been folded into the digest (-1 until the first batch lands).
@@ -469,15 +480,19 @@ def consume(
                 )
             batch.clear()
             return
-        for (index, _, _), verdict, trace in zip(batch, verdicts, traces):
-            if recorder is not None:
-                recorder.record(index, verdict, trace)
+        indices = [index for index, _, _ in batch]
+        if recorder is not None:
+            recorder.record_batch(indices, verdicts, traces)
+        records = []
+        for index, verdict, trace in zip(indices, verdicts, traces):
             if trace is not None:
                 on_trace(index, trace, verdict)
             if not verdict.balanced():
                 unbalanced += 1
-            kinds[verdict.kind] += 1
-            update_digest(digest, index, verdict)
+            kind = verdict.kind
+            kinds[kind] += 1
+            records.append(_digest_record(index, kind, verdict))
+        digest.update("".join(records).encode())
         # Only advance past *digested* packets: a restart resumes after
         # the watermark, so it must never cover un-folded indices.
         watermark = batch[-1][0]

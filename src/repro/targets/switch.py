@@ -322,14 +322,20 @@ class Switch:
         The fast path declines (and this falls back to per-packet
         processing) under ``strict`` mode, a configured recirculation
         port, or a backend without batch support.
+
+        Every ``in_port`` is checked before any lane is counted or run:
+        a bad port anywhere raises and leaves the switch untouched.
         """
+        items = list(items)
+        for _packet, in_port in items:
+            self._check_port(in_port)
         if (
             soa
             and not self.strict
             and self.config.recirculate_port is None
             and getattr(self.pipeline, "batch_supported", False)
         ):
-            return self._process_batch_soa(list(items))
+            return self._process_batch_soa(items)
         process = self.process
         return [process(packet, in_port) for packet, in_port in items]
 
@@ -339,42 +345,55 @@ class Switch:
         """Struct-of-arrays batch: one ``process_soa`` call for N lanes.
 
         Mirrors :meth:`process` lane by lane — same mutate order against
-        the fault plan's per-site streams, same verdict bookkeeping —
-        minus tracing (no per-packet trace in batch mode) and
-        recirculation (the fast path is gated off for pipelines and
-        configs that can recirculate).
+        the fault plan's per-site streams, same verdicts — minus tracing
+        (no per-packet trace in batch mode) and recirculation (the fast
+        path is gated off for pipelines and configs that can
+        recirculate).  The ledger moves once per batch; a lane with one
+        unicast output and no fault plan (so no buffer site to draw)
+        becomes its verdict directly, and only the other lanes go
+        through ``_kill`` / ``_drop`` / ``_replicate`` / ``_emit``.
         """
         metrics_on = METRICS.enabled
         if metrics_on:
             t0 = perf_counter()
         n = len(items)
-        verdicts: List[Verdict] = []
-        datas: List[bytes] = []
-        ports: List[int] = []
-        pkts: List[Packet] = []
         faults = self.faults
-        for packet, in_port in items:
-            self._check_port(in_port)
-            self.stats["in"] += 1
-            verdicts.append(Verdict(outputs=[], reasons={}, units=1))
-            if faults is not None:
+        ports = [in_port for _packet, in_port in items]
+        if faults is None:
+            pkts = [packet for packet, _in_port in items]
+            datas = [packet.tobytes() for packet in pkts]
+        else:
+            pkts, datas = [], []
+            for packet, _in_port in items:
                 data, applied = faults.mutate(packet.tobytes())
-                if applied:
-                    packet = Packet(data)
-            else:
-                data = packet.tobytes()
-            datas.append(data)
-            ports.append(in_port)
-            pkts.append(packet)
+                pkts.append(Packet(data) if applied else packet)
+                datas.append(data)
+        stats = self.stats
+        stats["in"] += n
         lanes = self.pipeline.process_soa(datas, ports, pkts)
-        out_total = 0
-        units_total = 0
-        for verdict, (outputs, reason, exc) in zip(verdicts, lanes):
+        verdicts: List[Verdict] = []
+        # Every lane counts as one output and one unit; a lane off the
+        # direct path corrects its share below.
+        out_total = units_total = n
+        killed = 0
+        for outputs, reason, exc in lanes:
+            if (
+                faults is None
+                and outputs
+                and len(outputs) == 1
+                and not outputs[0].mcast_grp
+                and outputs[0].port != DROP_PORT
+            ):
+                verdicts.append(Verdict(outputs, {}, 1))
+                continue
+            verdict = Verdict([], {}, 1)
+            verdicts.append(verdict)
             if exc is not None:
                 if isinstance(exc, FaultError):
                     self._kill(verdict, exc.reason, exc, None)
                 else:
                     self._kill(verdict, "internal", exc, None)
+                killed += 1
             elif not outputs:
                 self._drop(verdict, reason or "pipeline-drop", None, traced=False)
             else:
@@ -387,15 +406,14 @@ class Switch:
                         self._drop(verdict, "drop-port", None)
                     else:
                         self._emit(verdict, result, None)
-            self.stats["out"] += len(verdict.outputs)
-            self.stats["units"] += verdict.units
-            out_total += len(verdict.outputs)
-            units_total += verdict.units
-            if verdict.killed:
-                self.stats["killed"] += 1
-                if metrics_on:
-                    METRICS.inc("switch.killed")
+            out_total += len(verdict.outputs) - 1
+            units_total += verdict.units - 1
+        stats["out"] += out_total
+        stats["units"] += units_total
+        stats["killed"] += killed
         if metrics_on and n:
+            if killed:
+                METRICS.inc("switch.killed", killed)
             METRICS.inc("switch.packets", n)
             METRICS.inc("switch.emits", out_total)
             METRICS.inc("switch.units", units_total)

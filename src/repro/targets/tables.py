@@ -51,13 +51,24 @@ spec on an exact key) go to a small residual list that is scanned in
 priority order, so every strategy reproduces the reference semantics
 bit-for-bit.  :meth:`TableRuntime.lookup_scan_full` keeps the reference
 scan alive for differential tests and benchmarks.
+
+Answers as declared
+-------------------
+
+A table with const entries and no ``lpm`` key answers a pure function
+of its key until something writes it.  :meth:`TableRuntime.declared_form`
+says how an apply site may compute that function (one dict probe, or a
+first-match chain over the const entries' checks),
+:meth:`TableRuntime.declared_answers` gives one runtime's rows for it,
+and :attr:`TableRuntime.as_declared` says whether they still hold — the
+generated executors read it before every such apply.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import TargetError
 from repro.frontend import astnodes as ast
@@ -114,6 +125,18 @@ class Entry:
             if spec[0] == "lpm":
                 return spec[2]
         return 0
+
+
+class DeclaredAnswers(NamedTuple):
+    """What a table answers as declared, each in ``lookup_full``'s shape
+    ``(action, args, hit, entry)``: ``rows[i]`` for const entry i,
+    ``by_key`` key tuple -> row for the exact form, ``default`` for a
+    miss; ``metric`` is the counter ``lookup_full`` would tick."""
+
+    by_key: Dict[tuple, tuple]
+    rows: Tuple[tuple, ...]
+    default: tuple
+    metric: str
 
 
 # ======================================================================
@@ -377,6 +400,11 @@ class TableRuntime:
         self._has_lpm = "lpm" in self.match_kinds
         self.use_index = use_index
         self._index = None
+        #: True while the table is exactly as declared — no runtime
+        #: entry, declared default, scalar index built — so an apply
+        #: site may take its answer from :meth:`declared_answers`.  Set
+        #: by the first index build, cleared for good by any mutation.
+        self.as_declared = False
         # Bumped on every mutation so batch executors that pre-compile
         # per-table lookup structures (the vector backend) can tell when
         # a cached structure is stale without comparing entry lists.
@@ -489,6 +517,7 @@ class TableRuntime:
             matches=specs, action_name=action_name, action_args=args,
             priority=priority,
         )
+        self.as_declared = False
         # Higher priority wins; insertion order among equals.
         entries = self.runtime_entries
         if entries and entries[-1].priority < priority:
@@ -510,6 +539,7 @@ class TableRuntime:
     def set_default(self, action_name: str, args: Optional[Sequence[int]] = None) -> None:
         self.default_args = self._checked_action(action_name, args)
         self.default_action = action_name
+        self.as_declared = False
         # No scalar index stores the default row (a miss reads it
         # live); only snapshots that copied it must notice.
         self._new_epoch("default")
@@ -517,6 +547,7 @@ class TableRuntime:
     def clear_runtime_entries(self) -> None:
         self.runtime_entries = []
         self._index = None
+        self.as_declared = False
         self._new_epoch("cleared")
 
     def _checked_action(
@@ -637,6 +668,7 @@ class TableRuntime:
         else:
             index = _CompiledScan(combined, self.key_widths, self._has_lpm)
         self._index = index
+        self.as_declared = self.version == 0
         self.count_index_event("tables.index.rebuilt")
         return index
 
@@ -668,6 +700,56 @@ class TableRuntime:
             if candidate is entry:
                 return index
         return -1
+
+    # ------------------------------------------------------------------
+    # Answers while the table is as declared
+    # ------------------------------------------------------------------
+    def declared_form(self) -> Optional[Tuple[str, tuple]]:
+        """How an apply site may answer this table while it is
+        :attr:`as_declared`; None when it may not — no const entries, or
+        an ``lpm`` key (longest prefix is not first match).
+
+        ``("exact", ())``: every key is ``exact`` and every const entry
+        names a value on each, so the answer is one probe of
+        :meth:`declared_answers`' ``by_key`` on the key tuple.
+        ``("chain", rows)``: per const entry in declaration order its
+        :func:`compile_checks` pair; the first entry whose checks pass
+        answers, else the default — ``_CompiledScan`` unrolled.  A fact
+        of the declaration, the same for every runtime of one table.
+        """
+        if not self.const_entries or self._has_lpm:
+            return None
+        if all(kind == "exact" for kind in self.match_kinds) and all(
+            spec[0] == "exact" for e in self.const_entries for spec in e.matches
+        ):
+            return ("exact", ())
+        return ("chain", tuple(
+            compile_checks(e, self.key_widths) for e in self.const_entries
+        ))
+
+    def declared_answers(self) -> "DeclaredAnswers":
+        """This runtime's answers as declared, for the sites
+        :meth:`declared_form` admits."""
+        rows = tuple(
+            (e.action_name, list(e.action_args), True, e)
+            for e in self.const_entries
+        )
+        by_key: Dict[tuple, tuple] = {}
+        if self.declared_form() == ("exact", ()):
+            for entry, row in zip(self.const_entries, rows):
+                # First entry per key wins, as in the scan.
+                by_key.setdefault(tuple(s[1] for s in entry.matches), row)
+        if not self.use_index:
+            metric = "interp.lookup.scan"
+        elif all(kind == "exact" for kind in self.match_kinds):
+            metric = _ExactIndex.metric
+        else:
+            metric = _CompiledScan.metric
+        return DeclaredAnswers(
+            by_key, rows,
+            (self.default_action, list(self.default_args), False, None),
+            metric,
+        )
 
     def __repr__(self) -> str:
         return (

@@ -208,9 +208,26 @@ class TestFlightRecorder:
     def test_capacity_zero_disables(self):
         rec = FlightRecorder(capacity=0)
         rec.record(1, self._verdict())
+        rec.record_batch([2], [self._verdict()], [None])
         rec.note(2, "x", "y")
         assert len(rec) == 0
         assert rec.dump() == []
+
+    @pytest.mark.parametrize("batch", (1, 2, 3, 7))
+    def test_a_batch_leaves_the_ring_recording_each_would(self, batch):
+        one, many = FlightRecorder(capacity=3), FlightRecorder(capacity=3)
+        verdicts = [
+            self._verdict(reasons={"drop-port": i} if i % 2 else None)
+            for i in range(10)
+        ]
+        for lo in range(0, 10, batch):
+            indices = list(range(lo, min(lo + batch, 10)))
+            chunk = verdicts[lo:lo + batch]
+            for index, verdict in zip(indices, chunk):
+                one.record(index, verdict)
+            many.record_batch(indices, chunk, [None] * len(chunk))
+        assert many.dump() == one.dump()
+        assert [e["packet"] for e in many.dump()] == [7, 8, 9]
 
     def test_trace_attached(self):
         rec = FlightRecorder(capacity=4)

@@ -24,6 +24,7 @@ from repro.targets.soak import (
     render_summary,
     run_soak,
     soak_program,
+    update_digest,
 )
 from repro.targets.vector import NUMPY_AVAILABLE
 
@@ -211,6 +212,32 @@ class TestOneLoop:
             "tables": switch.api.lookup_info(),
         }
         assert inline["watermark"] == 299
+
+    @pytest.mark.parametrize("lanes", (1, 16, 256))
+    def test_one_digest_update_per_batch_is_update_digest(self, lanes):
+        """The loop folds a batch with one ``update``; it must be the
+        digest of ``update_digest`` per verdict, which ``bench/`` uses."""
+        import hashlib
+
+        config = quick_config(packets=300, batch_lanes=lanes)
+        switch = build_switch(config, "P4", compose_program(config, "P4"))
+        verdicts = []
+        real = switch.process_batch
+
+        def spy(items, soa=False):
+            got = real(items, soa)
+            verdicts.extend(got)
+            return got
+
+        switch.process_batch = spy
+        block = consume(
+            switch, iter_stream(config, "P4", NUM_PORTS), batch_lanes=lanes
+        )
+        digest = hashlib.sha256()
+        for index, verdict in enumerate(verdicts):
+            update_digest(digest, index, verdict)
+        assert block["digest"] == digest.hexdigest()
+        assert {"emit", "drop", "killed"} <= {v.kind for v in verdicts}
 
     def test_uncaught_batch_is_skipped_and_the_run_goes_on(self):
         """The one uncaught policy: the raising batch is recorded (ten

@@ -85,6 +85,62 @@ class TestProcessBatch:
         assert len(verdicts) == 2
         assert switch.stats["in"] == 2
 
+    @pytest.mark.parametrize("soa", (False, True))
+    @pytest.mark.parametrize("bad_lane", (0, 3))
+    def test_a_bad_port_anywhere_leaves_the_switch_untouched(self, bad_lane, soa):
+        """Regression: the SoA path counted every lane ahead of a bad
+        port into ``in`` and then raised, and the per-packet path ran
+        them.  Ports are checked before any lane counts or runs."""
+        from repro.lib.catalog import build_pipeline
+        from repro.targets.backends import make_pipeline
+        from repro.targets.faults import FaultPlan
+
+        faults = FaultPlan.uniform(0.5, seed=3)
+        switch = Switch(
+            make_pipeline(build_pipeline("P4"), "codegen"),
+            SwitchConfig(num_ports=8), faults=faults,
+        )
+        assert switch.pipeline.batch_supported
+        items = [(eth_ipv4(), 1), (eth_ipv4(dst="172.16.0.1"), 1),
+                 (eth_ipv4(), 3), (eth_ipv4(), 3)]
+        items[bad_lane] = (eth_ipv4(), 99)
+        before = dict(switch.stats)
+        with pytest.raises(TargetError, match="port 99"):
+            switch.process_batch(items, soa=soa)
+        assert switch.stats == before
+        assert switch.drops_by_reason == {}
+        assert faults.trips == {}
+
+    def test_soa_ledger_matches_per_packet(self):
+        """The SoA path moves the ledger once per batch; it must end
+        where per-packet processing ends, faults and drops included."""
+        from repro.lib.catalog import build_pipeline
+        from repro.targets.backends import make_pipeline
+        from repro.targets.faults import FaultPlan
+
+        items = [(eth_ipv4(), 1), (eth_ipv4(dst="172.16.0.1"), 2),
+                 (eth_ipv4(ttl=0), 3), (eth_ipv4(), 4)] * 16
+        seen = []
+        for soa in (False, True):
+            for faults in (None, FaultPlan.uniform(0.2, seed=9)):
+                pipe = make_pipeline(build_pipeline("P4"), "codegen")
+                api = RuntimeAPI(pipe)
+                for table, matches, action, _mono, args in ENTRY_SETS["P4"]:
+                    api.add_entry(table, matches, action, args)
+                switch = Switch(pipe, SwitchConfig(num_ports=8), faults=faults)
+                verdicts = switch.process_batch(
+                    [(p.copy(), port) for p, port in items], soa=soa
+                )
+                seen.append((
+                    soa, faults is None, dict(switch.stats),
+                    dict(switch.drops_by_reason),
+                    [(v.kind, v.units, v.reasons, [o.port for o in v.outputs])
+                     for v in verdicts],
+                ))
+        for per_packet, batched in zip(seen[:2], seen[2:]):
+            assert per_packet[1:] == batched[1:]
+        assert seen[0][2]["out"] and seen[1][2]["killed"]
+
 
 class TestRuntimeApiExtras:
     def test_entry_counts(self):
