@@ -62,9 +62,9 @@ GAUGE_POLICIES = ("max", "sum", "last")
 
 #: Per-packet stage latencies (``pipeline.latency_us.*``) are timed on
 #: every Nth packet rather than every packet: a packet traverses many
-#: tables, and timing each stage of each table on every packet costs
-#: more than the 5% overhead budget (see
-#: ``benchmarks/test_telemetry_overhead.py``).  Sampling is a
+#: tables, and timing each stage of each table on every packet is
+#: dearer than the telemetry is worth (the ``obs.metrics_on_overhead.*``
+#: rows of ``bench/`` price metrics-on).  Sampling is a
 #: deterministic per-instance packet-counter stride — not random — so
 #: both execution backends sample the same packets and report identical
 #: observation counts.  Counters (packets, hits/misses, drops) remain

@@ -86,12 +86,14 @@ from repro.targets.supervision import RestartPolicy, Supervisor
 _REC = struct.Struct("<QHI")
 
 
-def _record_cap(ring_bytes: int) -> int:
-    """Flush threshold for the parent's per-shard pack buffers.
-
-    Scales with the ring so tiny test rings still fit whole records
-    (a record must fit the ring with room for a wrap marker)."""
-    return max(512, min(8192, ring_bytes // 4))
+def _packet_room(ring_bytes: int) -> int:
+    """Packet bytes a per-shard pack buffer may hold before the parent
+    must flush it.  Records stay within 8 KiB, or a quarter of a small
+    ring, which is always under :func:`repro.targets.ring.max_payload`:
+    the packers flush *before* an append would cross it, so every record
+    they put can be placed.  A lone packet bigger than that goes in a
+    record of its own."""
+    return min(8192, ring_bytes // 4) - _REC.size
 
 
 def _iter_ring(
@@ -729,7 +731,7 @@ class WorkerPool:
 
         try:
             if state.gen_high > watermark:
-                cap = _record_cap(engine.ring_bytes)
+                room = _packet_room(engine.ring_bytes)
                 pack = _REC.pack
                 buffer = bytearray()
                 for index, data, in_port in iter_stream_bytes(
@@ -741,14 +743,15 @@ class WorkerPool:
                         continue
                     if assign_shard(index, data, workers, policy) != shard:
                         continue
-                    buffer += pack(index, in_port, len(data))
-                    buffer += data
-                    if len(buffer) >= cap:
+                    size = len(data)
+                    if len(buffer) + size > room and buffer:
                         ring.put(
                             bytes(buffer), poll=poll,
                             timeout=engine.watchdog_s,
                         )
                         buffer.clear()
+                    buffer += pack(index, in_port, size)
+                    buffer += data
                 if buffer:
                     ring.put(
                         bytes(buffer), poll=poll, timeout=engine.watchdog_s
@@ -842,7 +845,7 @@ class WorkerPool:
         """Generate the stream once and fan it out to the shard rings."""
         engine = self.engine
         workers, policy = engine.workers, engine.shard_policy
-        cap = _record_cap(engine.ring_bytes)
+        room = _packet_room(engine.ring_bytes)
         buffers = [bytearray() for _ in range(workers)]
         self._buffers = buffers
         pack = _REC.pack
@@ -918,14 +921,18 @@ class WorkerPool:
                     if state.failures:
                         self._process_failures(state)
                 shard = assign_shard(index, data, workers, policy)
+                buffer = buffers[shard]
+                size = len(data)
+                # A flush resolves failures too, so it also runs before
+                # ``gen_high`` takes in the packet.  An abandoned
+                # shard's buffer stays empty: it is never flushed.
+                if len(buffer) + size > room and buffer:
+                    flush(shard)
                 state.gen_high = index
                 if shard in abandoned:
                     continue
-                buffer = buffers[shard]
-                buffer += pack(index, in_port, len(data))
+                buffer += pack(index, in_port, size)
                 buffer += data
-                if len(buffer) >= cap:
-                    flush(shard)
             state.gen_done = True
             for shard in range(workers):
                 if shard in abandoned:

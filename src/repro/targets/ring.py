@@ -33,7 +33,8 @@ half-updated value.
 Backpressure is the capacity bound: :meth:`ShardRing.put` blocks (spin
 with a short sleep, invoking ``poll`` each round so the caller can
 detect a dead consumer) until the consumer frees enough space.  Nothing
-is ever dropped.
+is ever dropped; a record too big to be placed after every possible
+wrap (:func:`max_payload`) is refused up front instead of waited on.
 """
 
 from __future__ import annotations
@@ -68,6 +69,19 @@ _POLL_SLEEP_S = 0.002
 
 class RingTimeout(RuntimeError):
     """A blocking ring operation exceeded its timeout."""
+
+
+def max_payload(capacity: int) -> int:
+    """Largest payload :meth:`ShardRing.put` accepts on a ring of
+    ``capacity`` data bytes.
+
+    A record of ``need`` bytes (length prefix included) that does not
+    fit before the end of the region needs that dead space *and* its own
+    bytes free at once.  The dead space can be up to ``need - 1`` bytes,
+    so even an empty ring places every record only if ``2 * need - 1 <=
+    capacity``; a bigger record would wait for space that never comes.
+    """
+    return (capacity + 1) // 2 - _LEN.size
 
 
 def _attach(name: str, capacity: int) -> "ShardRing":
@@ -208,11 +222,11 @@ class ShardRing:
     ) -> None:
         """Append one length-prefixed record, blocking while full."""
         need = _LEN.size + len(payload)
-        # A record must fit with room for a wrap marker in the worst case.
-        if need + _LEN.size > self.capacity:
+        if len(payload) > max_payload(self.capacity):
             raise ValueError(
-                f"record of {len(payload)} bytes cannot fit a "
-                f"{self.capacity}-byte ring"
+                f"record of {len(payload)} bytes cannot be placed in a "
+                f"{self.capacity}-byte ring (at most "
+                f"{max_payload(self.capacity)})"
             )
         pos, new_head = self._reserve(need, poll, timeout)
         base = _DATA_OFF + pos

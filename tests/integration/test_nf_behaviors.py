@@ -1,4 +1,4 @@
-"""Deep behavioral tests of the NF modules (P1, P3, P5, P6).
+"""Deep behavioral tests of the NF modules (P1, P2, P3, P5, P6).
 
 These go beyond the differential suite: they assert the *semantic*
 effect of each network function on packet fields.
@@ -15,6 +15,7 @@ from tests.integration.helpers import (
     eth_ipv4_in_ipv4,
     eth_ipv4_tcp,
     eth_ipv6,
+    eth_mpls_ipv4,
     make_instance,
 )
 
@@ -45,6 +46,21 @@ class TestAclP1:
         assert v4["srcAddr"] == original_v4["srcAddr"]
         assert v4["dstAddr"] == original_v4["dstAddr"]
         assert v4["ttl"] == original_v4["ttl"] - 1  # only routing touched it
+
+
+class TestMplsP2:
+    @pytest.fixture(scope="class")
+    def lsr(self):
+        return make_instance("P2", "micro")
+
+    def test_pop_forwards_the_inner_ipv4(self, lsr):
+        outs = lsr.process(eth_mpls_ipv4(label=100), 1)
+        layers = dissect(outs[0].packet)
+        assert [n for n, _ in layers][:3] == ["ethernet", "ipv4", "payload"]
+        assert layer_fields(layers, "ethernet")["etherType"] == 0x0800
+
+    def test_unknown_label_drops(self, lsr):
+        assert lsr.process(eth_mpls_ipv4(label=999), 1) == []
 
 
 class TestNatP3:

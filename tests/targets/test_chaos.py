@@ -9,10 +9,11 @@ import time
 import pytest
 
 from repro.errors import EXIT_TARGET_ERROR
-from repro.targets.engine import EngineConfig, EngineError
+from repro.targets.engine import EngineConfig, EngineError, assign_shard
 from repro.targets.faults import ChaosPlan
-from repro.targets.pool import WorkerPool
-from repro.targets.soak import SoakConfig
+from repro.targets.pool import _REC, WorkerPool
+from repro.targets.ring import ShardRing
+from repro.targets.soak import NUM_PORTS, SoakConfig, iter_stream_bytes
 from repro.targets.supervision import RestartPolicy
 from tests.targets.helpers import assert_matches_oracle, oracle_run
 
@@ -100,6 +101,56 @@ class TestKillRecovery:
         # The waits on the killed replica's ring survive its ring.
         assert all(n > 0 for n in block["ring_full_spins"].values())
         assert no_orphans()
+
+    def test_recovery_redispatches_only_the_unacked_suffix(
+        self, clean_digest, monkeypatch
+    ):
+        # Counts, not a clock: the replacement replays [0, watermark]
+        # itself, so the parent's catch-up puts exactly shard 0's
+        # packets in (watermark, gen_high] on the new ring.  A small
+        # ring and frequent acks keep the parent and the watermark near
+        # the kill, so that suffix is well short of the whole shard.
+        catch_ups, sending = [], []
+        catch_up, put = WorkerPool._catch_up, ShardRing.put
+
+        def spy_catch_up(pool, state, shard):
+            catch_ups.append(
+                (shard, state.sup.watermarks[shard], state.gen_high, [])
+            )
+            sending.append(catch_ups[-1][3])
+            try:
+                return catch_up(pool, state, shard)
+            finally:
+                sending.pop()
+
+        def spy_put(ring, payload, *args, **kwargs):
+            if sending:
+                offset = 0
+                while offset < len(payload):
+                    index, _, length = _REC.unpack_from(payload, offset)
+                    sending[-1].append(index)
+                    offset += _REC.size + length
+            return put(ring, payload, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "_catch_up", spy_catch_up)
+        monkeypatch.setattr(ShardRing, "put", spy_put)
+        config = chaos_config()
+        block = run_chaotic(
+            config, f"kill:shard=0@pkt={PACKETS // 2}",
+            ring_bytes=2048, ack_interval_pkts=64,
+        )
+        assert block["digest"] == clean_digest
+        assert block["restarts"] == {"0": 1}
+        [(shard, watermark, gen_high, sent)] = catch_ups
+        assert shard == 0
+        policy = EngineConfig().shard_policy
+        assert sent == [
+            index
+            for index, data, _ in iter_stream_bytes(config, "P4", NUM_PORTS)
+            if watermark < index <= gen_high
+            and assign_shard(index, data, 2, policy) == 0
+        ]
+        assert len(sent) < block["shards"][0]["packets"]
 
     def test_sigkill_under_spawn_start_method(self, clean_digest):
         block = run_chaotic(

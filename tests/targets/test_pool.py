@@ -9,6 +9,7 @@ from repro.targets.backends import EXEC_BACKENDS
 from repro.targets.engine import EngineConfig, EngineError, run_sharded_program
 from repro.targets.pool import WorkerPool
 from repro.targets.soak import SoakConfig
+from repro.targets.supervision import RestartPolicy
 from repro.targets.vector import NUMPY_AVAILABLE
 from tests.targets.helpers import assert_matches_oracle, oracle_run
 
@@ -170,6 +171,19 @@ class TestBackpressure:
         with WorkerPool(engine) as pool:
             block = pool.submit(small_config(), "P4")
         assert_matches_oracle(block, oracle_run(small_config(), "P4", engine))
+
+    def test_smallest_ring_places_every_record(self):
+        # On a 1 KiB ring a record over 508 bytes may never be placed
+        # after a wrap, so the packers must keep every record under
+        # that.  No restarts: a stall fails the run at the watchdog.
+        config = small_config(traffic="mixed", fault_rate=0.1)
+        engine = EngineConfig(
+            workers=2, ring_bytes=1024, watchdog_s=3,
+            restart=RestartPolicy(max_restarts_per_shard=0, restart_budget=0),
+        )
+        with WorkerPool(engine) as pool:
+            block = pool.submit(config, "P4")
+        assert_matches_oracle(block, oracle_run(config, "P4", engine))
 
 
 class TestDeterminism:

@@ -5,7 +5,14 @@ import time
 
 import pytest
 
-from repro.targets.ring import DEFAULT_RING_BYTES, RingTimeout, ShardRing
+from repro.targets.ring import (
+    _HEAD_OFF,
+    _TAIL_OFF,
+    DEFAULT_RING_BYTES,
+    RingTimeout,
+    ShardRing,
+    max_payload,
+)
 
 
 @pytest.fixture()
@@ -38,6 +45,41 @@ class TestFraming:
     def test_oversized_record_rejected(self, ring):
         with pytest.raises(ValueError):
             ring.put(b"\x00" * 4096)
+
+    def test_record_that_can_never_be_placed_is_refused_at_once(self):
+        # 600 + 4 bytes fit an empty 1 KiB ring, but not after a wrap at
+        # offset 500: the 524 dead bytes and the record need 1128 free,
+        # so waiting for the space would only end at the timeout.
+        ring = ShardRing(1024)
+        try:
+            ring.put(b"a" * 496)
+            assert ring.get() == b"a" * 496
+            start = time.monotonic()
+            with pytest.raises(ValueError, match="at most 508"):
+                ring.put(b"b" * 600, timeout=1)
+            assert time.monotonic() - start < 0.5
+        finally:
+            ring.close()
+            ring.unlink()
+
+    @pytest.mark.parametrize("capacity", [1024, 1025, 2048])
+    def test_largest_record_is_placed_at_every_head_position(self, capacity):
+        ring = ShardRing(capacity)
+        try:
+            largest = max_payload(capacity)
+            with pytest.raises(ValueError):
+                ring.put(b"x" * (largest + 1))
+            payload = b"q" * largest
+            for pos in range(capacity):
+                # An empty ring whose indices stand at ``pos``.
+                ring._head = ring._tail = pos
+                ring._store(_HEAD_OFF, pos)
+                ring._store(_TAIL_OFF, pos)
+                ring.put(payload, timeout=1)
+                assert ring.get() == payload
+        finally:
+            ring.close()
+            ring.unlink()
 
     def test_minimum_capacity_enforced(self):
         with pytest.raises(ValueError):

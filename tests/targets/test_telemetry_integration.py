@@ -7,11 +7,29 @@ epoch-stamped per-shard snapshots whose merged counters match the final
 summary.
 """
 
+from collections import Counter
+
+import pytest
+
 from repro.net.packet import Packet
-from repro.obs.metrics import METRICS, collecting
+from repro.obs.metrics import METRICS, MetricsRegistry, collecting
 from repro.obs.telemetry import LiveTelemetry
+from repro.targets.backends import EXEC_BACKENDS
 from repro.targets.engine import EngineConfig, run_sharded_program
-from repro.targets.soak import SoakConfig, run_soak, soak_program
+from repro.targets.soak import (
+    NUM_PORTS,
+    SoakConfig,
+    build_switch,
+    compose_program,
+    iter_stream_bytes,
+    run_soak,
+    soak_program,
+)
+from repro.targets.vector import NUMPY_AVAILABLE
+
+#: Every backend this host can run (``vector`` needs numpy).
+BACKENDS = [b for b in EXEC_BACKENDS if b != "vector" or NUMPY_AVAILABLE]
+BATCH_BACKENDS = [b for b in ("codegen", "vector") if b in BACKENDS]
 
 
 def quick_config(**kw):
@@ -127,6 +145,72 @@ class TestLatencyInstrumentationBothBackends:
         # counted, only how fast it runs.
         assert interp == compiled
         assert all(count > 0 for count in interp.values())
+
+
+@pytest.fixture
+def registry_calls(monkeypatch):
+    """Every call to a registry's write methods, counted by name.  The
+    spies go on the class (``MetricsRegistry`` has ``__slots__``) before
+    any executor is built, so methods bound at build time count too."""
+    calls = Counter()
+    for name in ("inc", "observe", "set_gauge"):
+        def spy(self, *args, _method=getattr(MetricsRegistry, name),
+                _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, name, spy)
+    return calls
+
+
+class TestMetricsOffCostsNothing:
+    """With the registry off, the packet path makes no registry call at
+    all; with it on, a batch reports per batch.  Counts, not a clock:
+    every report site must sit behind one ``enabled`` check."""
+
+    @staticmethod
+    def _run(backend, calls, soa):
+        """256 routable P4 packets through a fresh switch, one at a time
+        or as one SoA batch; ``calls`` counts from the first packet."""
+        config = quick_config(
+            packets=256, seed=7, fault_rate=0.0, traffic="routable",
+            exec_backend=backend,
+        )
+        switch = build_switch(config, "P4", compose_program(config, "P4"))
+        stream = iter_stream_bytes(config, "P4", NUM_PORTS)
+        packets = [(Packet(data), port) for _, data, port in stream]
+        calls.clear()
+        if soa:
+            switch.process_batch(packets, soa=True)
+        else:
+            for packet, port in packets:
+                switch.process(packet, port)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_per_packet_process_makes_no_call(self, backend, registry_calls):
+        assert not METRICS.enabled
+        self._run(backend, registry_calls, soa=False)
+        assert registry_calls == {}
+
+    @pytest.mark.parametrize("backend", BATCH_BACKENDS)
+    def test_soa_batch_makes_no_call(self, backend, registry_calls):
+        self._run(backend, registry_calls, soa=True)
+        assert registry_calls == {}
+
+    #: ``inc`` calls one 256-lane batch makes on a fresh P4 switch, as
+    #: measured: per-lane counters (the codegen body's
+    #: ``interp.lookup.indexed``, one ``switch.drops.*`` per dropped lane)
+    #: plus the first index builds.  Upper bounds, so a new per-lane
+    #: report site cannot creep into the batch path unnoticed.
+    MAX_INC = {"codegen": 661, "vector": 155}
+
+    @pytest.mark.parametrize("backend", BATCH_BACKENDS)
+    def test_soa_batch_reports_per_batch(self, backend, registry_calls):
+        with collecting():
+            self._run(backend, registry_calls, soa=True)
+        assert registry_calls["observe"] == 1
+        assert registry_calls["set_gauge"] == 0
+        assert registry_calls["inc"] <= self.MAX_INC[backend]
 
 
 class TestFlightRecorderWiring:

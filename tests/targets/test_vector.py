@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TargetError
-from repro.lib.catalog import build_monolithic, build_pipeline
+from repro.lib.catalog import PROGRAMS, build_monolithic, build_pipeline
 from repro.net.packet import Packet
 from repro.obs.metrics import METRICS
 from repro.targets import vector as vector_mod
@@ -321,6 +321,27 @@ class TestBatchLanes:
             )
         )
         assert summary["soak"]["batch_lanes"] == 64
+
+
+@needs_numpy
+class TestColumnwisePathTaken:
+    @pytest.mark.parametrize("lanes", [256, 16])
+    @pytest.mark.parametrize("program", PROGRAMS)
+    def test_routable_soak_never_leaves_the_plan(self, program, lanes, metrics):
+        """Every catalog program builds a columnwise plan, and a
+        fault-free routable soak runs every batch on it: no fallback to
+        the per-lane batch body, no speculation error, no split lane."""
+        config = SoakConfig(
+            programs=[program], packets=2048, fault_rate=0.0,
+            traffic="routable", exec_backend="vector", batch_lanes=lanes,
+        )
+        block = soak_program(config, program)
+        assert block["ledger_ok"] and not block["uncaught"]
+        counters = METRICS.snapshot()["counters"]
+        assert counters.get("vector.plan_built") == 1
+        for key in ("vector.soa_fallback_batches", "vector.soa_errors",
+                    "vector.split_lanes"):
+            assert key not in counters, (key, counters[key])
 
 
 class TestBuildCache:
