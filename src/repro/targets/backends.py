@@ -9,10 +9,10 @@ Four backends execute a :class:`~repro.midend.inline.ComposedPipeline`:
   closure-compiled specialization (see ``DESIGN.md`` §10).
 * ``codegen`` — :class:`~repro.targets.codegen.CodegenPipeline`, a
   one-time translation to generated Python source ``compile()``d into a
-  single code object per pipeline, with an optional batched
-  struct-of-arrays fast path (see ``DESIGN.md`` §15).
+  single code object per pipeline, one function that runs one packet
+  or a whole batch of lanes (see ``DESIGN.md`` §15).
 * ``vector`` — :class:`~repro.targets.vector.VectorPipeline`, the
-  codegen backend with its SoA batch stage replaced by columnwise numpy
+  codegen backend with its batch lane loop replaced by columnwise numpy
   execution with divergence splitting (see ``DESIGN.md`` §16).  Needs
   the optional ``[vector]`` extra (numpy); constructing it without
   numpy raises a reason-coded ``error[vector-unavailable]``.

@@ -38,18 +38,17 @@ drop reasons, ``PacketTrace`` events, fault-site trip order, error
 strings, and statement-exact step accounting against
 ``interp_step_budget``.
 
-Batched struct-of-arrays mode
------------------------------
+One body, a list of lanes
+-------------------------
 
-For scalarizable micro pipelines that never recirculate, a second
-function ``_cg_run_batch`` is generated: stage A parses N packets into
-one flat ``bytearray`` arena (struct-of-arrays: lane-major byte cells),
-stage B runs match-action bodies lane by lane over the arena, stage C
-deparses the survivors.  Digest parity with per-packet mode holds
-because the micro parse/deparse stages draw **no** fault sites, and all
-per-site ``FaultPlan`` streams ("table"/"extern" in stage B, "buffer"
-and mutation sites in the switch) see lanes in submission order — the
-same visit order per-packet execution produces.
+The generated function ``_cg_run`` takes a list of lanes and runs the
+whole per-packet prologue, body and epilogue for each in turn, one
+``(outputs, reason, exc)`` triple per lane.  ``process`` hands it one
+lane; ``process_soa`` hands it a batch with tracing and latency sampling
+off.  Digest parity between the two holds because a lane is exactly a
+per-packet run, and every per-site ``FaultPlan`` stream ("table" /
+"extern" in the body, "buffer" and mutation sites in the switch) sees
+lanes in submission order.
 
 Metrics are emitted under ``codegen.*`` (``codegen.packets``,
 ``codegen.table_hits``/``misses``, ``codegen.builds``) alongside the
@@ -63,7 +62,9 @@ import importlib.util
 import marshal
 import os
 import re
+import stat
 import tempfile
+import types
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
@@ -278,7 +279,6 @@ class _SourceGen:
         self._checked: Optional[_Region] = None
         self._region: Optional[_Region] = None
         self.in_parser = False
-        self.in_batch = False
         self.uses_recirc = False
         self.lane_vars = lane_variables(composed)
         #: name -> layout of every variable lowered as per-cell locals.
@@ -287,7 +287,8 @@ class _SourceGen:
         # stored masked, so a copy between two of them needs no mask.
         self._cell_width: Dict[str, int] = {}
         # The byte stack is the one flattened variable with fixed cell
-        # names: the batch arena loads and stores them by position.
+        # names: the prologue loads and the deparser packs them by
+        # position.
         self.bs_scalar = False
         self.bs_size = 0
         self.bs_extract_len = 0
@@ -339,20 +340,11 @@ class _SourceGen:
 
     @contextmanager
     def _observing(self, cond: str):
-        """A table apply's body under a per-packet observability
-        condition (``lat_on``, ``trace is not None``).  ``_cg_run_batch``
-        has neither — the batch path never samples latency or traces —
-        so there the body is generated and dropped."""
-        if self.in_batch:
-            self._buf_push()
-            try:
-                yield
-            finally:
-                self._buf_pop()
-        else:
-            self.line(f"if {cond}:")
-            with self.block():
-                yield
+        """A block under a per-packet observability condition
+        (``lat_on``, ``trace is not None``)."""
+        self.line(f"if {cond}:")
+        with self.block():
+            yield
 
     def tmp(self) -> str:
         self._n += 1
@@ -1603,15 +1595,15 @@ class _SourceGen:
     # ------------------------------------------------------------------
     # Whole-function emission
     # ------------------------------------------------------------------
-    def _root_inits(self, in_port_s: str, pktlen_s: str, pktobj_s: str) -> None:
+    def _root_inits(self) -> None:
         """Per-packet locals for IM/pkt/root variables, in the same order
         ``compiled._fresh_ctx`` evaluates them: scalars and factories in
         declaration order, register externs next, mc wiring last."""
         im = self._define(IM_VAR, False)
-        self.line(f"{im} = _IM(in_port={in_port_s}, pkt_len={pktlen_s})")
+        self.line(f"{im} = _IM(in_port=in_port, pkt_len=_dl)")
         pk = self._define(PKT_VAR, False)
         # Built only if the body turns out to read it (_pkt_object).
-        self._pkt_init = (self.reserve(), f"{pk} = _PktObj({pktobj_s})")
+        self._pkt_init = (self.reserve(), f"{pk} = _PktObj(packet)")
         self._pkt_read = False
         mc_wires = []
         reg_inits = []
@@ -1649,10 +1641,9 @@ class _SourceGen:
             self.fill(*self._pkt_init)
 
     def _counters(self, init) -> None:
-        """After a body: zero the ``_lq`` counters of its inline
+        """After the lane loop: zero the ``_lq`` counters of its inline
         answers at ``init`` (a reserved line), and hand them to the
-        executor beside ``_hits``/``_misses`` — this line goes in the
-        ``finally``."""
+        executor beside ``_hits``/``_misses``."""
         if self.inline_tables:
             names = [f"_lq{self.table_slots[t]}" for t in self.inline_tables]
             self.fill(init, " = ".join(names) + " = 0")
@@ -1693,20 +1684,42 @@ class _SourceGen:
         self.line(f"{self._find(BS_LEN_VAR)[0]} = _loaded")
         self.line(f"payload = data[{E}:]")
 
+    def _drop(self, reason: str) -> None:
+        """End the lane as a drop for ``reason`` (an expression)."""
+        with self._observing("trace is not None"):
+            self.line(f"trace.drop({reason})")
+        self.line(f"_emit(([], {reason}, None))")
+        self.line("continue")
+
+    def _output(self, *deparse_trace: str) -> None:
+        """End the lane with its one output, ``out_bytes``, traced after
+        the ``deparse_trace`` lines."""
+        im = self._find(IM_VAR)[0]
+        with self._observing("lat_on"):
+            self.line("_obs('pipeline.latency_us.deparse', (_perf() - _pt) * 1e6)")
+        with self._observing("trace is not None"):
+            for text in deparse_trace:
+                self.line(text)
+            self.line(
+                f"trace.output({im}.out_port, len(out_bytes), "
+                f"{im}.mcast_grp, {im}.recirculate_requested)"
+            )
+        self.line(
+            f"_emit(([_POut(_Pkt(out_bytes), {im}.out_port, {im}.mcast_grp, "
+            f"recirculate={im}.recirculate_requested)], None, None))"
+        )
+
     def _micro_per_packet(self) -> None:
         E, S = self.bs_extract_len, self.bs_size
-        self.line("if lat_on:")
-        with self.block():
+        with self._observing("lat_on"):
             self.line("_pt = _perf()")
         if self.bs_scalar:
             self._micro_scalar_prologue()
         else:
             self._micro_object_prologue()
-        self.line("if lat_on:")
-        with self.block():
+        with self._observing("lat_on"):
             self.line("_obs('pipeline.latency_us.parse', (_perf() - _pt) * 1e6)")
-        self.line("if trace is not None:")
-        with self.block():
+        with self._observing("trace is not None"):
             self.line(f"trace.extract('byte_stack', _loaded, extract_length={E})")
         self.line("try:")
         with self.block():
@@ -1719,11 +1732,7 @@ class _SourceGen:
         self.line(f"if {perr} == 1 or {im}.dropped:")
         with self.block():
             self.line(f"_reason = 'parser-error' if {perr} == 1 else 'pipeline-drop'")
-            self.line("pipe.last_drop_reason = _reason")
-            self.line("if trace is not None:")
-            with self.block():
-                self.line("trace.drop(_reason)")
-            self.line("return []")
+            self._drop("_reason")
         blen = self._find(BS_LEN_VAR)
         self.line(f"out_len = {blen[0] if blen[1] else 'int(%s)' % blen[0]}")
         self.line(f"if out_len > {S} or out_len < 0:")
@@ -1732,36 +1741,21 @@ class _SourceGen:
                 "raise _FErr('bytestack-bounds', "
                 f"'byte-stack length %d outside stack size {S}' % out_len)"
             )
-        self.line("if lat_on:")
-        with self.block():
+        with self._observing("lat_on"):
             self.line("_pt = _perf()")
         if self.bs_scalar:
             tup = ", ".join(self.bs_locals)
             self.line(f"out_bytes = bytes(({tup},)[:out_len]) + payload")
         else:
             self.line("out_bytes = bytes(map(_bf.__getitem__, _BN[:out_len])) + payload")
-        self.line("if lat_on:")
-        with self.block():
-            self.line("_obs('pipeline.latency_us.deparse', (_perf() - _pt) * 1e6)")
-        self.line("if trace is not None:")
-        with self.block():
-            self.line("trace.deparse(out_len, len(payload))")
-            self.line(
-                f"trace.output({im}.out_port, len(out_bytes), "
-                f"{im}.mcast_grp, {im}.recirculate_requested)"
-            )
-        self.line(
-            f"return [_POut(_Pkt(out_bytes), {im}.out_port, {im}.mcast_grp, "
-            f"recirculate={im}.recirculate_requested)]"
-        )
+        self._output("trace.deparse(out_len, len(payload))")
 
     def _mono_per_packet(self) -> None:
         self.line("_cursor = 0")
         parser = self.composed.native_parser
         if parser is not None:
             self.line("_prr = None")
-            self.line("if lat_on:")
-            with self.block():
+            with self._observing("lat_on"):
                 self.line("_pt = _perf()")
             self.line("try:")
             with self.block():
@@ -1771,16 +1765,11 @@ class _SourceGen:
                 self.line("_prr = _sig.reason")
             self.line("finally:")
             with self.block():
-                self.line("if lat_on:")
-                with self.block():
+                with self._observing("lat_on"):
                     self.line("_obs('pipeline.latency_us.parse', (_perf() - _pt) * 1e6)")
             self.line("if _prr is not None:")
             with self.block():
-                self.line("pipe.last_drop_reason = _prr")
-                self.line("if trace is not None:")
-                with self.block():
-                    self.line("trace.drop(_prr)")
-                self.line("return []")
+                self._drop("_prr")
         self.line("payload = data[_cursor:]")
         self.line("try:")
         with self.block():
@@ -1791,13 +1780,8 @@ class _SourceGen:
         im = self._find(IM_VAR)[0]
         self.line(f"if {im}.dropped:")
         with self.block():
-            self.line("pipe.last_drop_reason = 'pipeline-drop'")
-            self.line("if trace is not None:")
-            with self.block():
-                self.line("trace.drop('pipeline-drop')")
-            self.line("return []")
-        self.line("if lat_on:")
-        with self.block():
+            self._drop("'pipeline-drop'")
+        with self._observing("lat_on"):
             self.line("_pt = _perf()")
         self.line("_parts = []")
         for emit in self.composed.native_emits or ():
@@ -1824,164 +1808,45 @@ class _SourceGen:
                     fold = term if fold == "0" else f"(({fold} << {width}) | {term})"
                 name = expr_name(emit)
                 self.line(f"_pk = ({fold}).to_bytes({nbytes}, 'big')")
-                self.line("if trace is not None:")
-                with self.block():
+                with self._observing("trace is not None"):
                     self.line(f"trace.emit({name!r}, {nbytes})")
                 self.line("_parts.append(_pk)")
         self.line("_parts.append(payload)")
         self.line("out_bytes = b''.join(_parts)")
-        self.line("if lat_on:")
-        with self.block():
-            self.line("_obs('pipeline.latency_us.deparse', (_perf() - _pt) * 1e6)")
-        self.line("if trace is not None:")
-        with self.block():
-            self.line(
-                f"trace.output({im}.out_port, len(out_bytes), "
-                f"{im}.mcast_grp, {im}.recirculate_requested)"
-            )
-        self.line(
-            f"return [_POut(_Pkt(out_bytes), {im}.out_port, {im}.mcast_grp, "
-            f"recirculate={im}.recirculate_requested)]"
-        )
+        self._output()
 
     def _gen_run(self) -> None:
         self.line(
-            "def _cg_run(pipe, packet, in_port, trace, lat_on, step_limit, "
+            "def _cg_run(pipe, datas, ports, pkts, trace, lat_on, step_limit, "
             "faults, parser_budget):"
         )
         with self.block():
-            self.line("data = packet.tobytes()")
-            self.line("_dl = len(data)")
-            self.line("steps = 0")
             self.line("_hits = 0")
             self.line("_misses = 0")
             counters = self.reserve()
             self.line("_pers = pipe.persistent")
-            self.line("try:")
+            self.line("_results = []")
+            self.line("_emit = _results.append")
+            self.line("for data, in_port, packet in zip(datas, ports, pkts):")
             with self.block():
-                self._push_frame("pipeline")
-                self._root_inits("in_port", "_dl", "packet")
-                if self.composed.mode == "micro":
-                    self._micro_per_packet()
-                else:
-                    self._mono_per_packet()
-                self._pop_frame()
-            self._pkt_object()
-            self.line("finally:")
-            with self.block():
-                self.line("pipe._hits_out = _hits")
-                self.line("pipe._misses_out = _misses")
-                self._counters(counters)
-
-    def _gen_run_batch(self) -> None:
-        E, S = self.bs_extract_len, self.bs_size
-        names = self.bs_locals
-        tup = ", ".join(names) + ("," if S == 1 else "")
-        self.line("")
-        self.line("")
-        self.line("def _cg_run_batch(pipe, datas, ports, pkts, step_limit, faults):")
-        with self.block():
-            self.line("_hits = 0")
-            self.line("_misses = 0")
-            counters = self.reserve()
-            self.line("_pers = pipe.persistent")
-            self.line("_n = len(datas)")
-            self.line("_results = [None] * _n")
-            self.line("_lens = [0] * _n")
-            self.line("_outlens = [0] * _n")
-            self.line("_pays = [b''] * _n")
-            self.line("_ims = [None] * _n")
-            self.line(f"_cells = bytearray(_n * {S})")
-            self.line("try:")
-            with self.block():
-                # Stage A: parse every lane into the flat cell arena.
-                self.line("_off = 0")
-                self.line("for _lane in range(_n):")
+                self.line("_dl = len(data)")
+                self.line("steps = 0")
+                self.line("try:")
                 with self.block():
-                    self.line("data = datas[_lane]")
-                    self.line("_dl = len(data)")
-                    if E > 0:
-                        self.line(f"if _dl >= {E}:")
-                        with self.block():
-                            self.line(f"_cells[_off:_off + {E}] = data[:{E}]")
-                            self.line(f"_lens[_lane] = {E}")
-                        self.line("else:")
-                        with self.block():
-                            self.line("_cells[_off:_off + _dl] = data")
-                            self.line("_lens[_lane] = _dl")
-                    self.line(f"_pays[_lane] = data[{E}:]")
-                    self.line(f"_off += {S}")
-                # Stage B: match-action body per lane.
-                self.line("_off = 0")
-                self.line("for _lane in range(_n):")
+                    self._push_frame("pipeline")
+                    self._root_inits()
+                    if self.composed.mode == "micro":
+                        self._micro_per_packet()
+                    else:
+                        self._mono_per_packet()
+                    self._pop_frame()
+                self._pkt_object()
+                self.line("except Exception as _exc:")
                 with self.block():
-                    self.line("_dl = len(datas[_lane])")
-                    self.line("try:")
-                    with self.block():
-                        self.line("steps = 0")
-                        self.line(f"{tup} = _cells[_off:_off + {S}]")
-                        self.line("_bsvld = True")
-                        self._push_frame("pipeline")
-                        self._root_inits("ports[_lane]", "_dl", "pkts[_lane]")
-                        self.line(f"{self._find(BS_LEN_VAR)[0]} = _lens[_lane]")
-                        self.line("try:")
-                        with self.block():
-                            self.stmts(self.composed.statements)
-                        self.line("except (_Exit, _Return):")
-                        with self.block():
-                            self.line("pass")
-                        im = self._find(IM_VAR)[0]
-                        perr = self._find(PARSER_ERR_VAR)[0]
-                        self.line(f"if {perr} == 1 or {im}.dropped:")
-                        with self.block():
-                            self.line(
-                                "_results[_lane] = ([], 'parser-error' if "
-                                f"{perr} == 1 else 'pipeline-drop', None)"
-                            )
-                        self.line("else:")
-                        with self.block():
-                            blen = self._find(BS_LEN_VAR)
-                            self.line(
-                                f"out_len = {blen[0] if blen[1] else 'int(%s)' % blen[0]}"
-                            )
-                            self.line(f"if out_len > {S} or out_len < 0:")
-                            with self.block():
-                                self.line(
-                                    "raise _FErr('bytestack-bounds', "
-                                    f"'byte-stack length %d outside stack size {S}'"
-                                    " % out_len)"
-                                )
-                            self.line(f"_cells[_off:_off + {S}] = ({tup})")
-                            self.line("_outlens[_lane] = out_len")
-                            self.line(f"_ims[_lane] = {im}")
-                        self._pop_frame()
-                        self._pkt_object()
-                    self.line("except Exception as _exc:")
-                    with self.block():
-                        self.line("_results[_lane] = (None, None, _exc)")
-                    self.line(f"_off += {S}")
-                # Stage C: deparse the surviving lanes.
-                self.line("_off = 0")
-                self.line("for _lane in range(_n):")
-                with self.block():
-                    self.line("if _results[_lane] is None:")
-                    with self.block():
-                        self.line("_im = _ims[_lane]")
-                        self.line(
-                            "_ob = bytes(_cells[_off:_off + _outlens[_lane]]) "
-                            "+ _pays[_lane]"
-                        )
-                        self.line(
-                            "_results[_lane] = ([_POut(_Pkt(_ob), _im.out_port, "
-                            "_im.mcast_grp, recirculate=_im.recirculate_requested)], "
-                            "None, None)"
-                        )
-                    self.line(f"_off += {S}")
-            self.line("finally:")
-            with self.block():
-                self.line("pipe._hits_out = _hits")
-                self.line("pipe._misses_out = _misses")
-                self._counters(counters)
+                    self.line("_emit((None, None, _exc))")
+            self.line("pipe._hits_out = _hits")
+            self.line("pipe._misses_out = _misses")
+            self._counters(counters)
             self.line("return _results")
 
     def generate(self) -> "GeneratedModule":
@@ -1992,9 +1857,6 @@ class _SourceGen:
             and self.bs_size > 0
             and not self.uses_recirc
         )
-        if batch_ok:
-            self.in_batch = True
-            self._gen_run_batch()
         source = self.render()
         if METRICS.enabled:
             METRICS.inc("codegen.generations")
@@ -2004,7 +1866,8 @@ class _SourceGen:
             self.namespace,
             self.table_slots,
             tuple(self.inline_tables),
-            SoaLayout(self.bs_size, self.bs_extract_len, self.bs_scalar, batch_ok),
+            not self.uses_recirc,
+            SoaLayout(self.bs_size, self.bs_extract_len, batch_ok),
             self.lane_vars,
             self.dispatch_arms,
             self.nlocals,
@@ -2012,21 +1875,19 @@ class _SourceGen:
 
 
 class SoaLayout:
-    """The struct-of-arrays arena contract for one composed pipeline.
-
-    One cell per byte-stack slot, ``extract_len`` cells loaded from the
-    wire, lanes packed row-major (``lane * size + cell``).  Both the
-    generated ``_cg_run_batch`` body and the vector backend slice the
-    same layout, so it is exported here as a named object instead of
-    being re-derived from private ``_SourceGen`` fields.
+    """The struct-of-arrays arena the vector backend builds for one
+    composed pipeline: one cell per byte-stack slot, ``extract_len``
+    cells loaded from the wire, lanes packed row-major (``lane * size +
+    cell``).  ``batch_ok``: the byte stack is flattened into scalar
+    cells and the program cannot recirculate, the only shape the
+    columnwise plan lowers.
     """
 
-    __slots__ = ("size", "extract_len", "scalar", "batch_ok")
+    __slots__ = ("size", "extract_len", "batch_ok")
 
-    def __init__(self, size: int, extract_len: int, scalar: bool, batch_ok: bool) -> None:
+    def __init__(self, size: int, extract_len: int, batch_ok: bool) -> None:
         self.size = size
         self.extract_len = extract_len
-        self.scalar = scalar
         self.batch_ok = batch_ok
 
 
@@ -2044,7 +1905,9 @@ class GeneratedModule:
     ``_AR``/``_AD``, counted in ``_lq``).  :meth:`instantiate` binds all
     of those to one executor's own :class:`TableRuntime` objects, so
     any number of ``CodegenPipeline`` / ``VectorPipeline`` instances
-    run one code object and share no table state.
+    run one code object and share no table state.  ``batch_supported``:
+    the program cannot recirculate, so a batch of lanes needs no
+    second pass through the switch.
     """
 
     source: str
@@ -2052,15 +1915,16 @@ class GeneratedModule:
     shared: Dict[str, object]
     table_slots: Dict[str, str]
     inline_tables: Tuple[str, ...]
+    batch_supported: bool
     soa_layout: "SoaLayout"
     lane_vars: LaneVars
     dispatch_arms: int
     nlocals: int
 
     def instantiate(self, tables: Dict[str, TableRuntime]):
-        """``(_cg_run, _cg_run_batch or None, metrics)`` over
-        ``tables``; ``metrics[i]`` is the lookup counter the ``_lq``
-        count of ``inline_tables[i]`` stands for."""
+        """``(_cg_run, metrics)`` over ``tables``; ``metrics[i]`` is the
+        lookup counter the ``_lq`` count of ``inline_tables[i]`` stands
+        for."""
         ns = dict(self.shared)
         for name, slot in self.table_slots.items():
             runtime = tables[name]
@@ -2076,7 +1940,7 @@ class GeneratedModule:
             ns[f"_AD{slot}"] = answers.default
             metrics.append(answers.metric)
         exec(self.code, ns)
-        return ns["_cg_run"], ns.get("_cg_run_batch"), tuple(metrics)
+        return ns["_cg_run"], tuple(metrics)
 
 
 def generated_module(
@@ -2108,12 +1972,19 @@ def generated_module(
 # state, so code objects can be shared: an in-process dict for repeat
 # generations in one process, and a marshal file under the tempdir for
 # fresh worker processes.  Keyed on the interpreter's bytecode magic +
-# the exact source, so stale or foreign cache files can never produce
-# wrong code.  Disable with ``REPRO_CODEGEN_CACHE=0``; relocate with
-# ``REPRO_CODEGEN_CACHE_DIR``.
+# the exact source, so stale cache files can never produce wrong code.
+# The key is a hash of public text and the directory may be shared, so
+# a file is only trusted if this user owns it and it is a code object
+# (``_load_cached``); anything else is recompiled over.  Disable with
+# ``REPRO_CODEGEN_CACHE=0``; relocate with ``REPRO_CODEGEN_CACHE_DIR``.
 # ---------------------------------------------------------------------------
 
 _CODE_CACHE: Dict[str, Any] = {}
+_NOFOLLOW = getattr(os, "O_NOFOLLOW", 0)
+
+
+def _uid() -> int:
+    return getattr(os, "getuid", lambda: 0)()
 
 
 def _disk_cache_dir() -> Optional[str]:
@@ -2121,13 +1992,30 @@ def _disk_cache_dir() -> Optional[str]:
         return None
     root = os.environ.get("REPRO_CODEGEN_CACHE_DIR")
     if not root:
-        uid = getattr(os, "getuid", lambda: 0)()
-        root = os.path.join(tempfile.gettempdir(), f"repro-codegen-{uid}")
+        root = os.path.join(tempfile.gettempdir(), f"repro-codegen-{_uid()}")
     try:
         os.makedirs(root, mode=0o700, exist_ok=True)
     except OSError:
         return None
     return root
+
+
+def _load_cached(path: str):
+    """The code object at ``path`` if it is a regular file (not a
+    symlink) this user owns that unmarshals to code, else None."""
+    try:
+        fd = os.open(path, os.O_RDONLY | _NOFOLLOW)
+    except OSError:
+        return None
+    with open(fd, "rb") as fh:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode) or info.st_uid != _uid():
+            return None
+        try:
+            code = marshal.loads(fh.read())
+        except Exception:
+            return None  # truncated or not marshal data
+    return code if isinstance(code, types.CodeType) else None
 
 
 def _compile_cached(source: str, filename: str):
@@ -2142,11 +2030,7 @@ def _compile_cached(source: str, filename: str):
     root = _disk_cache_dir()
     path = os.path.join(root, key + ".pyc") if root else None
     if path is not None:
-        try:
-            with open(path, "rb") as fh:
-                code = marshal.loads(fh.read())
-        except Exception:
-            code = None  # missing, truncated, or foreign: recompile
+        code = _load_cached(path)
         if code is not None:
             _CODE_CACHE[key] = code
             if METRICS.enabled:
@@ -2159,7 +2043,8 @@ def _compile_cached(source: str, filename: str):
     if path is not None:
         try:
             tmp = f"{path}.{os.getpid()}.tmp"
-            with open(tmp, "wb") as fh:
+            flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | _NOFOLLOW
+            with open(os.open(tmp, flags, 0o600), "wb") as fh:
                 fh.write(marshal.dumps(code))
             os.replace(tmp, path)
         except Exception:
@@ -2170,11 +2055,12 @@ def _compile_cached(source: str, filename: str):
 class CodegenPipeline:
     """Composed pipeline translated to generated Python source.
 
-    Observationally identical to the interpreter and the closure backend:
-    same verdicts, drop reasons, traces, fault-trip order, step counting,
-    and error strings. ``source`` holds the generated module text for
-    debugging; ``batch_supported`` is True when the struct-of-arrays
-    ``process_soa`` fast path was generated for this pipeline.
+    Observationally identical to the interpreter: same verdicts, drop
+    reasons, traces, fault-trip order, step counting, and error strings.
+    ``source`` holds the generated module text for debugging.  Its one
+    function runs a list of lanes: ``process`` hands it one packet,
+    ``process_soa`` a batch; ``batch_supported`` is False only for a
+    program that can recirculate.
     """
 
     backend = "codegen"
@@ -2206,17 +2092,15 @@ class CodegenPipeline:
         self._m_misses = f"{self.backend}.table_misses"
         module = generated_module(composed, self.tables)
         self.source = module.source
-        self._run, self._run_batch, self._lq_metrics = module.instantiate(
-            self.tables
-        )
-        self.batch_supported = self._run_batch is not None
+        self._run, self._lq_metrics = module.instantiate(self.tables)
+        self.batch_supported = module.batch_supported
         self.soa_layout = module.soa_layout
         #: Which struct/header variables are flattened, and why the rest
         #: are not (repro.targets.lanes).
         self.lane_vars = module.lane_vars
         self.configure_faults(guards=guards, faults=faults)
-        #: Action arms inlined under table applies, over both generated
-        #: functions; linear in tables (TableRuntime.selectable_actions).
+        #: Action arms inlined under table applies; linear in tables
+        #: (TableRuntime.selectable_actions).
         self.dispatch_arms = module.dispatch_arms
         if METRICS.enabled:
             METRICS.inc("codegen.builds")
@@ -2241,36 +2125,31 @@ class CodegenPipeline:
             tick = self._lat_tick
             self._lat_tick = tick + 1
             lat_on = tick % LATENCY_SAMPLE_EVERY == 0
-        self.last_drop_reason = None
-        self._hits_out = 0
-        self._misses_out = 0
-        self._lq_out = ()
-        try:
-            return self._run(
-                self,
-                packet,
-                in_port,
-                trace,
-                lat_on,
-                self.step_limit,
-                self.faults,
-                self.guards.parser_step_budget,
-            )
-        finally:
-            if METRICS.enabled:
-                self._count_run()
+        ((outputs, reason, exc),) = self._lanes(
+            (packet.tobytes(),), (in_port,), (packet,), trace, lat_on
+        )
+        self.last_drop_reason = reason
+        if exc is not None:
+            raise exc
+        return outputs
 
-    def _count_run(self) -> None:
-        """The table counters of the run that just ended: hits and
-        misses, and the lookups its sites answered inline under the
-        names ``lookup_full`` would have counted them."""
-        if self._hits_out:
-            METRICS.inc(self._m_hits, self._hits_out)
-        if self._misses_out:
-            METRICS.inc(self._m_misses, self._misses_out)
-        for metric, count in zip(self._lq_metrics, self._lq_out):
-            if count:
-                METRICS.inc(metric, count)
+    def _lanes(self, datas, ports, pkts, trace, lat_on):
+        """Run the generated function over the lanes, then count the
+        run's table hits and misses, and the lookups its sites answered
+        inline under the names ``lookup_full`` would have counted them."""
+        lanes = self._run(
+            self, datas, ports, pkts, trace, lat_on, self.step_limit,
+            self.faults, self.guards.parser_step_budget,
+        )
+        if METRICS.enabled:
+            if self._hits_out:
+                METRICS.inc(self._m_hits, self._hits_out)
+            if self._misses_out:
+                METRICS.inc(self._m_misses, self._misses_out)
+            for metric, count in zip(self._lq_metrics, self._lq_out):
+                if count:
+                    METRICS.inc(metric, count)
+        return lanes
 
     def process_traced(self, packet: Packet, in_port: int = 0):
         trace = PacketTrace()
@@ -2278,21 +2157,15 @@ class CodegenPipeline:
         return outputs, trace
 
     def process_soa(self, datas, ports, pkts):
-        """Batch fast path: returns one ``(outputs, reason, exc)`` triple
-        per lane. ``outputs`` is None when the lane raised, ``reason`` is
-        the drop reason when the lane dropped with no outputs."""
-        if self._run_batch is None:
+        """Batch path: returns one ``(outputs, reason, exc)`` triple per
+        lane. ``outputs`` is None when the lane raised, ``reason`` is
+        the drop reason when the lane dropped with no outputs.  No lane
+        is traced or latency-sampled."""
+        if not self.batch_supported:
             raise TargetError("batch execution is not supported for this pipeline")
         if METRICS.enabled:
             n = len(datas)
             METRICS.inc(self._m_packets, n)
             self._lat_tick += n
         self.last_drop_reason = None
-        self._hits_out = 0
-        self._misses_out = 0
-        self._lq_out = ()
-        try:
-            return self._run_batch(self, datas, ports, pkts, self.step_limit, self.faults)
-        finally:
-            if METRICS.enabled:
-                self._count_run()
+        return self._lanes(datas, ports, pkts, None, False)

@@ -310,18 +310,17 @@ class Switch:
         processing the items one by one.
 
         With ``soa=True`` and a pipeline that advertises
-        ``batch_supported`` (the codegen backend's struct-of-arrays fast
-        path, or the vector backend's columnwise numpy execution over
-        the same arena), the whole batch runs through
-        ``pipeline.process_soa``: parse all lanes into a flat byte
-        arena, run the match-action body per lane — or columnwise with
-        divergence splitting under ``--exec vector`` (DESIGN.md §16) —
-        and deparse survivors at the end.  Fault-site RNG streams see
-        lanes in submission order, so verdicts — and the soak digest
-        over them — are bit-for-bit identical to the per-packet path.
-        The fast path declines (and this falls back to per-packet
-        processing) under ``strict`` mode, a configured recirculation
-        port, or a backend without batch support.
+        ``batch_supported`` (codegen and vector, for any program that
+        cannot recirculate), the whole batch runs through one
+        ``pipeline.process_soa`` call: codegen's generated function runs
+        every lane in turn, vector runs the batch columnwise with
+        divergence splitting where it has a plan (DESIGN.md §16).
+        Fault-site RNG streams see lanes in submission order, so
+        verdicts — and the soak digest over them — are bit-for-bit
+        identical to the per-packet path.  The fast path declines (and
+        this falls back to per-packet processing) under ``strict`` mode,
+        a configured recirculation port, or a backend without batch
+        support.
 
         Every ``in_port`` is checked before any lane is counted or run:
         a bad port anywhere raises and leaves the switch untouched.

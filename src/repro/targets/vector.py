@@ -1,15 +1,15 @@
-"""Vectorized numpy execution backend over the SoA lane arena.
+"""Vectorized numpy execution backend over a SoA lane arena.
 
-The codegen backend's batch mode (``_cg_run_batch``) already amortizes
-Python call overhead: Stage A parses every lane into a flat byte arena,
-Stage B runs the generated per-lane body, Stage C deparses survivors.
-Stage B is still a Python loop.  This backend replaces it with *one*
-columnwise program over the whole batch: header fields become int64
-column arrays sliced from the cell arena (:class:`~repro.targets.codegen.
-SoaLayout` is the shared contract), statements become mask-threaded
-numpy closures, exact-match lookups become sorted-key ``searchsorted``
-probes, and LPM/ternary/range tables become per-entry masked compares
-mirroring the reference scan's first-match / longest-prefix semantics.
+The codegen backend's batch path runs its one generated function over a
+list of lanes: one call per batch, but still a Python loop over lanes.
+This backend replaces the loop with *one* columnwise program over the
+whole batch: Stage A loads every lane's byte stack into an arena it
+builds itself (:class:`~repro.targets.codegen.SoaLayout` gives its
+shape), header fields become int64 column arrays sliced from it,
+statements become mask-threaded numpy closures, exact-match lookups
+become sorted-key ``searchsorted`` probes, and LPM/ternary/range tables
+become per-entry masked compares mirroring the reference scan's
+first-match / longest-prefix semantics.
 
 Divergence splitting
 --------------------
@@ -28,7 +28,7 @@ the vector path cannot, so it splits the two phases:
    per-site fault RNG streams exactly where the per-packet loop would
    have.  The first event that fires kills the lane; killed lanes are
    split out of the vector results and reported as ``(None, None, exc)``
-   triples, identical to the codegen batch body.
+   triples, identical to the codegen lane loop.
 3. **Commit.**  Hit/miss counters and lookup metrics are counted from
    the bookkeeping events over the lanes that reached each lookup,
    honouring each lane's kill ordinal, so observable state matches
@@ -40,7 +40,7 @@ walk statically — a fault-free batch skips the walk entirely.
 
 Pipelines the compiler cannot lower (registers, multicast, generic
 externs, enum-typed state, native parsers) *decline* at build time and
-fall back to the inherited codegen batch path; batches whose static
+fall back to the inherited codegen lane loop; batches whose static
 step bound exceeds the configured step budget fall back per batch so
 step-budget kills keep their per-lane accounting.  numpy itself is an
 optional extra (``pip install .[vector]``); constructing the backend
@@ -82,7 +82,7 @@ _HUGE = 1 << 62  # sentinel kill ordinal: later than any event
 
 class _Unvectorizable(Exception):
     """The composed program uses a construct the columnwise compiler
-    does not lower; the pipeline falls back to the codegen batch body."""
+    does not lower; the pipeline falls back to the codegen lane loop."""
 
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
@@ -1319,7 +1319,7 @@ class VectorPipeline(CodegenPipeline):
     literally the codegen backend.  Only ``process_soa`` is replaced:
     when the build-time plan exists and the step budget cannot fire, the
     batch runs columnwise with divergence splitting; otherwise it falls
-    back to the inherited per-lane batch body.
+    back to the inherited generated function, lane by lane.
     """
 
     backend = "vector"
@@ -1345,15 +1345,12 @@ class VectorPipeline(CodegenPipeline):
         )
         self.vector_plan: Optional[_VectorPlan] = None
         self.vector_decline_reason: Optional[str] = None
-        if self.batch_supported:
-            try:
-                self.vector_plan = _VectorCompiler(
-                    composed, self.tables, self.soa_layout, self.lane_vars
-                ).build()
-            except _Unvectorizable as exc:
-                self.vector_decline_reason = exc.reason
-        else:
-            self.vector_decline_reason = "batch layout unsupported"
+        try:
+            self.vector_plan = _VectorCompiler(
+                composed, self.tables, self.soa_layout, self.lane_vars
+            ).build()
+        except _Unvectorizable as exc:
+            self.vector_decline_reason = exc.reason
         if METRICS.enabled:
             METRICS.inc(
                 "vector.plan_built" if self.vector_plan is not None
@@ -1373,7 +1370,7 @@ class VectorPipeline(CodegenPipeline):
         try:
             # Speculation is pure: no RNG draws, no trace/counter writes.
             # If it blows up (a lowering bug), replaying through the
-            # per-lane batch body is still bit-exact.
+            # codegen lane loop is still bit-exact.
             ctx, pays = plan.run(datas, ports)
             S = plan.size
             dropped = ctx.dropped

@@ -13,7 +13,10 @@ file pins what is specific to this backend and to the seam bugfix:
 """
 
 import hashlib
+import marshal
+import os
 import random
+import re
 
 import pytest
 
@@ -98,25 +101,68 @@ class TestValidationSites:
             assert exc.value.code == "unknown-backend"
 
 
+def _top_level_defs(source):
+    return re.findall(r"^def (\w+)\(", source, re.M)
+
+
 class TestGeneratedSource:
+    """One generated function per program runs a list of lanes: per
+    packet it gets one, in a batch many."""
+
     def test_micro_generates_batch_fast_path(self):
         pipe = CodegenPipeline(build_pipeline("P4"))
         assert pipe.batch_supported
-        assert "def _cg_run(" in pipe.source
-        assert "def _cg_run_batch(" in pipe.source
+        assert _top_level_defs(pipe.source) == ["_cg_run"]
         compile(pipe.source, "<check>", "exec")
 
-    def test_mono_has_no_batch_path(self):
-        """The SoA layout is a byte-stack (micro) specialization; the
-        monolithic baseline runs per-packet and the switch falls back."""
+    def test_mono_generates_the_same_one_function(self):
+        """The monolithic baseline takes the batch path too."""
         pipe = CodegenPipeline(build_monolithic("P4"))
-        assert not pipe.batch_supported
-        assert "def _cg_run_batch(" not in pipe.source
+        assert pipe.batch_supported
+        assert _top_level_defs(pipe.source) == ["_cg_run"]
 
     def test_process_soa_unsupported_raises(self):
-        pipe = CodegenPipeline(build_monolithic("P1"))
-        with pytest.raises(TargetError):
+        """Only a program that can recirculate has no batch path."""
+        pipe = CodegenPipeline(_lane_composed("extern-arg"))
+        assert "recirculate" in pipe.source
+        assert not pipe.batch_supported
+        with pytest.raises(TargetError, match="not supported"):
             pipe.process_soa([b""], [0], [Packet(b"")])
+
+    @pytest.mark.parametrize("backend", ("interp", "codegen", "vector"))
+    @pytest.mark.parametrize("mode", ("micro", "mono"))
+    def test_strict_process_raises_what_the_lane_raised(self, mode, backend):
+        """Per packet, the lane's exception is re-raised as it was: the
+        same type, text, reason and site under a strict switch."""
+        from repro.targets.faults import FaultError
+        from repro.targets.vector import NUMPY_AVAILABLE
+        from tests.integration.helpers import eth_ipv4
+
+        if backend == "vector" and not NUMPY_AVAILABLE:
+            pytest.skip("vector backend needs numpy")
+        build = build_pipeline if mode == "micro" else build_monolithic
+        table = "main_parser_tbl" if mode == "micro" else "main_ipv4_lpm_tbl"
+        cases = [
+            (
+                {"guards": ResourceGuards(interp_step_budget=5)},
+                ("step-budget", None,
+                 "interpreter exceeded 5 statements for one packet"),
+            ),
+            (
+                {"faults": FaultPlan(seed=0, sites={"table": 1.0})},
+                ("extern-fault", f"table:{table}",
+                 f"injected lookup failure in table {table!r} "
+                 f"(at table:{table})"),
+            ),
+        ]
+        for kwargs, want in cases:
+            switch = Switch(
+                make_pipeline(build("P4"), backend), strict=True, **kwargs
+            )
+            with pytest.raises(FaultError) as caught:
+                switch.process(eth_ipv4(), 1)
+            assert type(caught.value) is FaultError
+            assert (caught.value.reason, caught.value.site, str(caught.value)) == want
 
 
 def _soak_switch(backend, fault_rate=0.1):
@@ -131,10 +177,18 @@ class TestBatchParity:
     """soa=True must be invisible: same verdicts, digest, and ledger."""
 
     @pytest.mark.parametrize("fault_rate", (0.0, 0.2))
-    def test_batch_digest_and_ledger_match_per_packet(self, fault_rate):
+    @pytest.mark.parametrize("backend", ("codegen", "vector"))
+    @pytest.mark.parametrize("mode", ("micro", "mono"))
+    def test_batch_digest_and_ledger_match_per_packet(
+        self, mode, backend, fault_rate
+    ):
+        from repro.targets.vector import NUMPY_AVAILABLE
+
+        if backend == "vector" and not NUMPY_AVAILABLE:
+            pytest.skip("vector backend needs numpy")
         config = SoakConfig(
             programs=["P4"], packets=1500, seed=4, fault_rate=fault_rate,
-            exec_backend="codegen",
+            exec_backend=backend, mode=mode,
         )
         digests = {}
         stats = {}
@@ -563,30 +617,18 @@ class TestLaneFlattening:
 
 
 class TestCatalogLaneBody:
-    """P1–P7 through make_pipeline: every struct is flattened, and the
-    batch body carries no observability branch."""
+    """P1–P7 through make_pipeline: every struct is flattened, and no
+    value is masked twice."""
 
     @pytest.mark.parametrize("program", [f"P{i}" for i in range(1, 8)])
     def test_no_objects_and_no_dead_branches(self, program):
-        import io
-        import re
-        import tokenize
-
         pipe = make_pipeline(build_pipeline(program), "codegen")
         assert not pipe.lane_vars.object_form
         assert len(pipe.lane_vars.flat) >= 4
         assert not re.search(r"_K\d+\(\)", pipe.source)
         assert ".fields[" not in pipe.source
-        batch = pipe.source[pipe.source.index("def _cg_run_batch("):]
-        names = {
-            tok.string
-            for tok in tokenize.generate_tokens(io.StringIO(batch).readline)
-            if tok.type == tokenize.NAME
-        }
-        assert not names & {"lat_on", "trace", "_perf", "_obs"}
-        # The per-packet function still samples latency and traces.
-        single = pipe.source[:pipe.source.index("def _cg_run_batch(")]
-        assert "if lat_on:" in single and "if trace is not None:" in single
+        # No catalog program reads the pkt extern: no object per lane.
+        assert "_PktObj(" not in pipe.source
         # A value that comes masked is not masked again: byte-stack
         # cells take their slices as they are.
         assert not re.search(r"& \d+\) & \d+$", pipe.source, re.M)
@@ -595,9 +637,7 @@ class TestCatalogLaneBody:
     def test_one_check_per_side_effect_region(self):
         """Step accounting is per region (DESIGN.md §15): P1–P7 carry
         under half the budget checks they have statements, and the
-        whole catalog fits in 20 000 generated lines."""
-        import re
-
+        whole catalog fits in 10 500 generated lines."""
         lines = checks = counted = 0
         for i in range(1, 8):
             source = make_pipeline(build_pipeline(f"P{i}"), "codegen").source
@@ -606,7 +646,7 @@ class TestCatalogLaneBody:
             checks += len(steps)
             counted += sum(steps)
             assert source.count("if steps > step_limit:") == len(steps)
-        assert lines <= 20_000
+        assert lines <= 10_500
         assert checks * 2 < counted
 
 
@@ -632,7 +672,6 @@ class TestGeneratedModule:
         again = make_pipeline(composed, "codegen")
         assert len(generations) == 1
         assert cg._run.__code__ is vec._run.__code__ is again._run.__code__
-        assert cg._run_batch.__code__ is vec._run_batch.__code__
         assert cg._run is not vec._run
         assert cg.lane_vars is vec.lane_vars
         for name, runtime in cg.tables.items():
@@ -662,3 +701,57 @@ class TestGeneratedModule:
         assert ports(cg) == [5] and ports(vec) == [2] and ports(again) == []
         lanes = vec.process_soa([eth_ipv4().tobytes()], [1], [eth_ipv4()])
         assert [o.port for o in lanes[0][0]] == [2] and lanes[0][2] is None
+
+
+_CACHED_SOURCE = "def _cg_run():\n    return 'generated'\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs uids and symlinks")
+class TestDiskCache:
+    """The code cache under the tempdir trusts only a regular file this
+    user owns that holds a code object; whatever else sits at the key
+    path is recompiled over, never run, and never written through."""
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        from repro.targets import codegen
+
+        monkeypatch.setattr(codegen, "_CODE_CACHE", {})
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", "1")
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE_DIR", str(tmp_path))
+        codegen._compile_cached(_CACHED_SOURCE, "<cache-test>")
+        (path,) = tmp_path.glob("*.pyc")
+        codegen._CODE_CACHE.clear()
+        return codegen, path
+
+    @staticmethod
+    def _run(codegen):
+        ns = {}
+        exec(codegen._compile_cached(_CACHED_SOURCE, "<cache-test>"), ns)
+        return ns["_cg_run"]()
+
+    def test_non_code_payload_is_recompiled(self, cache):
+        codegen, path = cache
+        path.write_bytes(marshal.dumps(42))
+        assert self._run(codegen) == "generated"
+
+    def test_a_file_another_user_owns_is_not_run(self, cache, monkeypatch):
+        codegen, path = cache
+        planted = compile(
+            "def _cg_run():\n    return 'planted'\n", "<cache-test>", "exec"
+        )
+        path.write_bytes(marshal.dumps(planted))
+        assert self._run(codegen) == "planted"  # this user's own file
+        codegen._CODE_CACHE.clear()
+        uid = os.getuid()
+        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        assert self._run(codegen) == "generated"
+
+    def test_a_symlink_at_the_temp_path_is_not_written_through(self, cache):
+        codegen, path = cache
+        path.unlink()
+        victim = path.parent / "victim"
+        victim.write_bytes(b"keep")
+        os.symlink(victim, f"{path}.{os.getpid()}.tmp")
+        assert self._run(codegen) == "generated"
+        assert victim.read_bytes() == b"keep"
