@@ -81,14 +81,6 @@ class LogicalTable:
 # ======================================================================
 
 
-def _root_name(expr: ast.Expr) -> Optional[str]:
-    while isinstance(expr, (ast.MemberExpr, ast.IndexExpr, ast.SliceExpr)):
-        expr = expr.base
-    if isinstance(expr, ast.PathExpr):
-        return expr.name
-    return None
-
-
 def field_name(expr: ast.Expr) -> Optional[str]:
     """Canonical field name for a data lvalue, or None for non-data."""
     if isinstance(expr, ast.SliceExpr):

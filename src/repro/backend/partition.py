@@ -118,10 +118,6 @@ class PartitionResult:
     # partition-metadata struct (§5.5).
     partition_metadata: List[str] = field(default_factory=list)
 
-    @property
-    def metadata_bits(self) -> int:
-        return 0  # populated by the caller when widths are known
-
 
 def partition(tables: List[LogicalTable], actions=None) -> PartitionResult:
     """Split logical tables into ingress and egress sequences."""

@@ -28,10 +28,6 @@ class TofinoDescriptor:
     # An action ALU writes one container from at most this many PHV sources.
     max_alu_sources: int = 2
 
-    @property
-    def total_container_bits(self) -> int:
-        return sum(size * count for size, count in self.containers.items())
-
     def scaled(self, factor: float) -> "TofinoDescriptor":
         """A descriptor with container pools scaled by ``factor`` —
         used by ablation benches to probe where programs stop fitting."""

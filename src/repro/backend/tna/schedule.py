@@ -45,9 +45,6 @@ class ScheduleResult:
     def num_stages(self) -> int:
         return len(self.stages)
 
-    def tables_in_stage(self, stage: int) -> List[str]:
-        return self.stages[stage].tables if stage < len(self.stages) else []
-
 
 def _crossbar_demand(table: LogicalTable) -> tuple:
     """(exact_bits, ternary_bits) the table needs on the match crossbar."""

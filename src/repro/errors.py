@@ -136,10 +136,3 @@ class TargetError(ReproError):
 
     code = "target-error"
     exit_code = EXIT_TARGET_ERROR
-
-
-def exit_code_for(exc: BaseException) -> int:
-    """CLI exit status for an exception (70 for non-package errors)."""
-    if isinstance(exc, ReproError):
-        return exc.exit_code
-    return EXIT_INTERNAL_ERROR

@@ -134,17 +134,6 @@ class HeaderType(Type):
         return sum(t.width for _, t in self.fields if isinstance(t, BitType))
 
     @property
-    def max_bit_width(self) -> int:
-        """Width including varbit fields at their maximum, in bits."""
-        total = 0
-        for _, t in self.fields:
-            if isinstance(t, BitType):
-                total += t.width
-            elif isinstance(t, VarBitType):
-                total += t.max_width
-        return total
-
-    @property
     def byte_width(self) -> int:
         """Fixed width in bytes (headers are byte-aligned)."""
         return self.fixed_bit_width // 8
@@ -209,14 +198,6 @@ class MethodSignature(Node):
     params: List["Param"] = field(default_factory=list)
     return_type: Type = field(default_factory=VoidType)
     type_params: List[str] = field(default_factory=list)
-
-
-@dataclass
-class ErrorTypePlaceholder(Type):
-    """Type of ``error`` values (parser errors)."""
-
-    def __str__(self) -> str:
-        return "error"
 
 
 # ======================================================================

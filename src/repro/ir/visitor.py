@@ -7,7 +7,7 @@ do not each need to know every node's field layout.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.frontend import astnodes as ast
 
@@ -90,28 +90,3 @@ def rewrite_expressions(
         if replacement is not None:
             return replacement
     return node
-
-
-def collect_statements(stmt: ast.Stmt) -> List[ast.Stmt]:
-    """Flatten a statement tree into the list of leaf statements."""
-    out: List[ast.Stmt] = []
-
-    def visit(s: ast.Stmt) -> None:
-        if isinstance(s, ast.BlockStmt):
-            for inner in s.stmts:
-                visit(inner)
-        elif isinstance(s, ast.IfStmt):
-            out.append(s)
-            visit(s.then_body)
-            if s.else_body is not None:
-                visit(s.else_body)
-        elif isinstance(s, ast.SwitchStmt):
-            out.append(s)
-            for case in s.cases:
-                if case.body is not None:
-                    visit(case.body)
-        else:
-            out.append(s)
-
-    visit(stmt)
-    return out

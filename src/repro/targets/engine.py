@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import TargetError
-from repro.obs.metrics import METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.targets.faults import ChaosPlan
 from repro.targets.ring import DEFAULT_RING_BYTES
 from repro.targets.supervision import RestartPolicy
@@ -129,14 +129,10 @@ class EngineConfig:
     #: a slow worker; a full ring blocks the parent (backpressure)
     #: rather than dropping anything.
     ring_bytes: int = DEFAULT_RING_BYTES
-    #: Enable each worker's metrics registry and fold the snapshots
-    #: into the merged block (``switch.*`` / ``interp.*`` counters).
-    collect_metrics: bool = True
     #: Seconds between live telemetry publishes from each worker
     #: (epoch-stamped cumulative registry snapshot + switch ledger on
     #: the result queue).  0 disables mid-run publishing entirely — the
-    #: default, so runs without a live consumer pay nothing.  Requires
-    #: ``collect_metrics``.
+    #: default, so runs without a live consumer pay nothing.
     publish_interval_s: float = 0.0
     #: Give up if a worker reports nothing for this long (safety net
     #: against a hung worker).  The deadline is re-armed by *any*
@@ -156,12 +152,6 @@ class EngineConfig:
     #: :class:`~repro.targets.faults.ChaosPlan` of kill/stop/stall
     #: events the dispatcher fires at exact stream positions.
     chaos: Optional["ChaosPlan"] = None
-    #: Workers acknowledge their completed watermark (highest global
-    #: packet index folded into the shard digest) at least every this
-    #: many processed packets, in addition to every telemetry publish.
-    #: Bounds redispatch work after a restart; 0 disables the dedicated
-    #: ack messages (watermarks then ride only on telemetry).
-    ack_interval_pkts: int = 2048
 
     def validate(self) -> None:
         if self.workers < 1:
@@ -174,11 +164,6 @@ class EngineConfig:
         if self.ring_bytes < 1024:
             raise TargetError(
                 f"engine ring_bytes must be >= 1024, got {self.ring_bytes}"
-            )
-        if self.ack_interval_pkts < 0:
-            raise TargetError(
-                f"engine ack_interval_pkts must be >= 0, "
-                f"got {self.ack_interval_pkts}"
             )
         if self.restart is not None:
             self.restart.validate()
@@ -215,25 +200,6 @@ def _mp_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         return multiprocessing.get_context()
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def _worker_init(engine: EngineConfig) -> None:
-    """Per-worker (and, in the pool, per-run) initialization.
-
-    The registry reset is load-bearing twice over: a forked child
-    starts with a copy of the parent's ``METRICS`` — counters recorded
-    before the fork included — and a resident pool worker still holds
-    the previous run's counters; reporting a snapshot of either would
-    double-count after the parent's merge.
-    """
-    METRICS.reset()
-    if engine.collect_metrics:
-        METRICS.enable()
-    else:
-        METRICS.disable()
 
 
 # ----------------------------------------------------------------------
@@ -306,11 +272,10 @@ def _merge_blocks(
             for block in shards
         ],
     }
-    if engine.collect_metrics:
-        registry = MetricsRegistry()
-        for block in shards:
-            registry.merge(block.get("metrics", {}))  # type: ignore[arg-type]
-        merged["metrics"] = registry.snapshot()
+    registry = MetricsRegistry()
+    for block in shards:
+        registry.merge(block.get("metrics", {}))  # type: ignore[arg-type]
+    merged["metrics"] = registry.snapshot()
     return merged
 
 

@@ -380,7 +380,12 @@ class ChaosPlan:
                 raise TargetError(
                     f"bad chaos spec {spec!r}: expected key=value, got {pair!r}"
                 )
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key in fields:
+                raise TargetError(
+                    f"bad chaos spec {spec!r}: repeated field {key!r}"
+                )
+            fields[key] = value.strip()
         try:
             shard = int(fields.pop("shard"))
             pkt = int(fields.pop("pkt"))

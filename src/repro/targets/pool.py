@@ -29,10 +29,10 @@ is O(shard), not O(stream):
 * **self-healing** — a replica death mid-stream (SIGKILL, hard exit,
   hung ring, watchdog) no longer breaks the pool.  A supervisor
   (:mod:`repro.targets.supervision`) respawns a fresh replica that
-  *replays* its deterministic prefix up to the shard's acknowledged
-  completed watermark, while the parent redispatches only the
-  unacknowledged suffix over a fresh ring — so the merged digest is
-  provably identical to an undisturbed run (DESIGN.md §14).  When the
+  *replays* its deterministic prefix up to everything the parent has
+  generated so far, while the parent keeps dispatching the rest over a
+  fresh ring — so the merged digest is provably identical to an
+  undisturbed run (DESIGN.md §14).  When the
   :class:`~repro.targets.supervision.RestartPolicy` budget runs out the
   shard is *abandoned*: surviving shards drain, then the run fails with
   a structured partial-result :class:`~repro.targets.engine
@@ -65,7 +65,6 @@ from repro.targets.engine import (
     _merge_blocks,
     _mp_context,
     _publish_final_epochs,
-    _worker_init,
     assign_shard,
     shard_seed,
 )
@@ -84,6 +83,11 @@ from repro.targets.supervision import RestartPolicy, Supervisor
 #: Per-packet header inside a ring record: global index (uint64),
 #: ingress port (uint16), payload length (uint32), little-endian.
 _REC = struct.Struct("<QHI")
+
+#: Workers acknowledge their completed watermark every this many
+#: digested packets: the watchdog heartbeat and the progress the
+#: ``watermarks`` report and a partial-result error show.
+_ACK_EVERY = 2048
 
 
 def _packet_room(ring_bytes: int) -> int:
@@ -124,25 +128,25 @@ def _resume_stream(
     program: str,
     engine: EngineConfig,
     shard: int,
-    watermark: int,
+    resume_from: int,
     ring: ShardRing,
     poll,
 ) -> Iterator[Tuple[int, Packet, int]]:
     """A replacement replica's input stream.
 
-    The prefix — every shard-owned packet with global index up to the
-    acknowledged ``watermark`` — is regenerated locally from the pure
-    ``(seed, program)`` stream, replaying the dead predecessor's work
-    to rebuild identical deterministic state (fault-plan RNG streams
-    advance per processed packet, the digest refolds the same verdicts
-    in the same order).  The suffix arrives over the fresh ring: the
-    parent redispatches exactly the indices above the watermark, so the
-    chained stream is the shard's full sub-stream, each index exactly
-    once, in global order.
+    The prefix — every shard-owned packet with global index up to
+    ``resume_from``, the parent's generation high-water mark at the
+    restart — is regenerated locally from the pure ``(seed, program)``
+    stream, replaying the dead predecessor's work to rebuild identical
+    deterministic state (fault-plan RNG streams advance per processed
+    packet, the digest refolds the same verdicts in the same order).
+    The rest arrives over the fresh ring: the parent only ever puts
+    indices above ``resume_from`` there, so the chained stream is the
+    shard's full sub-stream, each index exactly once, in global order.
     """
     workers, policy = engine.workers, engine.shard_policy
     for index, data, in_port in iter_stream_bytes(config, program, NUM_PORTS):
-        if index > watermark:
+        if index > resume_from:
             break
         if assign_shard(index, data, workers, policy) == shard:
             yield index, Packet(data), in_port
@@ -173,9 +177,11 @@ def _run_pool_shard(
     recorder,
 ) -> Dict[str, object]:
     """Execute one submitted run inside a resident worker."""
-    # Fresh registry every run: a resident worker still holds the
-    # previous run's counters, and the parent merges our snapshot.
-    _worker_init(engine)
+    # Fresh registry every run: a forked worker starts with the parent's
+    # counters and a resident one still holds the previous run's, and
+    # the parent merges our snapshot — either would double-count.
+    METRICS.reset()
+    METRICS.enable()
     switch = build_switch(
         config,
         program,
@@ -201,8 +207,8 @@ def _run_pool_shard(
         )
 
     def ack(watermark: int) -> None:
-        # Lightweight completed-watermark acknowledgement: keeps the
-        # supervisor's resume point fresh even with telemetry off.
+        # Lightweight completed-watermark acknowledgement: the liveness
+        # heartbeat and progress report even with telemetry off.
         out_queue.put(
             (
                 "ack",
@@ -229,15 +235,14 @@ def _run_pool_shard(
         switch,
         stream,
         batch_lanes=config.batch_lanes,
-        publish=publish if engine.collect_metrics else None,
+        publish=publish,
         publish_interval_s=engine.publish_interval_s,
         ack=ack,
-        ack_interval_pkts=engine.ack_interval_pkts,
+        ack_every=_ACK_EVERY,
         recorder=recorder,
     )
     block["shard"] = shard
-    if engine.collect_metrics:
-        block["metrics"] = METRICS.snapshot()
+    block["metrics"] = METRICS.snapshot()
     block["seed"] = shard_seed(config.seed, program, shard)
     block["run"] = run
     block["attempt"] = attempt
@@ -338,13 +343,9 @@ def _pool_worker(control, out_queue, ring: ShardRing, shard: int,
 # ----------------------------------------------------------------------
 class _FlushAbort(Exception):
     """The shard whose buffer was being flushed was just restarted or
-    abandoned; the in-flight payload is covered by catch-up redispatch
-    (restart) or moot (abandon), so the blocked ``put`` must unwind."""
-
-
-class _CatchUpFailed(Exception):
-    """The replacement replica died while its suffix was being
-    redispatched; recorded as a fresh failure for the supervisor."""
+    abandoned; the in-flight payload is covered by the replacement's
+    replay (restart) or moot (abandon), so the blocked ``put`` must
+    unwind."""
 
 
 class _RunState:
@@ -372,8 +373,8 @@ class _RunState:
         #: incarnation, however many signals it produces (error message
         #: *and* death, say).
         self.failed_attempts: set = set()
-        #: Highest global index generated so far; catch-up redispatches
-        #: ``(watermark, gen_high]``.
+        #: Highest global index generated so far: a restarted replica
+        #: replays its shard up to it, the parent dispatches the rest.
         self.gen_high = -1
         self.gen_done = False
         self.sentinel_sent: set = set()
@@ -428,10 +429,9 @@ class WorkerPool:
         #: ring put); a restart/abandon of that shard mid-put raises
         #: :class:`_FlushAbort` to unwind the now-pointless write.
         self._flushing: Optional[int] = None
-        self._in_restart = False
         #: Parent-side pack buffers, live only while dispatching (a
-        #: restart clears the failed shard's buffer — catch-up covers
-        #: those indices).
+        #: restart clears the failed shard's buffer — the replacement
+        #: replays those indices).
         self._buffers: Optional[List[bytearray]] = None
         #: Ring-full spins of rings already reaped, per shard (a restart
         #: replaces the ring; its count must not vanish with it).
@@ -676,7 +676,7 @@ class WorkerPool:
             "kind": "run",
             "run": state.run,
             "attempt": sup.attempts[shard],
-            "resume_from": sup.watermarks[shard],
+            "resume_from": state.gen_high,
             "config": state.config,
             "program": state.program,
             "composed": state.composed,
@@ -713,128 +713,50 @@ class WorkerPool:
             }
         )
 
-    def _catch_up(self, state: _RunState, shard: int) -> None:
-        """Redispatch the unacknowledged suffix ``(watermark, gen_high]``
-        to a freshly restarted shard, regenerated from the pure stream
-        (the replacement replays ``[0, watermark]`` itself — together
-        the two halves rebuild the shard's exact sub-stream)."""
-        engine = self.engine
-        watermark = state.sup.watermarks[shard]
-        ring = self._rings[shard]
-        proc = self._procs[shard]
-        workers, policy = engine.workers, engine.shard_policy
-
-        def poll() -> None:
-            self._fire_resumes(state)
-            if not proc.is_alive():
-                raise _CatchUpFailed()
-
-        try:
-            if state.gen_high > watermark:
-                room = _packet_room(engine.ring_bytes)
-                pack = _REC.pack
-                buffer = bytearray()
-                for index, data, in_port in iter_stream_bytes(
-                    state.config, state.program, NUM_PORTS
-                ):
-                    if index > state.gen_high:
-                        break
-                    if index <= watermark:
-                        continue
-                    if assign_shard(index, data, workers, policy) != shard:
-                        continue
-                    size = len(data)
-                    if len(buffer) + size > room and buffer:
-                        ring.put(
-                            bytes(buffer), poll=poll,
-                            timeout=engine.watchdog_s,
-                        )
-                        buffer.clear()
-                    buffer += pack(index, in_port, size)
-                    buffer += data
-                if buffer:
-                    ring.put(
-                        bytes(buffer), poll=poll, timeout=engine.watchdog_s
-                    )
-            if state.gen_done:
-                ring.close_stream(poll=poll, timeout=engine.watchdog_s)
-                state.sentinel_sent.add(shard)
-        except _CatchUpFailed:
-            self._record_failure(
-                state,
-                shard,
-                "died",
-                {
-                    "error": (
-                        f"worker died (exit code {proc.exitcode}) during "
-                        f"catch-up redispatch"
-                    ),
-                    "exitcode": proc.exitcode,
-                },
-            )
-        except RingTimeout as exc:
-            self._record_failure(
-                state,
-                shard,
-                "ring-stall",
-                {
-                    "error": (
-                        f"ring stayed full for {engine.watchdog_s}s during "
-                        f"catch-up ({exc})"
-                    )
-                },
-            )
-
     def _process_failures(self, state: _RunState) -> None:
-        """Resolve every deferred failure: restart (respawn + replay +
-        redispatch) within policy, abandon beyond it.
+        """Resolve every deferred failure: restart (respawn, and the
+        replacement replays its shard up to ``gen_high``) within policy,
+        abandon beyond it.
 
         Raises :class:`_FlushAbort` after resolving if the shard
         currently being flushed was among the casualties, so the
         blocked ``put`` to its defunct ring unwinds.
         """
-        if self._in_restart:
-            # Already resolving (a catch-up put's poll drained a new
-            # failure); the outer loop will pick it up.
-            return
-        self._in_restart = True
         abort_flush = False
-        try:
-            while state.failures:
-                shard, reason, detail = state.failures.pop(0)
-                if shard in state.results or shard in state.sup.abandoned:
-                    continue
-                # The result may have raced the failure signal (a worker
-                # that posted "ok" and then exited) — drain first.
-                self._drain(state)
-                if shard in state.results:
-                    continue
-                decision = state.sup.decide(shard, reason, detail)
-                self._record_event(state, decision, shard, reason)
-                if self._flushing == shard:
-                    abort_flush = True
-                if decision == Supervisor.ABANDON:
-                    self._reap(shard)
-                    if self._buffers is not None:
-                        self._buffers[shard].clear()
-                    continue
-                delay = state.sup.backoff_s(shard)
-                if delay > 0:
-                    time.sleep(delay)
+        while state.failures:
+            shard, reason, detail = state.failures.pop(0)
+            if shard in state.results or shard in state.sup.abandoned:
+                continue
+            # The result may have raced the failure signal (a worker
+            # that posted "ok" and then exited) — drain first.
+            self._drain(state)
+            if shard in state.results:
+                continue
+            decision = state.sup.decide(shard, reason, detail)
+            self._record_event(state, decision, shard, reason)
+            if self._flushing == shard:
+                abort_flush = True
+            if self._buffers is not None:
+                # Buffered-but-unflushed indices are <= gen_high: the
+                # replacement replays them, or nobody runs them.
+                self._buffers[shard].clear()
+            if decision == Supervisor.ABANDON:
                 self._reap(shard)
-                # The replacement's epochs restart at 1; base them past
-                # everything its predecessor published.
-                state.epoch_offset[shard] = state.epochs_seen.get(shard, 0)
-                self._spawn_worker(shard)
-                if self._buffers is not None:
-                    # Buffered-but-unflushed indices are <= gen_high, so
-                    # catch-up regenerates them; keeping the buffer
-                    # would dispatch them twice.
-                    self._buffers[shard].clear()
-                self._send_run(state, shard)
-                self._catch_up(state, shard)
-        finally:
-            self._in_restart = False
+                continue
+            delay = state.sup.backoff_s(shard)
+            if delay > 0:
+                time.sleep(delay)
+            self._reap(shard)
+            # The replacement's epochs restart at 1; base them past
+            # everything its predecessor published.
+            state.epoch_offset[shard] = state.epochs_seen.get(shard, 0)
+            self._spawn_worker(shard)
+            self._send_run(state, shard)
+            if state.gen_done:
+                # The replay covers the whole stream: end the fresh ring
+                # (it is empty, so the sentinel never waits).
+                self._rings[shard].close_stream()
+                state.sentinel_sent.add(shard)
         if abort_flush:
             raise _FlushAbort()
 
@@ -880,7 +802,7 @@ class WorkerPool:
                     payload, poll=poll, timeout=engine.watchdog_s
                 )
             except _FlushAbort:
-                pass  # the restart's catch-up re-covers this payload
+                pass  # the replacement replays this payload's indices
             except RingTimeout as exc:
                 self._record_failure(
                     state,
@@ -908,12 +830,13 @@ class WorkerPool:
                     self._fire_chaos(state, index)
                 if state.resumes:
                     self._fire_resumes(state)
-                # Failures resolved here catch up through ``gen_high``,
-                # which must still exclude the current packet — it has
-                # not been handed to any ring or buffer yet, and the
-                # loop below will dispatch it through the normal path.
-                # Advancing ``gen_high`` too early would make a restart
-                # redispatch it AND buffer it: a duplicated unit.
+                # A replacement started here replays through
+                # ``gen_high``, which must still exclude the current
+                # packet — it has not been handed to any ring or buffer
+                # yet, and the loop below will dispatch it through the
+                # normal path.  Advancing ``gen_high`` too early would
+                # make the replacement replay it AND receive it: a
+                # duplicated unit.
                 if state.failures:
                     self._process_failures(state)
                 elif index & 1023 == 0:
@@ -940,7 +863,7 @@ class WorkerPool:
                 if buffers[shard]:
                     flush(shard)
                 if shard in abandoned or shard in state.sentinel_sent:
-                    continue  # a restart's catch-up already closed it
+                    continue  # a restart already closed the fresh ring
                 self._flushing = shard
                 try:
                     self._rings[shard].close_stream(
@@ -948,7 +871,7 @@ class WorkerPool:
                     )
                     state.sentinel_sent.add(shard)
                 except _FlushAbort:
-                    pass  # catch-up sent the sentinel on the new ring
+                    pass  # the restart sent the sentinel on the new ring
                 except RingTimeout as exc:
                     self._record_failure(
                         state,
@@ -1124,7 +1047,7 @@ class WorkerPool:
             self._fire_resumes(state, force=True)
         wall_s = time.perf_counter() - start
         shards = [state.results[shard] for shard in sorted(state.results)]
-        if telemetry is not None and engine.collect_metrics:
+        if telemetry is not None:
             _publish_final_epochs(
                 telemetry, program, shards, state.epochs_seen, run=run
             )

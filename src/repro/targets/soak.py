@@ -138,6 +138,19 @@ class SoakConfig:
         """
         executor_class(self.exec_backend)  # raises on an unknown name
         _stream_for(self.traffic)  # raises on an unknown mix
+        if not self.programs:
+            err = TargetError("no programs to soak")
+            err.code = "no-programs"
+            raise err
+        repeated = sorted(
+            {name for name in self.programs if self.programs.count(name) > 1}
+        )
+        if repeated:
+            err = TargetError(
+                f"program(s) listed more than once: {', '.join(repeated)}"
+            )
+            err.code = "duplicate-program"
+            raise err
         if self.packets < 0:
             err = TargetError(
                 f"packet count must be >= 0, got {self.packets}"
@@ -385,7 +398,7 @@ def consume(
     publish: Optional[Callable[[int, Dict[str, int], int], None]] = None,
     publish_interval_s: float = 0.0,
     ack: Optional[Callable[[int], None]] = None,
-    ack_interval_pkts: int = 0,
+    ack_every: int = 0,
     recorder: Optional[FlightRecorder] = None,
     on_trace: Optional[Callable[[int, PacketTrace, object], None]] = None,
 ) -> Dict[str, object]:
@@ -419,10 +432,9 @@ def consume(
     The *watermark* is the highest global packet index whose verdict
     has been folded into the digest (-1 until the first batch lands).
     ``ack(watermark)`` (pool workers) reports it at least every
-    ``ack_interval_pkts`` digested packets (0 disables), so the
-    supervisor always knows a recent safe resume point; any lag only
-    costs a restarted replica some extra deterministic replay, never
-    correctness (DESIGN.md §14).
+    ``ack_every`` digested packets (0 disables): the supervisor's
+    liveness heartbeat and progress report, not a resume point
+    (DESIGN.md §14).
 
     An exception out of the switch is an escape from containment: the
     first 10 are recorded under ``uncaught`` (non-empty fails the run),
@@ -443,7 +455,8 @@ def consume(
     watermark = -1
     folded = 0
     acked_at = 0
-    ack_every = ack_interval_pkts if ack is not None else 0
+    if ack is None:
+        ack_every = 0
     next_publish = (
         time.monotonic() + publish_interval_s
         if publish is not None and publish_interval_s > 0
@@ -493,8 +506,8 @@ def consume(
             kinds[kind] += 1
             records.append(_digest_record(index, kind, verdict))
         digest.update("".join(records).encode())
-        # Only advance past *digested* packets: a restart resumes after
-        # the watermark, so it must never cover un-folded indices.
+        # Only advance past *digested* packets: the watermark claims
+        # what the shard digest covers, never un-folded indices.
         watermark = batch[-1][0]
         folded += len(batch)
         batch.clear()

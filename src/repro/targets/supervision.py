@@ -9,14 +9,16 @@ treat a device reset — a recoverable event:
 * Workers acknowledge a per-shard **completed watermark**: the highest
   global packet index whose verdict has been folded into the shard
   digest (piggybacked on telemetry publishes and on lightweight
-  ``("ack", ...)`` result-queue messages).
+  ``("ack", ...)`` result-queue messages) — the liveness heartbeat and
+  the progress a partial-result error reports.
 * On failure the supervisor respawns a fresh replica which *replays*
-  its own prefix ``[0..watermark]`` — regenerated from the pure
-  ``(seed, program)`` stream — and the parent redispatches only the
-  unacknowledged suffix over a fresh ring.  Execution is deterministic
-  (per-shard fault RNG streams, pure shard assignment), so the rebuilt
-  verdict stream — and therefore the shard digest — is bit-identical
-  to an undisturbed run.  See DESIGN.md §14 for the full argument.
+  its own prefix up to ``gen_high``, everything the parent has
+  generated so far — regenerated from the pure ``(seed, program)``
+  stream — while the parent keeps dispatching later packets over a
+  fresh ring.  Execution is deterministic (per-shard fault RNG
+  streams, pure shard assignment), so the rebuilt verdict stream — and
+  therefore the shard digest — is bit-identical to an undisturbed run.
+  See DESIGN.md §14 for the full argument.
 
 :class:`RestartPolicy` bounds the healing: per-shard and run-level
 restart budgets with exponential backoff (deterministically jittered
@@ -27,7 +29,7 @@ shards and raises a structured partial-result
 its watermark, instead of tearing the run down mid-flight.
 
 :class:`Supervisor` is pure bookkeeping — decisions, counters, event
-log.  Process management (kill/spawn/redispatch) stays in
+log.  Process management (kill/spawn/dispatch) stays in
 :class:`~repro.targets.pool.WorkerPool`, which owns the processes.
 """
 

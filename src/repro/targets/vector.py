@@ -184,10 +184,6 @@ def _mk_terr(msg: str):
     return make
 
 
-def _bitw(t) -> Optional[int]:
-    return t.width if isinstance(t, ast.BitType) else None
-
-
 # ----------------------------------------------------------------------
 # Per-table vectorized lookup structures
 # ----------------------------------------------------------------------

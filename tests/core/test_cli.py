@@ -402,6 +402,21 @@ class TestSoak:
             assert payload["ok"] is False
             assert payload["code"] == "bad-packet-count"
 
+    @pytest.mark.parametrize(
+        "programs, code",
+        [
+            # Regression: both soaked nothing and printed `result: OK`.
+            ("", "no-programs"),
+            (",", "no-programs"),
+            # Regression: P4 soaked twice, reported as one block.
+            ("P4,P4", "duplicate-program"),
+        ],
+    )
+    def test_soak_program_list_rejected(self, programs, code, capsys):
+        rc = main(["soak", "--programs", programs, "--packets", "10"])
+        assert rc == 4
+        assert f"error[{code}]:" in capsys.readouterr().err
+
     def test_soak_negative_workers_rejected(self, capsys):
         # Regression: -3 must not silently fall back to the inline path.
         rc = main(["soak", "--programs", "P4", "--packets", "10",

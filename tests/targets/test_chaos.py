@@ -91,7 +91,8 @@ class TestKillRecovery:
     def test_sigkill_under_backpressure_tiny_ring(self, clean_digest):
         # A 2 KiB ring forces the parent to block on a full ring many
         # times; the kill lands while records are in flight, so the
-        # unacked suffix redispatch is genuinely exercised.
+        # replacement's replay genuinely covers dispatched-but-unrun
+        # packets.
         block = run_chaotic(
             chaos_config(), f"kill:shard=0@pkt={PACKETS // 2}",
             ring_bytes=2048,
@@ -102,55 +103,78 @@ class TestKillRecovery:
         assert all(n > 0 for n in block["ring_full_spins"].values())
         assert no_orphans()
 
-    def test_recovery_redispatches_only_the_unacked_suffix(
-        self, clean_digest, monkeypatch
+    def test_replacement_ring_carries_only_indices_above_gen_high(
+        self, monkeypatch
     ):
-        # Counts, not a clock: the replacement replays [0, watermark]
-        # itself, so the parent's catch-up puts exactly shard 0's
-        # packets in (watermark, gen_high] on the new ring.  A small
-        # ring and frequent acks keep the parent and the watermark near
-        # the kill, so that suffix is well short of the whole shard.
-        catch_ups, sending = [], []
-        catch_up, put = WorkerPool._catch_up, ShardRing.put
+        # Counts, not a clock: the replacement replays its shard up to
+        # the parent's gen_high at the restart, so the parent puts on
+        # the new ring exactly shard 0's packets above it — nothing it
+        # replays.  A small ring keeps gen_high near the kill, so the
+        # ring still carries a good part of the shard.
+        restarts, puts = [], []
+        send_run, put = WorkerPool._send_run, ShardRing.put
 
-        def spy_catch_up(pool, state, shard):
-            catch_ups.append(
-                (shard, state.sup.watermarks[shard], state.gen_high, [])
-            )
-            sending.append(catch_ups[-1][3])
-            try:
-                return catch_up(pool, state, shard)
-            finally:
-                sending.pop()
+        def spy_send_run(pool, state, shard):
+            if state.sup.attempts[shard] > 1:
+                restarts.append((shard, state.gen_high, pool._rings[shard]))
+            return send_run(pool, state, shard)
 
         def spy_put(ring, payload, *args, **kwargs):
-            if sending:
-                offset = 0
-                while offset < len(payload):
-                    index, _, length = _REC.unpack_from(payload, offset)
-                    sending[-1].append(index)
-                    offset += _REC.size + length
+            offset = 0
+            while offset < len(payload):
+                index, _, length = _REC.unpack_from(payload, offset)
+                puts.append((ring, index))
+                offset += _REC.size + length
             return put(ring, payload, *args, **kwargs)
 
-        monkeypatch.setattr(WorkerPool, "_catch_up", spy_catch_up)
+        monkeypatch.setattr(WorkerPool, "_send_run", spy_send_run)
         monkeypatch.setattr(ShardRing, "put", spy_put)
         config = chaos_config()
         block = run_chaotic(
-            config, f"kill:shard=0@pkt={PACKETS // 2}",
-            ring_bytes=2048, ack_interval_pkts=64,
+            config, f"kill:shard=0@pkt={PACKETS // 2}", ring_bytes=2048
         )
-        assert block["digest"] == clean_digest
+        assert_matches_oracle(
+            block, oracle_run(config, "P4", EngineConfig(workers=2))
+        )
         assert block["restarts"] == {"0": 1}
-        [(shard, watermark, gen_high, sent)] = catch_ups
+        [(shard, gen_high, fresh)] = restarts
         assert shard == 0
+        assert block["shards"][0]["resumed_from"] == gen_high
+        sent = [index for ring, index in puts if ring is fresh]
         policy = EngineConfig().shard_policy
         assert sent == [
             index
             for index, data, _ in iter_stream_bytes(config, "P4", NUM_PORTS)
-            if watermark < index <= gen_high
-            and assign_shard(index, data, 2, policy) == 0
+            if index > gen_high and assign_shard(index, data, 2, policy) == 0
         ]
-        assert len(sent) < block["shards"][0]["packets"]
+        assert sent  # the kill left part of the shard to dispatch
+
+    @pytest.mark.parametrize(
+        "specs", [None, f"kill:shard=0@pkt={PACKETS // 2}"],
+        ids=["undisturbed", "restart"],
+    )
+    def test_parent_generates_each_program_once(self, specs, monkeypatch):
+        generated = []
+
+        def spy(config, program, num_ports):
+            generated.append(program)
+            return iter_stream_bytes(config, program, num_ports)
+
+        # Workers fork after the patch, but their calls (a replacement's
+        # replay) land in their own copy of ``generated``.
+        monkeypatch.setattr("repro.targets.pool.iter_stream_bytes", spy)
+        engine = EngineConfig(
+            workers=2,
+            chaos=ChaosPlan.from_specs(specs) if specs else None,
+            restart=fast_policy(),
+        )
+        config = chaos_config(programs=["P4", "P1"])
+        with WorkerPool(engine) as pool:
+            blocks = [pool.submit(config, name) for name in config.programs]
+        assert generated == ["P4", "P1"]
+        assert [b["restarts"] for b in blocks] == (
+            [{"0": 1}] * 2 if specs else [{}] * 2
+        )
 
     def test_sigkill_under_spawn_start_method(self, clean_digest):
         block = run_chaotic(
@@ -178,7 +202,7 @@ class TestKillRecovery:
         # Regression: the dispatcher used to advance ``gen_high`` to the
         # current packet *before* resolving deferred failures.  When a
         # death was detected at the top of an iteration whose packet
-        # belonged to the restarted shard, catch-up regenerated that
+        # belonged to the restarted shard, the recovery covered that
         # packet AND the loop buffered it — one duplicated unit and a
         # diverged digest.  This seed/kill combination reproduced the
         # race deterministically before the fix.

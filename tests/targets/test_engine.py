@@ -250,14 +250,6 @@ class TestMetricsMerging:
         assert sharded == single
         assert inline["ledger_ok"]
 
-    def test_metrics_can_be_disabled(self):
-        merged = run_sharded_program(
-            quick_config(packets=100),
-            "P4",
-            EngineConfig(workers=2, collect_metrics=False),
-        )
-        assert "metrics" not in merged
-
 
 def _shard_block(shard: int, packets: int, elapsed_s: float) -> dict:
     return {
@@ -333,7 +325,7 @@ class TestMergedRates:
         """The merged rate is wall-clock (``packets / wall_s``), so
         sub-millisecond shard times cannot distort it; rounding is
         presentation only, applied to the rendered per-shard values."""
-        engine = EngineConfig(workers=2, collect_metrics=False)
+        engine = EngineConfig(workers=2)
         blocks = [
             _shard_block(0, 10, 0.0004),
             _shard_block(1, 10, 0.0003),
@@ -345,7 +337,7 @@ class TestMergedRates:
         assert [s["elapsed_s"] for s in merged["shards"]] == [0.0, 0.0]
 
     def test_zero_elapsed_yields_none_not_crash(self):
-        engine = EngineConfig(workers=1, collect_metrics=False)
+        engine = EngineConfig(workers=1)
         merged = _merge_blocks(
             "P4", quick_config(), engine, [_shard_block(0, 5, 0.0)],
             wall_s=0.0,

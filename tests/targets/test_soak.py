@@ -153,6 +153,9 @@ class TestDeterminism:
             # -1 was silently "no faults"; 2 failed deep in FaultPlan.
             ("fault_rate", -1.0, "bad-fault-rate"),
             ("fault_rate", 2.0, "bad-fault-rate"),
+            # An empty list digested nothing and reported success.
+            ("programs", [], "no-programs"),
+            ("programs", ["P4", "P4"], "duplicate-program"),
         ],
     )
     def test_out_of_range_counts_rejected_up_front(self, field, value, code):

@@ -144,6 +144,11 @@ class TestChaosPlan:
         with pytest.raises(TargetError):
             ChaosPlan.from_specs(spec)
 
+    def test_repeated_field_rejected(self):
+        # Regression: the later value silently won (a kill at pkt=6).
+        with pytest.raises(TargetError, match="bad chaos spec.*'pkt'"):
+            ChaosPlan.from_specs("kill:shard=0@pkt=5@pkt=6")
+
     def test_event_routing_and_reset(self):
         plan = ChaosPlan.from_specs(
             ["kill:shard=0@pkt=5", "stall:shard=1@pkt=9@for=0.1"]
