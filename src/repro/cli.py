@@ -49,7 +49,12 @@ from typing import List, Optional
 
 from repro.core.arch import describe_architecture
 from repro.core.driver import CompilerOptions, Up4Compiler
-from repro.errors import EXIT_INTERNAL_ERROR, EXIT_INTERRUPTED, ReproError
+from repro.errors import (
+    EXIT_INTERNAL_ERROR,
+    EXIT_INTERRUPTED,
+    ReproError,
+    TargetError,
+)
 from repro.frontend.json_ir import load_module
 from repro.obs.metrics import METRICS, collecting
 from repro.obs.trace import Tracer
@@ -434,8 +439,6 @@ def _setup_telemetry(args: argparse.Namespace):
             except OSError as exc:
                 # Busy or privileged port: surface a reason-coded CLI
                 # error (exit 4, --json aware) instead of a traceback.
-                from repro.errors import TargetError
-
                 err = TargetError(
                     f"cannot serve --stats-port {args.stats_port}: "
                     f"{exc.strerror or exc}"
@@ -481,7 +484,12 @@ def cmd_soak(args: argparse.Namespace) -> int:
 
     fault_spec = None
     if args.fault_spec:
-        fault_spec = json.loads(Path(args.fault_spec).read_text())
+        try:
+            fault_spec = json.loads(Path(args.fault_spec).read_text())
+        except ValueError as exc:  # not JSON, or not text
+            err = TargetError(f"bad fault spec {args.fault_spec}: {exc}")
+            err.code = "bad-fault-spec"
+            raise err from None
     config = SoakConfig(
         programs=[p.strip() for p in args.programs.split(",") if p.strip()],
         packets=args.packets,
@@ -535,13 +543,22 @@ def cmd_soak(args: argparse.Namespace) -> int:
             restart=restart,
             chaos=ChaosPlan.from_specs(args.chaos) if args.chaos else None,
         )
-    elif args.chaos:
-        from repro.errors import TargetError
-
-        raise TargetError(
-            "--chaos injects process-level faults into pool workers; "
-            "it requires --workers N"
-        )
+    else:
+        pool_only = [
+            flag
+            for flag, value in (
+                ("--chaos", args.chaos or None),
+                ("--max-restarts", args.max_restarts),
+                ("--restart-budget", args.restart_budget),
+                ("--restart-backoff", args.restart_backoff),
+            )
+            if value is not None
+        ]
+        if pool_only:
+            raise TargetError(
+                f"{', '.join(pool_only)}: process-level options of the "
+                f"worker pool; requires --workers N"
+            )
     try:
         # Single-process runs need the parent registry live for the
         # published snapshots; sharded workers enable their own.
@@ -622,8 +639,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             composed = compiler.shrink(composed)
         behavior = None
         if args.trace_out and args.workers:
-            from repro.errors import TargetError
-
             raise TargetError(
                 "--trace-out requires a single-process run (no --workers)"
             )

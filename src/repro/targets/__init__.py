@@ -54,7 +54,6 @@ from repro.targets.engine import (
     EngineConfig,
     EngineError,
     assign_shard,
-    run_sharded_program,
     shard_seed,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "EngineConfig",
     "EngineError",
     "assign_shard",
-    "run_sharded_program",
     "shard_seed",
     "TableRuntime",
     "Entry",

@@ -27,8 +27,8 @@ All expose the same execution surface (``process``/``process_traced``,
 ``tables``, ``composed``, ``configure_faults``, ``guards``,
 ``last_drop_reason``, ``persistent``), so the switch, control API, soak
 harness, and sharded engine are backend-agnostic.  Callers select a
-backend by name — ``Switch(exec_backend=...)``, ``SoakConfig(exec_backend
-=...)``, or the CLI ``--exec`` flag (whose ``choices`` must be exactly
+backend by name — ``make_pipeline(composed, name)``,
+``SoakConfig(exec_backend=...)``, or the CLI ``--exec`` flag (whose ``choices`` must be exactly
 ``EXEC_BACKENDS``; a regression test pins that) — and this module is the
 only spot that knows the names.
 """

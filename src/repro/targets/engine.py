@@ -54,7 +54,6 @@ orphans) and propagates so the CLI exits 130.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -62,7 +61,6 @@ from typing import Dict, List, Optional
 from repro.errors import TargetError
 from repro.obs.metrics import MetricsRegistry
 from repro.targets.faults import ChaosPlan
-from repro.targets.ring import DEFAULT_RING_BYTES
 from repro.targets.supervision import RestartPolicy
 from repro.targets.soak import SoakConfig
 
@@ -121,28 +119,19 @@ class EngineError(TargetError):
 
 @dataclass
 class EngineConfig:
-    """How to shard one run across worker processes."""
+    """How to shard one run across worker processes.
+
+    Only what a caller chooses per run lives here; the ring capacity
+    and the watchdog are :mod:`repro.targets.pool` constants
+    (``_RING_BYTES``, ``_WATCHDOG_S``)."""
 
     workers: int = 2
     shard_policy: str = "flow-hash"  # flow-hash | round-robin
-    #: Per-shard ring capacity in bytes.  Bounds the parent's lead over
-    #: a slow worker; a full ring blocks the parent (backpressure)
-    #: rather than dropping anything.
-    ring_bytes: int = DEFAULT_RING_BYTES
     #: Seconds between live telemetry publishes from each worker
     #: (epoch-stamped cumulative registry snapshot + switch ledger on
     #: the result queue).  0 disables mid-run publishing entirely — the
     #: default, so runs without a live consumer pay nothing.
     publish_interval_s: float = 0.0
-    #: Give up if a worker reports nothing for this long (safety net
-    #: against a hung worker).  The deadline is re-armed by *any*
-    #: message from a still-pending shard — telemetry publishes count
-    #: as liveness — so a healthy worker on a long soak never trips it.
-    watchdog_s: float = 600.0
-    #: Test-only fault injection for the engine's own failure paths:
-    #: shard 0's worker exits hard ("exit"), raises ("error"), or
-    #: raises KeyboardInterrupt ("interrupt").
-    sabotage: Optional[str] = None
     #: Self-healing bounds for the resident pool.  ``None`` means the
     #: default :class:`RestartPolicy` — supervision is always on; set
     #: ``RestartPolicy(max_restarts_per_shard=0, restart_budget=0)``
@@ -160,10 +149,6 @@ class EngineConfig:
             raise TargetError(
                 f"unknown shard policy {self.shard_policy!r}; "
                 f"known: {', '.join(SHARD_POLICIES)}"
-            )
-        if self.ring_bytes < 1024:
-            raise TargetError(
-                f"engine ring_bytes must be >= 1024, got {self.ring_bytes}"
             )
         if self.restart is not None:
             self.restart.validate()
@@ -193,13 +178,6 @@ def assign_shard(index: int, data: bytes, workers: int, policy: str) -> int:
     if policy == "round-robin":
         return index % workers
     return zlib.crc32(data) % workers
-
-
-def _mp_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return multiprocessing.get_context()
 
 
 # ----------------------------------------------------------------------
@@ -308,33 +286,3 @@ def _publish_final_epochs(
             watermark=block.get("watermark"),  # type: ignore[arg-type]
         )
 
-
-def run_sharded_program(
-    config: SoakConfig,
-    program: str,
-    engine: EngineConfig,
-    telemetry=None,
-) -> Dict[str, object]:
-    """Soak one program across ``engine.workers`` switch replicas.
-
-    Returns a merged program block shaped like ``soak_program``'s, with
-    per-shard sub-blocks under ``"shards"``.  Compile problems surface
-    from the parent (before any fork); worker failures raise
-    :class:`EngineError`; ``KeyboardInterrupt`` tears all workers down
-    and propagates.
-
-    This opens a one-shot :class:`~repro.targets.pool.WorkerPool`;
-    callers soaking several programs should hold a pool themselves and
-    ``submit()`` each one so the workers stay resident (``run_soak``
-    does).
-
-    ``telemetry`` (a :class:`~repro.obs.telemetry.LiveTelemetry`)
-    receives each worker's mid-run publishes (when
-    ``engine.publish_interval_s > 0``) and, after join, one final
-    epoch-stamped snapshot per shard — so the rolling view always ends
-    exactly at the merged result.
-    """
-    from repro.targets.pool import WorkerPool  # pool imports this module
-
-    with WorkerPool(engine) as pool:
-        return pool.submit(config, program, telemetry=telemetry)

@@ -29,6 +29,7 @@ metrics are enabled, under ``switch.drops.<reason>``.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -204,6 +205,8 @@ class FaultPlan:
     @classmethod
     def from_spec(cls, spec: Mapping[str, object]) -> "FaultPlan":
         """Build from a JSON-able spec: ``{"seed": 1, "sites": {...}}``."""
+        if not isinstance(spec, Mapping):
+            raise TargetError("fault spec must be an object with a 'sites' mapping")
         seed = spec.get("seed", 0)
         if not isinstance(seed, (int, str)):
             raise TargetError("fault spec 'seed' must be an int or string")
@@ -217,7 +220,11 @@ class FaultPlan:
                     f"unknown fault site category {category!r}; "
                     f"known: {', '.join(SITE_CATEGORIES)}"
                 )
-        return cls(seed=seed, sites={str(k): float(v) for k, v in sites.items()})
+        try:
+            rates = {str(k): float(v) for k, v in sites.items()}
+        except (TypeError, ValueError) as exc:
+            raise TargetError(f"fault site rate is not a number: {exc}") from None
+        return cls(seed=seed, sites=rates)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
@@ -405,6 +412,17 @@ class ChaosPlan:
                 event.attempt = int(fields.pop("attempt"))
         except ValueError as exc:
             raise TargetError(f"bad chaos spec {spec!r}: {exc}") from None
+        for key, seconds in (("resume", event.resume_s), ("for", event.stall_s)):
+            if not (math.isfinite(seconds) and seconds >= 0):
+                raise TargetError(
+                    f"bad chaos spec {spec!r}: {key} must be a finite "
+                    f"number of seconds >= 0, got {seconds}"
+                )
+        if event.attempt < 1:
+            raise TargetError(
+                f"bad chaos spec {spec!r}: attempt must be >= 1, "
+                f"got {event.attempt}"
+            )
         if fields:
             raise TargetError(
                 f"bad chaos spec {spec!r}: unknown field(s) "

@@ -63,12 +63,11 @@ from repro.targets.engine import (
     EngineConfig,
     EngineError,
     _merge_blocks,
-    _mp_context,
     _publish_final_epochs,
     assign_shard,
     shard_seed,
 )
-from repro.targets.ring import RingTimeout, ShardRing
+from repro.targets.ring import DEFAULT_RING_BYTES, RingTimeout, ShardRing
 from repro.targets.soak import (
     NUM_PORTS,
     SoakConfig,
@@ -84,10 +83,24 @@ from repro.targets.supervision import RestartPolicy, Supervisor
 #: ingress port (uint16), payload length (uint32), little-endian.
 _REC = struct.Struct("<QHI")
 
-#: Workers acknowledge their completed watermark every this many
-#: digested packets: the watchdog heartbeat and the progress the
-#: ``watermarks`` report and a partial-result error show.
-_ACK_EVERY = 2048
+#: Per-shard ring capacity in bytes.  Bounds the parent's lead over a
+#: slow worker; a full ring blocks the parent (backpressure) rather
+#: than dropping anything.  Read at spawn and dispatch time.
+_RING_BYTES = DEFAULT_RING_BYTES
+
+#: Give up on a worker that reports nothing for this long (safety net
+#: against a hung worker).  The deadline is re-armed by *any* message
+#: from a still-pending shard — telemetry publishes and acks count as
+#: liveness — so a healthy worker on a long soak never trips it.  Also
+#: how long a ring put may stay blocked on a full ring.
+_WATCHDOG_S = 600.0
+
+
+def _mp_context():
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX fallback
+        return multiprocessing.get_context()
 
 
 def _packet_room(ring_bytes: int) -> int:
@@ -238,7 +251,6 @@ def _run_pool_shard(
         publish=publish,
         publish_interval_s=engine.publish_interval_s,
         ack=ack,
-        ack_every=_ACK_EVERY,
         recorder=recorder,
     )
     block["shard"] = shard
@@ -279,12 +291,6 @@ def _pool_worker(control, out_queue, ring: ShardRing, shard: int,
             run = message["run"]
             attempt = message.get("attempt", 1)
             config = message["config"]
-            if shard == 0 and engine.sabotage == "exit":
-                os._exit(17)
-            if shard == 0 and engine.sabotage == "error":
-                raise RuntimeError("sabotaged worker (test hook)")
-            if shard == 0 and engine.sabotage == "interrupt":
-                raise KeyboardInterrupt
             recorder = (
                 FlightRecorder(config.flight_recorder, shard=shard)
                 if config.flight_recorder > 0
@@ -408,15 +414,10 @@ class WorkerPool:
     SIGCONT+SIGKILLed, never leaked.
     """
 
-    def __init__(self, engine: EngineConfig,
-                 start_method: Optional[str] = None) -> None:
+    def __init__(self, engine: EngineConfig) -> None:
         engine.validate()
         self.engine = engine
-        self._ctx = (
-            multiprocessing.get_context(start_method)
-            if start_method
-            else _mp_context()
-        )
+        self._ctx = _mp_context()
         self._rings: List[Optional[ShardRing]] = []
         self._conns: list = []
         self._procs: Dict[int, object] = {}
@@ -445,7 +446,7 @@ class WorkerPool:
         parent's construction-time cached indices, so re-using a drained
         segment for a replacement replica would replay stale bytes.
         """
-        ring = ShardRing(self.engine.ring_bytes)
+        ring = ShardRing(_RING_BYTES)
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_pool_worker,
@@ -767,7 +768,8 @@ class WorkerPool:
         """Generate the stream once and fan it out to the shard rings."""
         engine = self.engine
         workers, policy = engine.workers, engine.shard_policy
-        room = _packet_room(engine.ring_bytes)
+        room = _packet_room(_RING_BYTES)
+        watchdog_s = _WATCHDOG_S
         buffers = [bytearray() for _ in range(workers)]
         self._buffers = buffers
         pack = _REC.pack
@@ -793,27 +795,21 @@ class WorkerPool:
             if state.failures:
                 self._process_failures(state)  # may raise _FlushAbort
 
-        def flush(shard: int) -> None:
-            payload = bytes(buffers[shard])
-            buffers[shard].clear()
+        def blocking(shard: int, write) -> bool:
+            """One blocking ``write(ring)`` to ``shard``'s ring; False
+            when a restart or abandon unwound it (the replacement
+            replays the payload's indices, or its fresh ring already
+            has the sentinel) or the ring stalled past the watchdog."""
             self._flushing = shard
             try:
-                self._rings[shard].put(
-                    payload, poll=poll, timeout=engine.watchdog_s
-                )
+                write(self._rings[shard])
+                return True
             except _FlushAbort:
-                pass  # the replacement replays this payload's indices
+                pass
             except RingTimeout as exc:
                 self._record_failure(
-                    state,
-                    shard,
-                    "ring-stall",
-                    {
-                        "error": (
-                            f"ring stayed full for {engine.watchdog_s}s "
-                            f"({exc})"
-                        )
-                    },
+                    state, shard, "ring-stall",
+                    {"error": f"ring stayed full for {watchdog_s}s ({exc})"},
                 )
                 try:
                     self._process_failures(state)
@@ -821,6 +817,15 @@ class WorkerPool:
                     pass
             finally:
                 self._flushing = None
+            return False
+
+        def flush(shard: int) -> None:
+            payload = bytes(buffers[shard])
+            buffers[shard].clear()
+            blocking(
+                shard,
+                lambda ring: ring.put(payload, poll=poll, timeout=watchdog_s),
+            )
 
         try:
             for index, data, in_port in iter_stream_bytes(
@@ -864,32 +869,11 @@ class WorkerPool:
                     flush(shard)
                 if shard in abandoned or shard in state.sentinel_sent:
                     continue  # a restart already closed the fresh ring
-                self._flushing = shard
-                try:
-                    self._rings[shard].close_stream(
-                        poll=poll, timeout=engine.watchdog_s
-                    )
+                if blocking(
+                    shard,
+                    lambda ring: ring.close_stream(poll=poll, timeout=watchdog_s),
+                ):
                     state.sentinel_sent.add(shard)
-                except _FlushAbort:
-                    pass  # the restart sent the sentinel on the new ring
-                except RingTimeout as exc:
-                    self._record_failure(
-                        state,
-                        shard,
-                        "ring-stall",
-                        {
-                            "error": (
-                                f"ring stayed full for {engine.watchdog_s}s "
-                                f"({exc})"
-                            )
-                        },
-                    )
-                    try:
-                        self._process_failures(state)
-                    except _FlushAbort:
-                        pass
-                finally:
-                    self._flushing = None
             if state.pending_chaos:
                 # Events scheduled past the last generated index fire
                 # after the sentinels: the "kill during the final
@@ -907,7 +891,8 @@ class WorkerPool:
         casualties along the way; raises the structured partial-result
         error if any shard ends the run abandoned."""
         engine = self.engine
-        deadline = time.monotonic() + engine.watchdog_s
+        watchdog_s = _WATCHDOG_S
+        deadline = time.monotonic() + watchdog_s
         while True:
             pending = [
                 shard
@@ -934,7 +919,7 @@ class WorkerPool:
                 # dispatched here, so everything left is due.
                 self._fire_chaos(state, None)
             if rearm:
-                deadline = time.monotonic() + engine.watchdog_s
+                deadline = time.monotonic() + watchdog_s
             elif time.monotonic() > deadline:
                 for shard in pending:
                     self._record_failure(
@@ -944,12 +929,12 @@ class WorkerPool:
                         {
                             "error": (
                                 f"engine watchdog: worker reported nothing "
-                                f"within {engine.watchdog_s}s"
+                                f"within {watchdog_s}s"
                             )
                         },
                     )
                 self._process_failures(state)
-                deadline = time.monotonic() + engine.watchdog_s
+                deadline = time.monotonic() + watchdog_s
         if state.sup.abandoned:
             raise self._partial_error(state)
 

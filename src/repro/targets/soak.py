@@ -93,6 +93,14 @@ NUM_PORTS = 16
 #: is invariant to the lane count.
 DEFAULT_BATCH_LANES = 256
 
+#: :func:`consume` reports its watermark through ``ack`` every this many
+#: digested packets: a pool worker's watchdog heartbeat and the progress
+#: the ``watermarks`` report and a partial-result error show.
+_ACK_EVERY = 2048
+
+#: Seconds between an inline run's live telemetry publishes.
+_PUBLISH_INTERVAL_S = 1.0
+
 
 @dataclass
 class SoakConfig:
@@ -105,7 +113,6 @@ class SoakConfig:
     fault_spec: Optional[dict] = None
     mode: str = "micro"  # micro | mono
     strict: bool = False
-    guards: Optional[ResourceGuards] = None
     #: ``mixed`` is the hostile fuzz corpus; ``routable`` is a cheap
     #: well-formed v4/v6 mix that keeps every packet on the exact/lpm
     #: fast path (the engine-scaling benchmark's exact-heavy workload).
@@ -138,6 +145,13 @@ class SoakConfig:
         """
         executor_class(self.exec_backend)  # raises on an unknown name
         _stream_for(self.traffic)  # raises on an unknown mix
+        if self.fault_spec is not None:
+            try:
+                FaultPlan.from_spec(self.fault_spec)
+            except TargetError as exc:
+                err = TargetError(f"bad fault spec: {exc}")
+                err.code = "bad-fault-spec"
+                raise err from None
         if not self.programs:
             err = TargetError("no programs to soak")
             err.code = "no-programs"
@@ -398,7 +412,6 @@ def consume(
     publish: Optional[Callable[[int, Dict[str, int], int], None]] = None,
     publish_interval_s: float = 0.0,
     ack: Optional[Callable[[int], None]] = None,
-    ack_every: int = 0,
     recorder: Optional[FlightRecorder] = None,
     on_trace: Optional[Callable[[int, PacketTrace, object], None]] = None,
 ) -> Dict[str, object]:
@@ -432,9 +445,8 @@ def consume(
     The *watermark* is the highest global packet index whose verdict
     has been folded into the digest (-1 until the first batch lands).
     ``ack(watermark)`` (pool workers) reports it at least every
-    ``ack_every`` digested packets (0 disables): the supervisor's
-    liveness heartbeat and progress report, not a resume point
-    (DESIGN.md §14).
+    ``_ACK_EVERY`` digested packets: the supervisor's liveness
+    heartbeat and progress report, not a resume point (DESIGN.md §14).
 
     An exception out of the switch is an escape from containment: the
     first 10 are recorded under ``uncaught`` (non-empty fails the run),
@@ -455,8 +467,6 @@ def consume(
     watermark = -1
     folded = 0
     acked_at = 0
-    if ack is None:
-        ack_every = 0
     next_publish = (
         time.monotonic() + publish_interval_s
         if publish is not None and publish_interval_s > 0
@@ -516,7 +526,7 @@ def consume(
         batch.append(item)
         if len(batch) >= batch_lanes:
             flush()
-            if ack_every and folded - acked_at >= ack_every:
+            if ack is not None and folded - acked_at >= _ACK_EVERY:
                 acked_at = folded
                 ack(watermark)
             if next_publish is not None and time.monotonic() >= next_publish:
@@ -606,7 +616,6 @@ def switch_around(
     switch = Switch(
         pipeline,
         SwitchConfig(num_ports=NUM_PORTS, multicast_groups={1: [2, 3]}),
-        guards=config.guards or ResourceGuards(),
         faults=_fault_plan(config, program, seed=fault_seed),
         strict=config.strict,
     )
@@ -632,7 +641,6 @@ def soak_program(
     program: str,
     telemetry: Optional[LiveTelemetry] = None,
     trace_writer: Optional[TraceWriter] = None,
-    publish_interval_s: float = 1.0,
     composed=None,
 ) -> Dict[str, object]:
     """Soak one program in this process; returns its JSON-able block.
@@ -640,7 +648,7 @@ def soak_program(
     The inline run is :func:`consume` on the whole stream, with the
     program-level fault seed.  ``telemetry`` receives epoch-stamped
     cumulative snapshots (registry + switch ledger) every
-    ``publish_interval_s`` seconds while the run is in flight and one
+    ``_PUBLISH_INTERVAL_S`` seconds while the run is in flight and one
     final snapshot after it; ``trace_writer`` streams one JSONL
     pkttrace record per packet.  Both are observation-only: they never
     alter the verdict stream, so the digest is identical with or
@@ -671,7 +679,7 @@ def soak_program(
         iter_stream(config, program, NUM_PORTS),
         batch_lanes=config.batch_lanes,
         publish=publish if telemetry is not None else None,
-        publish_interval_s=publish_interval_s,
+        publish_interval_s=_PUBLISH_INTERVAL_S,
         recorder=(
             FlightRecorder(config.flight_recorder)
             if config.flight_recorder > 0
@@ -756,7 +764,7 @@ def run_soak(
         "traffic": config.traffic,
         "exec": config.exec_backend,
         "batch_lanes": config.batch_lanes,
-        "guards": (config.guards or ResourceGuards()).to_dict(),
+        "guards": ResourceGuards().to_dict(),
     }
     if engine is not None:
         meta["workers"] = engine.workers

@@ -44,6 +44,13 @@ from repro.errors import TargetError
 #: Failure reasons a supervisor distinguishes in its event log.
 FAILURE_REASONS = ("died", "error", "ring-stall", "watchdog", "send-failed")
 
+#: Restart backoff ceiling, in seconds.
+BACKOFF_MAX_S = 2.0
+#: Multiplicative jitter span: a restart delay is scaled by a factor
+#: drawn uniformly from ``[1, 1 + BACKOFF_JITTER]``, seeded per shard
+#: and restart ordinal.
+BACKOFF_JITTER = 0.5
+
 
 @dataclass
 class RestartPolicy:
@@ -54,14 +61,9 @@ class RestartPolicy:
     #: Total restarts allowed across all shards per run.
     restart_budget: int = 8
     #: First-restart backoff; doubles per subsequent restart of the
-    #: same shard.
+    #: same shard, up to ``BACKOFF_MAX_S`` after seeded jitter (see
+    #: :meth:`Supervisor.backoff_s`).
     backoff_base_s: float = 0.1
-    #: Backoff ceiling.
-    backoff_max_s: float = 2.0
-    #: Multiplicative jitter span: the delay is scaled by a factor drawn
-    #: uniformly from ``[1, 1 + jitter]`` — deterministically, from the
-    #: run seed (see :meth:`Supervisor.backoff_s`).
-    jitter: float = 0.5
 
     def validate(self) -> None:
         if self.max_restarts_per_shard < 0:
@@ -73,18 +75,16 @@ class RestartPolicy:
             raise TargetError(
                 f"restart_budget must be >= 0, got {self.restart_budget}"
             )
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise TargetError("restart backoff times must be >= 0")
-        if self.jitter < 0:
-            raise TargetError(f"restart jitter must be >= 0, got {self.jitter}")
+        if self.backoff_base_s < 0:
+            raise TargetError(
+                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
+            )
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "max_restarts_per_shard": self.max_restarts_per_shard,
             "restart_budget": self.restart_budget,
             "backoff_base_s": self.backoff_base_s,
-            "backoff_max_s": self.backoff_max_s,
-            "jitter": self.jitter,
         }
 
 
@@ -186,13 +186,12 @@ class Supervisor:
         if ordinal <= 0:
             return 0.0
         delay = self.policy.backoff_base_s * (2.0 ** (ordinal - 1))
-        delay = min(delay, self.policy.backoff_max_s)
-        if self.policy.jitter > 0:
-            rng = random.Random(
-                f"{self.seed}:{self.program}:restart:{shard}:{ordinal}"
-            )
-            delay *= 1.0 + self.policy.jitter * rng.random()
-        return min(delay, self.policy.backoff_max_s)
+        delay = min(delay, BACKOFF_MAX_S)
+        rng = random.Random(
+            f"{self.seed}:{self.program}:restart:{shard}:{ordinal}"
+        )
+        delay *= 1.0 + BACKOFF_JITTER * rng.random()
+        return min(delay, BACKOFF_MAX_S)
 
     # ------------------------------------------------------------------
     @property

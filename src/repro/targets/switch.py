@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import ReproError, TargetError
+from repro.errors import TargetError
 from repro.net.packet import Packet
 from repro.obs.metrics import METRICS
 from repro.obs.pkttrace import PacketTrace
@@ -37,7 +37,6 @@ class SwitchConfig:
     num_ports: int = 16
     # group id -> egress port list
     multicast_groups: Dict[int, List[int]] = field(default_factory=dict)
-    recirculate_port: Optional[int] = None
 
 
 class Switch:
@@ -48,9 +47,10 @@ class Switch:
     pipeline:
         The pipeline executor to run packets through — a
         :class:`PipelineInstance` or any execution backend built by
-        :func:`repro.targets.backends.make_pipeline`.
+        :func:`repro.targets.backends.make_pipeline` (which is where a
+        backend is chosen).
     config:
-        Port count, multicast groups, recirculation port.
+        Port count and multicast groups.
     guards:
         Resource bounds (recirculation depth, interpreter step budget,
         multicast fan-out cap, ...); defaults are generous.
@@ -60,13 +60,6 @@ class Switch:
     strict:
         When True, contained faults re-raise instead of becoming
         reason-coded drops (the pre-containment behavior, for tests).
-    exec_backend:
-        Optional backend name (one of
-        :data:`repro.targets.backends.EXEC_BACKENDS`).  When it
-        differs from the backend ``pipeline`` was built under, the
-        switch rebuilds the executor for the same composed program.
-        Pass it *before* installing table entries — a rebuild starts
-        from the program's const entries only.
     """
 
     def __init__(
@@ -76,14 +69,7 @@ class Switch:
         guards: Optional[ResourceGuards] = None,
         faults: Optional[FaultPlan] = None,
         strict: bool = False,
-        exec_backend: Optional[str] = None,
     ) -> None:
-        if exec_backend is not None and exec_backend != getattr(
-            pipeline, "backend", "interp"
-        ):
-            from repro.targets.backends import make_pipeline
-
-            pipeline = make_pipeline(pipeline.composed, exec_backend)
         self.pipeline = pipeline
         self.config = config or SwitchConfig()
         self.api = RuntimeAPI(pipeline)
@@ -160,6 +146,41 @@ class Switch:
             return
         verdict.outputs.append(out)
 
+    def _settle(
+        self,
+        verdict: Verdict,
+        outputs: Optional[List[PacketOut]],
+        reason: Optional[str],
+        exc: Optional[BaseException],
+        trace: Optional[PacketTrace],
+    ) -> List[PacketOut]:
+        """Settle one pipeline pass into ``verdict``: kill on ``exc``,
+        drop for ``reason`` on no output, else multicast, drop-port or
+        emit each output.  Returns the outputs marked for recirculation
+        (none on the SoA path, which recirculating programs never take).
+        """
+        if exc is not None:
+            reason = exc.reason if isinstance(exc, FaultError) else "internal"
+            self._kill(verdict, reason, exc, trace)
+            return []
+        if not outputs:
+            # The pipeline already recorded its own drop event.
+            self._drop(verdict, reason or "pipeline-drop", trace, traced=False)
+            return []
+        recirculated = []
+        for index, result in enumerate(outputs):
+            if index:
+                verdict.units += 1
+            if result.mcast_grp:
+                self._replicate(verdict, result, trace)
+            elif result.recirculate:
+                recirculated.append(result)
+            elif result.port == DROP_PORT:
+                self._drop(verdict, "drop-port", trace)
+            else:
+                self._emit(verdict, result, trace)
+        return recirculated
+
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
@@ -202,36 +223,13 @@ class Switch:
                 continue
             try:
                 results = self.pipeline.process(pkt, port, trace)
-            except FaultError as exc:
-                self._kill(verdict, exc.reason, exc, trace)
-                continue
-            except ReproError as exc:
-                self._kill(verdict, "internal", exc, trace)
-                continue
             except Exception as exc:  # noqa: BLE001 — containment boundary
-                self._kill(verdict, "internal", exc, trace)
+                self._settle(verdict, None, None, exc, trace)
                 continue
-            if not results:
-                reason = self.pipeline.last_drop_reason or "pipeline-drop"
-                # The pipeline already recorded its own drop event.
-                self._drop(verdict, reason, trace, traced=False)
-                continue
-            for index, result in enumerate(results):
-                if index:
-                    verdict.units += 1
-                if result.mcast_grp:
-                    self._replicate(verdict, result, trace)
-                elif result.recirculate:
-                    work.append((result.packet, port, depth + 1))
-                elif (
-                    self.config.recirculate_port is not None
-                    and result.port == self.config.recirculate_port
-                ):
-                    work.append((result.packet, result.port, depth + 1))
-                elif result.port == DROP_PORT:
-                    self._drop(verdict, "drop-port", trace)
-                else:
-                    self._emit(verdict, result, trace)
+            for result in self._settle(
+                verdict, results, self.pipeline.last_drop_reason, None, trace
+            ):
+                work.append((result.packet, port, depth + 1))
         self.stats["out"] += len(verdict.outputs)
         self.stats["units"] += verdict.units
         if verdict.killed:
@@ -318,9 +316,8 @@ class Switch:
         Fault-site RNG streams see lanes in submission order, so
         verdicts — and the soak digest over them — are bit-for-bit
         identical to the per-packet path.  The fast path declines (and
-        this falls back to per-packet processing) under ``strict`` mode,
-        a configured recirculation port, or a backend without batch
-        support.
+        this falls back to per-packet processing) under ``strict`` mode
+        or a backend without batch support.
 
         Every ``in_port`` is checked before any lane is counted or run:
         a bad port anywhere raises and leaves the switch untouched.
@@ -331,7 +328,6 @@ class Switch:
         if (
             soa
             and not self.strict
-            and self.config.recirculate_port is None
             and getattr(self.pipeline, "batch_supported", False)
         ):
             return self._process_batch_soa(items)
@@ -350,7 +346,7 @@ class Switch:
         recirculate).  The ledger moves once per batch; a lane with one
         unicast output and no fault plan (so no buffer site to draw)
         becomes its verdict directly, and only the other lanes go
-        through ``_kill`` / ``_drop`` / ``_replicate`` / ``_emit``.
+        through :meth:`_settle`.
         """
         metrics_on = METRICS.enabled
         if metrics_on:
@@ -387,24 +383,8 @@ class Switch:
                 continue
             verdict = Verdict([], {}, 1)
             verdicts.append(verdict)
-            if exc is not None:
-                if isinstance(exc, FaultError):
-                    self._kill(verdict, exc.reason, exc, None)
-                else:
-                    self._kill(verdict, "internal", exc, None)
-                killed += 1
-            elif not outputs:
-                self._drop(verdict, reason or "pipeline-drop", None, traced=False)
-            else:
-                for index, result in enumerate(outputs):
-                    if index:
-                        verdict.units += 1
-                    if result.mcast_grp:
-                        self._replicate(verdict, result, None)
-                    elif result.port == DROP_PORT:
-                        self._drop(verdict, "drop-port", None)
-                    else:
-                        self._emit(verdict, result, None)
+            self._settle(verdict, outputs, reason, exc, None)
+            killed += verdict.killed
             out_total += len(verdict.outputs) - 1
             units_total += verdict.units - 1
         stats["out"] += out_total
@@ -419,12 +399,3 @@ class Switch:
             lane_us = (perf_counter() - t0) * 1e6 / n
             METRICS.observe("switch.latency_us.packet", lane_us, count=n)
         return verdicts
-
-    # ------------------------------------------------------------------
-    def inject_many(
-        self, packets: List[Packet], in_port: int = 0
-    ) -> List[List[PacketOut]]:
-        return [
-            verdict.outputs
-            for verdict in self.process_batch((p, in_port) for p in packets)
-        ]

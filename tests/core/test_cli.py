@@ -479,18 +479,10 @@ class TestFailureChannels:
     def test_worker_failure_reports_engine_error(self, capsys, monkeypatch):
         # Force a worker crash through the real pool: the CLI must exit
         # non-zero with the engine's structured error in --json mode.
-        from repro.targets import engine as engine_mod
+        from tests.targets.helpers import sabotage_shard0
 
-        original = engine_mod.EngineConfig
-
-        def sabotaged(**kw):
-            kw["sabotage"] = "error"
-            return original(**kw)
-
-        monkeypatch.setattr(engine_mod, "EngineConfig", sabotaged)
-        import repro.cli as cli_mod
-
-        rc = cli_mod.main(["soak", "--programs", "P4", "--packets", "50",
+        sabotage_shard0(monkeypatch, "error")
+        rc = main(["soak", "--programs", "P4", "--packets", "50",
                            "--workers", "2", "--json"])
         captured = capsys.readouterr()
         assert rc == 4
@@ -508,9 +500,72 @@ class TestFailureChannels:
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
         assert payload["ok"] is False
-        assert payload["code"] == "target-error"
+        assert payload["code"] == "bad-fault-spec"
         assert payload["exit_code"] == rc
-        assert "error[target-error]:" in captured.err
+        assert "error[bad-fault-spec]:" in captured.err
+
+
+class TestSoakInputValidation:
+    """Bad soak inputs fail once, in the parent, with a reason code:
+    never an internal error, and never inside a worker the supervisor
+    then restarts."""
+
+    @pytest.fixture()
+    def no_pool(self, monkeypatch):
+        from repro.targets.pool import WorkerPool
+
+        started = []
+        monkeypatch.setattr(
+            WorkerPool, "start", lambda pool: started.append(pool)
+        )
+        return started
+
+    @pytest.mark.parametrize("workers", ([], ["--workers", "2"]))
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            json.dumps([{"sites": {"table": 0.1}}]),
+            json.dumps({"sites": {"table": "abc"}}),
+            json.dumps({"sites": {"tabel": 0.1}}),
+        ],
+        ids=["not-json", "array", "non-numeric-rate", "unknown-site"],
+    )
+    def test_bad_fault_spec(self, tmp_path, capsys, no_pool, text, workers):
+        spec = tmp_path / "faults.json"
+        spec.write_text(text)
+        rc = main(["soak", "--programs", "P4", "--packets", "500",
+                   "--fault-spec", str(spec), "--json", *workers])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert json.loads(captured.out)["code"] == "bad-fault-spec"
+        assert "error[bad-fault-spec]:" in captured.err
+        assert no_pool == []  # rejected before any worker started
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--max-restarts", "0"],
+            ["--restart-budget", "1"],
+            ["--restart-backoff", "0.1"],
+            ["--chaos", "kill:shard=0@pkt=1"],
+        ],
+    )
+    def test_pool_flags_require_workers(self, capsys, flag):
+        rc = main(["soak", "--programs", "P4", "--packets", "10", *flag])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert f"error[target-error]: {flag[0]}" in err
+        assert "requires --workers" in err
+
+    def test_non_finite_chaos_resume_rejected(self, capsys, no_pool):
+        rc = main(["soak", "--programs", "P4", "--packets", "500",
+                   "--workers", "2", "--json",
+                   "--chaos", "stop:shard=0@pkt=10@resume=nan"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert "bad chaos spec" in json.loads(captured.out)["error"]
+        assert no_pool == []
 
 
 class TestTelemetryCli:

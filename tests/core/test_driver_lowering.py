@@ -88,7 +88,7 @@ class TestLoweredProgramsForward:
         dataplane = build_dataplane(compile_module(source, "m.up4"), [], target="tna")
         seen = set()
         for backend in EXECUTORS:
-            switch = Switch(dataplane.instance, exec_backend=backend)
+            switch = Switch(make_pipeline(dataplane.composed, backend))
             verdict = switch.process(Packet(packet), 1)
             seen.add(tuple(out.packet.tobytes() for out in verdict.outputs))
         assert len(seen) == 1, seen

@@ -1,5 +1,7 @@
 """Shared helpers for the sharded-engine tests."""
 
+import os
+
 from repro.net.packet import Packet
 from repro.targets.engine import (
     EngineConfig,
@@ -45,6 +47,15 @@ def oracle_run(config: SoakConfig, program: str, engine: EngineConfig) -> dict:
     return _merge_blocks(program, config, engine, shards, wall_s=0.0)
 
 
+def run_sharded(config: SoakConfig, program: str, engine: EngineConfig,
+                telemetry=None) -> dict:
+    """Soak one program on a one-shot pool: open it, submit, close."""
+    from repro.targets.pool import WorkerPool
+
+    with WorkerPool(engine) as pool:
+        return pool.submit(config, program, telemetry=telemetry)
+
+
 def assert_matches_oracle(block: dict, oracle: dict) -> None:
     """Merged digest, per-shard digests and every count agree."""
     assert block["digest"] == oracle["digest"]
@@ -55,3 +66,25 @@ def assert_matches_oracle(block: dict, oracle: dict) -> None:
     for got, want in zip(block["shards"], oracle["shards"]):
         assert got["digest"] == want["digest"], got["shard"]
         assert got["packets"] == want["packets"], got["shard"]
+
+
+def sabotage_shard0(monkeypatch, how: str) -> None:
+    """Make shard 0's worker fail as it builds its switch: raise
+    ``RuntimeError`` (``"error"``), raise ``KeyboardInterrupt``
+    (``"interrupt"``) or exit with status 17 (``"exit"``).  Workers
+    fork after the patch, so every incarnation of shard 0 inherits it;
+    the other shards run normally."""
+    from repro.targets import pool
+
+    build_switch = pool.build_switch
+
+    def sabotaged(config, program, composed, fault_seed=None):
+        if str(fault_seed).endswith(":shard0"):
+            if how == "exit":
+                os._exit(17)
+            if how == "interrupt":
+                raise KeyboardInterrupt
+            raise RuntimeError("sabotaged worker (test hook)")
+        return build_switch(config, program, composed, fault_seed)
+
+    monkeypatch.setattr(pool, "build_switch", sabotaged)

@@ -3,9 +3,8 @@
 The seam (:mod:`repro.targets.backends`) is the single place that maps a
 backend name to an executor class; everything downstream — the switch,
 soak harness, CLI — goes through it.  These tests pin the seam's
-contract: known names build the right class, unknown names fail with a
-stable machine-readable code, and ``Switch(exec_backend=...)`` rebuilds
-the executor for the same composed program.
+contract: known names build the right class and unknown names fail
+with a stable machine-readable code.
 """
 
 import pytest
@@ -23,7 +22,6 @@ from repro.targets.codegen import CodegenPipeline
 from repro.targets.compiled import CompiledPipeline
 from repro.targets.interpreter import Env
 from repro.targets.pipeline import PipelineInstance
-from repro.targets.switch import Switch
 from repro.targets.vector import NUMPY_AVAILABLE, VectorPipeline
 
 
@@ -95,29 +93,6 @@ class TestMakePipeline:
                 "persistent",
             ):
                 assert hasattr(instance, attr), f"{backend} lacks {attr}"
-
-
-class TestSwitchSeam:
-    def test_rebuild_on_mismatch(self, composed):
-        switch = Switch(PipelineInstance(composed), exec_backend="compiled")
-        assert isinstance(switch.pipeline, CompiledPipeline)
-        # Same program, in the form every make_pipeline executor runs.
-        assert switch.pipeline.composed is executable_form(composed)
-
-    def test_no_rebuild_on_match(self, composed):
-        instance = PipelineInstance(composed)
-        switch = Switch(instance, exec_backend="interp")
-        assert switch.pipeline is instance
-
-    def test_no_rebuild_by_default(self, composed):
-        instance = CompiledPipeline(composed)
-        switch = Switch(instance)
-        assert switch.pipeline is instance
-
-    def test_rebuild_rejects_unknown(self, composed):
-        with pytest.raises(TargetError) as exc:
-            Switch(PipelineInstance(composed), exec_backend="jit")
-        assert exc.value.code == "unknown-backend"
 
 
 class TestEnvUndefinedName:

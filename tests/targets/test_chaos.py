@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import EXIT_TARGET_ERROR
 from repro.targets.engine import EngineConfig, EngineError, assign_shard
+from repro.targets import pool as pool_mod
 from repro.targets.faults import ChaosPlan
 from repro.targets.pool import _REC, WorkerPool
 from repro.targets.ring import ShardRing
@@ -29,7 +30,7 @@ def chaos_config(**kw) -> SoakConfig:
 
 
 def fast_policy(**kw) -> RestartPolicy:
-    defaults = dict(backoff_base_s=0.01, backoff_max_s=0.05, jitter=0.0)
+    defaults = dict(backoff_base_s=0.01)
     defaults.update(kw)
     return RestartPolicy(**defaults)
 
@@ -50,15 +51,14 @@ def shm_segments() -> set:
         return set()
 
 
-def run_chaotic(config, specs, *, policy=None, start_method=None,
-                telemetry=None, **engine_kw):
+def run_chaotic(config, specs, *, policy=None, telemetry=None, **engine_kw):
     engine = EngineConfig(
         workers=2,
         chaos=ChaosPlan.from_specs(specs) if specs else None,
         restart=policy or fast_policy(),
         **engine_kw,
     )
-    with WorkerPool(engine, start_method=start_method) as pool:
+    with WorkerPool(engine) as pool:
         return pool.submit(config, "P4", telemetry=telemetry)
 
 
@@ -88,14 +88,16 @@ class TestKillRecovery:
         assert no_orphans()
         assert shm_segments() <= before  # no leaked ring segments
 
-    def test_sigkill_under_backpressure_tiny_ring(self, clean_digest):
+    def test_sigkill_under_backpressure_tiny_ring(
+        self, clean_digest, monkeypatch
+    ):
         # A 2 KiB ring forces the parent to block on a full ring many
         # times; the kill lands while records are in flight, so the
         # replacement's replay genuinely covers dispatched-but-unrun
         # packets.
+        monkeypatch.setattr(pool_mod, "_RING_BYTES", 2048)
         block = run_chaotic(
-            chaos_config(), f"kill:shard=0@pkt={PACKETS // 2}",
-            ring_bytes=2048,
+            chaos_config(), f"kill:shard=0@pkt={PACKETS // 2}"
         )
         assert block["digest"] == clean_digest
         assert block["restarts"] == {"0": 1}
@@ -129,10 +131,9 @@ class TestKillRecovery:
 
         monkeypatch.setattr(WorkerPool, "_send_run", spy_send_run)
         monkeypatch.setattr(ShardRing, "put", spy_put)
+        monkeypatch.setattr(pool_mod, "_RING_BYTES", 2048)
         config = chaos_config()
-        block = run_chaotic(
-            config, f"kill:shard=0@pkt={PACKETS // 2}", ring_bytes=2048
-        )
+        block = run_chaotic(config, f"kill:shard=0@pkt={PACKETS // 2}")
         assert_matches_oracle(
             block, oracle_run(config, "P4", EngineConfig(workers=2))
         )
@@ -176,10 +177,12 @@ class TestKillRecovery:
             [{"0": 1}] * 2 if specs else [{}] * 2
         )
 
-    def test_sigkill_under_spawn_start_method(self, clean_digest):
+    def test_sigkill_under_spawn_start_method(self, clean_digest, monkeypatch):
+        monkeypatch.setattr(
+            pool_mod, "_mp_context", lambda: multiprocessing.get_context("spawn")
+        )
         block = run_chaotic(
-            chaos_config(), f"kill:shard=0@pkt={PACKETS // 2}",
-            start_method="spawn",
+            chaos_config(), f"kill:shard=0@pkt={PACKETS // 2}"
         )
         assert block["digest"] == clean_digest
         assert block["restarts"] == {"0": 1}
@@ -259,16 +262,17 @@ class TestStopAndStall:
         assert block["uncaught"] == []
         assert no_orphans()
 
-    def test_ring_stall_triggers_supervised_restart(self, clean_digest):
+    def test_ring_stall_triggers_supervised_restart(
+        self, clean_digest, monkeypatch
+    ):
         # The worker sleeps far past the watchdog while its ring fills;
         # the parent's blocked put times out, the supervisor replaces
         # the replica (the replacement is not stalled: attempt filter),
         # and the digest still matches.
+        monkeypatch.setattr(pool_mod, "_RING_BYTES", 2048)
+        monkeypatch.setattr(pool_mod, "_WATCHDOG_S", 1.0)
         block = run_chaotic(
-            chaos_config(),
-            f"stall:shard=0@pkt={PACKETS // 4}@for=30",
-            ring_bytes=2048,
-            watchdog_s=1.0,
+            chaos_config(), f"stall:shard=0@pkt={PACKETS // 4}@for=30"
         )
         assert block["digest"] == clean_digest
         assert block["restarts"] == {"0": 1}

@@ -28,11 +28,12 @@ from repro.targets.engine import (
     EngineError,
     _merge_blocks,
     assign_shard,
-    run_sharded_program,
     shard_seed,
 )
+from repro.targets import pool as pool_mod
 from repro.targets.pool import WorkerPool
 from repro.targets.soak import SoakConfig, render_summary, run_soak, soak_program
+from tests.targets.helpers import run_sharded, sabotage_shard0
 
 
 def quick_config(**kw):
@@ -75,7 +76,7 @@ class TestConfigValidation:
 
     def test_unknown_program_fails_in_parent(self):
         with pytest.raises(TargetError, match="unknown soak program"):
-            run_sharded_program(quick_config(), "P99", EngineConfig(workers=2))
+            run_sharded(quick_config(), "P99", EngineConfig(workers=2))
         assert no_orphans()
 
     def test_unknown_ingest_rejected(self):
@@ -86,16 +87,12 @@ class TestConfigValidation:
         with pytest.raises(TypeError):
             EngineConfig(sequential=True)
 
-    def test_tiny_ring_rejected(self):
-        with pytest.raises(TargetError, match="ring_bytes"):
-            EngineConfig(ring_bytes=100).validate()
-
 
 class TestDeterminism:
     def test_one_worker_matches_inline_digest(self):
         config = quick_config(fault_rate=0.0)
         inline = soak_program(config, "P4")
-        merged = run_sharded_program(config, "P4", EngineConfig(workers=1))
+        merged = run_sharded(config, "P4", EngineConfig(workers=1))
         assert merged["shards"][0]["digest"] == inline["digest"]
         assert merged["packets"] == inline["packets"]
         assert merged["emits"] == inline["emits"]
@@ -110,8 +107,8 @@ class TestDeterminism:
     def test_same_parameters_replay_exactly(self):
         config = quick_config()
         engine = EngineConfig(workers=3)
-        a = run_sharded_program(config, "P4", engine)
-        b = run_sharded_program(config, "P4", engine)
+        a = run_sharded(config, "P4", engine)
+        b = run_sharded(config, "P4", engine)
         assert a["digest"] == b["digest"]
         assert [s["digest"] for s in a["shards"]] == [
             s["digest"] for s in b["shards"]
@@ -119,9 +116,9 @@ class TestDeterminism:
 
     def test_digest_is_a_function_of_workers_and_policy(self):
         config = quick_config()
-        w2 = run_sharded_program(config, "P4", EngineConfig(workers=2))
-        w3 = run_sharded_program(config, "P4", EngineConfig(workers=3))
-        rr = run_sharded_program(
+        w2 = run_sharded(config, "P4", EngineConfig(workers=2))
+        w3 = run_sharded(config, "P4", EngineConfig(workers=3))
+        rr = run_sharded(
             config, "P4", EngineConfig(workers=2, shard_policy="round-robin")
         )
         assert w2["digest"] != w3["digest"]
@@ -139,7 +136,7 @@ class TestDeterminism:
 
 class TestAccounting:
     def test_merged_ledger_is_exact_under_faults(self):
-        merged = run_sharded_program(
+        merged = run_sharded(
             quick_config(), "P4", EngineConfig(workers=4)
         )
         assert merged["uncaught"] == []
@@ -151,7 +148,7 @@ class TestAccounting:
 
     def test_shards_partition_the_stream(self):
         config = quick_config(packets=400)
-        merged = run_sharded_program(
+        merged = run_sharded(
             config, "P4", EngineConfig(workers=4, shard_policy="round-robin")
         )
         assert [s["packets"] for s in merged["shards"]] == [100, 100, 100, 100]
@@ -162,7 +159,7 @@ class TestAccounting:
         # totals must equal the inline run exactly, not approximately.
         config = quick_config(fault_rate=0.0)
         inline = soak_program(config, "P4")
-        merged = run_sharded_program(config, "P4", EngineConfig(workers=4))
+        merged = run_sharded(config, "P4", EngineConfig(workers=4))
         for key in ("packets", "emits", "drops", "units", "killed"):
             assert merged[key] == inline[key]
         assert merged["verdicts"] == inline["verdicts"]
@@ -173,7 +170,7 @@ class TestWhoWasWaiting:
     it sat on a full ring (digest-neutral, beside restarts/watermarks)."""
 
     def test_keys_and_types(self):
-        merged = run_sharded_program(quick_config(), "P4", EngineConfig(workers=2))
+        merged = run_sharded(quick_config(), "P4", EngineConfig(workers=2))
         assert isinstance(merged["dispatch_s"], float)
         assert 0.0 <= merged["dispatch_s"] <= merged["elapsed_s"] + 0.001
         spins = merged["ring_full_spins"]
@@ -182,20 +179,20 @@ class TestWhoWasWaiting:
         assert merged["restarts"] == {} and sorted(merged["watermarks"]) == ["0", "1"]
         json.dumps(merged)
 
-    def test_tiny_ring_reads_as_worker_bound(self):
+    def test_tiny_ring_reads_as_worker_bound(self, monkeypatch):
         # 400 packets cannot fit a 4 KiB ring while the worker is still
         # building its pipeline: the parent must wait, and say so.
         config = quick_config()
-        tiny = run_sharded_program(
-            config, "P4", EngineConfig(workers=2, ring_bytes=4096)
-        )
-        roomy = run_sharded_program(config, "P4", EngineConfig(workers=2))
+        roomy = run_sharded(config, "P4", EngineConfig(workers=2))
+        monkeypatch.setattr(pool_mod, "_RING_BYTES", 4096)
+        tiny = run_sharded(config, "P4", EngineConfig(workers=2))
         assert sum(tiny["ring_full_spins"].values()) > 0
         assert tiny["digest"] == roomy["digest"]
 
-    def test_counts_are_per_run_on_a_resident_pool(self):
+    def test_counts_are_per_run_on_a_resident_pool(self, monkeypatch):
         config = quick_config()
-        with WorkerPool(EngineConfig(workers=2, ring_bytes=4096)) as pool:
+        monkeypatch.setattr(pool_mod, "_RING_BYTES", 4096)
+        with WorkerPool(EngineConfig(workers=2)) as pool:
             first = pool.submit(config, "P4")
             # Workers are resident and warm now; the ring objects (and
             # their lifetime counters) are the same ones.
@@ -224,7 +221,7 @@ class TestMetricsMerging:
             METRICS.reset()
             METRICS.enable()
             METRICS.inc("test.sentinel", 7)
-            merged = run_sharded_program(config, "P4", EngineConfig(workers=2))
+            merged = run_sharded(config, "P4", EngineConfig(workers=2))
         finally:
             METRICS.disable()
             METRICS.reset()
@@ -241,7 +238,7 @@ class TestMetricsMerging:
             for k, v in reg.counters.items()
             if k.startswith(("switch.", "interp."))
         }
-        merged = run_sharded_program(config, "P4", EngineConfig(workers=3))
+        merged = run_sharded(config, "P4", EngineConfig(workers=3))
         sharded = {
             k: v
             for k, v in merged["metrics"]["counters"].items()
@@ -273,7 +270,7 @@ def _shard_block(shard: int, packets: int, elapsed_s: float) -> dict:
 
 
 class TestWatchdog:
-    def test_watchdog_still_trips_when_silent(self):
+    def test_watchdog_still_trips_when_silent(self, monkeypatch):
         # The whole stream fits the ring, so the parent is done
         # dispatching while shard 0 sleeps on its last packet: nothing
         # re-arms the collect deadline, and with no restart budget the
@@ -281,22 +278,22 @@ class TestWatchdog:
         from repro.targets.faults import ChaosPlan
         from repro.targets.supervision import RestartPolicy
 
+        monkeypatch.setattr(pool_mod, "_WATCHDOG_S", 1.0)
         engine = EngineConfig(
             workers=2,
             shard_policy="round-robin",
-            watchdog_s=1.0,
             chaos=ChaosPlan.from_specs(["stall:shard=0@pkt=298@for=30"]),
             restart=RestartPolicy(max_restarts_per_shard=0, restart_budget=0),
         )
         start = time.monotonic()
         with pytest.raises(EngineError, match="watchdog"):
-            run_sharded_program(
+            run_sharded(
                 quick_config(packets=300, fault_rate=0.0), "P4", engine
             )
         assert time.monotonic() - start < 15
         assert no_orphans()
 
-    def test_watchdog_end_to_end_with_live_publishes(self):
+    def test_watchdog_end_to_end_with_live_publishes(self, monkeypatch):
         # A real sharded run whose watchdog window is far shorter than
         # the run itself: per-epoch publishes must keep it alive.
         telemetry_epochs = []
@@ -310,10 +307,11 @@ class TestWatchdog:
             def record_event(self, event):
                 pass
 
-        merged = run_sharded_program(
+        monkeypatch.setattr(pool_mod, "_WATCHDOG_S", 1.5)
+        merged = run_sharded(
             quick_config(packets=3000, fault_rate=0.0),
             "P4",
-            EngineConfig(workers=2, watchdog_s=1.5, publish_interval_s=0.1),
+            EngineConfig(workers=2, publish_interval_s=0.1),
             telemetry=Capture(),
         )
         assert merged["ledger_ok"]
@@ -347,7 +345,7 @@ class TestMergedRates:
         assert "aggregate_pkts_per_sec" not in merged
 
     def test_real_run_reports_unrounded_busy_time(self):
-        merged = run_sharded_program(
+        merged = run_sharded(
             quick_config(packets=50, fault_rate=0.0),
             "P4",
             EngineConfig(workers=2),
@@ -358,12 +356,13 @@ class TestMergedRates:
 
 
 class TestFailureHandling:
-    def test_worker_exception_raises_engine_error(self):
+    def test_worker_exception_raises_engine_error(self, monkeypatch):
+        sabotage_shard0(monkeypatch, "error")
         with pytest.raises(EngineError) as info:
-            run_sharded_program(
+            run_sharded(
                 quick_config(packets=100),
                 "P4",
-                EngineConfig(workers=2, sabotage="error"),
+                EngineConfig(workers=2),
             )
         err = info.value.to_dict()
         assert err["code"] == "engine-error"
@@ -371,31 +370,34 @@ class TestFailureHandling:
         assert "sabotaged" in str(err["worker_error"]["error"])
         assert no_orphans()
 
-    def test_dead_worker_raises_engine_error(self):
+    def test_dead_worker_raises_engine_error(self, monkeypatch):
+        sabotage_shard0(monkeypatch, "exit")
         with pytest.raises(EngineError, match="died"):
-            run_sharded_program(
+            run_sharded(
                 quick_config(packets=100),
                 "P4",
-                EngineConfig(workers=2, sabotage="exit"),
+                EngineConfig(workers=2),
             )
         assert no_orphans()
 
-    def test_worker_interrupt_propagates(self):
+    def test_worker_interrupt_propagates(self, monkeypatch):
+        sabotage_shard0(monkeypatch, "interrupt")
         with pytest.raises(KeyboardInterrupt):
-            run_sharded_program(
+            run_sharded(
                 quick_config(packets=100),
                 "P4",
-                EngineConfig(workers=2, sabotage="interrupt"),
+                EngineConfig(workers=2),
             )
         assert no_orphans()
 
-    def test_surviving_workers_are_torn_down(self):
+    def test_surviving_workers_are_torn_down(self, monkeypatch):
+        sabotage_shard0(monkeypatch, "error")
         # The non-sabotaged shard is mid-run when shard 0 fails; the
         # parent must not leave it running.
         with pytest.raises(EngineError):
-            run_sharded_program(
+            run_sharded(
                 quick_config(packets=2000),
                 "P4",
-                EngineConfig(workers=2, sabotage="error"),
+                EngineConfig(workers=2),
             )
         assert no_orphans()

@@ -125,25 +125,29 @@ class TestResourceGuards:
 # ----------------------------------------------------------------------
 # Multicast misconfiguration
 # ----------------------------------------------------------------------
-class TestMulticastContainment:
-    SRC = """
-    header eth_h { bit<48> dstMac; bit<48> srcMac; bit<16> etherType; }
-    struct hdr_t { eth_h eth; }
+#: A module that multicasts every packet to group 1.
+FLOOD_SRC = """
+header eth_h { bit<48> dstMac; bit<48> srcMac; bit<16> etherType; }
+struct hdr_t { eth_h eth; }
 
-    program Flood : implements Multicast<> {
-      parser P(extractor ex, pkt p, out hdr_t h) {
-        state start { ex.extract(p, h.eth); transition accept; }
-      }
-      control C(pkt p, inout hdr_t h, im_t im) {
-        mc_engine() mce;
-        apply { mce.set_mc_group(1); }
-      }
-      control D(emitter em, pkt p, in hdr_t h) {
-        apply { em.emit(p, h.eth); }
-      }
-    }
-    Flood(P, C, D) main;
-    """
+program Flood : implements Multicast<> {
+  parser P(extractor ex, pkt p, out hdr_t h) {
+    state start { ex.extract(p, h.eth); transition accept; }
+  }
+  control C(pkt p, inout hdr_t h, im_t im) {
+    mc_engine() mce;
+    apply { mce.set_mc_group(1); }
+  }
+  control D(emitter em, pkt p, in hdr_t h) {
+    apply { em.emit(p, h.eth); }
+  }
+}
+Flood(P, C, D) main;
+"""
+
+
+class TestMulticastContainment:
+    SRC = FLOOD_SRC
 
     def build(self, groups, guards=None, strict=False):
         from repro.core.api import build_dataplane, compile_module

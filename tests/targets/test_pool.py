@@ -6,12 +6,17 @@ import time
 import pytest
 
 from repro.targets.backends import EXEC_BACKENDS
-from repro.targets.engine import EngineConfig, EngineError, run_sharded_program
+from repro.targets import pool as pool_mod
+from repro.targets.engine import EngineConfig, EngineError
 from repro.targets.pool import WorkerPool
 from repro.targets.soak import SoakConfig
 from repro.targets.supervision import RestartPolicy
 from repro.targets.vector import NUMPY_AVAILABLE
-from tests.targets.helpers import assert_matches_oracle, oracle_run
+from tests.targets.helpers import (
+    assert_matches_oracle,
+    oracle_run,
+    sabotage_shard0,
+)
 
 #: Every backend this host can run (``vector`` needs numpy).
 BACKENDS = [b for b in EXEC_BACKENDS if b != "vector" or NUMPY_AVAILABLE]
@@ -155,30 +160,33 @@ class TestReuse:
 
 
 class TestBackpressure:
-    def test_tiny_ring_blocks_parent_but_loses_nothing(self):
+    def test_tiny_ring_blocks_parent_but_loses_nothing(self, monkeypatch):
         # A ring far smaller than the stream forces the parent to block
         # on backpressure many times; exact packet accounting proves
         # nothing was dropped or duplicated while blocked.
-        engine = EngineConfig(workers=2, ring_bytes=2048)
-        with WorkerPool(engine) as pool:
+        monkeypatch.setattr(pool_mod, "_RING_BYTES", 2048)
+        with WorkerPool(EngineConfig(workers=2)) as pool:
             block = pool.submit(small_config(packets=1500), "P4")
         assert block["packets"] == 1500
         assert sum(s["packets"] for s in block["shards"]) == 1500
         assert block["ledger_ok"] and not block["uncaught"]
 
-    def test_tiny_ring_digest_matches_default_ring(self):
-        engine = EngineConfig(workers=2, ring_bytes=2048)
+    def test_tiny_ring_digest_matches_default_ring(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "_RING_BYTES", 2048)
+        engine = EngineConfig(workers=2)
         with WorkerPool(engine) as pool:
             block = pool.submit(small_config(), "P4")
         assert_matches_oracle(block, oracle_run(small_config(), "P4", engine))
 
-    def test_smallest_ring_places_every_record(self):
+    def test_smallest_ring_places_every_record(self, monkeypatch):
         # On a 1 KiB ring a record over 508 bytes may never be placed
         # after a wrap, so the packers must keep every record under
         # that.  No restarts: a stall fails the run at the watchdog.
         config = small_config(traffic="mixed", fault_rate=0.1)
+        monkeypatch.setattr(pool_mod, "_RING_BYTES", 1024)
+        monkeypatch.setattr(pool_mod, "_WATCHDOG_S", 3)
         engine = EngineConfig(
-            workers=2, ring_bytes=1024, watchdog_s=3,
+            workers=2,
             restart=RestartPolicy(max_restarts_per_shard=0, restart_budget=0),
         )
         with WorkerPool(engine) as pool:
@@ -195,14 +203,16 @@ class TestDeterminism:
         config = small_config(exec_backend=exec_backend)
         for policy in ("flow-hash", "round-robin"):
             engine = EngineConfig(workers=2, shard_policy=policy)
-            dispatch = run_sharded_program(config, "P4", engine)
+            with WorkerPool(engine) as pool:
+                dispatch = pool.submit(config, "P4")
             assert_matches_oracle(dispatch, oracle_run(config, "P4", engine))
 
     def test_flow_hash_and_round_robin_policies(self):
         digests = set()
         for policy in ("flow-hash", "round-robin"):
             engine = EngineConfig(workers=3, shard_policy=policy)
-            dispatch = run_sharded_program(small_config(), "P4", engine)
+            with WorkerPool(engine) as pool:
+                dispatch = pool.submit(small_config(), "P4")
             assert_matches_oracle(
                 dispatch, oracle_run(small_config(), "P4", engine)
             )
@@ -211,9 +221,9 @@ class TestDeterminism:
 
 
 class TestFailureHandling:
-    def test_worker_error_breaks_pool(self):
-        engine = EngineConfig(workers=2, sabotage="error")
-        pool = WorkerPool(engine)
+    def test_worker_error_breaks_pool(self, monkeypatch):
+        sabotage_shard0(monkeypatch, "error")
+        pool = WorkerPool(EngineConfig(workers=2))
         try:
             with pytest.raises(EngineError) as excinfo:
                 pool.submit(small_config(), "P4")
@@ -225,9 +235,9 @@ class TestFailureHandling:
             pool.close()
         assert no_orphans()
 
-    def test_worker_hard_exit_detected(self):
-        engine = EngineConfig(workers=2, sabotage="exit")
-        pool = WorkerPool(engine)
+    def test_worker_hard_exit_detected(self, monkeypatch):
+        sabotage_shard0(monkeypatch, "exit")
+        pool = WorkerPool(EngineConfig(workers=2))
         try:
             with pytest.raises(EngineError) as excinfo:
                 pool.submit(small_config(), "P4")
@@ -236,23 +246,25 @@ class TestFailureHandling:
             pool.close()
         assert no_orphans()
 
-    def test_run_sharded_program_routes_dispatch(self):
-        # The one-shot entry point is "open a pool, submit": it returns
-        # the pool's supervision fields and reaps its workers.
-        block = run_sharded_program(
-            small_config(), "P4", EngineConfig(workers=2)
-        )
+    def test_one_shot_pool_reports_supervision_fields(self):
+        # "Open a pool, submit one program": the block carries the
+        # pool's supervision fields and the pool reaps its workers.
+        with WorkerPool(EngineConfig(workers=2)) as pool:
+            block = pool.submit(small_config(), "P4")
         assert block["degraded"] is False and "watermarks" in block
         assert no_orphans()
 
 
 class TestSpawnStartMethod:
-    def test_pool_works_without_fork_inheritance(self):
+    def test_pool_works_without_fork_inheritance(self, monkeypatch):
         # The pipeline travels by control message and the rings attach
         # by name, so a spawn pool must produce the oracle's digests
         # exactly as the default fork pool does.
+        monkeypatch.setattr(
+            pool_mod, "_mp_context", lambda: multiprocessing.get_context("spawn")
+        )
         config, engine = small_config(packets=120), EngineConfig(workers=2)
-        with WorkerPool(engine, start_method="spawn") as pool:
+        with WorkerPool(engine) as pool:
             spawned = pool.submit(config, "P4")
         assert_matches_oracle(spawned, oracle_run(config, "P4", engine))
         assert no_orphans()
@@ -265,7 +277,7 @@ class TestForkAfterImports:
 
     PROBE = """
 import sys
-from repro.targets.engine import EngineConfig, run_sharded_program
+from repro.targets.engine import EngineConfig
 from repro.targets.pool import WorkerPool
 from repro.targets.soak import SoakConfig
 
@@ -279,7 +291,8 @@ def spy(self, shard):
 WorkerPool._spawn_worker = spy
 assert "repro.targets.vector" not in sys.modules
 config = SoakConfig(programs=["P4"], packets=64, seed=7, exec_backend="vector")
-block = run_sharded_program(config, "P4", EngineConfig(workers=2))
+with WorkerPool(EngineConfig(workers=2)) as pool:
+    block = pool.submit(config, "P4")
 assert block["ledger_ok"] and block["packets"] == 64
 print(imported_at_fork)
 """

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import TargetError
 from repro.targets.engine import EngineConfig
 from repro.targets.faults import ChaosPlan
-from repro.targets.supervision import RestartPolicy, Supervisor
+from repro.targets.supervision import BACKOFF_MAX_S, RestartPolicy, Supervisor
 
 
 class TestRestartPolicy:
@@ -18,8 +18,6 @@ class TestRestartPolicy:
             ("max_restarts_per_shard", -1),
             ("restart_budget", -2),
             ("backoff_base_s", -0.1),
-            ("backoff_max_s", -1.0),
-            ("jitter", -0.5),
         ],
     )
     def test_negative_fields_rejected(self, field, value):
@@ -34,7 +32,7 @@ class TestRestartPolicy:
         assert sup.decide(0, "died") == Supervisor.ABANDON
 
     def test_to_dict_round_trip(self):
-        policy = RestartPolicy(max_restarts_per_shard=5, jitter=0.0)
+        policy = RestartPolicy(max_restarts_per_shard=5)
         as_dict = policy.to_dict()
         assert RestartPolicy(**as_dict) == policy
 
@@ -85,8 +83,7 @@ class TestSupervisor:
     def test_backoff_is_deterministic_and_capped(self):
         def delays(seed):
             sup = Supervisor(
-                RestartPolicy(backoff_base_s=0.1, backoff_max_s=0.3,
-                              max_restarts_per_shard=10),
+                RestartPolicy(backoff_base_s=0.5, max_restarts_per_shard=10),
                 seed, "P4", 1,
             )
             out = []
@@ -98,8 +95,10 @@ class TestSupervisor:
         first, second = delays(1234), delays(1234)
         assert first == second  # seeded jitter replays exactly
         assert delays(99) != first  # but differs across seeds
-        assert all(d <= 0.3 for d in first)  # jitter never exceeds the cap
-        assert first[0] < first[1] or first[1] == 0.3  # exponential ramp
+        # jitter never exceeds the cap
+        assert all(d <= BACKOFF_MAX_S for d in first)
+        assert first[-1] == BACKOFF_MAX_S  # 0.5 * 2**3, capped
+        assert first[0] < first[1] or first[1] == BACKOFF_MAX_S  # ramp
 
     def test_no_backoff_before_any_restart(self):
         sup = Supervisor(RestartPolicy(), 1, "P4", 1)
@@ -143,6 +142,29 @@ class TestChaosPlan:
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(TargetError):
             ChaosPlan.from_specs(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "stop:shard=0@pkt=100@resume=nan",   # never resumed
+            "stop:shard=0@pkt=100@resume=inf",
+            "stop:shard=0@pkt=100@resume=-0.5",
+            "stall:shard=0@pkt=100@for=-1",      # crashed time.sleep
+            "stall:shard=0@pkt=100@for=nan",
+            "stall:shard=0@pkt=100@attempt=0",   # never fires
+            "stall:shard=0@pkt=100@attempt=-1",
+        ],
+    )
+    def test_bad_durations_and_attempts_rejected(self, spec):
+        with pytest.raises(TargetError, match="bad chaos spec"):
+            ChaosPlan.from_specs(spec)
+
+    def test_zero_durations_accepted(self):
+        plan = ChaosPlan.from_specs(
+            ["stop:shard=0@pkt=1@resume=0", "stall:shard=0@pkt=2@for=0"]
+        )
+        assert [e.resume_s for e in plan.events][0] == 0.0
+        assert plan.events[1].stall_s == 0.0
 
     def test_repeated_field_rejected(self):
         # Regression: the later value silently won (a kill at pkt=6).

@@ -43,11 +43,6 @@ class TestStats:
         assert switch.stats["out"] == 1
         assert switch.stats["dropped"] == 1
 
-    def test_inject_many(self, switch):
-        results = switch.inject_many([eth_ipv4(), eth_ipv4()], in_port=1)
-        assert len(results) == 2
-        assert all(len(r) == 1 for r in results)
-
 
 class TestProcessBatch:
     def test_batch_equals_sequential_process(self):
@@ -113,33 +108,73 @@ class TestProcessBatch:
 
     def test_soa_ledger_matches_per_packet(self):
         """The SoA path moves the ledger once per batch; it must end
-        where per-packet processing ends, faults and drops included."""
+        where per-packet processing ends, faults, drops and multicast
+        included."""
+        from repro.core.api import build_dataplane, compile_module
         from repro.lib.catalog import build_pipeline
         from repro.targets.backends import make_pipeline
-        from repro.targets.faults import FaultPlan
+        from repro.targets.faults import FaultPlan, ResourceGuards
+        from tests.targets.test_faults import FLOOD_SRC
 
+        p4 = build_pipeline("P4")
+        flood = build_dataplane(compile_module(FLOOD_SRC, "flood.up4")).composed
+
+        def p4_switch(faults=None):
+            pipe = make_pipeline(p4, "codegen")
+            api = RuntimeAPI(pipe)
+            for table, matches, action, _mono, args in ENTRY_SETS["P4"]:
+                api.add_entry(table, matches, action, args)
+            return Switch(pipe, SwitchConfig(num_ports=8), faults=faults)
+
+        def flood_switch(groups, **kwargs):
+            return Switch(
+                make_pipeline(flood, "codegen"),
+                SwitchConfig(num_ports=8, multicast_groups=groups),
+                **kwargs,
+            )
+
+        cases = [
+            lambda: p4_switch(),
+            lambda: p4_switch(FaultPlan.uniform(0.2, seed=9)),
+            lambda: flood_switch({}),
+            lambda: flood_switch({1: [2, 40, 3]}),
+            lambda: flood_switch(
+                {1: [2, 40, 3]}, guards=ResourceGuards(max_mcast_fanout=2)
+            ),
+            lambda: flood_switch(
+                {1: [2, 40, 3]}, faults=FaultPlan(seed=5, sites={"buffer": 0.3})
+            ),
+        ]
         items = [(eth_ipv4(), 1), (eth_ipv4(dst="172.16.0.1"), 2),
                  (eth_ipv4(ttl=0), 3), (eth_ipv4(), 4)] * 16
-        seen = []
-        for soa in (False, True):
-            for faults in (None, FaultPlan.uniform(0.2, seed=9)):
-                pipe = make_pipeline(build_pipeline("P4"), "codegen")
-                api = RuntimeAPI(pipe)
-                for table, matches, action, _mono, args in ENTRY_SETS["P4"]:
-                    api.add_entry(table, matches, action, args)
-                switch = Switch(pipe, SwitchConfig(num_ports=8), faults=faults)
+        ledgers = []
+        for make in cases:
+            seen = []
+            for soa in (False, True):
+                switch = make()
+                assert switch.pipeline.batch_supported
                 verdicts = switch.process_batch(
                     [(p.copy(), port) for p, port in items], soa=soa
                 )
                 seen.append((
-                    soa, faults is None, dict(switch.stats),
-                    dict(switch.drops_by_reason),
+                    dict(switch.stats), dict(switch.drops_by_reason),
                     [(v.kind, v.units, v.reasons, [o.port for o in v.outputs])
                      for v in verdicts],
                 ))
-        for per_packet, batched in zip(seen[:2], seen[2:]):
-            assert per_packet[1:] == batched[1:]
-        assert seen[0][2]["out"] and seen[1][2]["killed"]
+            per_packet, batched = seen
+            assert per_packet == batched
+            stats, drops, _ = per_packet
+            assert stats["units"] == stats["out"] + stats["dropped"]
+            ledgers.append((stats, drops))
+        assert ledgers[0][0]["out"] and ledgers[1][0]["killed"]
+        # Each multicast case reached the settle arm it was built for.
+        assert list(ledgers[2][1]) == ["mcast-no-group"]
+        assert ledgers[3][0]["replicated"] == 2 * len(items)
+        assert ledgers[3][1] == {"mcast-misconfig": len(items)}
+        assert ledgers[4][1] == {
+            "mcast-misconfig": len(items), "mcast-fanout": len(items),
+        }
+        assert ledgers[5][1]["buffer-exhausted"] > 0
 
 
 class TestRuntimeApiExtras:

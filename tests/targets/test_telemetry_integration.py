@@ -15,7 +15,8 @@ from repro.net.packet import Packet
 from repro.obs.metrics import METRICS, MetricsRegistry, collecting
 from repro.obs.telemetry import LiveTelemetry
 from repro.targets.backends import EXEC_BACKENDS
-from repro.targets.engine import EngineConfig, run_sharded_program
+from repro.targets import soak as soak_mod
+from repro.targets.engine import EngineConfig
 from repro.targets.soak import (
     NUM_PORTS,
     SoakConfig,
@@ -26,6 +27,7 @@ from repro.targets.soak import (
     soak_program,
 )
 from repro.targets.vector import NUMPY_AVAILABLE
+from tests.targets.helpers import run_sharded
 
 #: Every backend this host can run (``vector`` needs numpy).
 BACKENDS = [b for b in EXEC_BACKENDS if b != "vector" or NUMPY_AVAILABLE]
@@ -41,14 +43,13 @@ def quick_config(**kw):
 
 
 class TestDigestNeutrality:
-    def test_single_process_digest_unchanged_by_telemetry(self):
+    def test_single_process_digest_unchanged_by_telemetry(self, monkeypatch):
         baseline = soak_program(quick_config(), "P4")
         telemetry = LiveTelemetry()
+        # Publish after every batch.
+        monkeypatch.setattr(soak_mod, "_PUBLISH_INTERVAL_S", 1e-9)
         with collecting():
-            live = soak_program(
-                quick_config(), "P4", telemetry=telemetry,
-                publish_interval_s=1e-9,  # publish after every batch
-            )
+            live = soak_program(quick_config(), "P4", telemetry=telemetry)
         assert live["telemetry_epochs"] >= 1
         assert telemetry.snapshot()["shards"][0]["final"]
         assert live["digest"] == baseline["digest"]
@@ -56,9 +57,9 @@ class TestDigestNeutrality:
 
     def test_sharded_digest_unchanged_by_telemetry(self):
         config = quick_config(packets=600, exec_backend="compiled")
-        off = run_sharded_program(config, "P4", EngineConfig(workers=2))
+        off = run_sharded(config, "P4", EngineConfig(workers=2))
         telemetry = LiveTelemetry()
-        on = run_sharded_program(
+        on = run_sharded(
             config,
             "P4",
             EngineConfig(workers=2, publish_interval_s=0.001),
@@ -76,7 +77,7 @@ class TestLivePublishing:
     def test_sharded_run_publishes_final_epochs(self):
         telemetry = LiveTelemetry()
         config = quick_config(packets=500)
-        block = run_sharded_program(
+        block = run_sharded(
             config, "P4", EngineConfig(workers=2), telemetry=telemetry
         )
         assert telemetry.sources() == [("P4", 0), ("P4", 1)]
@@ -102,7 +103,7 @@ class TestLivePublishing:
 
     def test_latency_quantiles_present_in_live_view(self):
         telemetry = LiveTelemetry()
-        run_sharded_program(
+        run_sharded(
             quick_config(packets=400), "P4",
             EngineConfig(workers=2), telemetry=telemetry,
         )
