@@ -1843,7 +1843,10 @@ class _SourceGen:
                 self._pkt_object()
                 self.line("except Exception as _exc:")
                 with self.block():
-                    self.line("_emit((None, None, _exc))")
+                    # The traceback points at this frame, whose f_back
+                    # chain holds the whole batch: dropping it keeps the
+                    # triple out of a reference cycle.
+                    self.line("_emit((None, None, _exc.with_traceback(None)))")
             self.line("pipe._hits_out = _hits")
             self.line("pipe._misses_out = _misses")
             self._counters(counters)
@@ -2130,7 +2133,12 @@ class CodegenPipeline:
         )
         self.last_drop_reason = reason
         if exc is not None:
-            raise exc
+            try:
+                raise exc
+            finally:
+                # The raise gives exc a traceback through this frame;
+                # a local still holding exc would close that cycle.
+                exc = None
         return outputs
 
     def _lanes(self, datas, ports, pkts, trace, lat_on):

@@ -198,7 +198,8 @@ def _merge_blocks(
 
     Shard blocks arrive with unrounded ``elapsed_s``; rounding is
     applied only to the rendered per-shard output.  The one rate
-    reported is the wall-clock one, ``packets / wall_s``.
+    reported is the wall-clock one, ``packets / wall_s``.  The program's
+    ``gc`` block is the shards' summed (each shard keeps its own).
     """
 
     def total(key: str) -> int:
@@ -210,6 +211,19 @@ def _merge_blocks(
             for name, count in block[key].items():  # type: ignore[union-attr]
                 out[name] = out.get(name, 0) + count
         return dict(sorted(out.items()))
+
+    def fold_gc() -> Dict[str, object]:
+        blocks = [block["gc"] for block in shards]
+
+        def per_generation(key: str) -> List[int]:
+            return [sum(gen) for gen in zip(*(g[key] for g in blocks))]
+
+        return {
+            "collections": per_generation("collections"),
+            "collected": per_generation("collected"),
+            "pause_ms": round(sum(g["pause_ms"] for g in blocks), 3),
+            "frozen": sum(g["frozen"] for g in blocks),
+        }
 
     uncaught: List[str] = []
     for block in shards:
@@ -242,6 +256,7 @@ def _merge_blocks(
         "pkts_per_sec": (
             round(total("packets") / wall_s, 1) if wall_s else None
         ),
+        "gc": fold_gc(),
         "shards": [
             {
                 **{k: v for k, v in block.items() if k != "metrics"},

@@ -48,6 +48,7 @@ its predecessor's so the live view stays monotone).
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import queue as queue_mod
@@ -201,6 +202,9 @@ def _run_pool_shard(
         composed,
         fault_seed=shard_seed(config.seed, program, shard),
     )
+    # The replica lives as long as the run: take it out of every
+    # collection the packet loop triggers (DESIGN.md §13).
+    gc.freeze()
 
     def publish(epoch: int, ledger: Dict[str, int], watermark: int) -> None:
         out_queue.put(
@@ -271,9 +275,17 @@ def _pool_worker(control, out_queue, ring: ShardRing, shard: int,
     this incarnation's attempt number; a failed run posts an error and
     ends the loop (the supervisor respawns a fresh process — an
     erroring incarnation is never reused).
+
+    GC discipline (DESIGN.md §13): the heap this process starts with is
+    frozen on entry, so its collections never rescan it (nor, after a
+    fork, copy its pages); each run freezes its replica once built.
+    The next run thaws, collects and refreezes before it starts, so at
+    most one finished replica stays frozen, and posting a result never
+    waits on a full collection.
     """
     from repro.obs.telemetry import FlightRecorder
 
+    gc.freeze()
     run: Optional[int] = None
     attempt = 1
     recorder = None
@@ -288,6 +300,11 @@ def _pool_worker(control, out_queue, ring: ShardRing, shard: int,
                 return
             if kind != "run":  # pragma: no cover - protocol guard
                 continue
+            if run is not None:
+                # Release the last run's frozen replica.
+                gc.unfreeze()
+                gc.collect()
+                gc.freeze()
             run = message["run"]
             attempt = message.get("attempt", 1)
             config = message["config"]

@@ -26,9 +26,11 @@ of the configuration.  ``python -m repro soak`` is the CLI entry point;
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import (
@@ -405,6 +407,41 @@ def update_digest(digest, index: int, verdict) -> None:
     digest.update(_digest_record(index, verdict.kind, verdict).encode())
 
 
+@contextmanager
+def _gc_watch() -> Iterator[Dict[str, object]]:
+    """This process's cyclic collections while the ``with`` body runs:
+    per generation how many passes ran and what they freed, their total
+    pause, and the objects frozen out of every pass
+    (``gc.get_freeze_count()``) at the end.  The hook sits in
+    ``gc.callbacks`` for the body only."""
+    collections = [0, 0, 0]
+    collected = [0, 0, 0]
+    pause = 0.0
+    began = 0.0
+
+    def on_gc(phase: str, info: Dict[str, int]) -> None:
+        nonlocal began, pause
+        if phase == "start":
+            began = time.perf_counter()
+            return
+        pause += time.perf_counter() - began
+        collections[info["generation"]] += 1
+        collected[info["generation"]] += info["collected"]
+
+    block: Dict[str, object] = {}
+    gc.callbacks.append(on_gc)
+    try:
+        yield block
+    finally:
+        gc.callbacks.remove(on_gc)
+        block.update(
+            collections=collections,
+            collected=collected,
+            pause_ms=round(pause * 1e3, 3),
+            frozen=gc.get_freeze_count(),
+        )
+
+
 def consume(
     switch: Switch,
     stream: Iterable[Tuple[int, Packet, int]],
@@ -457,6 +494,8 @@ def consume(
     ``elapsed_s`` is returned **unrounded**; callers round for
     presentation.  In a pool worker it includes time blocked on an
     empty ring, so it is the shard's wall time, not its busy time.
+    ``gc`` is what the cyclic collector did meanwhile (``_gc_watch``);
+    like the timings it is never part of the digest.
     """
     digest = hashlib.sha256()
     uncaught: List[str] = []
@@ -522,18 +561,19 @@ def consume(
         folded += len(batch)
         batch.clear()
 
-    for item in stream:
-        batch.append(item)
-        if len(batch) >= batch_lanes:
-            flush()
-            if ack is not None and folded - acked_at >= _ACK_EVERY:
-                acked_at = folded
-                ack(watermark)
-            if next_publish is not None and time.monotonic() >= next_publish:
-                epoch += 1
-                publish(epoch, dict(switch.stats), watermark)
-                next_publish = time.monotonic() + publish_interval_s
-    flush()
+    with _gc_watch() as gc_block:
+        for item in stream:
+            batch.append(item)
+            if len(batch) >= batch_lanes:
+                flush()
+                if ack is not None and folded - acked_at >= _ACK_EVERY:
+                    acked_at = folded
+                    ack(watermark)
+                if next_publish is not None and time.monotonic() >= next_publish:
+                    epoch += 1
+                    publish(epoch, dict(switch.stats), watermark)
+                    next_publish = time.monotonic() + publish_interval_s
+        flush()
     elapsed = time.perf_counter() - start
 
     stats = switch.stats
@@ -560,6 +600,7 @@ def consume(
         "elapsed_s": elapsed,
         "pkts_per_sec": round(stats["in"] / elapsed, 1) if elapsed else None,
         "telemetry_epochs": epoch,
+        "gc": gc_block,
     }
     if recorder is not None and (uncaught or not block["ledger_ok"]):
         block["flight_recorder"] = recorder.dump()

@@ -266,6 +266,8 @@ def _shard_block(shard: int, packets: int, elapsed_s: float) -> dict:
         "digest": f"d{shard}",
         "elapsed_s": elapsed_s,
         "pkts_per_sec": None,
+        "gc": {"collections": [0, 0, 0], "collected": [0, 0, 0],
+               "pause_ms": 0.0, "frozen": 0},
     }
 
 
