@@ -14,8 +14,10 @@ composed IR produced by the midend/backends directly.
 * :mod:`~repro.targets.compiled`, :mod:`~repro.targets.codegen`,
   :mod:`~repro.targets.vector` — the closure-compiled, generated-source
   and columnwise-numpy executors: same semantics as the interpreter,
-  resolved before the first packet; :mod:`~repro.targets.lanes` says
-  which struct/header variables the latter two keep as plain cells.
+  resolved before the first packet (the columnwise body, which
+  codegen's generator also emits, before the first batch);
+  :mod:`~repro.targets.lanes` says which struct/header variables the
+  latter two keep as plain cells.
 * :mod:`~repro.targets.backends` — the ``ExecBackend`` seam mapping the
   names in ``EXEC_BACKENDS`` (``interp`` / ``compiled`` / ``codegen`` /
   ``vector``) to executors.

@@ -172,7 +172,7 @@ def _mod(lv, rv, mask):
 
 
 class _Block:
-    """Indentation context manager for :class:`_SourceGen`."""
+    """Indentation context manager for :class:`SourceGen`."""
 
     __slots__ = ("gen",)
 
@@ -189,7 +189,7 @@ class _Block:
 
 
 class _Region:
-    """One budget check and what it covers so far (``_SourceGen.step``):
+    """One budget check and what it covers so far (``SourceGen.step``):
     ``buf[header]`` is its ``steps += count`` line, and a statement
     joins it only if it starts at line ``end`` of ``buf``, at ``ind``."""
 
@@ -208,7 +208,7 @@ class _Region:
 # ======================================================================
 
 
-class _SourceGen:
+class SourceGen:
     """Renders one :class:`ComposedPipeline` into Python source.
 
     Mirrors the scoping model of ``compiled._Compiler``: lexical frames
@@ -223,11 +223,15 @@ class _SourceGen:
     ``tables`` is read for what a table *is* (key expressions,
     selectable actions), never for its entries: the text, and so the
     :class:`GeneratedModule` made from it, belongs to the program, not
-    to the executor whose tables these are.
+    to the executor whose tables these are.  ``lane_vars``: the
+    program's lane decision, when the caller already has it.
     """
 
     def __init__(
-        self, composed: ComposedPipeline, tables: Dict[str, TableRuntime]
+        self,
+        composed: ComposedPipeline,
+        tables: Dict[str, TableRuntime],
+        lane_vars: Optional[LaneVars] = None,
     ) -> None:
         self.composed = composed
         self.tables = tables
@@ -280,7 +284,7 @@ class _SourceGen:
         self._region: Optional[_Region] = None
         self.in_parser = False
         self.uses_recirc = False
-        self.lane_vars = lane_variables(composed)
+        self.lane_vars = lane_vars or lane_variables(composed)
         #: name -> layout of every variable lowered as per-cell locals.
         self.flat = dict(self.lane_vars.flat)
         # Width of every flattened bit<W> cell local: they are only ever
@@ -512,8 +516,28 @@ class _SourceGen:
             return False
         return False
 
+    # ------------------------------------------------------------------
+    # Value rendering ``vector.ColumnwiseGen`` changes for numpy
+    # columns: the coercion to int, a mask, headroom before a mask, and
+    # a store into a local
+    # ------------------------------------------------------------------
+    _INT = "int"
+
     def as_int(self, node: ast.Expr, s: str) -> str:
-        return s if self.is_int(node) else f"int({s})"
+        return s if self.is_int(node) else f"{self._INT}({s})"
+
+    @staticmethod
+    def _mask(s: str, width: int) -> str:
+        return f"({s} & {(1 << width) - 1})"
+
+    @staticmethod
+    def _widen(s: str, bits: Optional[int]) -> str:
+        """``s`` as the operand of a result that can need ``bits`` bits
+        (None: unbounded) before its mask.  Python ints have room."""
+        return s
+
+    def _assign(self, local: str, value: str) -> None:
+        self.line(f"{local} = {value}")
 
     # ------------------------------------------------------------------
     # Expressions (may emit pre-lines; return an expression string)
@@ -541,15 +565,13 @@ class _SourceGen:
             return self._member(e)
         if isinstance(e, ast.SliceExpr):
             b = self.expr(e.base)
-            mask = (1 << (e.hi - e.lo + 1)) - 1
-            return f"(({b} >> {e.lo}) & {mask})"
+            return self._mask(f"({b} >> {e.lo})", e.hi - e.lo + 1)
         if isinstance(e, ast.UnaryExpr):
             return self._unary(e)
         if isinstance(e, ast.CastExpr):
             if isinstance(e.target, ast.BitType):
                 o = self.expr(e.operand)
-                mask = (1 << e.target.width) - 1
-                return f"({self.as_int(e.operand, o)} & {mask})"
+                return self._mask(self.as_int(e.operand, o), e.target.width)
             if isinstance(e.target, ast.BoolType):
                 o = self.expr(e.operand)
                 return f"bool({o})"
@@ -595,12 +617,9 @@ class _SourceGen:
             o = self.expr(e.operand)
             msg = f"unary has no bit width at runtime (type {t})"
             return f"_te_after({msg!r}, {o})"
-        mask = (1 << t.width) - 1
         o = self.expr(e.operand)
-        if e.op == "~":
-            return f"(~{o} & {mask})"
-        if e.op == "-":
-            return f"(-{o} & {mask})"
+        if e.op in ("~", "-"):
+            return self._mask(f"{e.op}{self._widen(o, t.width)}", t.width)
         msg = f"unknown unary op {e.op!r}"
         return f"_te({msg!r})"
 
@@ -637,7 +656,8 @@ class _SourceGen:
             if not isinstance(rt, ast.BitType):
                 msg = f"concat operand has no bit width at runtime (type {rt})"
                 return f"_te_after({msg!r}, {ls}, {rs})"
-            return f"(({li} << {rt.width}) | {ri})"
+            bits = e.type.width if isinstance(e.type, ast.BitType) else None
+            return f"(({self._widen(li, bits)} << {rt.width}) | {ri})"
         if op in ("&", "|", "^", ">>"):
             return f"({li} {op} {ri})"
         if not isinstance(e.type, ast.BitType):
@@ -646,9 +666,15 @@ class _SourceGen:
                 f"(type {e.type})"
             )
             return f"_te_after({msg!r}, {ls}, {rs})"
-        mask = (1 << e.type.width) - 1
+        w = e.type.width
+        mask = (1 << w) - 1
         if op in ("+", "-", "*", "<<"):
-            return f"(({li} {op} {ri}) & {mask})"
+            bits = 2 * w if op == "*" else w
+            if op == "<<":
+                k = e.right
+                bits = w + k.value if isinstance(k, ast.IntLit) else None
+            li, ri = self._widen(li, bits), self._widen(ri, bits)
+            return self._mask(f"({li} {op} {ri})", w)
         if op == "/":
             return f"_div({ls}, {rs}, {mask})"
         if op == "%":
@@ -690,62 +716,50 @@ class _SourceGen:
                 self.line(self._undef(lhs.name, "assignment to"))
                 return
             assert ent[0] is not None, f"whole-value store to flattened {lhs.name!r}"
-            if isinstance(lhs.type, ast.BitType) and not (
-                v_width is not None and v_width <= lhs.type.width
-            ):
-                mask = (1 << lhs.type.width) - 1
-                vi = vs if v_int else f"int({vs})"
-                self.line(f"{ent[0]} = {vi} & {mask}")
-            else:
-                self.line(f"{ent[0]} = {vs}")
-            return
-        if isinstance(lhs, ast.MemberExpr):
+            local = ent[0]
+            width = lhs.type.width if isinstance(lhs.type, ast.BitType) else None
+        elif isinstance(lhs, ast.MemberExpr) and self._flat_node(lhs) is not None:
+            _kind, local, width = self._flat_node(lhs)
+        elif isinstance(lhs, ast.MemberExpr):
             base = lhs.base
-            leaf = self._flat_node(lhs)
-            if leaf is not None:
-                _kind, local, width = leaf
-                if width is None or (v_width is not None and v_width <= width):
-                    # A bool, or a value no wider than this cell.
-                    self.line(f"{local} = {vs}")
-                else:
-                    vi = vs if v_int else f"int({vs})"
-                    self.line(f"{local} = {vi} & {(1 << width) - 1}")
-                return
             bt = getattr(base, "type", None)
             typed = isinstance(bt, (ast.HeaderType, ast.StructType)) and any(
                 n == lhs.member for n, _t in bt.fields
             )
-            if typed:
-                b = self.expr(base)
-                if isinstance(lhs.type, ast.BitType):
-                    mask = (1 << lhs.type.width) - 1
-                    vi = vs if v_int else f"int({vs})"
-                    self.line(f"{b}.fields[{lhs.member!r}] = {vi} & {mask}")
-                else:
-                    self.line(f"{b}.fields[{lhs.member!r}] = {vs}")
-                return
             b = self.expr(base)
-            if isinstance(lhs.type, ast.BitType):
+            if typed and isinstance(lhs.type, ast.BitType):
+                mask = (1 << lhs.type.width) - 1
+                vi = vs if v_int else f"int({vs})"
+                self.line(f"{b}.fields[{lhs.member!r}] = {vi} & {mask}")
+            elif typed:
+                self.line(f"{b}.fields[{lhs.member!r}] = {vs}")
+            elif isinstance(lhs.type, ast.BitType):
                 mask = (1 << lhs.type.width) - 1
                 self.line(f"_stm({vs}, {b}, {lhs.member!r}, {mask})")
             else:
                 self.line(f"_stm({vs}, {b}, {lhs.member!r})")
             return
-        if isinstance(lhs, ast.SliceExpr):
+        elif isinstance(lhs, ast.SliceExpr):
             width = lhs.hi - lhs.lo + 1
             smask = (1 << width) - 1
             keep = ~(smask << lhs.lo)
             cur = self.expr(lhs.base)
-            ci = self.as_int(lhs.base, cur)
-            vi = vs if v_int else f"int({vs})"
+            ci = self._widen(self.as_int(lhs.base, cur), lhs.hi)
+            vi = self._widen(vs if v_int else f"{self._INT}({vs})", lhs.hi)
             t = self.tmp()
             self.line(
                 f"{t} = ({ci} & {keep}) | (({vi} & {smask}) << {lhs.lo})"
             )
             self.store(lhs.base, t, True)
             return
-        msg = f"unsupported lvalue {type(lhs).__name__}"
-        self.line(f"_te({msg!r})")
+        else:
+            msg = f"unsupported lvalue {type(lhs).__name__}"
+            self.line(f"_te({msg!r})")
+            return
+        if width is not None and not (v_width is not None and v_width <= width):
+            # A bool, or a value no wider than the place, goes as is.
+            vs = self._mask(vs if v_int else f"{self._INT}({vs})", width)
+        self._assign(local, vs)
 
     # ------------------------------------------------------------------
     # Statements
@@ -1060,11 +1074,8 @@ class _SourceGen:
             valid = hdr[1]
             if op == "isValid":
                 return valid
-            if op == "setValid":
-                self.line(f"{valid} = True")
-                return "None"
-            if op == "setInvalid":
-                self.line(f"{valid} = False")
+            if op in ("setValid", "setInvalid"):
+                self._assign(valid, repr(op == "setValid"))
                 return "None"
             msg = f"unknown header op {op!r}"
             self.line(f"raise _TErr({msg!r})")
@@ -1854,44 +1865,20 @@ class _SourceGen:
 
     def generate(self) -> "GeneratedModule":
         self._gen_run()
-        batch_ok = (
-            self.composed.mode == "micro"
-            and self.bs_scalar
-            and self.bs_size > 0
-            and not self.uses_recirc
-        )
         source = self.render()
         if METRICS.enabled:
             METRICS.inc("codegen.generations")
         return GeneratedModule(
             source,
-            _compile_cached(source, f"<codegen:{self.composed.name}>"),
+            compile_cached(source, f"<codegen:{self.composed.name}>"),
             self.namespace,
             self.table_slots,
             tuple(self.inline_tables),
             not self.uses_recirc,
-            SoaLayout(self.bs_size, self.bs_extract_len, batch_ok),
             self.lane_vars,
             self.dispatch_arms,
             self.nlocals,
         )
-
-
-class SoaLayout:
-    """The struct-of-arrays arena the vector backend builds for one
-    composed pipeline: one cell per byte-stack slot, ``extract_len``
-    cells loaded from the wire, lanes packed row-major (``lane * size +
-    cell``).  ``batch_ok``: the byte stack is flattened into scalar
-    cells and the program cannot recirculate, the only shape the
-    columnwise plan lowers.
-    """
-
-    __slots__ = ("size", "extract_len", "batch_ok")
-
-    def __init__(self, size: int, extract_len: int, batch_ok: bool) -> None:
-        self.size = size
-        self.extract_len = extract_len
-        self.batch_ok = batch_ok
 
 
 @dataclass(frozen=True)
@@ -1919,7 +1906,6 @@ class GeneratedModule:
     table_slots: Dict[str, str]
     inline_tables: Tuple[str, ...]
     batch_supported: bool
-    soa_layout: "SoaLayout"
     lane_vars: LaneVars
     dispatch_arms: int
     nlocals: int
@@ -1951,10 +1937,10 @@ def generated_module(
 ) -> GeneratedModule:
     """The generated module of ``composed``, made once per program
     object however many executors are built from it (``tables``: any
-    executor's, see :class:`_SourceGen`)."""
+    executor's, see :class:`SourceGen`)."""
     module = composed.derived.get("generated_module")
     if module is None:
-        module = _SourceGen(composed, tables).generate()
+        module = SourceGen(composed, tables).generate()
         composed.derived["generated_module"] = module
     elif METRICS.enabled:
         METRICS.inc("codegen.build_cache_hits")
@@ -2021,7 +2007,7 @@ def _load_cached(path: str):
     return code if isinstance(code, types.CodeType) else None
 
 
-def _compile_cached(source: str, filename: str):
+def compile_cached(source: str, filename: str):
     key = hashlib.sha256(
         importlib.util.MAGIC_NUMBER + filename.encode() + b"\x00" + source.encode()
     ).hexdigest()
@@ -2097,7 +2083,6 @@ class CodegenPipeline:
         self.source = module.source
         self._run, self._lq_metrics = module.instantiate(self.tables)
         self.batch_supported = module.batch_supported
-        self.soa_layout = module.soa_layout
         #: Which struct/header variables are flattened, and why the rest
         #: are not (repro.targets.lanes).
         self.lane_vars = module.lane_vars

@@ -144,21 +144,35 @@ class EngineConfig:
 
     def validate(self) -> None:
         if self.workers < 1:
-            raise TargetError(f"engine workers must be >= 1, got {self.workers}")
+            _reject("bad-workers", f"engine workers must be >= 1, got {self.workers}")
         if self.shard_policy not in SHARD_POLICIES:
-            raise TargetError(
+            _reject(
+                "bad-shard-policy",
                 f"unknown shard policy {self.shard_policy!r}; "
-                f"known: {', '.join(SHARD_POLICIES)}"
+                f"known: {', '.join(SHARD_POLICIES)}",
+            )
+        if not self.publish_interval_s >= 0:  # NaN too
+            _reject(
+                "bad-publish-interval",
+                f"publish interval must be >= 0 seconds, "
+                f"got {self.publish_interval_s}",
             )
         if self.restart is not None:
             self.restart.validate()
         if self.chaos is not None:
             for event in self.chaos.events:
                 if event.shard >= self.workers:
-                    raise TargetError(
+                    _reject(
+                        "bad-chaos-shard",
                         f"chaos event targets shard {event.shard} but the "
-                        f"engine has only {self.workers} worker(s)"
+                        f"engine has only {self.workers} worker(s)",
                     )
+
+
+def _reject(code: str, message: str) -> None:
+    err = TargetError(message)
+    err.code = code
+    raise err
 
 
 def shard_seed(seed: object, program: str, shard: int) -> str:

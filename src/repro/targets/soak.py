@@ -180,9 +180,11 @@ class SoakConfig:
             err.code = "bad-fault-rate"
             raise err
         if self.mode not in ("micro", "mono"):
-            raise TargetError(
+            err = TargetError(
                 f"unknown compile mode {self.mode!r}; known: micro, mono"
             )
+            err.code = "bad-mode"
+            raise err
         if not isinstance(self.batch_lanes, int) or isinstance(
             self.batch_lanes, bool
         ) or self.batch_lanes < 1:

@@ -422,7 +422,17 @@ class TestSoak:
         rc = main(["soak", "--programs", "P4", "--packets", "10",
                    "--workers", "-3"])
         assert rc == 4
-        assert "workers must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error[bad-workers]:" in err
+        assert "workers must be >= 1" in err
+
+    def test_soak_negative_publish_interval_rejected(self, capsys, tmp_path):
+        # Regression: a negative interval silently disabled publishing.
+        rc = main(["soak", "--programs", "P4", "--packets", "10",
+                   "--workers", "2", "--publish-interval", "-1",
+                   "--metrics-out", str(tmp_path / "final.json")])
+        assert rc == 4
+        assert "error[bad-publish-interval]:" in capsys.readouterr().err
 
     def test_soak_workers_unknown_program_structured_error(self, capsys):
         rc = main(["soak", "--programs", "P99", "--packets", "10",

@@ -656,9 +656,9 @@ class TestGeneratedModule:
         if not NUMPY_AVAILABLE:
             pytest.skip("vector backend needs numpy")
         generations = []
-        real = codegen._SourceGen.generate
+        real = codegen.SourceGen.generate
         monkeypatch.setattr(
-            codegen._SourceGen, "generate",
+            codegen.SourceGen, "generate",
             lambda gen: generations.append(gen) or real(gen),
         )
         composed = build_pipeline("P4")
@@ -714,7 +714,7 @@ class TestDiskCache:
         monkeypatch.setattr(codegen, "_CODE_CACHE", {})
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", "1")
         monkeypatch.setenv("REPRO_CODEGEN_CACHE_DIR", str(tmp_path))
-        codegen._compile_cached(_CACHED_SOURCE, "<cache-test>")
+        codegen.compile_cached(_CACHED_SOURCE, "<cache-test>")
         (path,) = tmp_path.glob("*.pyc")
         codegen._CODE_CACHE.clear()
         return codegen, path
@@ -722,7 +722,7 @@ class TestDiskCache:
     @staticmethod
     def _run(codegen):
         ns = {}
-        exec(codegen._compile_cached(_CACHED_SOURCE, "<cache-test>"), ns)
+        exec(codegen.compile_cached(_CACHED_SOURCE, "<cache-test>"), ns)
         return ns["_cg_run"]()
 
     def test_non_code_payload_is_recompiled(self, cache):

@@ -30,6 +30,7 @@ from repro.targets.engine import (
     assign_shard,
     shard_seed,
 )
+from repro.targets.faults import ChaosPlan
 from repro.targets import pool as pool_mod
 from repro.targets.pool import WorkerPool
 from repro.targets.soak import SoakConfig, render_summary, run_soak, soak_program
@@ -67,12 +68,28 @@ class TestShardAssignment:
 
 class TestConfigValidation:
     def test_zero_workers_rejected(self):
-        with pytest.raises(TargetError):
+        with pytest.raises(TargetError) as exc:
             EngineConfig(workers=0).validate()
+        assert exc.value.code == "bad-workers"
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(TargetError):
+        with pytest.raises(TargetError) as exc:
             EngineConfig(shard_policy="modulo-11").validate()
+        assert exc.value.code == "bad-shard-policy"
+
+    def test_chaos_shard_past_the_workers_rejected(self):
+        chaos = ChaosPlan.from_specs(["kill:shard=2@pkt=10"])
+        with pytest.raises(TargetError) as exc:
+            EngineConfig(workers=2, chaos=chaos).validate()
+        assert exc.value.code == "bad-chaos-shard"
+
+    @pytest.mark.parametrize("interval", [-1.0, float("nan")])
+    def test_bad_publish_interval_rejected(self, interval):
+        # Regression: either one silently disabled mid-run publishing.
+        with pytest.raises(TargetError) as exc:
+            EngineConfig(publish_interval_s=interval).validate()
+        assert exc.value.code == "bad-publish-interval"
+        EngineConfig(publish_interval_s=0.0).validate()
 
     def test_unknown_program_fails_in_parent(self):
         with pytest.raises(TargetError, match="unknown soak program"):

@@ -156,6 +156,7 @@ class TestDeterminism:
             # An empty list digested nothing and reported success.
             ("programs", [], "no-programs"),
             ("programs", ["P4", "P4"], "duplicate-program"),
+            ("mode", "x", "bad-mode"),
         ],
     )
     def test_out_of_range_counts_rejected_up_front(self, field, value, code):

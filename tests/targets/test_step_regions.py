@@ -301,7 +301,7 @@ class TestWidenedRegionIsCaught:
     sweep must go red — otherwise it proves nothing."""
 
     def test_register_write_taken_for_pure(self, monkeypatch):
-        real = codegen_mod._SourceGen.stmt
+        real = codegen_mod.SourceGen.stmt
 
         def widened(gen, s):
             real(gen, s)
@@ -310,6 +310,6 @@ class TestWidenedRegionIsCaught:
             if resolved is not None and resolved[:2] == ("extern", "register"):
                 gen._pure_done()
 
-        monkeypatch.setattr(codegen_mod._SourceGen, "stmt", widened)
+        monkeypatch.setattr(codegen_mod.SourceGen, "stmt", widened)
         found = sweep(_boundary_pipes("register-write"), BOUNDARY_PACKETS)
         assert "registers" in {what for *_, what in found}

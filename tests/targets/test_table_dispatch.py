@@ -348,25 +348,23 @@ class TestLinearInTables:
             assert list(dispatch[name]) == list(runtime.selectable_actions)
 
     @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="vector backend needs numpy")
-    def test_vector_arms(self, program, monkeypatch):
-        from repro.targets.vector import _VectorCompiler
-
-        arms = {}
-        lower = _VectorCompiler._table_apply
-
-        def spy(self, decl):
-            fn, bound = lower(self, decl)
-            arms[decl.name] = (_default_of(fn, "_arms"), _default_of(fn, "_ai"))
-            return fn, bound
-
-        monkeypatch.setattr(_VectorCompiler, "_table_apply", spy)
+    def test_vector_arms(self, program):
         pipe = make_pipeline(composed_for(program), "vector")
         assert pipe.vector_plan is not None
+        arms = pipe.vector_plan.arms
         assert set(arms) == set(pipe.tables)
         for name, runtime in pipe.tables.items():
-            bodies, index = arms[name]
-            assert len(bodies) == len(runtime.selectable_actions)
-            assert list(index) == list(runtime.selectable_actions)
+            selectable = runtime.selectable_actions
+            assert list(arms[name]) == list(selectable)
+            assert list(arms[name].values()) == [
+                (ai, len(adecl.params))
+                for ai, adecl in enumerate(selectable.values())
+            ]
+        # One arm per selectable action at every apply site.
+        sites = pipe.vector_plan.sites
+        assert pipe.vector_plan.source.count(" = _arm(") == sum(
+            len(arms[name]) for name in sites.values()
+        )
 
 
 # ----------------------------------------------------------------------

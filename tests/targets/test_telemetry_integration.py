@@ -180,6 +180,10 @@ class TestMetricsOffCostsNothing:
         switch = build_switch(config, "P4", compose_program(config, "P4"))
         stream = iter_stream_bytes(config, "P4", NUM_PORTS)
         packets = [(Packet(data), port) for _, data, port in stream]
+        if soa and backend == "vector":
+            # Generate the columnwise body, which the first batch would
+            # (its two counts are per program, not per batch).
+            switch.pipeline.vector_plan
         calls.clear()
         if soa:
             switch.process_batch(packets, soa=True)
