@@ -357,9 +357,8 @@ def _run_profile_soak(
     config.validate()
     if args.workers:
         from repro.targets.engine import EngineConfig
-        from repro.targets.pipeline import PipelineInstance
         from repro.targets.pool import WorkerPool
-        from repro.targets.runtime_api import RuntimeAPI
+        from repro.targets.tables import table_runtimes
 
         engine = EngineConfig(
             workers=args.workers,
@@ -374,7 +373,10 @@ def _run_profile_soak(
         # live in the workers: the merged block carries the fold of the
         # former, and a table's strategy follows from its match kinds.
         registry = MetricsRegistry.from_snapshot(block["metrics"])
-        tables = RuntimeAPI(PipelineInstance(composed)).lookup_info()
+        tables = {
+            name: table.index_info()
+            for name, table in table_runtimes(composed).items()
+        }
     else:
         block = soak_program(
             config, program, telemetry=telemetry, trace_writer=trace_writer,
@@ -817,7 +819,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_profile.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="run the --packets soak over N resident worker processes "
+        help="run the --packets soak over N worker processes "
         "(switch replicas) and merge the lookup counters",
     )
     p_profile.add_argument(
@@ -873,7 +875,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_soak.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="fan each program's stream over N resident worker processes "
+        help="fan each program's stream over N worker processes "
         "(switch replicas) fed by the parent over shared-memory rings; "
         "the merged digest is a pure function of "
         "(seed, workers, shard-policy)",

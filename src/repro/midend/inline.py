@@ -394,6 +394,10 @@ class Composer:
             return s
 
         result = transform(stmt)
+        # ``transform`` refers to itself through its closure cell: a
+        # cycle that would hold ``self`` — and the whole composed program
+        # — until a full collection.  Break it.
+        del transform
         if isinstance(result, ast.BlockStmt):
             return result
         return ast.BlockStmt(stmts=[result])

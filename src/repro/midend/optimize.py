@@ -396,6 +396,7 @@ def _clobbered_modules(composed: ComposedPipeline) -> Set[str]:
                 visit([case.body for case in stmt.cases], opened)
 
     visit(composed.statements, ())
+    del visit  # a self-referencing closure cycle, holding ``composed``
     return clobbered
 
 

@@ -86,8 +86,8 @@ class LiveTelemetry:
         """Install one source's cumulative snapshot; returns False if a
         newer epoch for the same source was already present.
 
-        ``run`` identifies a worker-pool submission: a resident worker's
-        epochs restart at 1 on every run, so when the incoming ``run``
+        ``run`` identifies a worker-pool submission: each submit's
+        workers count epochs from 1 again, so when the incoming ``run``
         differs from the stored one the snapshot *replaces* the source
         outright instead of losing the epoch comparison to the previous
         run's higher epochs.

@@ -33,10 +33,11 @@ composed IR produced by the midend/backends directly.
 * :mod:`~repro.targets.engine` — the shard model of the sharded
   traffic engine: run configuration, pure shard assignment and seeds,
   the fold of per-shard blocks.
-* :mod:`~repro.targets.pool` — its process orchestration: resident
-  worker processes, each owning a switch replica, fed by the parent
-  over the shared-memory rings of :mod:`~repro.targets.ring` and
-  restarted within the policy of :mod:`~repro.targets.supervision`.
+* :mod:`~repro.targets.pool` — its process orchestration: per submit,
+  worker processes forked after the program is composed, each owning a
+  switch replica, fed by the parent over the shared-memory rings of
+  :mod:`~repro.targets.ring` and restarted within the policy of
+  :mod:`~repro.targets.supervision`.
 """
 
 from repro.targets.tables import TableRuntime, Entry

@@ -8,11 +8,11 @@ processes, each owning an independent :class:`~repro.targets.switch
 per-shard results back into one summary.
 
 The parent generates the stream **once**, assigns each packet's shard,
-and pushes ``(index, bytes, in_port)`` records to a resident
-:class:`~repro.targets.pool.WorkerPool` over per-shard shared-memory
-rings (:mod:`repro.targets.ring`).  Workers are long-lived: one
-``start()``, any number of ``submit()`` runs.  This matches how RMT
-hardware scales — replicated pipes fed from one shared ingest — and
+and pushes ``(index, bytes, in_port)`` records over per-shard
+shared-memory rings (:mod:`repro.targets.ring`) to the workers a
+:class:`~repro.targets.pool.WorkerPool` submit forks once the program is
+composed.  This matches how RMT hardware scales — one compiled
+pipeline loaded into replicated pipes fed from one shared ingest — and
 per-worker work is O(shard), not O(stream).
 
 This module is the *shard model*: the run configuration, the pure
@@ -129,10 +129,10 @@ class EngineConfig:
     shard_policy: str = "flow-hash"  # flow-hash | round-robin
     #: Seconds between live telemetry publishes from each worker
     #: (epoch-stamped cumulative registry snapshot + switch ledger on
-    #: the result queue).  0 disables mid-run publishing entirely — the
+    #: the worker's result pipe).  0 disables mid-run publishing entirely — the
     #: default, so runs without a live consumer pay nothing.
     publish_interval_s: float = 0.0
-    #: Self-healing bounds for the resident pool.  ``None`` means the
+    #: Self-healing bounds for the worker pool.  ``None`` means the
     #: default :class:`RestartPolicy` — supervision is always on; set
     #: ``RestartPolicy(max_restarts_per_shard=0, restart_budget=0)``
     #: for the old fail-fast behavior.

@@ -71,8 +71,8 @@ class PipelineInstance:
     """Executable instance of a :class:`ComposedPipeline`.
 
     ``use_table_index=False`` forces every table onto the reference
-    linear-scan lookup; differential tests and the lookup-throughput
-    benchmark use it to compare against the indexed fast path.
+    linear-scan lookup; differential tests use it to compare against
+    the indexed fast path.
     """
 
     #: Execution-backend identifier (see repro.targets.backends).

@@ -1,25 +1,27 @@
-"""Resident worker pool: one fork, many runs, parent-side dispatch.
+"""Sharded worker fleet: one fork per submit, parent-side dispatch.
 
 This is the process orchestration of the sharded engine
 (:mod:`repro.targets.engine` holds the shard model it runs) — the only
 way a soak stream reaches worker processes.  The parent generates the
 stream exactly once, assigns each packet's shard (the pure
 :func:`~repro.targets.engine.assign_shard`), and pushes
-``(index, in_port, bytes)`` records to long-lived workers over per-shard
-SPSC shared-memory rings (:mod:`repro.targets.ring`), so per-worker work
-is O(shard), not O(stream):
+``(index, in_port, bytes)`` records to its workers over per-shard SPSC
+shared-memory rings (:mod:`repro.targets.ring`), so per-worker work is
+O(shard), not O(stream):
 
-* **one fork, many runs** — :meth:`WorkerPool.start` spawns the
-  workers once; every :meth:`WorkerPool.submit` sends a ``run`` control
-  message (program name, soak config, and the *pickled compiled
-  pipeline*) down each worker's pipe.  Nothing rides on fork
-  inheritance, so non-fork start methods work too.
+* **one fleet per submit** — :meth:`WorkerPool.submit` composes the
+  program (and derives its executable form) first, then starts one
+  worker per shard with the run as its ``Process`` arguments.  Under
+  fork each worker inherits the composed program and nothing is
+  pickled; under ``spawn`` the arguments are pickled once per worker.
+  The submit owns its processes, rings and result pipes, and tears
+  them down before it returns, however the run ends.
 * **batched records** — ring traffic is packed several packets per
   record (a small fixed header per packet), so the per-record ring
   bookkeeping amortizes to noise next to pipeline execution.
 * **backpressure, never loss** — a full ring blocks the parent until
   the worker drains it; while blocked the parent keeps polling the
-  result queue so a crashed worker surfaces immediately.
+  result pipes so a crashed worker surfaces immediately.
 * **determinism preserved** — workers consume exactly the packets their
   shard owns, in global-index order, through the one soak loop
   (:func:`~repro.targets.soak.consume`), so per-shard digests —
@@ -27,20 +29,21 @@ is O(shard), not O(stream):
   in-process call of that loop on the filtered stream produces (the
   oracle the tests compare every pool run against).
 * **self-healing** — a replica death mid-stream (SIGKILL, hard exit,
-  hung ring, watchdog) no longer breaks the pool.  A supervisor
-  (:mod:`repro.targets.supervision`) respawns a fresh replica that
-  *replays* its deterministic prefix up to everything the parent has
-  generated so far, while the parent keeps dispatching the rest over a
-  fresh ring — so the merged digest is provably identical to an
-  undisturbed run (DESIGN.md §14).  When the
+  hung ring, watchdog) does not end the run.  A supervisor
+  (:mod:`repro.targets.supervision`) starts a fresh replica, the same
+  way as the first, that *replays* its deterministic prefix up to
+  everything the parent has generated so far, while the parent keeps
+  dispatching the rest over a fresh ring — so the merged digest is
+  provably identical to an undisturbed run (DESIGN.md §14).  When the
   :class:`~repro.targets.supervision.RestartPolicy` budget runs out the
   shard is *abandoned*: surviving shards drain, then the run fails with
   a structured partial-result :class:`~repro.targets.engine
   .EngineError` naming the dead shard and its watermark.
 
-Every message a pool worker posts is tagged with the pool run id *and*
-the worker attempt, so stale messages from a replaced incarnation are
-discarded; telemetry publishes carry both through to
+Each worker incarnation posts its messages over a result pipe of its
+own: nothing is shared between workers that a kill could leave held or
+half-written, and a replaced incarnation's pipe is closed with it, so
+its late messages are never read.  The parent stamps telemetry publishes with the submit's run number for
 :class:`~repro.obs.telemetry.LiveTelemetry`, whose per-source epochs
 restart at each new run (a restarted replica's epochs are offset past
 its predecessor's so the live view stays monotone).
@@ -51,11 +54,11 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
-import queue as queue_mod
 import signal
 import struct
 import time
 import traceback
+from multiprocessing.connection import Connection, wait
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.net.packet import Packet
@@ -181,19 +184,17 @@ def _run_pool_shard(
     program: str,
     engine: EngineConfig,
     shard: int,
-    run: int,
     attempt: int,
     resume_from: int,
     stalls,
     composed,
     ring: ShardRing,
-    out_queue,
+    out: Connection,
     recorder,
 ) -> Dict[str, object]:
-    """Execute one submitted run inside a resident worker."""
-    # Fresh registry every run: a forked worker starts with the parent's
-    # counters and a resident one still holds the previous run's, and
-    # the parent merges our snapshot — either would double-count.
+    """Execute one shard of a submitted run inside its worker."""
+    # Fresh registry: a forked worker starts with the parent's counters,
+    # and the parent merges our snapshot — that would double-count.
     METRICS.reset()
     METRICS.enable()
     switch = build_switch(
@@ -202,23 +203,20 @@ def _run_pool_shard(
         composed,
         fault_seed=shard_seed(config.seed, program, shard),
     )
-    # The replica lives as long as the run: take it out of every
+    # The replica lives as long as the worker: take it out of every
     # collection the packet loop triggers (DESIGN.md §13).
     gc.freeze()
 
     def publish(epoch: int, ledger: Dict[str, int], watermark: int) -> None:
-        out_queue.put(
+        out.send(
             (
                 "telemetry",
-                shard,
                 {
                     "epoch": epoch,
                     "metrics": METRICS.snapshot(),
                     "ledger": ledger,
                     "watermark": watermark,
                     "final": False,
-                    "run": run,
-                    "attempt": attempt,
                 },
             )
         )
@@ -226,13 +224,7 @@ def _run_pool_shard(
     def ack(watermark: int) -> None:
         # Lightweight completed-watermark acknowledgement: the liveness
         # heartbeat and progress report even with telemetry off.
-        out_queue.put(
-            (
-                "ack",
-                shard,
-                {"watermark": watermark, "run": run, "attempt": attempt},
-            )
-        )
+        out.send(("ack", {"watermark": watermark}))
 
     parent = os.getppid()
 
@@ -260,105 +252,63 @@ def _run_pool_shard(
     block["shard"] = shard
     block["metrics"] = METRICS.snapshot()
     block["seed"] = shard_seed(config.seed, program, shard)
-    block["run"] = run
     block["attempt"] = attempt
     if resume_from >= 0:
         block["resumed_from"] = resume_from
     return block
 
 
-def _pool_worker(control, out_queue, ring: ShardRing, shard: int,
-                 engine: EngineConfig) -> None:
-    """Resident worker loop: wait for control messages, run, repeat.
+def _pool_worker(config: SoakConfig, program: str, composed,
+                 engine: EngineConfig, shard: int, attempt: int,
+                 resume_from: int, stalls, ring: ShardRing,
+                 out: Connection) -> None:
+    """One worker incarnation: run its shard once, post the result, exit.
 
-    Posts ``(kind, shard, payload)`` results tagged with the run id and
-    this incarnation's attempt number; a failed run posts an error and
-    ends the loop (the supervisor respawns a fresh process — an
-    erroring incarnation is never reused).
+    Posts ``(kind, payload)`` messages on ``out``, its own result pipe;
+    a failed run posts an error instead (the supervisor starts a fresh
+    process for the next attempt).
 
-    GC discipline (DESIGN.md §13): the heap this process starts with is
-    frozen on entry, so its collections never rescan it (nor, after a
-    fork, copy its pages); each run freezes its replica once built.
-    The next run thaws, collects and refreezes before it starts, so at
-    most one finished replica stays frozen, and posting a result never
-    waits on a full collection.
+    GC discipline (DESIGN.md §13): the heap this process starts with —
+    under fork the parent's, the composed program included — is frozen
+    on entry, so its collections never rescan it (nor copy its pages);
+    the replica is frozen once built.
     """
     from repro.obs.telemetry import FlightRecorder
 
     gc.freeze()
-    run: Optional[int] = None
-    attempt = 1
-    recorder = None
+    recorder = (
+        FlightRecorder(config.flight_recorder, shard=shard)
+        if config.flight_recorder > 0
+        else None
+    )
     try:
-        while True:
-            try:
-                message = control.recv()
-            except (EOFError, OSError):  # parent went away
-                return
-            kind = message.get("kind")
-            if kind == "shutdown":
-                return
-            if kind != "run":  # pragma: no cover - protocol guard
-                continue
-            if run is not None:
-                # Release the last run's frozen replica.
-                gc.unfreeze()
-                gc.collect()
-                gc.freeze()
-            run = message["run"]
-            attempt = message.get("attempt", 1)
-            config = message["config"]
-            recorder = (
-                FlightRecorder(config.flight_recorder, shard=shard)
-                if config.flight_recorder > 0
-                else None
-            )
-            out_queue.put(
-                (
-                    "ok",
-                    shard,
-                    _run_pool_shard(
-                        config,
-                        message["program"],
-                        engine,
-                        shard,
-                        run,
-                        attempt,
-                        message.get("resume_from", -1),
-                        message.get("stalls") or [],
-                        message["composed"],
-                        ring,
-                        out_queue,
-                        recorder,
-                    ),
-                )
-            )
-    except KeyboardInterrupt:
-        out_queue.put(
+        out.send(
             (
-                "error",
-                shard,
-                {
-                    "error": "interrupted",
-                    "code": "interrupted",
-                    "run": run,
-                    "attempt": attempt,
-                },
+                "ok",
+                _run_pool_shard(
+                    config, program, engine, shard, attempt, resume_from,
+                    stalls, composed, ring, out, recorder,
+                ),
             )
         )
-    except BaseException as exc:  # noqa: BLE001 — report, never hang the pool
+    except KeyboardInterrupt:
+        out.send(
+            ("error", {"error": "interrupted", "code": "interrupted",
+                       "attempt": attempt})
+        )
+    except BaseException as exc:  # noqa: BLE001 — report, never hang the run
         detail = {
             "error": f"{type(exc).__name__}: {exc}",
             "code": getattr(exc, "code", "worker-error"),
             "traceback": traceback.format_exc(limit=8),
-            "run": run,
             "attempt": attempt,
         }
         if recorder is not None and len(recorder):
             detail["flight_recorder"] = recorder.dump()
-        out_queue.put(("error", shard, detail))
+        out.send(("error", detail))
     finally:
         ring.close()
+        out.close()
 
 
 # ----------------------------------------------------------------------
@@ -372,8 +322,9 @@ class _FlushAbort(Exception):
 
 
 class _RunState:
-    """Everything one ``submit()`` tracks: results, acks, failures,
-    scheduled chaos, and telemetry epoch bookkeeping."""
+    """One ``submit()``: its fleet (processes, rings, result pipes) and
+    everything it tracks — results, acks, failures, scheduled chaos,
+    and telemetry epoch bookkeeping."""
 
     def __init__(self, run, config, program, composed, supervisor,
                  telemetry) -> None:
@@ -383,6 +334,22 @@ class _RunState:
         self.composed = composed
         self.sup: Supervisor = supervisor
         self.telemetry = telemetry
+        self.procs: Dict[int, object] = {}
+        #: Read end of each shard's current result pipe; dropped when
+        #: its worker is reaped, or once the pipe ends.
+        self.conns: Dict[int, Connection] = {}
+        self.rings: List[Optional[ShardRing]] = [None] * supervisor.workers
+        #: Ring-full spins of rings already reaped, per shard (a restart
+        #: replaces the ring; its count must not vanish with it).
+        self.spins: List[int] = [0] * supervisor.workers
+        #: Shard currently being flushed (``None`` outside a blocking
+        #: ring put); a restart/abandon of that shard mid-put raises
+        #: :class:`_FlushAbort` to unwind the now-pointless write.
+        self.flushing: Optional[int] = None
+        #: Parent-side pack buffers, live only while dispatching (a
+        #: restart clears the failed shard's buffer — the replacement
+        #: replays those indices).
+        self.buffers: Optional[List[bytearray]] = None
         self.results: Dict[int, Dict[str, object]] = {}
         self.epochs_seen: Dict[int, int] = {}
         #: Epoch base per shard: a restarted replica's epochs restart at
@@ -411,7 +378,7 @@ class _RunState:
 
 
 class WorkerPool:
-    """``engine.workers`` resident shard workers fed by parent dispatch.
+    """Sharded runs over ``engine.workers`` replicas, one fleet per submit.
 
     Usage::
 
@@ -419,115 +386,94 @@ class WorkerPool:
             for name in config.programs:
                 blocks[name] = pool.submit(config, name)
 
-    ``start()`` is idempotent and implied by the first ``submit()``.
+    Each ``submit()`` starts its workers after composing the program
+    and reaps them, their rings and their result pipes before it returns.
     Worker failures mid-run are *supervised*: the pool restarts the
     replica and deterministically recovers the shard (see the module
     docstring) within the engine's
     :class:`~repro.targets.supervision.RestartPolicy`.  Only after the
     policy is exhausted — or on ``KeyboardInterrupt`` — is the pool
-    **broken** and further submits refused.  ``close()`` is idempotent
-    (``__exit__`` calls it unconditionally) and tears down workers,
-    queue, and shared-memory rings; stopped or wedged workers are
-    SIGCONT+SIGKILLed, never leaked.
+    **broken** and further submits refused.  ``start()`` forks nothing;
+    it only refuses a closed or broken pool.  ``close()`` is idempotent
+    (``__exit__`` calls it unconditionally) and refuses every later
+    submit.
     """
 
     def __init__(self, engine: EngineConfig) -> None:
         engine.validate()
         self.engine = engine
         self._ctx = _mp_context()
-        self._rings: List[Optional[ShardRing]] = []
-        self._conns: list = []
-        self._procs: Dict[int, object] = {}
-        self._out_queue = None
         self._run_id = 0
-        self._started = False
-        self._broken = False
-        self._closed = False
-        #: Shard currently being flushed (``None`` outside a blocking
-        #: ring put); a restart/abandon of that shard mid-put raises
-        #: :class:`_FlushAbort` to unwind the now-pointless write.
-        self._flushing: Optional[int] = None
-        #: Parent-side pack buffers, live only while dispatching (a
-        #: restart clears the failed shard's buffer — the replacement
-        #: replays those indices).
-        self._buffers: Optional[List[bytearray]] = None
-        #: Ring-full spins of rings already reaped, per shard (a restart
-        #: replaces the ring; its count must not vanish with it).
-        self._reaped_spins: List[int] = []
+        #: Set by ``close()`` and by a failed or interrupted submit.
+        self._refusing = False
 
     # ------------------------------------------------------------------
-    def _spawn_worker(self, shard: int) -> None:
-        """(Re)create one shard slot: fresh ring, pipe, process.
+    def _spawn_worker(self, state: _RunState, shard: int) -> None:
+        """Start one shard's current attempt over a fresh ring and
+        result pipe, the run as its arguments; a replacement replays
+        through ``gen_high``.
 
-        Always a fresh ring: a fork-inherited ring object carries the
-        parent's construction-time cached indices, so re-using a drained
-        segment for a replacement replica would replay stale bytes.
+        Always a fresh ring: a replacement must not read the unread
+        bytes its predecessor left in the old one.
         """
-        ring = ShardRing(_RING_BYTES)
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_pool_worker,
-            args=(child_conn, self._out_queue, ring, shard, self.engine),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        self._rings[shard] = ring
-        self._conns[shard] = parent_conn
-        self._procs[shard] = proc
+        ring = state.rings[shard] = ShardRing(_RING_BYTES)
+        reader, writer = self._ctx.Pipe(duplex=False)
+        state.conns[shard] = reader
+        attempt = state.sup.attempts[shard]
+        chaos = self.engine.chaos
+        try:
+            proc = state.procs[shard] = self._ctx.Process(
+                target=_pool_worker,
+                args=(
+                    state.config, state.program, state.composed, self.engine,
+                    shard, attempt, state.gen_high,
+                    chaos.worker_stalls(shard, attempt) if chaos is not None
+                    else [],
+                    ring, writer,
+                ),
+                daemon=True,
+            )
+            proc.start()
+        finally:
+            # Only the worker writes: once its copy closes, the pipe ends.
+            writer.close()
 
-    def _reap(self, shard: int) -> None:
-        """Kill and forget one shard's worker, ring, and pipe.
+    def _reap(self, state: _RunState, shard: int) -> None:
+        """Kill and forget one shard's worker, ring and result pipe.
 
         SIGKILL (not terminate): it reaps a SIGSTOPped worker too, and
-        a replica being replaced has nothing graceful left to do.
+        a replica being replaced — or one that already posted its
+        result — has nothing graceful left to do.
         """
-        proc = self._procs[shard]
-        if proc.is_alive():
-            proc.kill()
-        proc.join(timeout=5)
-        conn = self._conns[shard]
+        proc = state.procs.pop(shard, None)
+        if proc is not None and proc.pid is not None:
+            if proc.is_alive():
+                proc.kill()
+            proc.join(timeout=5)
+        conn = state.conns.pop(shard, None)
         if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            self._conns[shard] = None
-        ring = self._rings[shard]
+            conn.close()
+        ring = state.rings[shard]
         if ring is not None:
-            self._reaped_spins[shard] += ring.full_spins
+            state.spins[shard] += ring.full_spins
             ring.close()
             ring.unlink()
-            self._rings[shard] = None
+            state.rings[shard] = None
 
-    def _full_spins(self) -> List[int]:
-        """Per shard, how often a put has found the ring full so far."""
-        return [
-            reaped + (ring.full_spins if ring is not None else 0)
-            for reaped, ring in zip(self._reaped_spins, self._rings)
-        ]
+    def _teardown(self, state: _RunState) -> None:
+        """Reap the submit's whole fleet: no worker process, ring
+        segment or result pipe outlives the submit."""
+        for shard in range(len(state.rings)):
+            self._reap(state, shard)
 
     def start(self) -> "WorkerPool":
-        if self._started:
-            return self
-        if self._closed:
+        """Refuse a closed or broken pool; forks nothing (each submit
+        starts and reaps its own fleet)."""
+        if self._refusing:
             raise EngineError(
                 "worker pool is closed or broken (failed run); "
                 "create a new pool"
             )
-        self._out_queue = self._ctx.Queue()
-        self._rings = [None] * self.engine.workers
-        self._conns = [None] * self.engine.workers
-        self._reaped_spins = [0] * self.engine.workers
-        self._procs = {}
-        try:
-            for shard in range(self.engine.workers):
-                self._spawn_worker(shard)
-        except BaseException:
-            self._started = True  # so close() reaps the partial fleet
-            self.close()
-            raise
-        self._started = True
         return self
 
     # ------------------------------------------------------------------
@@ -545,13 +491,8 @@ class WorkerPool:
 
     def _handle_message(self, state: _RunState, kind: str, shard: int,
                         payload: Dict[str, object]) -> bool:
-        """Fold one result-queue message; returns True when it came
+        """Fold one result-pipe message; returns True when it came
         from a still-pending shard (the watchdog re-arm signal)."""
-        if payload.get("run") not in (None, state.run):
-            return False  # stale message from an earlier pool run
-        attempt = payload.get("attempt")
-        if attempt is not None and attempt != state.sup.attempts[shard]:
-            return False  # stale message from a replaced incarnation
         pending = (
             shard not in state.results and shard not in state.sup.abandoned
         )
@@ -594,7 +535,7 @@ class WorkerPool:
         return False
 
     def _sweep_liveness(self, state: _RunState) -> None:
-        for shard, proc in self._procs.items():
+        for shard, proc in state.procs.items():
             if shard in state.results or shard in state.sup.abandoned:
                 continue
             if not proc.is_alive():
@@ -611,16 +552,34 @@ class WorkerPool:
                     },
                 )
 
+    def _receive(self, state: _RunState, timeout: float) -> bool:
+        """Fold every message waiting on the result pipes, waiting up to
+        ``timeout`` for the first; True when one came from a still-
+        pending shard (the watchdog re-arm signal).  A pipe whose worker
+        is gone — exited, or killed, maybe mid-message — ends: it is
+        closed and dropped, and the liveness sweep reports the death."""
+        rearm = False
+        ready = wait(list(state.conns.values()), timeout)
+        for shard, conn in list(state.conns.items()):
+            if conn not in ready:
+                continue
+            while True:
+                try:
+                    kind, payload = conn.recv()
+                except (EOFError, OSError):
+                    conn.close()
+                    del state.conns[shard]
+                    break
+                rearm |= self._handle_message(state, kind, shard, payload)
+                if not conn.poll():
+                    break
+        return rearm
+
     def _drain(self, state: _RunState) -> None:
-        """Non-blocking result-queue sweep + liveness check.  Failures
+        """Non-blocking result-pipe sweep + liveness check.  Failures
         are *recorded*, not raised — the supervisor decides their fate
         in :meth:`_process_failures`."""
-        while True:
-            try:
-                kind, shard, payload = self._out_queue.get_nowait()
-            except queue_mod.Empty:
-                break
-            self._handle_message(state, kind, shard, payload)
+        self._receive(state, 0)
         self._sweep_liveness(state)
 
     # ------------------------------------------------------------------
@@ -639,7 +598,7 @@ class WorkerPool:
             if shard in state.results or shard in state.sup.abandoned:
                 event.fired = True  # nothing left to disturb
                 continue
-            proc = self._procs.get(shard)
+            proc = state.procs.get(shard)
             if (
                 proc is None
                 or proc in state.chaos_killed
@@ -668,13 +627,13 @@ class WorkerPool:
                 pass
         state.pending_chaos[:] = still_pending
 
-    def _fire_resumes(self, state: _RunState, force: bool = False) -> None:
+    def _fire_resumes(self, state: _RunState) -> None:
         if not state.resumes:
             return
         now = time.monotonic()
         remaining = []
         for due, proc in state.resumes:
-            if force or now >= due:
+            if now >= due:
                 if proc.is_alive():
                     try:
                         os.kill(proc.pid, signal.SIGCONT)
@@ -687,34 +646,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Supervision: restart / abandon
     # ------------------------------------------------------------------
-    def _send_run(self, state: _RunState, shard: int) -> None:
-        sup = state.sup
-        chaos = self.engine.chaos
-        message = {
-            "kind": "run",
-            "run": state.run,
-            "attempt": sup.attempts[shard],
-            "resume_from": state.gen_high,
-            "config": state.config,
-            "program": state.program,
-            "composed": state.composed,
-            "stalls": (
-                chaos.worker_stalls(shard, sup.attempts[shard])
-                if chaos is not None
-                else []
-            ),
-        }
-        try:
-            self._conns[shard].send(message)
-        except (BrokenPipeError, OSError):
-            self._record_failure(
-                state,
-                shard,
-                "send-failed",
-                {"error": "control pipe closed before the run message "
-                          "was delivered"},
-            )
-
     def _record_event(self, state: _RunState, decision: str, shard: int,
                       reason: str) -> None:
         if state.telemetry is None:
@@ -732,8 +663,8 @@ class WorkerPool:
         )
 
     def _process_failures(self, state: _RunState) -> None:
-        """Resolve every deferred failure: restart (respawn, and the
-        replacement replays its shard up to ``gen_high``) within policy,
+        """Resolve every deferred failure: restart (a fresh worker that
+        replays its shard up to ``gen_high``) within policy,
         abandon beyond it.
 
         Raises :class:`_FlushAbort` after resolving if the shard
@@ -752,28 +683,27 @@ class WorkerPool:
                 continue
             decision = state.sup.decide(shard, reason, detail)
             self._record_event(state, decision, shard, reason)
-            if self._flushing == shard:
+            if state.flushing == shard:
                 abort_flush = True
-            if self._buffers is not None:
+            if state.buffers is not None:
                 # Buffered-but-unflushed indices are <= gen_high: the
                 # replacement replays them, or nobody runs them.
-                self._buffers[shard].clear()
+                state.buffers[shard].clear()
             if decision == Supervisor.ABANDON:
-                self._reap(shard)
+                self._reap(state, shard)
                 continue
             delay = state.sup.backoff_s(shard)
             if delay > 0:
                 time.sleep(delay)
-            self._reap(shard)
+            self._reap(state, shard)
             # The replacement's epochs restart at 1; base them past
             # everything its predecessor published.
             state.epoch_offset[shard] = state.epochs_seen.get(shard, 0)
-            self._spawn_worker(shard)
-            self._send_run(state, shard)
+            self._spawn_worker(state, shard)
             if state.gen_done:
                 # The replay covers the whole stream: end the fresh ring
                 # (it is empty, so the sentinel never waits).
-                self._rings[shard].close_stream()
+                state.rings[shard].close_stream()
                 state.sentinel_sent.add(shard)
         if abort_flush:
             raise _FlushAbort()
@@ -787,14 +717,13 @@ class WorkerPool:
         workers, policy = engine.workers, engine.shard_policy
         room = _packet_room(_RING_BYTES)
         watchdog_s = _WATCHDOG_S
-        buffers = [bytearray() for _ in range(workers)]
-        self._buffers = buffers
+        buffers = state.buffers = [bytearray() for _ in range(workers)]
         pack = _REC.pack
         abandoned = state.sup.abandoned
         drained = time.monotonic()
 
         def sweep() -> None:
-            # Rate-limit the queue poll + liveness check: one per 2ms
+            # Rate-limit the pipe poll + liveness check: one per 2ms
             # ring spin burns the very CPU the worker needs to drain
             # the ring on a single-core host; every 50ms is more than
             # enough to surface a crashed worker.
@@ -817,9 +746,9 @@ class WorkerPool:
             when a restart or abandon unwound it (the replacement
             replays the payload's indices, or its fresh ring already
             has the sentinel) or the ring stalled past the watchdog."""
-            self._flushing = shard
+            state.flushing = shard
             try:
-                write(self._rings[shard])
+                write(state.rings[shard])
                 return True
             except _FlushAbort:
                 pass
@@ -833,7 +762,7 @@ class WorkerPool:
                 except _FlushAbort:
                     pass
             finally:
-                self._flushing = None
+                state.flushing = None
             return False
 
         def flush(shard: int) -> None:
@@ -898,7 +827,7 @@ class WorkerPool:
                 # finalizing its block.
                 self._fire_chaos(state, None)
         finally:
-            self._buffers = None
+            state.buffers = None
 
     # ------------------------------------------------------------------
     # Collect
@@ -919,12 +848,7 @@ class WorkerPool:
             ]
             if not pending:
                 break
-            rearm = False
-            try:
-                kind, shard, payload = self._out_queue.get(timeout=0.2)
-                rearm = self._handle_message(state, kind, shard, payload)
-            except queue_mod.Empty:
-                pass
+            rearm = self._receive(state, 0.2)
             self._fire_resumes(state)
             self._sweep_liveness(state)
             if state.failures:
@@ -992,29 +916,25 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def submit(self, config: SoakConfig, program: str,
                telemetry=None, composed=None) -> Dict[str, object]:
-        """Run one program across the resident workers; returns the
-        merged program block (:func:`~repro.targets.engine._merge_blocks`
-        plus the supervision fields ``restarts`` / ``watermarks`` /
+        """Run one program across a fleet of its own; returns the merged
+        program block (:func:`~repro.targets.engine._merge_blocks` plus
+        the supervision fields ``restarts`` / ``watermarks`` /
         ``degraded`` and the who-was-waiting pair ``dispatch_s`` /
-        ``ring_full_spins``).  ``composed`` is the program to ship when
+        ``ring_full_spins``).  ``composed`` is the program to run when
         the caller already compiled it; ``program`` then only labels the
         run and seeds its stream."""
-        if self._closed or self._broken:
-            raise EngineError(
-                "worker pool is closed or broken (failed run); "
-                "create a new pool"
-            )
-        # Validate and compile in the parent: a bad backend name or
-        # program fails here, once, before any worker sees a control
-        # message (workers would otherwise die N times on the same
-        # unknown-backend error from the seam).  Validation comes before
-        # the first fork: it imports the backend's module, so workers
-        # and their supervised replacements inherit it.
+        # Validate and compose in the parent, before the first fork: a
+        # bad backend name or program fails here, once (workers would
+        # otherwise die N times on the same error).  Validation imports
+        # the backend's module and ``executed_statements`` derives the
+        # executable form, so every worker — a supervised replacement
+        # too — inherits both with the composed program.
         config.validate()
         self.start()
         engine = self.engine
         if composed is None:
             composed = compose_program(config, program)
+        statements = executed_statements(composed)
         self._run_id += 1
         run = self._run_id
         policy = engine.restart if engine.restart is not None else RestartPolicy()
@@ -1029,32 +949,24 @@ class WorkerPool:
         start = time.perf_counter()
         try:
             for shard in range(engine.workers):
-                if not self._procs[shard].is_alive():
-                    # Idle death between runs lost no run state: repair
-                    # the slot without charging the restart budget.
-                    self._reap(shard)
-                    self._spawn_worker(shard)
-                self._send_run(state, shard)
-            if state.failures:
-                self._process_failures(state)
-            spins_before = self._full_spins()
+                self._spawn_worker(state, shard)
             dispatch_start = time.perf_counter()
             self._dispatch(state)
             dispatch_s = time.perf_counter() - dispatch_start
             self._collect_supervised(state)
+            wall_s = time.perf_counter() - start
         except BaseException:
-            self._broken = True
+            self._refusing = True
             raise
         finally:
-            self._fire_resumes(state, force=True)
-        wall_s = time.perf_counter() - start
+            self._teardown(state)
         shards = [state.results[shard] for shard in sorted(state.results)]
         if telemetry is not None:
             _publish_final_epochs(
                 telemetry, program, shards, state.epochs_seen, run=run
             )
         merged = _merge_blocks(program, config, engine, shards, wall_s)
-        merged.update(executed_statements(composed))
+        merged.update(statements)
         merged["restarts"] = {
             str(s): n for s, n in sorted(sup.restarts.items()) if n
         }
@@ -1067,10 +979,7 @@ class WorkerPool:
         # one.
         merged["dispatch_s"] = round(dispatch_s, 3)
         merged["ring_full_spins"] = {
-            str(shard): after - before
-            for shard, (before, after) in enumerate(
-                zip(spins_before, self._full_spins())
-            )
+            str(shard): spins for shard, spins in enumerate(state.spins)
         }
         merged["degraded"] = False  # abandonment raises instead
         if sup.total_restarts:
@@ -1079,67 +988,12 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down workers and destroy queue + shared-memory rings.
-
-        Idempotent: safe before :meth:`start`, after a failed run, and
-        any number of times.  Chaos-stopped workers are SIGCONTed so
-        they can honor shutdown, and anything still alive after
-        ``terminate`` is SIGKILLed — a closed pool leaves no orphan
-        processes and no ``/dev/shm`` segments behind.
-        """
-        self._closed = True
-        self._broken = True  # a closed pool cannot accept new runs
-        if not self._started:
-            return
-        for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                conn.send({"kind": "shutdown"})
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs.values():
-            if proc.pid is None:
-                continue
-            try:
-                os.kill(proc.pid, signal.SIGCONT)
-            except (ProcessLookupError, OSError):  # pragma: no cover - gone
-                pass
-        for proc in self._procs.values():
-            proc.join(timeout=1)
-        for proc in self._procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs.values():
-            if proc.pid is not None:
-                proc.join(timeout=1)
-        for proc in self._procs.values():
-            if proc.is_alive():  # pragma: no cover - wedged worker
-                proc.kill()
-                proc.join(timeout=5)
-        for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        if self._out_queue is not None:
-            self._out_queue.close()
-            self._out_queue.cancel_join_thread()
-        for ring in self._rings:
-            if ring is None:
-                continue
-            ring.close()
-            ring.unlink()
-        self._rings = []
-        self._conns = []
-        self._procs = {}
-        self._out_queue = None
-        self._started = False
+        """Refuse every later submit.  Idempotent, and safe at any time:
+        each submit already reaped its own fleet."""
+        self._refusing = True
 
     def __enter__(self) -> "WorkerPool":
-        return self  # the first submit() starts the workers
+        return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()

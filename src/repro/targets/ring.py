@@ -1,7 +1,7 @@
 """SPSC shared-memory ring buffers for parent->worker packet dispatch.
 
-The resident worker pool (:mod:`repro.targets.pool`) feeds each shard's
-worker over one of these rings: the parent generates the deterministic
+The worker pool (:mod:`repro.targets.pool`) feeds each shard's worker
+over one of these rings: the parent generates the deterministic
 stream once, serializes ``(index, in_port, bytes)`` records, and writes
 them into a :class:`~multiprocessing.shared_memory.SharedMemory` block
 the worker drains — no pickling queue, no per-message lock handoff.

@@ -138,7 +138,7 @@ class RuntimeAPI:
 
     def lookup_info(self) -> Dict[str, Dict[str, object]]:
         """Per-table lookup strategy (exact-hash / lpm-buckets /
-        compiled-scan / reference-scan), entry and residual counts, and
+        compiled-scan / reference-scan), entry counts, and
         ``index_events``: how often the table's index was built in full
         (``tables.index.rebuilt``) or took an install in place
         (``tables.index.appended``), and under ``--exec vector`` the same

@@ -140,7 +140,7 @@ class SoakConfig:
         Validation is against the live registries — the backends seam,
         the stream registry — never local literals, so a new backend is
         accepted here the moment the seam knows it.  :func:`run_soak`
-        and the resident pool's parent-side ``submit`` both call this up
+        and the worker pool's parent-side ``submit`` both call this up
         front, before any fork: resolving the backend imports its
         module (numpy, for ``vector``) once in the parent instead of in
         every worker and every supervised restart.
@@ -776,8 +776,8 @@ def run_soak(
                 "without an engine); per-worker trace files are not "
                 "supported"
             )
-        # One resident pool for the whole soak: fork once, then submit
-        # every program to the same workers.  The pool validates the
+        # One pool for the whole soak; each submit composes its program,
+        # then forks a fleet that inherits it.  The pool validates the
         # engine config (workers < 1, unknown policy) before any fork.
         with WorkerPool(engine) as pool:
             programs = {

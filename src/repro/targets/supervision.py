@@ -1,21 +1,21 @@
-"""Supervision policy for the resident worker pool.
+"""Supervision policy for the sharded worker fleet.
 
-PR 3 made the switch fault-contained per *packet*; this module makes
-the engine fault-contained per *process*.  A replica death mid-stream
-(SIGKILL, hard exit, hung ring) used to mark the whole pool broken;
-under supervision the pool treats it the way production dataplanes
-treat a device reset — a recoverable event:
+The switch is fault-contained per *packet*; this module makes the
+engine fault-contained per *process*.  A replica death mid-stream
+(SIGKILL, hard exit, hung ring) does not end the run: the pool treats
+it the way production dataplanes treat a device reset — a recoverable
+event:
 
 * Workers acknowledge a per-shard **completed watermark**: the highest
   global packet index whose verdict has been folded into the shard
   digest (piggybacked on telemetry publishes and on lightweight
-  ``("ack", ...)`` result-queue messages) — the liveness heartbeat and
+  ``("ack", ...)`` result-pipe messages) — the liveness heartbeat and
   the progress a partial-result error reports.
-* On failure the supervisor respawns a fresh replica which *replays*
-  its own prefix up to ``gen_high``, everything the parent has
-  generated so far — regenerated from the pure ``(seed, program)``
-  stream — while the parent keeps dispatching later packets over a
-  fresh ring.  Execution is deterministic (per-shard fault RNG
+* On failure the pool starts a fresh replica, forked after the
+  program was composed like the first.  It *replays* its own prefix up
+  to ``gen_high``, everything the parent has generated so far,
+  regenerated from the pure ``(seed, program)`` stream, while the
+  parent keeps dispatching later packets over a fresh ring.  Execution is deterministic (per-shard fault RNG
   streams, pure shard assignment), so the rebuilt verdict stream — and
   therefore the shard digest — is bit-identical to an undisturbed run.
   See DESIGN.md §14 for the full argument.
@@ -29,7 +29,7 @@ shards and raises a structured partial-result
 its watermark, instead of tearing the run down mid-flight.
 
 :class:`Supervisor` is pure bookkeeping — decisions, counters, event
-log.  Process management (kill/spawn/dispatch) stays in
+log.  Process management (kill/start/dispatch) stays in
 :class:`~repro.targets.pool.WorkerPool`, which owns the processes.
 """
 
@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 from repro.errors import TargetError
 
 #: Failure reasons a supervisor distinguishes in its event log.
-FAILURE_REASONS = ("died", "error", "ring-stall", "watchdog", "send-failed")
+FAILURE_REASONS = ("died", "error", "ring-stall", "watchdog")
 
 #: Restart backoff ceiling, in seconds.
 BACKOFF_MAX_S = 2.0

@@ -50,7 +50,7 @@ Entries whose specs do not fit an index's fast map (e.g. a don't-care
 spec on an exact key) go to a small residual list that is scanned in
 priority order, so every strategy reproduces the reference semantics
 bit-for-bit.  :meth:`TableRuntime.lookup_scan_full` keeps the reference
-scan alive for differential tests and benchmarks.
+scan alive for differential tests.
 
 Answers as declared
 -------------------
@@ -361,6 +361,18 @@ class _CompiledScan:
         return best_entry
 
 
+def _index_class(match_kinds: Sequence[str]):
+    """The index a table with these match kinds builds: a pure function
+    of the declaration, so reporting it needs no build."""
+    if all(kind == "exact" for kind in match_kinds):
+        return _ExactIndex
+    if match_kinds.count("lpm") == 1 and all(
+        kind in ("exact", "lpm") for kind in match_kinds
+    ):
+        return _LpmIndex
+    return _CompiledScan
+
+
 #: Keys a table's lookup memo holds before it is emptied and refilled.
 _MEMO_CAP = 4096
 
@@ -379,7 +391,6 @@ class TableRuntime:
     def __init__(
         self,
         decl: ast.TableDecl,
-        key_widths: Optional[List[int]] = None,
         use_index: bool = True,
         actions: Optional[Mapping[str, ast.ActionDecl]] = None,
     ) -> None:
@@ -387,15 +398,14 @@ class TableRuntime:
         self.name = decl.name
         self.match_kinds = [k.match_kind for k in decl.keys]
         self.key_exprs = tuple(k.expr for k in decl.keys)
+        key_widths = getattr(decl, "_key_width_cache", None)
         if key_widths is None:
-            key_widths = getattr(decl, "_key_width_cache", None)
-            if key_widths is None:
-                key_widths = tuple(
-                    _width_of(k.expr, table=decl.name, key=_key_name(k.expr))
-                    for k in decl.keys
-                )
-                decl._key_width_cache = key_widths  # type: ignore[attr-defined]
-        self.key_widths = tuple(key_widths)
+            key_widths = tuple(
+                _width_of(k.expr, table=decl.name, key=_key_name(k.expr))
+                for k in decl.keys
+            )
+            decl._key_width_cache = key_widths  # type: ignore[attr-defined]
+        self.key_widths = key_widths
         self._key_names = [_key_name(k.expr) for k in decl.keys]
         self._has_lpm = "lpm" in self.match_kinds
         self.use_index = use_index
@@ -629,8 +639,7 @@ class TableRuntime:
         """Reference linear scan over ``const + runtime`` entries.
 
         This is the semantic ground truth the indexed strategies must
-        reproduce; differential tests and the lookup-throughput benchmark
-        call it directly.
+        reproduce; differential tests call it directly.
         """
         if METRICS.enabled:
             METRICS.inc("interp.lookup.scan")
@@ -658,13 +667,13 @@ class TableRuntime:
 
     def _build_index(self):
         combined = [*self.const_entries, *self.runtime_entries]
-        kinds = self.match_kinds
-        if all(kind == "exact" for kind in kinds):
+        kind = _index_class(self.match_kinds)
+        if kind is _ExactIndex:
             index = _ExactIndex(combined, self.key_widths)
-        elif kinds.count("lpm") == 1 and all(
-            kind in ("exact", "lpm") for kind in kinds
-        ):
-            index = _LpmIndex(combined, self.key_widths, kinds.index("lpm"))
+        elif kind is _LpmIndex:
+            index = _LpmIndex(
+                combined, self.key_widths, self.match_kinds.index("lpm")
+            )
         else:
             index = _CompiledScan(combined, self.key_widths, self._has_lpm)
         self._index = index
@@ -674,17 +683,16 @@ class TableRuntime:
 
     def index_info(self) -> Dict[str, object]:
         """Strategy, entry stats and index-maintenance counts for
-        reporting (CLI, control API)."""
+        reporting (CLI, control API).  A report builds no index, counts
+        no event and leaves :attr:`as_declared` alone: the strategy
+        follows from the match kinds."""
         info: Dict[str, object] = {
             "entries": len(self.const_entries) + len(self.runtime_entries),
             "indexed": self.use_index,
-            # Before the build this report itself may trigger below.
             "index_events": dict(self.index_events),
         }
         if self.use_index:
-            index = self._index if self._index is not None else self._build_index()
-            info["strategy"] = index.strategy
-            info["residual"] = len(getattr(index, "residual", ()))
+            info["strategy"] = _index_class(self.match_kinds).strategy
         else:
             info["strategy"] = "reference-scan"
         return info
@@ -739,12 +747,11 @@ class TableRuntime:
             for entry, row in zip(self.const_entries, rows):
                 # First entry per key wins, as in the scan.
                 by_key.setdefault(tuple(s[1] for s in entry.matches), row)
-        if not self.use_index:
-            metric = "interp.lookup.scan"
-        elif all(kind == "exact" for kind in self.match_kinds):
-            metric = _ExactIndex.metric
-        else:
-            metric = _CompiledScan.metric
+        metric = (
+            _index_class(self.match_kinds).metric
+            if self.use_index
+            else "interp.lookup.scan"
+        )
         return DeclaredAnswers(
             by_key, rows,
             (self.default_action, list(self.default_args), False, None),

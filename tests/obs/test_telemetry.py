@@ -97,9 +97,9 @@ class TestLiveTelemetry:
         assert snap["latency_us"] == {}
 
     def test_new_run_replaces_source_despite_lower_epoch(self):
-        # A resident pool reuses the same (program, shard) keys across
-        # submits; run 2's epoch 1 must replace run 1's epoch 5, not be
-        # dropped as stale.
+        # A pool reuses the same (program, shard) keys across submits;
+        # run 2's epoch 1 must replace run 1's epoch 5, not be dropped
+        # as stale.
         live = LiveTelemetry()
         assert live.publish("P4", 0, 5, _snap(x=100), run=1)
         assert not live.publish("P4", 0, 4, _snap(x=1), run=1)

@@ -114,12 +114,12 @@ class TestKillRecovery:
         # replays.  A small ring keeps gen_high near the kill, so the
         # ring still carries a good part of the shard.
         restarts, puts = [], []
-        send_run, put = WorkerPool._send_run, ShardRing.put
+        spawn, put = WorkerPool._spawn_worker, ShardRing.put
 
-        def spy_send_run(pool, state, shard):
+        def spy_spawn(pool, state, shard):
+            spawn(pool, state, shard)
             if state.sup.attempts[shard] > 1:
-                restarts.append((shard, state.gen_high, pool._rings[shard]))
-            return send_run(pool, state, shard)
+                restarts.append((shard, state.gen_high, state.rings[shard]))
 
         def spy_put(ring, payload, *args, **kwargs):
             offset = 0
@@ -129,7 +129,7 @@ class TestKillRecovery:
                 offset += _REC.size + length
             return put(ring, payload, *args, **kwargs)
 
-        monkeypatch.setattr(WorkerPool, "_send_run", spy_send_run)
+        monkeypatch.setattr(WorkerPool, "_spawn_worker", spy_spawn)
         monkeypatch.setattr(ShardRing, "put", spy_put)
         monkeypatch.setattr(pool_mod, "_RING_BYTES", 2048)
         config = chaos_config()

@@ -32,7 +32,6 @@ from repro.targets.engine import (
 )
 from repro.targets.faults import ChaosPlan
 from repro.targets import pool as pool_mod
-from repro.targets.pool import WorkerPool
 from repro.targets.soak import SoakConfig, render_summary, run_soak, soak_program
 from tests.targets.helpers import run_sharded, sabotage_shard0
 
@@ -205,21 +204,6 @@ class TestWhoWasWaiting:
         tiny = run_sharded(config, "P4", EngineConfig(workers=2))
         assert sum(tiny["ring_full_spins"].values()) > 0
         assert tiny["digest"] == roomy["digest"]
-
-    def test_counts_are_per_run_on_a_resident_pool(self, monkeypatch):
-        config = quick_config()
-        monkeypatch.setattr(pool_mod, "_RING_BYTES", 4096)
-        with WorkerPool(EngineConfig(workers=2)) as pool:
-            first = pool.submit(config, "P4")
-            # Workers are resident and warm now; the ring objects (and
-            # their lifetime counters) are the same ones.
-            second = pool.submit(config, "P4")
-            lifetime = pool._full_spins()
-        assert first["digest"] == second["digest"]
-        assert [
-            first["ring_full_spins"][s] + second["ring_full_spins"][s]
-            for s in ("0", "1")
-        ] == lifetime
 
     def test_summary_prints_them(self):
         summary = run_soak(quick_config(packets=200), engine=EngineConfig(workers=2))

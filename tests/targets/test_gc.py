@@ -2,10 +2,12 @@
 what it reports about it, and who freezes what (DESIGN.md §8, §13)."""
 
 import gc
+import weakref
 from collections import Counter
 
 import pytest
 
+from repro.lib.catalog import link_composition
 from repro.targets.engine import EngineConfig, _merge_blocks
 from repro.targets.pool import WorkerPool
 from repro.targets.soak import (
@@ -74,6 +76,37 @@ class TestNoLaneCycles:
         left = cyclic_garbage(run)
         assert switch.stats["killed"] > 100  # the faulting lanes ran
         assert not PACKET_PATH_TYPES & set(left), left
+
+
+class TestNoComposeCycles:
+    """A composed program goes with its last reference, by reference
+    counting alone: no cycle keeps it waiting for a full collection
+    while every later fork inherits it."""
+
+    @pytest.fixture
+    def no_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("mode", ("micro", "mono"))
+    def test_compose_leaves_no_cycle_holding_the_program(
+        self, mode, no_collector
+    ):
+        config = hostile_config(mode=mode)
+        composed = weakref.ref(compose_program(config, "P7"))
+        assert composed() is None
+
+    def test_submit_leaves_no_cycle_holding_the_program(self, no_collector):
+        config = hostile_config(programs=["P1"], packets=200)
+        program = compose_program(config, "P1")
+        composed = weakref.ref(program)
+        with WorkerPool(EngineConfig(workers=2)) as pool:
+            assert pool.submit(config, "P1", composed=program)["packets"] == 200
+        del program
+        assert composed() is None
 
 
 class TestGcBlock:
@@ -168,12 +201,19 @@ class TestFreezeDiscipline:
             assert shard["gc"]["frozen"] > 0
             assert shard["gc"]["collected"][1:] == [0, 0], shard["gc"]
 
-    def test_resident_pool_keeps_one_replica_frozen(self):
-        """Each run thaws the last run's replica: after P1-P7 in turn, a
-        second P1 freezes what the first did, not seven replicas more."""
+    def test_repeated_submits_freeze_the_same_heap(self):
+        """Each submit's workers freeze the heap they fork with plus their
+        own replica: after P1-P7 in turn, a second P1 freezes what the
+        first did, not seven composed programs more.  Every fork also
+        inherits the parent's front-end cache (``repro.core.driver``),
+        which holds each program's modules for the life of the process:
+        it is filled for all seven before the first submit."""
+        programs = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
+        for program in programs:
+            link_composition(program)
         frozen = []
         with WorkerPool(EngineConfig(workers=2)) as pool:
-            for program in ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P1"):
+            for program in programs + ("P1",):
                 config = hostile_config(programs=[program], packets=200)
                 block = pool.submit(config, program)
                 frozen.append([s["gc"]["frozen"] for s in block["shards"]])

@@ -1,6 +1,7 @@
-"""Resident worker pool: lifecycle, backpressure, reuse, determinism."""
+"""Worker pool: one fleet per submit, backpressure, reuse, determinism."""
 
 import multiprocessing
+import os
 import time
 
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from repro.targets.backends import EXEC_BACKENDS
 from repro.targets import pool as pool_mod
 from repro.targets.engine import EngineConfig, EngineError
+from repro.targets.faults import ChaosPlan
 from repro.targets.pool import WorkerPool
+from repro.targets.ring import ShardRing
 from repro.targets.soak import SoakConfig
 from repro.targets.supervision import RestartPolicy
 from repro.targets.vector import NUMPY_AVAILABLE
@@ -37,29 +40,27 @@ def no_orphans() -> bool:
     return True
 
 
+def shm_segments() -> set:
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:  # pragma: no cover - non-Linux
+        return set()
+
+
+def open_fds() -> int:
+    return len(os.listdir(f"/proc/{os.getpid()}/fd"))
+
+
 class TestLifecycle:
-    def test_submit_starts_lazily_and_close_reaps(self):
+    def test_submit_reaps_its_fleet(self):
         pool = WorkerPool(EngineConfig(workers=2))
         try:
             block = pool.submit(small_config(), "P4")
             assert block["packets"] == 400 and block["ledger_ok"]
-            assert len(multiprocessing.active_children()) >= 2
+            assert len(block["shards"]) == 2
+            assert no_orphans()  # before close(): the submit reaped them
         finally:
             pool.close()
-        assert no_orphans()
-
-    def test_close_unlinks_shared_memory(self):
-        from multiprocessing import shared_memory
-
-        pool = WorkerPool(EngineConfig(workers=2))
-        pool.start()
-        names = [ring.name for ring in pool._rings]
-        pool.submit(small_config(), "P4")
-        pool.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        assert no_orphans()
 
     def test_context_manager_tears_down(self):
         with WorkerPool(EngineConfig(workers=2)) as pool:
@@ -96,44 +97,159 @@ class TestLifecycle:
                 raise RuntimeError("simulated parent error")
         assert no_orphans()
 
-    def test_no_shm_leak_on_simulated_parent_error(self):
-        # Satellite: abnormal teardown (parent raises mid-session, pool
-        # dropped without close()) must not leak /dev/shm segments —
-        # the ring finalizers reclaim them when the objects die.
-        import gc
 
+class _SpyContext:
+    """A start-method context that records every result pipe made."""
+
+    def __init__(self, ctx, pipes: list) -> None:
+        self._ctx, self._pipes = ctx, pipes
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def Pipe(self, duplex=True):
+        ends = self._ctx.Pipe(duplex)
+        self._pipes.extend(ends)
+        return ends
+
+
+class TestFleetPerSubmit:
+    """Each submit owns its processes, rings and result pipes; none of
+    them outlives it, however the run ends."""
+
+    @pytest.mark.parametrize(
+        "outcome", ["ok", "worker-error", "abandon", "interrupt"]
+    )
+    def test_nothing_outlives_a_submit(self, outcome, monkeypatch):
         from multiprocessing import shared_memory
 
-        pool = WorkerPool(EngineConfig(workers=2))
-        pool.start()
-        names = [ring.name for ring in pool._rings]
-        try:
-            raise RuntimeError("simulated parent error before close()")
-        except RuntimeError:
-            pass
-        # The parent "forgot" close(); dropping the pool (and with it
-        # the rings) must still unlink the segments via weakref.finalize.
-        for proc in pool._procs.values():
-            proc.kill()
-            proc.join(timeout=5)
-        pool._out_queue.close()
-        pool._out_queue.cancel_join_thread()
-        del pool
-        gc.collect()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        rings, pipes = [], []
+
+        class SpyRing(ShardRing):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                rings.append(self.name)
+
+        monkeypatch.setattr(pool_mod, "ShardRing", SpyRing)
+        restart = RestartPolicy(backoff_base_s=0.01)
+        chaos = None
+        if outcome == "worker-error":
+            sabotage_shard0(monkeypatch, "error")
+        elif outcome == "interrupt":
+            sabotage_shard0(monkeypatch, "interrupt")
+        elif outcome == "abandon":
+            restart = RestartPolicy(max_restarts_per_shard=0, restart_budget=0)
+            chaos = ChaosPlan.from_specs("kill:shard=0@pkt=200")
+        expected = {
+            "ok": None,
+            "worker-error": EngineError,
+            "abandon": EngineError,
+            "interrupt": KeyboardInterrupt,
+        }[outcome]
+        ShardRing(1024).unlink()  # the resource tracker's pipe opens once
+        before, fds = shm_segments(), open_fds()
+        with WorkerPool(
+            EngineConfig(workers=2, restart=restart, chaos=chaos)
+        ) as pool:
+            pool._ctx = _SpyContext(pool._ctx, pipes)
+            if expected is None:
+                assert pool.submit(small_config(), "P4")["ledger_ok"]
+            else:
+                with pytest.raises(expected):
+                    pool.submit(small_config(), "P4")
+            # Checked before close(): the submit itself tore down.
+            assert no_orphans()
+            assert len(rings) >= 2 and len(pipes) == 2 * len(rings)
+            assert all(end.closed for end in pipes)
+            for name in rings:
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=name)
+            assert shm_segments() <= before
+            assert open_fds() <= fds  # the result pipes are closed too
+
+    def test_a_worker_killed_mid_message_stalls_no_other_shard(
+        self, monkeypatch
+    ):
+        """Shard 0's first incarnation writes half a message to its
+        result pipe and is SIGKILLed.  Only that pipe ends mid-message:
+        the other shard reports as usual, shard 0 restarts, and the run
+        ends as an undisturbed one does, far inside the watchdog."""
+        import signal
+        import struct
+
+        run_shard = pool_mod._run_pool_shard
+
+        def killed_mid_message(config, program, engine, shard, attempt,
+                               *rest):
+            if shard == 0 and attempt == 1:
+                out = rest[-2]
+                # A length header promising more bytes than follow.
+                os.write(out.fileno(), struct.pack("!i", 4096) + b"half")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_shard(config, program, engine, shard, attempt, *rest)
+
+        with WorkerPool(EngineConfig(workers=2)) as pool:
+            undisturbed = pool.submit(small_config(), "P4")
+        monkeypatch.setattr(pool_mod, "_run_pool_shard", killed_mid_message)
+        monkeypatch.setattr(pool_mod, "_WATCHDOG_S", 30.0)
+        engine = EngineConfig(
+            workers=2, restart=RestartPolicy(backoff_base_s=0.01)
+        )
+        start = time.monotonic()
+        with WorkerPool(engine) as pool:
+            block = pool.submit(small_config(), "P4")
+        assert time.monotonic() - start < 15
+        assert block["restarts"] == {"0": 1}
+        assert [e["reason"] for e in block["supervision"]["events"]] == [
+            "died"
+        ]
+        assert block["digest"] == undisturbed["digest"]
+        assert no_orphans()
+
+    @pytest.mark.parametrize(
+        "start_method, specs, pickles",
+        [
+            ("fork", None, 0),
+            ("fork", "kill:shard=0@pkt=200", 0),
+            # The counter does see pickling: a spawned worker gets the
+            # program in its pickled arguments, once per incarnation.
+            ("spawn", "kill:shard=0@pkt=200", 3),
+        ],
+        ids=["fork", "fork-restart", "spawn-restart"],
+    )
+    def test_composed_pipeline_pickles(self, start_method, specs, pickles,
+                                       monkeypatch):
+        from repro.midend.inline import ComposedPipeline
+
+        pickled = []
+        getstate = ComposedPipeline.__getstate__
+
+        def counting(self):
+            pickled.append(self)
+            return getstate(self)
+
+        monkeypatch.setattr(ComposedPipeline, "__getstate__", counting)
+        monkeypatch.setattr(
+            pool_mod, "_mp_context",
+            lambda: multiprocessing.get_context(start_method),
+        )
+        engine = EngineConfig(
+            workers=2,
+            chaos=ChaosPlan.from_specs(specs) if specs else None,
+            restart=RestartPolicy(backoff_base_s=0.01),
+        )
+        with WorkerPool(engine) as pool:
+            block = pool.submit(small_config(), "P4")
+        assert block["restarts"] == ({"0": 1} if specs else {})
+        assert len(pickled) == pickles
         assert no_orphans()
 
 
 class TestReuse:
-    def test_two_submits_reuse_the_same_workers(self):
+    def test_two_submits_on_one_pool_agree(self):
         with WorkerPool(EngineConfig(workers=2)) as pool:
-            pool.start()
-            pids = sorted(p.pid for p in pool._procs.values())
             first = pool.submit(small_config(), "P4")
             second = pool.submit(small_config(), "P4")
-            assert sorted(p.pid for p in pool._procs.values()) == pids
         # Same config -> bit-identical results; a worker that carried
         # state (registry, fault plan, switch ledger) into run 2 would
         # change counters or the verdict stream.
@@ -257,8 +373,8 @@ class TestFailureHandling:
 
 class TestSpawnStartMethod:
     def test_pool_works_without_fork_inheritance(self, monkeypatch):
-        # The pipeline travels by control message and the rings attach
-        # by name, so a spawn pool must produce the oracle's digests
+        # The pipeline travels in the pickled process arguments and the
+        # rings attach by name, so a spawn pool must produce the oracle's digests
         # exactly as the default fork pool does.
         monkeypatch.setattr(
             pool_mod, "_mp_context", lambda: multiprocessing.get_context("spawn")
@@ -279,14 +395,15 @@ class TestForkAfterImports:
 import sys
 from repro.targets.engine import EngineConfig
 from repro.targets.pool import WorkerPool
+from repro.targets.ring import ShardRing
 from repro.targets.soak import SoakConfig
 
 imported_at_fork = []
 spawn = WorkerPool._spawn_worker
 
-def spy(self, shard):
+def spy(self, state, shard):
     imported_at_fork.append("repro.targets.vector" in sys.modules)
-    spawn(self, shard)
+    spawn(self, state, shard)
 
 WorkerPool._spawn_worker = spy
 assert "repro.targets.vector" not in sys.modules

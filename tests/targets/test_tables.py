@@ -244,6 +244,39 @@ class TestIndexing:
         assert make_table(["range", "lpm"]).index_info()["strategy"] == "compiled-scan"
         assert make_table(["lpm", "lpm"]).index_info()["strategy"] == "compiled-scan"
 
+    @pytest.mark.parametrize("exec_backend", ["interp", "codegen"])
+    def test_lookup_info_reports_without_building(self, exec_backend):
+        # A report is read-only: it builds no index, counts no event and
+        # leaves ``as_declared`` alone — yet names the strategy a built
+        # index has.
+        from repro.obs.metrics import collecting
+        from repro.targets.soak import SoakConfig, build_switch, compose_program
+
+        config = SoakConfig(exec_backend=exec_backend)
+        switch = build_switch(config, "P4", compose_program(config, "P4"))
+        tables = switch.api.instance.tables
+
+        def state():
+            return (
+                {n: dict(t.index_events) for n, t in tables.items()},
+                {n: t.as_declared for n, t in tables.items()},
+            )
+
+        with collecting() as registry:
+            before = state()
+            first = switch.api.lookup_info()
+            second = switch.api.lookup_info()
+            assert registry.snapshot()["counters"] == {}
+            assert state() == before
+        assert first == second
+        for name, table in tables.items():
+            built = table._index or table._build_index()
+            assert first[name]["strategy"] == built.strategy, name
+            # What a report cannot know without a build, it leaves out.
+            assert set(first[name]) == {
+                "entries", "indexed", "index_events", "strategy"
+            }, name
+
     def test_add_entry_invalidates_index(self):
         t = make_table(["exact"])
         t.add_entry([1], "hit", [1])

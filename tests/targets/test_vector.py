@@ -23,7 +23,7 @@ import random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TargetError
@@ -516,6 +516,49 @@ _CHURN_PREFIX = [
 ]
 
 
+# One op list per snapshot and index event the churn test must see, so
+# each is reached whatever the random draws are (ops run after
+# ``_CHURN_PREFIX``, whose batch takes every table's first snapshot).
+_CHURN_EXAMPLES = {
+    "vector.index.extended": [
+        ("add", "narrow_tbl", [2], ("fwd", [5]), 0), ("batch", 1),
+    ],
+    "vector.index.rebuilt.first": [("batch", 1)],
+    "vector.index.rebuilt.reordered": [
+        ("add", "narrow_tbl", [2], ("fwd", [5]), 1), ("batch", 1),
+    ],
+    "vector.index.rebuilt.default": [
+        ("default", "narrow_tbl", ("drop_pkt", [])), ("batch", 1),
+    ],
+    "vector.index.rebuilt.cleared": [("clear", "lpm_tbl"), ("batch", 1)],
+    "vector.index.rebuilt.scan-limit": [
+        ("add", "lpm_tbl", [(0x0A000001, 16)], ("fwd", [5]), 0),
+        ("add", "lpm_tbl", [(0x0A010001, 8)], ("fwd", [6]), 0),
+        ("batch", 1),
+    ],
+    "vector.index.rebuilt.kind": [
+        ("add", "wide_tbl", [None, 0], ("stamp", [7]), 0), ("batch", 1),
+    ],
+    "tables.index.appended": [
+        ("add", "tern_tbl", [None, 0x0A000001], ("stamp", [0]), 0),
+        ("batch", 1),
+    ],
+    "tables.index.rebuilt": [
+        ("clear", "narrow_tbl"),
+        ("add", "narrow_tbl", [1], ("fwd", [2]), 0),
+        ("batch", 1),
+    ],
+}
+
+
+def _churn_examples(test):
+    """``test`` with every :data:`_CHURN_EXAMPLES` op list as an
+    explicit example."""
+    for ops in _CHURN_EXAMPLES.values():
+        test = example(ops)(test)
+    return test
+
+
 def _apply_op(switch, op):
     kind, table = op[0], op[1]
     if kind == "add":
@@ -600,6 +643,7 @@ class TestIndexMaintenance:
         @settings(max_examples=60, deadline=None,
                   suppress_health_check=list(HealthCheck))
         @given(st.lists(_churn_op(), min_size=8, max_size=48))
+        @_churn_examples
         def run(ops):
             live = self._switch(composed, "vector")
             reference = self._switch(composed, "interp")
