@@ -129,45 +129,58 @@ def stmt_effects(
     stmt: ast.Stmt, actions: Dict[str, ast.ActionDecl]
 ) -> Tuple[Set[str], Set[str], List[ast.AssignStmt]]:
     """(reads, writes, assignments) of one leaf statement."""
-    reads: Set[str] = set()
-    writes: Set[str] = set()
-    assignments: List[ast.AssignStmt] = []
+    effects = _Effects()
+    effects.visit(stmt, set())
+    return effects.reads, effects.writes, effects.assignments
 
-    def visit(s: ast.Stmt, bound: Set[str]) -> None:
+
+class _Effects:
+    """What :func:`stmt_effects` collects.  Methods, not nested
+    closures: closures that call each other form a reference cycle, one
+    only a full collection frees."""
+
+    def __init__(self) -> None:
+        self.reads: Set[str] = set()
+        self.writes: Set[str] = set()
+        self.assignments: List[ast.AssignStmt] = []
+
+    def visit(self, s: ast.Stmt, bound: Set[str]) -> None:
         if isinstance(s, ast.BlockStmt):
             for inner in s.stmts:
-                visit(inner, bound)
+                self.visit(inner, bound)
         elif isinstance(s, ast.AssignStmt):
             target = field_name(s.lhs)
             if target is not None and target.split(".")[0] not in bound:
-                writes.add(target)
-            reads.update(r for r in expr_reads(s.rhs) if r.split(".")[0] not in bound)
+                self.writes.add(target)
+            self.reads.update(
+                r for r in expr_reads(s.rhs) if r.split(".")[0] not in bound
+            )
             if isinstance(s.lhs, ast.SliceExpr):
                 if target is not None:
-                    reads.add(target)  # read-modify-write
-            assignments.append(s)
+                    self.reads.add(target)  # read-modify-write
+            self.assignments.append(s)
         elif isinstance(s, ast.VarDeclStmt):
             if s.init is not None:
-                reads.update(expr_reads(s.init))
-                writes.add(s.name)
+                self.reads.update(expr_reads(s.init))
+                self.writes.add(s.name)
         elif isinstance(s, ast.MethodCallStmt):
-            _call_effects(s.call, reads, writes, assignments, bound)
+            self.call(s.call, bound)
         elif isinstance(s, ast.IfStmt):
-            reads.update(expr_reads(s.cond))
-            visit(s.then_body, bound)
+            self.reads.update(expr_reads(s.cond))
+            self.visit(s.then_body, bound)
             if s.else_body is not None:
-                visit(s.else_body, bound)
+                self.visit(s.else_body, bound)
         elif isinstance(s, ast.SwitchStmt):
-            reads.update(expr_reads(s.subject))
+            self.reads.update(expr_reads(s.subject))
             for case in s.cases:
                 if case.body is not None:
-                    visit(case.body, bound)
+                    self.visit(case.body, bound)
         elif isinstance(s, (ast.EmptyStmt, ast.ReturnStmt, ast.ExitStmt)):
             pass
         else:
             raise BackendError(f"cannot analyze {type(s).__name__}")
 
-    def _call_effects(call, creads, cwrites, cassigns, bound):
+    def call(self, call, bound: Set[str]) -> None:
         resolved = getattr(call, "resolved", None)
         if resolved is None:
             raise BackendError("unresolved call in backend analysis")
@@ -178,49 +191,46 @@ def stmt_effects(
             if base is None:
                 return
             if resolved[1] in ("setValid", "setInvalid"):
-                cwrites.add(f"{base}.$valid")
+                self.writes.add(f"{base}.$valid")
             else:
-                creads.add(f"{base}.$valid")
+                self.reads.add(f"{base}.$valid")
         elif kind == "action":
             decl: ast.ActionDecl = resolved[1]
             for arg in call.args:
-                creads.update(expr_reads(arg))
+                self.reads.update(expr_reads(arg))
             inner_bound = bound | {p.name for p in decl.params}
-            visit(decl.body, inner_bound)
+            self.visit(decl.body, inner_bound)
         elif kind == "extern":
             _, extern, method = resolved
             for arg in call.args:
-                creads.update(expr_reads(arg))
+                self.reads.update(expr_reads(arg))
             if extern == "im_t":
                 if method.startswith("set_") or method == "drop":
-                    cwrites.add("im.out")
+                    self.writes.add("im.out")
                 elif method.startswith("get_"):
-                    creads.add("im.meta")
+                    self.reads.add("im.meta")
             elif extern == "register":
                 base = field_name(call.target.base)
                 if base is not None:
                     if method == "write":
-                        cwrites.add(f"{base}.$data")
+                        self.writes.add(f"{base}.$data")
                     else:  # read: writes its out argument, reads state
-                        creads.add(f"{base}.$data")
+                        self.reads.add(f"{base}.$data")
                         out_arg = field_name(call.args[0]) if call.args else None
                         if out_arg is not None:
-                            cwrites.add(out_arg)
+                            self.writes.add(out_arg)
             # pkt / mc_engine effects are opaque to stage scheduling.
         elif kind == "builtin":
             # recirculate(data): reads its arguments, resubmits the packet.
             for arg in call.args:
-                creads.update(expr_reads(arg))
-            cwrites.add("im.out")
+                self.reads.update(expr_reads(arg))
+            self.writes.add("im.out")
         elif kind == "table":
             raise BackendError(
                 "table apply inside analyzed statement run; split first"
             )
         else:
             raise BackendError(f"unhandled call kind {kind!r}")
-
-    visit(stmt, set())
-    return reads, writes, assignments
 
 
 # ======================================================================
@@ -286,76 +296,91 @@ def extract_logical_tables(composed: ComposedPipeline) -> List[LogicalTable]:
 
 
 def _logical_tables(composed: ComposedPipeline) -> List[LogicalTable]:
-    tables: List[LogicalTable] = []
-    actions = composed.actions
-    run: List[ast.Stmt] = []
-    run_guard: Set[str] = set()
-    run_branch: List[Tuple[int, int]] = []
-    counter = [0]
-    branch_counter = [0]
+    split = _Splitter(composed.actions)
+    for stmt in composed.statements:
+        split.visit(stmt, set(), [])
+    split.flush_run()
+    return split.tables
 
-    def flush_run() -> None:
-        if not run:
+
+class _Splitter:
+    """Cuts a statement list into logical tables: each table apply is
+    one, and so is each run of other statements between two of them.
+    Methods, not a nested closure that calls itself: that would hold
+    itself through its cell, a cycle only a full collection frees."""
+
+    def __init__(self, actions: Dict[str, ast.ActionDecl]) -> None:
+        self.actions = actions
+        self.tables: List[LogicalTable] = []
+        self.run: List[ast.Stmt] = []
+        self.run_guard: Set[str] = set()
+        self.run_branch: List[Tuple[int, int]] = []
+        self.runs = 0
+        self.branches = 0
+
+    def flush_run(self) -> None:
+        if not self.run:
             return
         reads: Set[str] = set()
         writes: Set[str] = set()
         assignments: List[ast.AssignStmt] = []
-        for s in run:
-            r, w, a = stmt_effects(s, actions)
+        for s in self.run:
+            r, w, a = stmt_effects(s, self.actions)
             reads |= r
             writes |= w
             assignments.extend(a)
-        counter[0] += 1
-        tables.append(
+        self.runs += 1
+        self.tables.append(
             LogicalTable(
-                name=f"stmts_{counter[0]}",
+                name=f"stmts_{self.runs}",
                 kind="statements",
-                stmts=list(run),
-                guard_reads=set(run_guard),
+                stmts=list(self.run),
+                guard_reads=set(self.run_guard),
                 action_reads=reads,
                 writes=writes,
                 assignments=assignments,
-                branch_path=list(run_branch),
+                branch_path=list(self.run_branch),
             )
         )
-        run.clear()
+        self.run.clear()
 
-    def visit(stmt: ast.Stmt, guard: Set[str], branch: List[Tuple[int, int]]) -> None:
-        nonlocal run_guard, run_branch
+    def visit(
+        self, stmt: ast.Stmt, guard: Set[str], branch: List[Tuple[int, int]]
+    ) -> None:
         if isinstance(stmt, ast.BlockStmt):
             for inner in stmt.stmts:
-                visit(inner, guard, branch)
+                self.visit(inner, guard, branch)
             return
         if isinstance(stmt, ast.IfStmt):
-            flush_run()
+            self.flush_run()
             inner_guard = guard | expr_reads(stmt.cond)
-            branch_counter[0] += 1
-            bid = branch_counter[0]
-            visit(stmt.then_body, inner_guard, branch + [(bid, 0)])
-            flush_run()
+            self.branches += 1
+            bid = self.branches
+            self.visit(stmt.then_body, inner_guard, branch + [(bid, 0)])
+            self.flush_run()
             if stmt.else_body is not None:
-                visit(stmt.else_body, inner_guard, branch + [(bid, 1)])
-                flush_run()
+                self.visit(stmt.else_body, inner_guard, branch + [(bid, 1)])
+                self.flush_run()
             return
         if isinstance(stmt, ast.SwitchStmt):
-            flush_run()
+            self.flush_run()
             inner_guard = guard | expr_reads(stmt.subject)
-            branch_counter[0] += 1
-            bid = branch_counter[0]
+            self.branches += 1
+            bid = self.branches
             for arm, case in enumerate(stmt.cases):
                 if case.body is not None:
-                    visit(case.body, inner_guard, branch + [(bid, arm)])
-                    flush_run()
+                    self.visit(case.body, inner_guard, branch + [(bid, arm)])
+                    self.flush_run()
             return
         if isinstance(stmt, ast.MethodCallStmt):
             resolved = getattr(stmt.call, "resolved", None)
             if resolved is not None and resolved[0] == "table":
-                flush_run()
+                self.flush_run()
                 decl: ast.TableDecl = resolved[1]
                 key_reads, action_reads, writes, assignments, key_bits = (
-                    _table_effects(decl, actions)
+                    _table_effects(decl, self.actions)
                 )
-                tables.append(
+                self.tables.append(
                     LogicalTable(
                         name=decl.name,
                         kind="match",
@@ -372,11 +397,6 @@ def _logical_tables(composed: ComposedPipeline) -> List[LogicalTable]:
                     )
                 )
                 return
-        run_guard = set(guard)
-        run_branch = list(branch)
-        run.append(stmt)
-
-    for stmt in composed.statements:
-        visit(stmt, set(), [])
-    flush_run()
-    return tables
+        self.run_guard = set(guard)
+        self.run_branch = list(branch)
+        self.run.append(stmt)

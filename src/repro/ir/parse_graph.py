@@ -85,105 +85,110 @@ class ParseGraph:
             return [state.direct_next]
         return [target for _, target in state.select_cases]
 
+    # The walks are methods, not nested closures: a closure that calls
+    # itself holds itself through its cell, a cycle that would keep the
+    # graph and its parser alive until a full collection.
     def _check_acyclic(self) -> None:
-        visiting: Dict[str, int] = {}  # 0 = on stack, 1 = done
-
-        def visit(name: str, trail: List[str]) -> None:
-            if name in ("accept", "reject") or name not in self.states:
-                return
-            mark = visiting.get(name)
-            if mark == 0:
-                cycle = " -> ".join(trail + [name])
-                raise AnalysisError(
-                    f"parser {self.parser.name!r} has a cycle: {cycle} "
-                    f"(header-stack loops must be unrolled first)"
-                )
-            if mark == 1:
-                return
-            visiting[name] = 0
-            for nxt in self.successors(self.states[name]):
-                visit(nxt, trail + [name])
-            visiting[name] = 1
-
         if self.states:
-            visit("start", [])
+            self._visit("start", [], {})
+
+    def _visit(self, name: str, trail: List[str], visiting: Dict[str, int]) -> None:
+        """Depth-first from ``name``; ``visiting``: 0 on stack, 1 done."""
+        if name in ("accept", "reject") or name not in self.states:
+            return
+        mark = visiting.get(name)
+        if mark == 0:
+            cycle = " -> ".join(trail + [name])
+            raise AnalysisError(
+                f"parser {self.parser.name!r} has a cycle: {cycle} "
+                f"(header-stack loops must be unrolled first)"
+            )
+        if mark == 1:
+            return
+        visiting[name] = 0
+        for nxt in self.successors(self.states[name]):
+            self._visit(nxt, trail + [name], visiting)
+        visiting[name] = 1
 
     # ------------------------------------------------------------------
     def paths(self) -> List[ParsePath]:
         """All start→accept paths (reject paths are dropped)."""
         if self._paths is not None:
             return self._paths
-        results: List[ParsePath] = []
         if not self.states:
             self._paths = [ParsePath(states=["accept"])]
             return self._paths
-
-        def explore(
-            name: str,
-            states: List[str],
-            extracts: List[ExtractOp],
-            conditions: List[PathCondition],
-            assigns: List[ast.AssignStmt],
-            offset: int,
-            env: Dict[str, ast.Expr],
-        ) -> None:
-            if len(results) > MAX_PARSE_PATHS:
-                raise AnalysisError(
-                    f"parser {self.parser.name!r} exceeds {MAX_PARSE_PATHS} paths"
-                )
-            if name == "accept":
-                results.append(
-                    ParsePath(
-                        states=states,
-                        extracts=extracts,
-                        conditions=conditions,
-                        assigns=assigns,
-                    )
-                )
-                return
-            if name == "reject" or name not in self.states:
-                return
-            state = self.states[name]
-            extracts = list(extracts)
-            assigns = list(assigns)
-            env = dict(env)
-            for stmt in state.stmts:
-                offset = self._apply_stmt(stmt, extracts, assigns, env, offset)
-            if state.direct_next is not None:
-                explore(
-                    state.direct_next,
-                    states + [state.direct_next],
-                    extracts,
-                    conditions,
-                    assigns,
-                    offset,
-                    env,
-                )
-                return
-            if not state.select_cases:
-                # No transition clause: implicit reject.
-                return
-            subjects = [self._substitute(e, env) for e in state.select_exprs]
-            for keysets, target in state.select_cases:
-                new_conditions = list(conditions)
-                for subject, keyset in zip(subjects, keysets):
-                    if not isinstance(keyset, ast.DefaultExpr):
-                        new_conditions.append(
-                            PathCondition(subject=subject, keyset=keyset)
-                        )
-                explore(
-                    target,
-                    states + [target],
-                    extracts,
-                    new_conditions,
-                    assigns,
-                    offset,
-                    env,
-                )
-
-        explore("start", ["start"], [], [], [], 0, {})
+        results: List[ParsePath] = []
+        self._explore(results, "start", ["start"], [], [], [], 0, {})
         self._paths = results
         return results
+
+    def _explore(
+        self,
+        results: List[ParsePath],
+        name: str,
+        states: List[str],
+        extracts: List[ExtractOp],
+        conditions: List[PathCondition],
+        assigns: List[ast.AssignStmt],
+        offset: int,
+        env: Dict[str, ast.Expr],
+    ) -> None:
+        if len(results) > MAX_PARSE_PATHS:
+            raise AnalysisError(
+                f"parser {self.parser.name!r} exceeds {MAX_PARSE_PATHS} paths"
+            )
+        if name == "accept":
+            results.append(
+                ParsePath(
+                    states=states,
+                    extracts=extracts,
+                    conditions=conditions,
+                    assigns=assigns,
+                )
+            )
+            return
+        if name == "reject" or name not in self.states:
+            return
+        state = self.states[name]
+        extracts = list(extracts)
+        assigns = list(assigns)
+        env = dict(env)
+        for stmt in state.stmts:
+            offset = self._apply_stmt(stmt, extracts, assigns, env, offset)
+        if state.direct_next is not None:
+            self._explore(
+                results,
+                state.direct_next,
+                states + [state.direct_next],
+                extracts,
+                conditions,
+                assigns,
+                offset,
+                env,
+            )
+            return
+        if not state.select_cases:
+            # No transition clause: implicit reject.
+            return
+        subjects = [self._substitute(e, env) for e in state.select_exprs]
+        for keysets, target in state.select_cases:
+            new_conditions = list(conditions)
+            for subject, keyset in zip(subjects, keysets):
+                if not isinstance(keyset, ast.DefaultExpr):
+                    new_conditions.append(
+                        PathCondition(subject=subject, keyset=keyset)
+                    )
+            self._explore(
+                results,
+                target,
+                states + [target],
+                extracts,
+                new_conditions,
+                assigns,
+                offset,
+                env,
+            )
 
     # ------------------------------------------------------------------
     def _apply_stmt(

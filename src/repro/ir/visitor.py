@@ -63,30 +63,35 @@ def rewrite_expressions(
     and returns a replacement or ``None`` to keep it.  Statement and
     declaration structure is preserved.
     """
-
-    def rewrite_value(value: Any) -> Any:
-        if isinstance(value, ast.Expr):
-            _rewrite_children(value)
-            replacement = fn(value)
-            return replacement if replacement is not None else value
-        if isinstance(value, ast.Node):
-            _rewrite_children(value)
-            return value
-        if isinstance(value, list):
-            return [rewrite_value(v) for v in value]
-        if isinstance(value, tuple):
-            return tuple(rewrite_value(v) for v in value)
-        return value
-
-    def _rewrite_children(n: ast.Node) -> None:
-        for f in dataclasses.fields(n):
-            if f.name in _ANNOTATIONS:
-                continue
-            setattr(n, f.name, rewrite_value(getattr(n, f.name)))
-
-    _rewrite_children(node)
+    _rewrite_children(node, fn)
     if isinstance(node, ast.Expr):
         replacement = fn(node)
         if replacement is not None:
             return replacement
     return node
+
+
+# Module-level, not closures inside ``rewrite_expressions``: two nested
+# functions that call each other form a reference cycle, which would
+# hold ``fn`` (and what its own closure holds, often a whole program)
+# until a full collection.
+def _rewrite_value(value: Any, fn) -> Any:
+    if isinstance(value, ast.Expr):
+        _rewrite_children(value, fn)
+        replacement = fn(value)
+        return replacement if replacement is not None else value
+    if isinstance(value, ast.Node):
+        _rewrite_children(value, fn)
+        return value
+    if isinstance(value, list):
+        return [_rewrite_value(v, fn) for v in value]
+    if isinstance(value, tuple):
+        return tuple(_rewrite_value(v, fn) for v in value)
+    return value
+
+
+def _rewrite_children(n: ast.Node, fn) -> None:
+    for f in dataclasses.fields(n):
+        if f.name in _ANNOTATIONS:
+            continue
+        setattr(n, f.name, _rewrite_value(getattr(n, f.name), fn))

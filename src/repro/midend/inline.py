@@ -46,6 +46,10 @@ from repro.midend.parser_to_mat import PATH_VAR_WIDTH, MatParser, parser_to_mat
 
 T = TypeVar("T")
 
+#: What ``ComposedPipeline.derived`` holds for a fact that is the
+#: program itself.
+_ITSELF = object()
+
 PKT_VAR = "upa_pkt"
 IM_VAR = "upa_im"
 
@@ -88,12 +92,17 @@ class ComposedPipeline:
         return self.byte_stack.size if self.byte_stack is not None else 0
 
     def derive(self, key: str, build: Callable[["ComposedPipeline"], T]) -> T:
-        """``build(self)``, computed once per program object."""
+        """``build(self)``, computed once per program object.  A fact
+        that is the program itself (a mono program's executable form)
+        is remembered as :data:`_ITSELF`: storing the object in its own
+        ``derived`` would be a cycle only a full collection frees."""
         try:
-            return self.derived[key]  # type: ignore[return-value]
+            value = self.derived[key]
         except KeyError:
-            value = self.derived[key] = build(self)
+            value = build(self)
+            self.derived[key] = _ITSELF if value is self else value
             return value
+        return self if value is _ITSELF else value  # type: ignore[return-value]
 
     def invalidate_derived(self) -> None:
         """Forget every derived fact: the program was edited in place."""

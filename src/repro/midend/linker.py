@@ -59,18 +59,21 @@ class LinkedProgram:
     def units(self) -> List[LinkedUnit]:
         """All reachable units, callees before callers (topological)."""
         order: List[LinkedUnit] = []
-        seen: Set[str] = set()
-
-        def visit(unit: LinkedUnit) -> None:
-            if unit.name in seen:
-                return
-            seen.add(unit.name)
-            for inst in unit.program.instances.values():
-                visit(self.resolve(inst.target))
-            order.append(unit)
-
-        visit(self.main)
+        self._postorder(self.main, set(), order)
         return order
+
+    # A method, not a nested closure: a closure that calls itself holds
+    # itself through its cell, a cycle that would keep the whole
+    # composition alive until a full collection.
+    def _postorder(
+        self, unit: LinkedUnit, seen: Set[str], order: List[LinkedUnit]
+    ) -> None:
+        if unit.name in seen:
+            return
+        seen.add(unit.name)
+        for inst in unit.program.instances.values():
+            self._postorder(self.resolve(inst.target), seen, order)
+        order.append(unit)
 
 
 def _types_compatible(a: ast.Type, b: ast.Type) -> bool:
@@ -139,32 +142,38 @@ def link_modules(main: Module, libraries: Optional[List[Module]] = None) -> Link
 
     # Resolve and validate every instance of every reachable program, and
     # reject cycles along the way.
-    visiting: Dict[str, int] = {}
-
-    def visit(unit: LinkedUnit, trail: List[str]) -> None:
-        mark = visiting.get(unit.name)
-        if mark == 0:
-            cycle = " -> ".join(trail + [unit.name])
-            raise LinkError(f"recursive module composition: {cycle}")
-        if mark == 1:
-            return
-        visiting[unit.name] = 0
-        for inst in unit.program.instances.values():
-            if inst.target not in providers:
-                raise LinkError(
-                    f"program {unit.name!r} instantiates {inst.target!r} "
-                    f"but no library provides it",
-                    inst.loc,
-                )
-            sig = unit.module.module_sigs.get(inst.target)
-            provider = providers[inst.target]
-            if sig is not None:
-                check_signature(sig, provider.program)
-                METRICS.inc("linker.signatures_checked")
-            METRICS.inc("linker.instances_resolved")
-            visit(provider, trail + [unit.name])
-        visiting[unit.name] = 1
-
-    visit(linked.main, [])
+    _resolve(linked.main, [], providers, {})
     METRICS.set_gauge("linker.providers", len(providers))
     return linked
+
+
+def _resolve(
+    unit: LinkedUnit,
+    trail: List[str],
+    providers: Dict[str, LinkedUnit],
+    visiting: Dict[str, int],
+) -> None:
+    """Depth-first resolution for :func:`link_modules`; ``visiting``:
+    0 on the stack, 1 done."""
+    mark = visiting.get(unit.name)
+    if mark == 0:
+        cycle = " -> ".join(trail + [unit.name])
+        raise LinkError(f"recursive module composition: {cycle}")
+    if mark == 1:
+        return
+    visiting[unit.name] = 0
+    for inst in unit.program.instances.values():
+        if inst.target not in providers:
+            raise LinkError(
+                f"program {unit.name!r} instantiates {inst.target!r} "
+                f"but no library provides it",
+                inst.loc,
+            )
+        sig = unit.module.module_sigs.get(inst.target)
+        provider = providers[inst.target]
+        if sig is not None:
+            check_signature(sig, provider.program)
+            METRICS.inc("linker.signatures_checked")
+        METRICS.inc("linker.instances_resolved")
+        _resolve(provider, trail + [unit.name], providers, visiting)
+    visiting[unit.name] = 1

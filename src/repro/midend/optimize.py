@@ -115,19 +115,24 @@ def _error_action_call(composed: ComposedPipeline, mat) -> List[ast.Stmt]:
     return [s.clone() for s in err.body.stmts] if err is not None else []
 
 
-def elide_trivial_mats(composed: ComposedPipeline) -> OptimizationStats:
-    """Apply the §8.1 MAT-elision optimizations in place."""
-    stats = OptimizationStats()
-    if composed.mode != "micro" or composed.byte_stack is None:
-        return stats
-    bs = composed.byte_stack
+class _Elider:
+    """The statement walk of :func:`elide_trivial_mats`.  Methods, not
+    nested closures: closures that call each other form a reference
+    cycle, which would hold the program until a full collection."""
 
-    def rewrite(stmts: List[ast.Stmt]) -> List[ast.Stmt]:
+    def __init__(
+        self, composed: ComposedPipeline, stats: OptimizationStats
+    ) -> None:
+        self.composed = composed
+        self.stats = stats
+
+    def rewrite(self, stmts: List[ast.Stmt]) -> List[ast.Stmt]:
+        composed, stats = self.composed, self.stats
         out: List[ast.Stmt] = []
         for stmt in stmts:
             decl = _table_of(stmt)
             if decl is None:
-                out.append(_rewrite_nested(stmt))
+                out.append(self._rewrite_nested(stmt))
                 continue
             trivial = _is_trivial_parser_mat(composed, decl)
             if trivial is not None:
@@ -142,7 +147,7 @@ def elide_trivial_mats(composed: ComposedPipeline) -> OptimizationStats:
             single = _is_single_path_parser_mat(composed, decl)
             if single is not None:
                 action = composed.actions[decl.const_entries[0].action_name]
-                guard = _length_guard_condition(single, bs)
+                guard = _length_guard_condition(single, composed.byte_stack)
                 out.append(
                     ast.IfStmt(
                         cond=guard,
@@ -164,20 +169,26 @@ def elide_trivial_mats(composed: ComposedPipeline) -> OptimizationStats:
             out.append(stmt)
         return out
 
-    def _rewrite_nested(stmt: ast.Stmt) -> ast.Stmt:
+    def _rewrite_nested(self, stmt: ast.Stmt) -> ast.Stmt:
         if isinstance(stmt, ast.BlockStmt):
-            stmt.stmts = rewrite(stmt.stmts)
+            stmt.stmts = self.rewrite(stmt.stmts)
         elif isinstance(stmt, ast.IfStmt):
-            stmt.then_body = _rewrite_nested(stmt.then_body)
+            stmt.then_body = self._rewrite_nested(stmt.then_body)
             if stmt.else_body is not None:
-                stmt.else_body = _rewrite_nested(stmt.else_body)
+                stmt.else_body = self._rewrite_nested(stmt.else_body)
         elif isinstance(stmt, ast.SwitchStmt):
             for case in stmt.cases:
                 if case.body is not None:
-                    case.body = _rewrite_nested(case.body)
+                    case.body = self._rewrite_nested(case.body)
         return stmt
 
-    composed.statements = rewrite(composed.statements)
+
+def elide_trivial_mats(composed: ComposedPipeline) -> OptimizationStats:
+    """Apply the §8.1 MAT-elision optimizations in place."""
+    stats = OptimizationStats()
+    if composed.mode != "micro" or composed.byte_stack is None:
+        return stats
+    composed.statements = _Elider(composed, stats).rewrite(composed.statements)
     _prune_elided(composed, stats)
     composed.invalidate_derived()
     METRICS.inc("optimize.mats_elided", stats.total)

@@ -93,118 +93,7 @@ def build_pdg(control: ast.ControlDecl) -> Pdg:
     pdg = Pdg()
     pkts, ims = _instance_vars(control)
     tracked_externs = pkts | ims
-
-    def expr_vars(expr: ast.Expr) -> Set[str]:
-        out: Set[str] = set()
-        for node in walk_expressions(expr):
-            if isinstance(node, ast.PathExpr):
-                out.add(node.name)
-            elif isinstance(node, ast.MemberExpr):
-                root = node
-                while isinstance(root, ast.MemberExpr):
-                    root = root.base
-                if isinstance(root, ast.PathExpr):
-                    out.add(root.name)
-        return out
-
-    def add_node(stmt: ast.Stmt, guard_vars: Set[str]) -> PdgNode:
-        node = PdgNode(id=len(pdg.nodes), stmt=stmt, guard_vars=set(guard_vars))
-        _summarize(stmt, node)
-        pdg.nodes.append(node)
-        return node
-
-    def _summarize(stmt: ast.Stmt, node: PdgNode) -> None:
-        if isinstance(stmt, ast.AssignStmt):
-            lhs_root = _root(stmt.lhs)
-            if lhs_root is not None:
-                node.defs.add(lhs_root)
-            node.uses |= expr_vars(stmt.rhs)
-        elif isinstance(stmt, ast.VarDeclStmt):
-            node.defs.add(stmt.name)
-            if stmt.init is not None:
-                node.uses |= expr_vars(stmt.init)
-        elif isinstance(stmt, ast.MethodCallStmt):
-            self_call = stmt.call
-            resolved = getattr(self_call, "resolved", None)
-            target = self_call.target
-            args_vars = set()
-            for arg in self_call.args:
-                args_vars |= expr_vars(arg)
-            node.uses |= args_vars
-            if resolved is None:
-                raise AnalysisError("unresolved call in PDG", stmt.loc)
-            kind = resolved[0]
-            if kind == "extern":
-                _, ext, method = resolved
-                base_root = _root(target.base) if isinstance(
-                    target, ast.MemberExpr
-                ) else None
-                if base_root is not None:
-                    node.uses.add(base_root)
-                if method == "copy_from" and base_root is not None:
-                    node.defs.add(base_root)
-                    if base_root in pkts:
-                        node.pkt_defs.add(base_root)
-                if ext == "im_t" and method.startswith("set_") and base_root:
-                    node.defs.add(base_root)
-                if ext == "im_t" and method == "drop" and base_root:
-                    node.defs.add(base_root)
-                if ext == "out_buf" and method in ("enqueue", "to_in_buf", "merge"):
-                    node.is_exit = True
-                    for arg in self_call.args:
-                        root = _root(arg)
-                        if root in pkts:
-                            node.exit_instance = root
-                for arg in self_call.args:
-                    root = _root(arg)
-                    if root in pkts:
-                        node.pkt_uses.add(root)
-            elif kind == "module":
-                # A callee consumes and regenerates its packet argument
-                # and may write every out/inout argument.
-                inst: ast.InstanceDecl = resolved[1]
-                if self_call.args:
-                    pkt_root = _root(self_call.args[0])
-                    if pkt_root in pkts:
-                        node.pkt_uses.add(pkt_root)
-                        node.pkt_defs.add(pkt_root)
-                        node.defs.add(pkt_root)
-                for arg in self_call.args[1:]:
-                    root = _root(arg)
-                    if root is not None:
-                        node.defs.add(root)  # conservative: out/inout
-            elif kind == "action":
-                decl: ast.ActionDecl = resolved[1]
-                from repro.backend.base import stmt_effects
-
-                reads, writes, _ = stmt_effects(stmt, {})
-                node.uses |= {r.split(".")[0] for r in reads}
-                node.defs |= {w.split(".")[0] for w in writes}
-            elif kind == "header_op":
-                base_root = _root(target.base)
-                if base_root is not None:
-                    node.defs.add(base_root)
-
-    def visit(stmt: ast.Stmt, guard_vars: Set[str]) -> None:
-        if isinstance(stmt, ast.BlockStmt):
-            for inner in stmt.stmts:
-                visit(inner, guard_vars)
-        elif isinstance(stmt, ast.IfStmt):
-            cond_vars = expr_vars(stmt.cond)
-            visit(stmt.then_body, guard_vars | cond_vars)
-            if stmt.else_body is not None:
-                visit(stmt.else_body, guard_vars | cond_vars)
-        elif isinstance(stmt, ast.SwitchStmt):
-            subject_vars = expr_vars(stmt.subject)
-            for case in stmt.cases:
-                if case.body is not None:
-                    visit(case.body, guard_vars | subject_vars)
-        elif isinstance(stmt, (ast.EmptyStmt,)):
-            pass
-        else:
-            add_node(stmt, guard_vars)
-
-    visit(control.apply_body, set())
+    _add_nodes(control.apply_body, set(), pdg, pkts)
 
     # Data edges: def -> later use (and def -> later def for ordering of
     # instance redefinitions).
@@ -222,6 +111,123 @@ def build_pdg(control: ast.ControlDecl) -> Pdg:
         for var in node.defs:
             last_def[var] = node.id
     return pdg
+
+
+# The walk is module-level functions, not nested closures: a closure
+# that calls itself holds itself through its cell, a cycle that would
+# keep the graph and its program alive until a full collection.
+
+
+def _expr_vars(expr: ast.Expr) -> Set[str]:
+    out: Set[str] = set()
+    for node in walk_expressions(expr):
+        if isinstance(node, ast.PathExpr):
+            out.add(node.name)
+        elif isinstance(node, ast.MemberExpr):
+            root = node
+            while isinstance(root, ast.MemberExpr):
+                root = root.base
+            if isinstance(root, ast.PathExpr):
+                out.add(root.name)
+    return out
+
+
+def _summarize(stmt: ast.Stmt, node: PdgNode, pkts: Set[str]) -> None:
+    if isinstance(stmt, ast.AssignStmt):
+        lhs_root = _root(stmt.lhs)
+        if lhs_root is not None:
+            node.defs.add(lhs_root)
+        node.uses |= _expr_vars(stmt.rhs)
+    elif isinstance(stmt, ast.VarDeclStmt):
+        node.defs.add(stmt.name)
+        if stmt.init is not None:
+            node.uses |= _expr_vars(stmt.init)
+    elif isinstance(stmt, ast.MethodCallStmt):
+        self_call = stmt.call
+        resolved = getattr(self_call, "resolved", None)
+        target = self_call.target
+        args_vars = set()
+        for arg in self_call.args:
+            args_vars |= _expr_vars(arg)
+        node.uses |= args_vars
+        if resolved is None:
+            raise AnalysisError("unresolved call in PDG", stmt.loc)
+        kind = resolved[0]
+        if kind == "extern":
+            _, ext, method = resolved
+            base_root = _root(target.base) if isinstance(
+                target, ast.MemberExpr
+            ) else None
+            if base_root is not None:
+                node.uses.add(base_root)
+            if method == "copy_from" and base_root is not None:
+                node.defs.add(base_root)
+                if base_root in pkts:
+                    node.pkt_defs.add(base_root)
+            if ext == "im_t" and method.startswith("set_") and base_root:
+                node.defs.add(base_root)
+            if ext == "im_t" and method == "drop" and base_root:
+                node.defs.add(base_root)
+            if ext == "out_buf" and method in ("enqueue", "to_in_buf", "merge"):
+                node.is_exit = True
+                for arg in self_call.args:
+                    root = _root(arg)
+                    if root in pkts:
+                        node.exit_instance = root
+            for arg in self_call.args:
+                root = _root(arg)
+                if root in pkts:
+                    node.pkt_uses.add(root)
+        elif kind == "module":
+            # A callee consumes and regenerates its packet argument
+            # and may write every out/inout argument.
+            inst: ast.InstanceDecl = resolved[1]
+            if self_call.args:
+                pkt_root = _root(self_call.args[0])
+                if pkt_root in pkts:
+                    node.pkt_uses.add(pkt_root)
+                    node.pkt_defs.add(pkt_root)
+                    node.defs.add(pkt_root)
+            for arg in self_call.args[1:]:
+                root = _root(arg)
+                if root is not None:
+                    node.defs.add(root)  # conservative: out/inout
+        elif kind == "action":
+            decl: ast.ActionDecl = resolved[1]
+            from repro.backend.base import stmt_effects
+
+            reads, writes, _ = stmt_effects(stmt, {})
+            node.uses |= {r.split(".")[0] for r in reads}
+            node.defs |= {w.split(".")[0] for w in writes}
+        elif kind == "header_op":
+            base_root = _root(target.base)
+            if base_root is not None:
+                node.defs.add(base_root)
+
+
+def _add_nodes(
+    stmt: ast.Stmt, guard_vars: Set[str], pdg: Pdg, pkts: Set[str]
+) -> None:
+    """Append a node per leaf statement under ``stmt`` to ``pdg``."""
+    if isinstance(stmt, ast.BlockStmt):
+        for inner in stmt.stmts:
+            _add_nodes(inner, guard_vars, pdg, pkts)
+    elif isinstance(stmt, ast.IfStmt):
+        cond_vars = _expr_vars(stmt.cond)
+        _add_nodes(stmt.then_body, guard_vars | cond_vars, pdg, pkts)
+        if stmt.else_body is not None:
+            _add_nodes(stmt.else_body, guard_vars | cond_vars, pdg, pkts)
+    elif isinstance(stmt, ast.SwitchStmt):
+        subject_vars = _expr_vars(stmt.subject)
+        for case in stmt.cases:
+            if case.body is not None:
+                _add_nodes(case.body, guard_vars | subject_vars, pdg, pkts)
+    elif isinstance(stmt, (ast.EmptyStmt,)):
+        pass
+    else:
+        node = PdgNode(id=len(pdg.nodes), stmt=stmt, guard_vars=set(guard_vars))
+        _summarize(stmt, node, pkts)
+        pdg.nodes.append(node)
 
 
 def _root(expr: ast.Expr) -> Optional[str]:

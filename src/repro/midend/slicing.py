@@ -175,47 +175,53 @@ def build_pps(pdg: Pdg, slices: Dict[str, PacketSlice]) -> PpsGraph:
     return pps
 
 
-def _check_serializable(pps: PpsGraph) -> None:
-    """Reject PPS graphs whose SCCs contain more than one thread."""
-    names = list(pps.threads) + [f"cps:{i}" for i in pps.cps_nodes]
-    index: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Dict[str, bool] = {}
-    stack: List[str] = []
-    counter = [0]
-    adjacency: Dict[str, List[str]] = {n: [] for n in names}
-    for src, dst in pps.edges:
-        if src in adjacency and dst in adjacency:
-            adjacency[src].append(dst)
+class _Tarjan:
+    """Tarjan's strongly connected components over ``adjacency``.  A
+    class, not a closure that calls itself: that would hold itself
+    through its cell, a cycle only a full collection frees."""
 
-    sccs: List[List[str]] = []
+    def __init__(self, adjacency: Dict[str, List[str]]) -> None:
+        self.adjacency = adjacency
+        self.index: Dict[str, int] = {}
+        self.lowlink: Dict[str, int] = {}
+        self.on_stack: Dict[str, bool] = {}
+        self.stack: List[str] = []
+        self.sccs: List[List[str]] = []
 
-    def strongconnect(v: str) -> None:
-        index[v] = lowlink[v] = counter[0]
-        counter[0] += 1
+    def strongconnect(self, v: str) -> None:
+        index, lowlink, stack = self.index, self.lowlink, self.stack
+        index[v] = lowlink[v] = len(index)
         stack.append(v)
-        on_stack[v] = True
-        for w in adjacency[v]:
+        self.on_stack[v] = True
+        for w in self.adjacency[v]:
             if w not in index:
-                strongconnect(w)
+                self.strongconnect(w)
                 lowlink[v] = min(lowlink[v], lowlink[w])
-            elif on_stack.get(w):
+            elif self.on_stack.get(w):
                 lowlink[v] = min(lowlink[v], index[w])
         if lowlink[v] == index[v]:
             component: List[str] = []
             while True:
                 w = stack.pop()
-                on_stack[w] = False
+                self.on_stack[w] = False
                 component.append(w)
                 if w == v:
                     break
-            sccs.append(component)
+            self.sccs.append(component)
 
+
+def _check_serializable(pps: PpsGraph) -> None:
+    """Reject PPS graphs whose SCCs contain more than one thread."""
+    names = list(pps.threads) + [f"cps:{i}" for i in pps.cps_nodes]
+    adjacency: Dict[str, List[str]] = {n: [] for n in names}
+    for src, dst in pps.edges:
+        if src in adjacency and dst in adjacency:
+            adjacency[src].append(dst)
+    tarjan = _Tarjan(adjacency)
     for name in names:
-        if name not in index:
-            strongconnect(name)
-
-    for component in sccs:
+        if name not in tarjan.index:
+            tarjan.strongconnect(name)
+    for component in tarjan.sccs:
         thread_members = [n for n in component if not n.startswith("cps:")]
         if len(thread_members) > 1:
             raise AnalysisError(

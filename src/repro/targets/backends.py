@@ -40,10 +40,11 @@ from typing import Optional
 from repro.errors import TargetError
 from repro.midend.inline import ComposedPipeline
 from repro.midend.optimize import shrink_copies
-from repro.targets.codegen import CodegenPipeline
+from repro.targets.codegen import CodegenPipeline, generated_module
 from repro.targets.compiled import CompiledPipeline
 from repro.targets.faults import FaultPlan, ResourceGuards
 from repro.targets.pipeline import PipelineInstance
+from repro.targets.tables import table_runtimes
 
 #: Recognized execution backend names, in preference-display order.
 EXEC_BACKENDS = ("interp", "compiled", "codegen", "vector")
@@ -58,6 +59,21 @@ def executable_form(composed: ComposedPipeline) -> ComposedPipeline:
     program is usually built under several backends — and derived again
     after an in-place edit such as ``elide_trivial_mats``."""
     return composed.derive("executable_form", shrink_copies)
+
+
+def derive_modules(composed: ComposedPipeline, exec_backend: str) -> None:
+    """Generate what an ``exec_backend`` executor of ``composed`` would
+    (codegen's module; for ``vector`` the columnwise one too) onto the
+    executable form, building no executor (its namespace↔function cycle
+    would hold its tables).  A pool calls this before it forks."""
+    if exec_backend in ("codegen", "vector"):
+        form = executable_form(composed)
+        tables = table_runtimes(form)
+        generated_module(form, tables)
+        if exec_backend == "vector":
+            from repro.targets.vector import columnwise_module
+
+            columnwise_module(form, tables)
 
 
 def executor_class(exec_backend: str):

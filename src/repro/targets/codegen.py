@@ -57,14 +57,7 @@ Metrics are emitted under ``codegen.*`` (``codegen.packets``,
 
 from __future__ import annotations
 
-import hashlib
-import importlib.util
-import marshal
-import os
 import re
-import stat
-import tempfile
-import types
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
@@ -88,7 +81,6 @@ from repro.targets.interpreter import (
     ExitSignal,
     HeaderValue,
     ImState,
-    McEngine,
     PktObject,
     RegisterState,
     ReturnSignal,
@@ -1950,94 +1942,23 @@ def generated_module(
 # ---------------------------------------------------------------------------
 # Build cache
 #
-# ``compile()`` is about two thirds of a generation (P4: 0.9k lines,
-# ~10 ms to generate and ~15 ms to compile; P7: 8k lines, ~50 ms and
-# ~70 ms).  One program object pays it once in a process: its
-# GeneratedModule is remembered with it (``generated_module``).  What is
-# cached here serves everyone else with the same program — a second
-# composition of the same sources, and every sharded worker replica,
-# which receives the program pickled and so without its module.  The
-# text is deterministic per composed pipeline and holds no per-instance
-# state, so code objects can be shared: an in-process dict for repeat
-# generations in one process, and a marshal file under the tempdir for
-# fresh worker processes.  Keyed on the interpreter's bytecode magic +
-# the exact source, so stale cache files can never produce wrong code.
-# The key is a hash of public text and the directory may be shared, so
-# a file is only trusted if this user owns it and it is a code object
-# (``_load_cached``); anything else is recompiled over.  Disable with
-# ``REPRO_CODEGEN_CACHE=0``; relocate with ``REPRO_CODEGEN_CACHE_DIR``.
+# ``compile()`` is about two thirds of a generation.  A program object
+# pays it once: its modules are remembered with it, and a pool derives
+# them before it forks (``backends.derive_modules``).  This dict serves a
+# second composition of the same sources in one process: the text is
+# deterministic per program, so one code object serves every instance.
 # ---------------------------------------------------------------------------
 
-_CODE_CACHE: Dict[str, Any] = {}
-_NOFOLLOW = getattr(os, "O_NOFOLLOW", 0)
-
-
-def _uid() -> int:
-    return getattr(os, "getuid", lambda: 0)()
-
-
-def _disk_cache_dir() -> Optional[str]:
-    if os.environ.get("REPRO_CODEGEN_CACHE", "1") == "0":
-        return None
-    root = os.environ.get("REPRO_CODEGEN_CACHE_DIR")
-    if not root:
-        root = os.path.join(tempfile.gettempdir(), f"repro-codegen-{_uid()}")
-    try:
-        os.makedirs(root, mode=0o700, exist_ok=True)
-    except OSError:
-        return None
-    return root
-
-
-def _load_cached(path: str):
-    """The code object at ``path`` if it is a regular file (not a
-    symlink) this user owns that unmarshals to code, else None."""
-    try:
-        fd = os.open(path, os.O_RDONLY | _NOFOLLOW)
-    except OSError:
-        return None
-    with open(fd, "rb") as fh:
-        info = os.fstat(fd)
-        if not stat.S_ISREG(info.st_mode) or info.st_uid != _uid():
-            return None
-        try:
-            code = marshal.loads(fh.read())
-        except Exception:
-            return None  # truncated or not marshal data
-    return code if isinstance(code, types.CodeType) else None
+_CODE_CACHE: Dict[Tuple[str, str], Any] = {}
 
 
 def compile_cached(source: str, filename: str):
-    key = hashlib.sha256(
-        importlib.util.MAGIC_NUMBER + filename.encode() + b"\x00" + source.encode()
-    ).hexdigest()
+    key = (filename, source)
     code = _CODE_CACHE.get(key)
-    if code is not None:
-        if METRICS.enabled:
-            METRICS.inc("codegen.build_cache_hits")
-        return code
-    root = _disk_cache_dir()
-    path = os.path.join(root, key + ".pyc") if root else None
-    if path is not None:
-        code = _load_cached(path)
-        if code is not None:
-            _CODE_CACHE[key] = code
-            if METRICS.enabled:
-                METRICS.inc("codegen.build_cache_hits")
-            return code
     if METRICS.enabled:
-        METRICS.inc("codegen.build_cache_misses")
-    code = compile(source, filename, "exec")
-    _CODE_CACHE[key] = code
-    if path is not None:
-        try:
-            tmp = f"{path}.{os.getpid()}.tmp"
-            flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | _NOFOLLOW
-            with open(os.open(tmp, flags, 0o600), "wb") as fh:
-                fh.write(marshal.dumps(code))
-            os.replace(tmp, path)
-        except Exception:
-            pass  # cache is best-effort; the compiled code is in hand
+        METRICS.inc(f"codegen.build_cache_{'misses' if code is None else 'hits'}")
+    if code is None:
+        code = _CODE_CACHE[key] = compile(source, filename, "exec")
     return code
 
 

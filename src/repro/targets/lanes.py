@@ -55,68 +55,68 @@ class FlatLayout:
         self.widths = tuple(widths)
         self.labels = tuple(labels)
 
-    def bind(self, handles: Sequence) -> LaneNode:
-        """``root`` with every cell number replaced by ``handles[cell]``
-        — a local's name, a slot index."""
-
-        def go(node: LaneNode) -> LaneNode:
-            if node[0] == "val":
-                return ("val", handles[node[1]], node[2])
-            if node[0] == "hdr":
-                return ("hdr", handles[node[1]],
-                        {f: go(n) for f, n in node[2].items()})
-            return ("struct", {f: go(n) for f, n in node[1].items()})
-
-        return go(self.root)
+    def bind(self, handles: Sequence, node: Optional[LaneNode] = None) -> LaneNode:
+        """``root`` (or ``node`` in it) with every cell number replaced
+        by ``handles[cell]`` — a local's name, a slot index."""
+        node = self.root if node is None else node
+        if node[0] == "val":
+            return ("val", handles[node[1]], node[2])
+        if node[0] == "hdr":
+            return ("hdr", handles[node[1]],
+                    {f: self.bind(handles, n) for f, n in node[2].items()})
+        return ("struct", {f: self.bind(handles, n) for f, n in node[1].items()})
 
 
+# Every walk here is a method or a module-level function: a closure that
+# calls itself holds itself through its cell, a cycle that would keep
+# what it closes over (a program) until a full collection.
 def flat_layout(vtype: ast.Type) -> Tuple[Optional[FlatLayout], str]:
     """``(layout, "")`` for a flattenable struct/header type, else
     ``(None, why)``."""
-    widths: List[Optional[int]] = []
-    labels: List[str] = []
-
-    def cell(width: Optional[int], label: str) -> int:
-        widths.append(width)
-        labels.append(label)
-        return len(widths) - 1
-
-    def header(name: str, htype: ast.HeaderType):
-        valid = cell(None, name)
-        fields = {}
-        for fname, ftype in htype.fields:
-            if not isinstance(ftype, ast.BitType):
-                return f"header field {fname!r} of {type(ftype).__name__}"
-            fields[fname] = ("val", cell(ftype.width, fname), ftype.width)
-        return ("hdr", valid, fields)
-
-    def struct(stype: ast.StructType):
-        fields = {}
-        for fname, ftype in stype.fields:
-            if isinstance(ftype, ast.HeaderType):
-                node = header(fname, ftype)
-            elif isinstance(ftype, ast.StructType):
-                node = struct(ftype)
-            elif isinstance(ftype, ast.BitType):
-                node = ("val", cell(ftype.width, fname), ftype.width)
-            elif isinstance(ftype, ast.BoolType):
-                node = ("val", cell(None, fname), None)
-            else:
-                node = f"struct field {fname!r} of {type(ftype).__name__}"
-            if isinstance(node, str):
-                return node
-            fields[fname] = node
-        return ("struct", fields)
-
+    cells: List[Tuple[Optional[int], str]] = []  # (width, label)
     if isinstance(vtype, ast.StructType):
-        root = struct(vtype)
+        root = _struct(vtype, cells)
     elif isinstance(vtype, ast.HeaderType):
-        root = header(vtype.name, vtype)
+        root = _header(vtype.name, vtype, cells)
     else:
         return None, f"type {type(vtype).__name__}"
     if isinstance(root, str):
         return None, root
-    return FlatLayout(root, widths, labels), ""
+    return FlatLayout(root, [c[0] for c in cells], [c[1] for c in cells]), ""
+
+
+def _cell(cells: list, width: Optional[int], label: str) -> int:
+    cells.append((width, label))
+    return len(cells) - 1
+
+
+def _header(name: str, htype: ast.HeaderType, cells: list):
+    valid = _cell(cells, None, name)
+    fields = {}
+    for fname, ftype in htype.fields:
+        if not isinstance(ftype, ast.BitType):
+            return f"header field {fname!r} of {type(ftype).__name__}"
+        fields[fname] = ("val", _cell(cells, ftype.width, fname), ftype.width)
+    return ("hdr", valid, fields)
+
+
+def _struct(stype: ast.StructType, cells: list):
+    fields = {}
+    for fname, ftype in stype.fields:
+        if isinstance(ftype, ast.HeaderType):
+            node = _header(fname, ftype, cells)
+        elif isinstance(ftype, ast.StructType):
+            node = _struct(ftype, cells)
+        elif isinstance(ftype, ast.BitType):
+            node = ("val", _cell(cells, ftype.width, fname), ftype.width)
+        elif isinstance(ftype, ast.BoolType):
+            node = ("val", _cell(cells, None, fname), None)
+        else:
+            node = f"struct field {fname!r} of {type(ftype).__name__}"
+        if isinstance(node, str):
+            return node
+        fields[fname] = node
+    return ("struct", fields)
 
 
 def resolve_member(
@@ -148,40 +148,42 @@ class LaneVars:
         self.object_form = object_form
 
 
-def lane_variables(composed: ComposedPipeline) -> LaneVars:
-    """Decide every struct/header variable name of ``composed`` with
-    one walk over everything an executor lowers: statements, action
-    bodies, table keys, the native parser and emit list."""
-    # name -> declared types (root variables, block and parser locals).
-    declared: Dict[str, List[ast.Type]] = {
-        name: [vtype] for name, vtype in composed.variables.items()
-    }
-    reasons: Dict[str, str] = {}
-    # name -> member chains rooted at it, with whether a header op
-    # (rather than a leaf access) sits on top.
-    chains: Dict[str, List[Tuple[ast.Expr, bool]]] = {}
+def _chain_root(e: ast.Expr) -> Optional[str]:
+    while isinstance(e, ast.MemberExpr):
+        e = e.base
+    return e.name if isinstance(e, ast.PathExpr) else None
 
-    def chain_root(e: ast.Expr) -> Optional[str]:
-        while isinstance(e, ast.MemberExpr):
-            e = e.base
-        return e.name if isinstance(e, ast.PathExpr) else None
 
-    def visit(node) -> None:
+class _Uses:
+    """How a program uses each name: what :func:`lane_variables` decides from."""
+
+    def __init__(self, composed: ComposedPipeline) -> None:
+        self.root_vars = composed.variables
+        #: name -> declared types (root variables, block and parser locals).
+        self.declared: Dict[str, List[ast.Type]] = {
+            name: [vtype] for name, vtype in composed.variables.items()
+        }
+        self.reasons: Dict[str, str] = {}
+        #: name -> member chains rooted at it, with whether a header op
+        #: (rather than a leaf access) sits on top.
+        self.chains: Dict[str, List[Tuple[ast.Expr, bool]]] = {}
+
+    def visit(self, node) -> None:
         if isinstance(node, (list, tuple)):
             for n in node:
-                visit(n)
+                self.visit(n)
             return
         if not isinstance(node, ast.Node) or isinstance(node, ast.Type):
             return
         if isinstance(node, ast.PathExpr):
-            reasons.setdefault(node.name, "used as a whole value")
+            self.reasons.setdefault(node.name, "used as a whole value")
             return
         if isinstance(node, ast.MemberExpr):
-            name = chain_root(node)
+            name = _chain_root(node)
             if name is None:
-                visit(node.base)
+                self.visit(node.base)
             else:
-                chains.setdefault(name, []).append((node, False))
+                self.chains.setdefault(name, []).append((node, False))
             return
         if isinstance(node, ast.MethodCallExpr):
             resolved = getattr(node, "resolved", None)
@@ -189,49 +191,55 @@ def lane_variables(composed: ComposedPipeline) -> LaneVars:
             name = None
             if (resolved is not None and resolved[0] == "header_op"
                     and isinstance(target, ast.MemberExpr)):
-                name = chain_root(target.base)
+                name = _chain_root(target.base)
             if name is None:
-                visit(target)
+                self.visit(target)
             else:
-                chains.setdefault(name, []).append((target.base, True))
-            visit(node.args)
+                self.chains.setdefault(name, []).append((target.base, True))
+            self.visit(node.args)
             return
         if isinstance(node, (ast.VarDeclStmt, ast.VarLocal)):
-            if node.name in composed.variables:
-                reasons.setdefault(node.name, "redeclares a root variable")
+            if node.name in self.root_vars:
+                self.reasons.setdefault(node.name, "redeclares a root variable")
             if node.init is not None:
-                reasons.setdefault(node.name, "declared with an initialiser")
-                visit(node.init)
-            declared.setdefault(node.name, []).append(node.var_type)
+                self.reasons.setdefault(node.name, "declared with an initialiser")
+                self.visit(node.init)
+            self.declared.setdefault(node.name, []).append(node.var_type)
             return
         for attr, value in vars(node).items():
             # Resolution back-references would re-walk whole declarations.
             if attr not in ("decl", "resolved"):
-                visit(value)
+                self.visit(value)
 
-    visit(composed.statements)
+
+def lane_variables(composed: ComposedPipeline) -> LaneVars:
+    """Decide every struct/header variable name of ``composed`` with
+    one walk over everything an executor lowers: statements, action
+    bodies, table keys, the native parser and emit list."""
+    walk = _Uses(composed)
+    walk.visit(composed.statements)
     for adecl in composed.actions.values():
         for p in adecl.params:
-            reasons.setdefault(p.name, "declared as an action parameter")
-        visit(adecl.body)
-    visit(list(composed.tables.values()))
-    visit(composed.native_parser)
-    visit(composed.native_emits)
+            walk.reasons.setdefault(p.name, "declared as an action parameter")
+        walk.visit(adecl.body)
+    walk.visit(list(composed.tables.values()))
+    walk.visit(composed.native_parser)
+    walk.visit(composed.native_emits)
 
     flat: Dict[str, FlatLayout] = {}
     object_form: Dict[str, str] = {}
-    for name, types in declared.items():
+    for name, types in walk.declared.items():
         vtype = types[0]
         if not isinstance(vtype, (ast.StructType, ast.HeaderType)):
             continue
-        why = reasons.get(name)
+        why = walk.reasons.get(name)
         layout = None
         if why is None and any(t is not vtype and t != vtype for t in types):
             why = "declared with more than one type"
         if why is None:
             layout, why = flat_layout(vtype)
         if layout is not None:
-            why = _chains_escape(layout, chains.get(name, ()))
+            why = _chains_escape(layout, walk.chains.get(name, ()))
         if why:
             object_form[name] = why
         else:

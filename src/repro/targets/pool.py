@@ -10,10 +10,10 @@ shared-memory rings (:mod:`repro.targets.ring`), so per-worker work is
 O(shard), not O(stream):
 
 * **one fleet per submit** — :meth:`WorkerPool.submit` composes the
-  program (and derives its executable form) first, then starts one
-  worker per shard with the run as its ``Process`` arguments.  Under
-  fork each worker inherits the composed program and nothing is
-  pickled; under ``spawn`` the arguments are pickled once per worker.
+  program and generates its modules first, then starts one worker per
+  shard with the run as its ``Process`` arguments.  Under fork each
+  worker inherits the program and its modules and nothing is pickled;
+  under ``spawn`` the arguments are pickled once per worker.
   The submit owns its processes, rings and result pipes, and tears
   them down before it returns, however the run ends.
 * **batched records** — ring traffic is packed several packets per
@@ -63,6 +63,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.net.packet import Packet
 from repro.obs.metrics import METRICS
+from repro.targets.backends import derive_modules
 from repro.targets.engine import (
     EngineConfig,
     EngineError,
@@ -923,18 +924,19 @@ class WorkerPool:
         ``ring_full_spins``).  ``composed`` is the program to run when
         the caller already compiled it; ``program`` then only labels the
         run and seeds its stream."""
-        # Validate and compose in the parent, before the first fork: a
-        # bad backend name or program fails here, once (workers would
-        # otherwise die N times on the same error).  Validation imports
-        # the backend's module and ``executed_statements`` derives the
-        # executable form, so every worker — a supervised replacement
-        # too — inherits both with the composed program.
+        # Validate, compose and generate in the parent, before the first
+        # fork: a bad backend name, program or generation fails here,
+        # once (workers would otherwise die N times on the same error).
+        # Every worker — a supervised replacement too — inherits the
+        # backend's module, the executable form and its generated
+        # modules, and only instantiates them.
         config.validate()
         self.start()
         engine = self.engine
         if composed is None:
             composed = compose_program(config, program)
         statements = executed_statements(composed)
+        derive_modules(composed, config.exec_backend)
         self._run_id += 1
         run = self._run_id
         policy = engine.restart if engine.restart is not None else RestartPolicy()

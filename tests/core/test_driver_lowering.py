@@ -157,7 +157,6 @@ class TestFrontendCache:
         from repro.targets.backends import EXEC_BACKENDS
 
         monkeypatch.setattr(codegen, "_CODE_CACHE", {})
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE", "0")
         backends = [
             b for b in EXEC_BACKENDS if b != "vector" or NUMPY_AVAILABLE
         ]

@@ -13,8 +13,6 @@ file pins what is specific to this backend and to the seam bugfix:
 """
 
 import hashlib
-import marshal
-import os
 import random
 import re
 
@@ -696,57 +694,3 @@ class TestGeneratedModule:
         assert ports(cg) == [5] and ports(vec) == [2] and ports(again) == []
         lanes = vec.process_soa([eth_ipv4().tobytes()], [1], [eth_ipv4()])
         assert [o.port for o in lanes[0][0]] == [2] and lanes[0][2] is None
-
-
-_CACHED_SOURCE = "def _cg_run():\n    return 'generated'\n"
-
-
-@pytest.mark.skipif(os.name != "posix", reason="needs uids and symlinks")
-class TestDiskCache:
-    """The code cache under the tempdir trusts only a regular file this
-    user owns that holds a code object; whatever else sits at the key
-    path is recompiled over, never run, and never written through."""
-
-    @pytest.fixture
-    def cache(self, tmp_path, monkeypatch):
-        from repro.targets import codegen
-
-        monkeypatch.setattr(codegen, "_CODE_CACHE", {})
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE", "1")
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE_DIR", str(tmp_path))
-        codegen.compile_cached(_CACHED_SOURCE, "<cache-test>")
-        (path,) = tmp_path.glob("*.pyc")
-        codegen._CODE_CACHE.clear()
-        return codegen, path
-
-    @staticmethod
-    def _run(codegen):
-        ns = {}
-        exec(codegen.compile_cached(_CACHED_SOURCE, "<cache-test>"), ns)
-        return ns["_cg_run"]()
-
-    def test_non_code_payload_is_recompiled(self, cache):
-        codegen, path = cache
-        path.write_bytes(marshal.dumps(42))
-        assert self._run(codegen) == "generated"
-
-    def test_a_file_another_user_owns_is_not_run(self, cache, monkeypatch):
-        codegen, path = cache
-        planted = compile(
-            "def _cg_run():\n    return 'planted'\n", "<cache-test>", "exec"
-        )
-        path.write_bytes(marshal.dumps(planted))
-        assert self._run(codegen) == "planted"  # this user's own file
-        codegen._CODE_CACHE.clear()
-        uid = os.getuid()
-        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
-        assert self._run(codegen) == "generated"
-
-    def test_a_symlink_at_the_temp_path_is_not_written_through(self, cache):
-        codegen, path = cache
-        path.unlink()
-        victim = path.parent / "victim"
-        victim.write_bytes(b"keep")
-        os.symlink(victim, f"{path}.{os.getpid()}.tmp")
-        assert self._run(codegen) == "generated"
-        assert victim.read_bytes() == b"keep"

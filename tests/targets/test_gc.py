@@ -7,7 +7,8 @@ from collections import Counter
 
 import pytest
 
-from repro.lib.catalog import link_composition
+from repro.lib.catalog import PROGRAMS, link_composition
+from repro.targets.backends import derive_modules, executable_form
 from repro.targets.engine import EngineConfig, _merge_blocks
 from repro.targets.pool import WorkerPool
 from repro.targets.soak import (
@@ -98,6 +99,26 @@ class TestNoComposeCycles:
         config = hostile_config(mode=mode)
         composed = weakref.ref(compose_program(config, "P7"))
         assert composed() is None
+
+    @pytest.mark.parametrize("mode", ("micro", "mono"))
+    @pytest.mark.parametrize("program", PROGRAMS)
+    def test_derived_modules_leave_no_cycle(self, program, mode, no_collector):
+        """What a pool's parent derives before it forks — the executable
+        form, the generated module and the columnwise one — goes with
+        the program: after all of it is dropped, a collection finds
+        nothing."""
+        config = hostile_config(mode=mode)
+        backend = "vector" if NUMPY_AVAILABLE else "codegen"
+
+        def derive_and_drop() -> None:
+            composed = compose_program(config, program)
+            derive_modules(composed, backend)
+            assert "generated_module" in executable_form(composed).derived
+
+        derive_and_drop()  # first-use imports settle outside the count
+        gc.collect()
+        derive_and_drop()
+        assert gc.collect() == 0
 
     def test_submit_leaves_no_cycle_holding_the_program(self, no_collector):
         config = hostile_config(programs=["P1"], packets=200)

@@ -386,6 +386,79 @@ class TestSpawnStartMethod:
         assert no_orphans()
 
 
+class TestWorkersInheritModules:
+    """The parent derives every module the run's backend generates
+    before the first fork: a forked worker, a supervised replacement
+    too, instantiates them and generates or compiles nothing."""
+
+    @pytest.mark.parametrize(
+        "backend", [b for b in ("codegen", "vector") if b in BACKENDS]
+    )
+    @pytest.mark.parametrize(
+        "specs", [None, "kill:shard=0@pkt=200"], ids=["undisturbed", "restart"]
+    )
+    def test_workers_compile_nothing(self, backend, specs, tmp_path,
+                                     monkeypatch):
+        from repro.targets import codegen, vector
+
+        calls = tmp_path / "compiles"
+        calls.touch()
+        compile_cached = codegen.compile_cached
+
+        def spy(source, filename):
+            # A forked worker shares no memory with the parent: each
+            # call leaves the caller's pid in a file.
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return compile_cached(source, filename)
+
+        monkeypatch.setattr(codegen, "compile_cached", spy)
+        monkeypatch.setattr(vector, "compile_cached", spy)
+        monkeypatch.setattr(
+            pool_mod, "_mp_context", lambda: multiprocessing.get_context("fork")
+        )
+        engine = EngineConfig(
+            workers=2,
+            chaos=ChaosPlan.from_specs(specs) if specs else None,
+            restart=RestartPolicy(backoff_base_s=0.01),
+        )
+        config = small_config(exec_backend=backend)
+        modules = 2 if backend == "vector" else 1
+        with WorkerPool(engine) as pool:
+            for submit in (1, 2):
+                block = pool.submit(config, "P4")
+                assert block["restarts"] == ({"0": 1} if specs else {})
+                # Each submit composes the program afresh, and the parent
+                # generates each of its modules exactly once.
+                pids = calls.read_text().split()
+                assert pids == [str(os.getpid())] * (modules * submit)
+                counters = block["metrics"]["counters"]
+                assert counters[f"{backend}.packets"] == 400
+                for key in ("codegen.generations", "codegen.build_cache_misses",
+                            "vector.plan_built"):
+                    assert key not in counters, key
+        assert no_orphans()
+
+    def test_a_generation_error_fails_the_submit_before_any_fork(
+        self, monkeypatch
+    ):
+        from repro.targets import codegen
+
+        def broken(self):
+            raise RuntimeError("generator broke")
+
+        spawned = []
+        monkeypatch.setattr(codegen.SourceGen, "generate", broken)
+        monkeypatch.setattr(
+            WorkerPool, "_spawn_worker",
+            lambda self, state, shard: spawned.append(shard),
+        )
+        with WorkerPool(EngineConfig(workers=2)) as pool:
+            with pytest.raises(RuntimeError, match="generator broke"):
+                pool.submit(small_config(exec_backend="codegen"), "P4")
+        assert spawned == []
+
+
 class TestForkAfterImports:
     """The parent resolves the run's backend before the first fork, so
     workers (and supervised replacements) inherit the executor's module
