@@ -79,10 +79,9 @@ class ComposedPipeline:
     # Facts derived from this program and kept with it (``derive``):
     # the executable form, the logical tables, the generated module —
     # what several consumers would each recompute from the same
-    # program.  Lives and dies with the object, is not copied by
-    # ``dataclasses.replace`` and is not pickled (a pool worker derives
-    # its own); a pass that edits the program in place must call
-    # ``invalidate_derived``.
+    # program.  Lives and dies with the object (a forked pool worker
+    # inherits it) and is not copied by ``dataclasses.replace``; a pass
+    # that edits the program in place must call ``invalidate_derived``.
     derived: Dict[str, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -107,9 +106,6 @@ class ComposedPipeline:
     def invalidate_derived(self) -> None:
         """Forget every derived fact: the program was edited in place."""
         self.derived.clear()
-
-    def __getstate__(self) -> dict:
-        return dict(self.__dict__, derived={})
 
 
 class Composer:

@@ -14,7 +14,7 @@ Four backends execute a :class:`~repro.midend.inline.ComposedPipeline`:
 * ``vector`` — :class:`~repro.targets.vector.VectorPipeline`, the
   codegen backend with its batch lane loop replaced by columnwise numpy
   execution with divergence splitting (see ``DESIGN.md`` §16).  Needs
-  the optional ``[vector]`` extra (numpy); constructing it without
+  the optional ``[vector]`` extra (numpy); resolving the name without
   numpy raises a reason-coded ``error[vector-unavailable]``.
 
 ``make_pipeline`` hands every backend the same program: the composed
@@ -78,12 +78,13 @@ def derive_modules(composed: ComposedPipeline, exec_backend: str) -> None:
 
 def executor_class(exec_backend: str):
     """The executor class behind a backend name, its module imported.
-    Unknown names raise a reason-coded :class:`TargetError` instead of
-    silently falling back.
+    Unknown names, and ``vector`` without numpy, raise a reason-coded
+    :class:`TargetError` instead of silently falling back.
 
     A parent that forks workers resolves the name first
     (:meth:`SoakConfig.validate <repro.targets.soak.SoakConfig.validate>`
-    does), so the children inherit the import instead of each paying it.
+    does), so the children inherit the import instead of each paying it,
+    and a backend this host cannot run fails once, before any fork.
     """
     if exec_backend == "interp":
         return PipelineInstance
@@ -94,9 +95,17 @@ def executor_class(exec_backend: str):
     if exec_backend == "vector":
         # Imported lazily: the module is numpy-tolerant, but the other
         # backends should not pay its import on every process start.
-        from repro.targets.vector import VectorPipeline
+        from repro.targets import vector
 
-        return VectorPipeline
+        if vector._np is None:
+            err = TargetError(
+                "exec backend 'vector' requires numpy; install the "
+                "optional extra (pip install .[vector]) or pick another "
+                "backend"
+            )
+            err.code = "vector-unavailable"
+            raise err
+        return vector.VectorPipeline
     err = TargetError(
         f"unknown exec backend {exec_backend!r}; "
         f"known: {', '.join(EXEC_BACKENDS)}"

@@ -10,10 +10,10 @@ shared-memory rings (:mod:`repro.targets.ring`), so per-worker work is
 O(shard), not O(stream):
 
 * **one fleet per submit** — :meth:`WorkerPool.submit` composes the
-  program and generates its modules first, then starts one worker per
-  shard with the run as its ``Process`` arguments.  Under fork each
-  worker inherits the program and its modules and nothing is pickled;
-  under ``spawn`` the arguments are pickled once per worker.
+  program and generates its modules first, then forks one worker per
+  shard with the run as its ``Process`` arguments: each worker inherits
+  the program, its modules and its ring's mapping.  Fork is the only
+  start method; a host without it refuses a sharded run up front.
   The submit owns its processes, rings and result pipes, and tears
   them down before it returns, however the run ends.
 * **batched records** — ring traffic is packed several packets per
@@ -61,6 +61,7 @@ import traceback
 from multiprocessing.connection import Connection, wait
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.errors import TargetError
 from repro.net.packet import Packet
 from repro.obs.metrics import METRICS
 from repro.targets.backends import derive_modules
@@ -90,7 +91,8 @@ _REC = struct.Struct("<QHI")
 
 #: Per-shard ring capacity in bytes.  Bounds the parent's lead over a
 #: slow worker; a full ring blocks the parent (backpressure) rather
-#: than dropping anything.  Read at spawn and dispatch time.
+#: than dropping anything.  Read each time a worker's ring is made
+#: and when dispatch starts.
 _RING_BYTES = DEFAULT_RING_BYTES
 
 #: Give up on a worker that reports nothing for this long (safety net
@@ -99,13 +101,6 @@ _RING_BYTES = DEFAULT_RING_BYTES
 #: liveness — so a healthy worker on a long soak never trips it.  Also
 #: how long a ring put may stay blocked on a full ring.
 _WATCHDOG_S = 600.0
-
-
-def _mp_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return multiprocessing.get_context()
 
 
 def _packet_room(ring_bytes: int) -> int:
@@ -269,10 +264,10 @@ def _pool_worker(config: SoakConfig, program: str, composed,
     a failed run posts an error instead (the supervisor starts a fresh
     process for the next attempt).
 
-    GC discipline (DESIGN.md §13): the heap this process starts with —
-    under fork the parent's, the composed program included — is frozen
-    on entry, so its collections never rescan it (nor copy its pages);
-    the replica is frozen once built.
+    GC discipline (DESIGN.md §13): the heap this process inherits from
+    the parent, the composed program included, is frozen on entry, so
+    its collections never rescan it (nor copy its pages); the replica
+    is frozen once built.
     """
     from repro.obs.telemetry import FlightRecorder
 
@@ -403,16 +398,24 @@ class WorkerPool:
     def __init__(self, engine: EngineConfig) -> None:
         engine.validate()
         self.engine = engine
-        self._ctx = _mp_context()
+        try:
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            err = TargetError(
+                "a sharded run forks its workers, and this platform has no "
+                "fork start method; run without --workers"
+            )
+            err.code = "fork-unavailable"
+            raise err from None
         self._run_id = 0
         #: Set by ``close()`` and by a failed or interrupted submit.
         self._refusing = False
 
     # ------------------------------------------------------------------
     def _spawn_worker(self, state: _RunState, shard: int) -> None:
-        """Start one shard's current attempt over a fresh ring and
-        result pipe, the run as its arguments; a replacement replays
-        through ``gen_high``.
+        """Fork one shard's current attempt over a fresh ring and
+        result pipe, the run as its arguments (inherited, not pickled);
+        a replacement replays through ``gen_high``.
 
         Always a fresh ring: a replacement must not read the unread
         bytes its predecessor left in the old one.
@@ -458,12 +461,11 @@ class WorkerPool:
         if ring is not None:
             state.spins[shard] += ring.full_spins
             ring.close()
-            ring.unlink()
             state.rings[shard] = None
 
     def _teardown(self, state: _RunState) -> None:
         """Reap the submit's whole fleet: no worker process, ring
-        segment or result pipe outlives the submit."""
+        mapping or result pipe outlives the submit."""
         for shard in range(len(state.rings)):
             self._reap(state, shard)
 

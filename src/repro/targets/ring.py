@@ -3,8 +3,10 @@
 The worker pool (:mod:`repro.targets.pool`) feeds each shard's worker
 over one of these rings: the parent generates the deterministic
 stream once, serializes ``(index, in_port, bytes)`` records, and writes
-them into a :class:`~multiprocessing.shared_memory.SharedMemory` block
-the worker drains — no pickling queue, no per-message lock handoff.
+them into an anonymous shared mapping the worker drains — no pickling
+queue, no per-message lock handoff.  The parent maps the ring before it
+forks the worker, and the worker inherits the mapping: it has no name,
+so nothing is left to reclaim when either side dies.
 
 Layout of the shared block::
 
@@ -39,11 +41,9 @@ wrap (:func:`max_payload`) is refused up front instead of waited on.
 
 from __future__ import annotations
 
-import os
+import mmap
 import struct
 import time
-import weakref
-from multiprocessing import shared_memory
 from typing import Callable, Optional
 
 _HEAD_OFF = 0
@@ -84,81 +84,24 @@ def max_payload(capacity: int) -> int:
     return (capacity + 1) // 2 - _LEN.size
 
 
-def _attach(name: str, capacity: int) -> "ShardRing":
-    return ShardRing(capacity, name=name, create=False)
-
-
-def _finalize_segment(shm, owner_pid: int) -> None:
-    """Last-resort unlink for a segment whose creator never called
-    :meth:`ShardRing.unlink` (crash, exception path, interpreter exit).
-
-    Guarded by pid: a forked child inherits the parent's finalizer
-    object inside its copied ring, and letting the *child* unlink would
-    destroy a segment the parent still depends on.  Only the creating
-    process may reclaim the name.
-    """
-    if os.getpid() != owner_pid:
-        return
-    try:
-        shm.unlink()
-    except (FileNotFoundError, OSError):  # pragma: no cover - already gone
-        pass
-
-
 class ShardRing:
-    """One SPSC byte ring in POSIX shared memory.
+    """One SPSC byte ring in an anonymous shared mapping.
 
-    The creating side owns the segment (and must :meth:`unlink` it);
-    workers attach by name — pickling a ring (e.g. for a ``spawn``
-    start method) transfers only ``(name, capacity)`` and re-attaches
-    on the far side.
+    Made in the parent before the fork; the forked worker uses its
+    inherited copy of this object, over the same pages.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_RING_BYTES,
-        name: Optional[str] = None,
-        create: bool = True,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_RING_BYTES) -> None:
         if capacity < 1024:
             raise ValueError(f"ring capacity must be >= 1024 bytes, got {capacity}")
-        if create:
-            self._shm = shared_memory.SharedMemory(
-                create=True, size=_DATA_OFF + capacity
-            )
-        else:
-            self._shm = shared_memory.SharedMemory(name=name)
-            # Attaching registers the segment with the resource tracker
-            # a second time; the creator already owns cleanup, so undo
-            # the registration to avoid a double-unlink warning at exit.
-            try:  # pragma: no cover - tracker internals vary by version
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(self._shm._name, "shared_memory")
-            except Exception:
-                pass
         self.capacity = int(capacity)
-        self.name = self._shm.name
-        self._buf = self._shm.buf
-        self._owner = create
-        # The creator arms a finalizer so the segment is unlinked even
-        # if the owning process never reaches an explicit unlink() —
-        # weakref.finalize also runs at interpreter exit, so a parent
-        # that dies on an exception cannot leak /dev/shm segments.
-        self._finalizer = (
-            weakref.finalize(self, _finalize_segment, self._shm, os.getpid())
-            if create
-            else None
-        )
+        self._buf = mmap.mmap(-1, _DATA_OFF + self.capacity)
         # Local copies of this side's and the peer's last-seen indices.
         self._head = self._load(_HEAD_OFF)
         self._tail = self._load(_TAIL_OFF)
         #: Times the producer found the ring full and had to wait one
         #: poll interval — nonzero means the consumer is the slow side.
         self.full_spins = 0
-
-    def __reduce__(self):
-        return (_attach, (self.name, self.capacity))
 
     # ------------------------------------------------------------------
     # Shared index access
@@ -209,8 +152,7 @@ class ShardRing:
                 poll()
             if deadline is not None and time.monotonic() > deadline:
                 raise RingTimeout(
-                    f"ring {self.name} full for {timeout}s "
-                    f"(capacity {cap}, need {need})"
+                    f"ring full for {timeout}s (capacity {cap}, need {need})"
                 )
             time.sleep(_POLL_SLEEP_S)
 
@@ -281,31 +223,24 @@ class ShardRing:
                     self._store(_TAIL_OFF, self._tail)
                     return None
                 start = _DATA_OFF + pos + _LEN.size
-                payload = bytes(self._buf[start : start + length])
+                payload = self._buf[start : start + length]
                 self._tail += _LEN.size + length
                 self._store(_TAIL_OFF, self._tail)
                 return payload
             if poll is not None:
                 poll()
             if deadline is not None and time.monotonic() > deadline:
-                raise RingTimeout(f"ring {self.name} empty for {timeout}s")
+                raise RingTimeout(
+                    f"ring empty for {timeout}s (capacity {cap})"
+                )
             time.sleep(_POLL_SLEEP_S)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release this process's mapping (does not destroy the segment)."""
-        if self._buf is not None:
-            self._buf = None
-            self._shm.close()
+        """Release this process's mapping; idempotent.  The pages go
+        when the last process that maps them closes or exits."""
+        self._buf.close()
 
-    def unlink(self) -> None:
-        """Destroy the shared segment (creator side, after close)."""
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+    unlink = close  # the benchmark's layer probe still calls it

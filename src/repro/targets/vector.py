@@ -47,8 +47,9 @@ parsers) *decline* then, with a reason, and fall back to the inherited
 codegen lane loop; batches whose static step bound exceeds the
 configured step budget fall back per batch so step-budget kills keep
 their per-lane accounting.  numpy itself is an optional extra (``pip
-install .[vector]``); constructing the backend without it raises a
-reason-coded ``error[vector-unavailable]``.
+install .[vector]``); selecting the backend without it
+(:func:`repro.targets.backends.executor_class`) raises a reason-coded
+``error[vector-unavailable]``.
 """
 
 from __future__ import annotations
@@ -1012,14 +1013,6 @@ class VectorPipeline(CodegenPipeline):
         guards: Optional[ResourceGuards] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        if _np is None:
-            err = TargetError(
-                "exec backend 'vector' requires numpy; install the "
-                "optional extra (pip install .[vector]) or pick another "
-                "backend"
-            )
-            err.code = "vector-unavailable"
-            raise err
         super().__init__(
             composed, use_table_index=use_table_index,
             guards=guards, faults=faults,

@@ -201,24 +201,6 @@ class TestShrunkInput:
         assert targets(composed) == targets(fresh)
         assert after.source == make_pipeline(fresh, "codegen").source
 
-    def test_the_memo_is_not_pickled(self):
-        import pickle
-
-        composed = build_pipeline("P4")
-        make_pipeline(composed, "codegen")
-        assert set(composed.derived) == {"executable_form"}
-        assert set(composed.derived["executable_form"].derived) == {
-            "generated_module"
-        }
-        shipped = pickle.loads(pickle.dumps(composed))
-        assert shipped.derived == {}
-        assert shipped.tables.keys() == composed.tables.keys()
-        # What a worker builds from it is what the parent built.
-        assert (
-            make_pipeline(shipped, "codegen").source
-            == make_pipeline(composed, "codegen").source
-        )
-
     def test_unknown_backend_is_rejected_before_any_work(self, monkeypatch):
         from repro.targets import backends
 

@@ -177,17 +177,6 @@ class TestKillRecovery:
             [{"0": 1}] * 2 if specs else [{}] * 2
         )
 
-    def test_sigkill_under_spawn_start_method(self, clean_digest, monkeypatch):
-        monkeypatch.setattr(
-            pool_mod, "_mp_context", lambda: multiprocessing.get_context("spawn")
-        )
-        block = run_chaotic(
-            chaos_config(), f"kill:shard=0@pkt={PACKETS // 2}"
-        )
-        assert block["digest"] == clean_digest
-        assert block["restarts"] == {"0": 1}
-        assert no_orphans()
-
     def test_kill_during_final_epoch(self, clean_digest):
         # pkt beyond the stream fires after the sentinels: the worker
         # dies draining its ring tail or finalizing its result block.

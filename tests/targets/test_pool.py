@@ -121,14 +121,12 @@ class TestFleetPerSubmit:
         "outcome", ["ok", "worker-error", "abandon", "interrupt"]
     )
     def test_nothing_outlives_a_submit(self, outcome, monkeypatch):
-        from multiprocessing import shared_memory
-
         rings, pipes = [], []
 
         class SpyRing(ShardRing):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                rings.append(self.name)
+                rings.append(self)
 
         monkeypatch.setattr(pool_mod, "ShardRing", SpyRing)
         restart = RestartPolicy(backoff_base_s=0.01)
@@ -146,7 +144,6 @@ class TestFleetPerSubmit:
             "abandon": EngineError,
             "interrupt": KeyboardInterrupt,
         }[outcome]
-        ShardRing(1024).unlink()  # the resource tracker's pipe opens once
         before, fds = shm_segments(), open_fds()
         with WorkerPool(
             EngineConfig(workers=2, restart=restart, chaos=chaos)
@@ -161,9 +158,8 @@ class TestFleetPerSubmit:
             assert no_orphans()
             assert len(rings) >= 2 and len(pipes) == 2 * len(rings)
             assert all(end.closed for end in pipes)
-            for name in rings:
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=name)
+            # Every ring's mapping is closed in the parent.
+            assert all(ring._buf.closed for ring in rings)
             assert shm_segments() <= before
             assert open_fds() <= fds  # the result pipes are closed too
 
@@ -207,32 +203,18 @@ class TestFleetPerSubmit:
         assert no_orphans()
 
     @pytest.mark.parametrize(
-        "start_method, specs, pickles",
-        [
-            ("fork", None, 0),
-            ("fork", "kill:shard=0@pkt=200", 0),
-            # The counter does see pickling: a spawned worker gets the
-            # program in its pickled arguments, once per incarnation.
-            ("spawn", "kill:shard=0@pkt=200", 3),
-        ],
-        ids=["fork", "fork-restart", "spawn-restart"],
+        "specs", [None, "kill:shard=0@pkt=200"], ids=["fork", "fork-restart"]
     )
-    def test_composed_pipeline_pickles(self, start_method, specs, pickles,
-                                       monkeypatch):
+    def test_composed_pipeline_pickles(self, specs, monkeypatch):
         from repro.midend.inline import ComposedPipeline
 
         pickled = []
-        getstate = ComposedPipeline.__getstate__
 
-        def counting(self):
+        def counting(self, protocol):
             pickled.append(self)
-            return getstate(self)
+            return object.__reduce_ex__(self, protocol)
 
-        monkeypatch.setattr(ComposedPipeline, "__getstate__", counting)
-        monkeypatch.setattr(
-            pool_mod, "_mp_context",
-            lambda: multiprocessing.get_context(start_method),
-        )
+        monkeypatch.setattr(ComposedPipeline, "__reduce_ex__", counting)
         engine = EngineConfig(
             workers=2,
             chaos=ChaosPlan.from_specs(specs) if specs else None,
@@ -241,8 +223,156 @@ class TestFleetPerSubmit:
         with WorkerPool(engine) as pool:
             block = pool.submit(small_config(), "P4")
         assert block["restarts"] == ({"0": 1} if specs else {})
-        assert len(pickled) == pickles
+        assert pickled == []  # workers, replacements too, inherit it
         assert no_orphans()
+
+
+class TestForkIsTheContract:
+    """Workers are forked, and inherit their rings as anonymous shared
+    mappings: no start method but fork, no named segment, no resource
+    tracker, nothing a dead parent could leave behind."""
+
+    def test_no_fork_refuses_a_sharded_run(self, monkeypatch):
+        from repro.errors import TargetError
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(pool_mod.multiprocessing, "get_context", no_fork)
+        with pytest.raises(TargetError) as exc:
+            WorkerPool(EngineConfig(workers=2))
+        assert exc.value.code == "fork-unavailable"
+
+    def test_the_pool_forks_whatever_the_default_start_method(
+        self, monkeypatch
+    ):
+        # The process-wide default may be spawn (or, on newer Pythons,
+        # forkserver); a sharded run still forks, and its workers
+        # inherit the program rather than receive it pickled.
+        from multiprocessing import context
+
+        from repro.midend.inline import ComposedPipeline
+
+        pickled = []
+
+        def counting(self, protocol):
+            pickled.append(self)
+            return object.__reduce_ex__(self, protocol)
+
+        monkeypatch.setattr(
+            context._default_context, "_actual_context",
+            multiprocessing.get_context("spawn"),
+        )
+        monkeypatch.setattr(ComposedPipeline, "__reduce_ex__", counting)
+        assert multiprocessing.get_start_method() == "spawn"
+        config, engine = small_config(packets=120), EngineConfig(workers=2)
+        with WorkerPool(engine) as pool:
+            assert pool._ctx.get_start_method() == "fork"
+            block = pool.submit(config, "P4")
+        assert_matches_oracle(block, oracle_run(config, "P4", engine))
+        assert pickled == []
+        assert no_orphans()
+
+    def test_inline_runs_need_no_fork(self, monkeypatch):
+        from repro.targets.soak import run_soak
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(pool_mod.multiprocessing, "get_context", no_fork)
+        summary = run_soak(small_config(packets=120))
+        assert summary["ok"]
+
+    RUN = """
+import multiprocessing.resource_tracker as tracker
+import os
+from repro.targets.engine import EngineConfig
+from repro.targets.soak import SoakConfig, run_soak
+before = set(os.listdir("/dev/shm"))
+summary = run_soak(
+    SoakConfig(programs=["P4"], packets=400, seed=77, exec_backend="codegen"),
+    EngineConfig(workers=2),
+)
+assert summary["ok"]
+print(tracker._resource_tracker._pid, sorted(set(os.listdir("/dev/shm")) - before))
+"""
+
+    def test_a_sharded_run_starts_no_resource_tracker(self):
+        # A named segment registers with multiprocessing's resource
+        # tracker, a separate interpreter the first ring starts; an
+        # anonymous mapping has nothing to register.
+        import subprocess
+        import sys
+
+        done = subprocess.run(
+            [sys.executable, "-c", self.RUN],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "None []"
+
+    KILLED = """
+from repro.targets.engine import EngineConfig
+from repro.targets.pool import WorkerPool
+from repro.targets.soak import SoakConfig, run_soak
+
+spawn, dispatch = WorkerPool._spawn_worker, WorkerPool._dispatch
+
+def spy_spawn(self, state, shard):
+    spawn(self, state, shard)
+    print("worker", state.procs[shard].pid, flush=True)
+
+def spy_dispatch(self, state):
+    print("dispatching", flush=True)
+    dispatch(self, state)
+
+WorkerPool._spawn_worker, WorkerPool._dispatch = spy_spawn, spy_dispatch
+run_soak(
+    SoakConfig(programs=["P4"], packets=10**7, seed=77, exec_backend="codegen"),
+    EngineConfig(workers=2),
+)
+"""
+
+    def test_a_killed_parent_leaves_no_worker_and_no_segment(self):
+        import signal
+        import subprocess
+        import sys
+
+        before = shm_segments()
+        parent = subprocess.Popen(
+            [sys.executable, "-c", self.KILLED],
+            stdout=subprocess.PIPE, text=True,
+        )
+        workers = []
+        try:
+            for line in parent.stdout:
+                if line.startswith("worker"):
+                    workers.append(int(line.split()[1]))
+                elif line.startswith("dispatching"):
+                    break
+            assert len(workers) == 2
+            time.sleep(0.5)  # well into the dispatch loop
+            assert parent.poll() is None
+        finally:
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(10)
+            parent.stdout.close()
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in workers):
+            assert time.monotonic() < deadline, "a worker outlived its parent"
+            time.sleep(0.05)
+        assert shm_segments() <= before
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return False
+    # The state letter follows the parenthesized command name.
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestReuse:
@@ -371,21 +501,6 @@ class TestFailureHandling:
         assert no_orphans()
 
 
-class TestSpawnStartMethod:
-    def test_pool_works_without_fork_inheritance(self, monkeypatch):
-        # The pipeline travels in the pickled process arguments and the
-        # rings attach by name, so a spawn pool must produce the oracle's digests
-        # exactly as the default fork pool does.
-        monkeypatch.setattr(
-            pool_mod, "_mp_context", lambda: multiprocessing.get_context("spawn")
-        )
-        config, engine = small_config(packets=120), EngineConfig(workers=2)
-        with WorkerPool(engine) as pool:
-            spawned = pool.submit(config, "P4")
-        assert_matches_oracle(spawned, oracle_run(config, "P4", engine))
-        assert no_orphans()
-
-
 class TestWorkersInheritModules:
     """The parent derives every module the run's backend generates
     before the first fork: a forked worker, a supervised replacement
@@ -414,9 +529,6 @@ class TestWorkersInheritModules:
 
         monkeypatch.setattr(codegen, "compile_cached", spy)
         monkeypatch.setattr(vector, "compile_cached", spy)
-        monkeypatch.setattr(
-            pool_mod, "_mp_context", lambda: multiprocessing.get_context("fork")
-        )
         engine = EngineConfig(
             workers=2,
             chaos=ChaosPlan.from_specs(specs) if specs else None,
@@ -456,6 +568,24 @@ class TestWorkersInheritModules:
         with WorkerPool(EngineConfig(workers=2)) as pool:
             with pytest.raises(RuntimeError, match="generator broke"):
                 pool.submit(small_config(exec_backend="codegen"), "P4")
+        assert spawned == []
+
+    def test_vector_without_numpy_fails_the_submit_before_any_fork(
+        self, monkeypatch
+    ):
+        from repro.errors import TargetError
+        from repro.targets import vector
+
+        spawned = []
+        monkeypatch.setattr(vector, "_np", None)
+        monkeypatch.setattr(
+            WorkerPool, "_spawn_worker",
+            lambda self, state, shard: spawned.append(shard),
+        )
+        with WorkerPool(EngineConfig(workers=2)) as pool:
+            with pytest.raises(TargetError) as exc:
+                pool.submit(small_config(exec_backend="vector"), "P4")
+        assert exc.value.code == "vector-unavailable"
         assert spawned == []
 
 

@@ -1,5 +1,8 @@
-"""SPSC shared-memory ring: framing, wrap, sentinel, backpressure."""
+"""SPSC shared-memory ring: framing, wrap, sentinel, backpressure,
+sharing with a forked child."""
 
+import multiprocessing
+import os
 import threading
 import time
 
@@ -7,6 +10,7 @@ import pytest
 
 from repro.targets.ring import (
     _HEAD_OFF,
+    _LEN,
     _TAIL_OFF,
     DEFAULT_RING_BYTES,
     RingTimeout,
@@ -20,7 +24,6 @@ def ring():
     r = ShardRing(2048)
     yield r
     r.close()
-    r.unlink()
 
 
 class TestFraming:
@@ -60,7 +63,6 @@ class TestFraming:
             assert time.monotonic() - start < 0.5
         finally:
             ring.close()
-            ring.unlink()
 
     @pytest.mark.parametrize("capacity", [1024, 1025, 2048])
     def test_largest_record_is_placed_at_every_head_position(self, capacity):
@@ -79,7 +81,6 @@ class TestFraming:
                 assert ring.get() == payload
         finally:
             ring.close()
-            ring.unlink()
 
     def test_minimum_capacity_enforced(self):
         with pytest.raises(ValueError):
@@ -145,6 +146,17 @@ class TestBackpressure:
         with pytest.raises(RingTimeout):
             ring.get(timeout=0.05)
 
+    def test_timeouts_name_capacity_and_need(self, ring):
+        # The ring has no name to report: a timeout says what it held
+        # and what the blocked side waited for.
+        with pytest.raises(RingTimeout, match=r"empty .*\(capacity 2048\)"):
+            ring.get(timeout=0.05)
+        with pytest.raises(RingTimeout) as exc:
+            while True:
+                ring.put(b"y" * 400, timeout=0.05)
+        assert "full" in str(exc.value)
+        assert "(capacity 2048, need 404)" in str(exc.value)
+
     def test_put_poll_callback_invoked_while_blocked(self, ring):
         calls = []
 
@@ -182,103 +194,72 @@ class TestBackpressure:
 
 
 class TestLifecycle:
-    def test_attach_by_name_shares_data(self):
-        ring = ShardRing(4096)
-        try:
-            ring.put(b"hello")
-            peer = ShardRing(4096, name=ring.name, create=False)
-            assert peer.get() == b"hello"
-            peer.close()
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_reduce_reattaches(self):
-        import pickle
-
-        ring = ShardRing(4096)
-        try:
-            ring.put(b"pickled")
-            clone = pickle.loads(pickle.dumps(ring))
-            assert clone.capacity == ring.capacity
-            assert clone.get() == b"pickled"
-            clone.close()
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_unlink_destroys_segment(self):
-        from multiprocessing import shared_memory
-
-        ring = ShardRing(2048)
-        name = ring.name
-        ring.close()
-        ring.unlink()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
     def test_default_capacity(self):
         ring = ShardRing()
         try:
             assert ring.capacity == DEFAULT_RING_BYTES
         finally:
             ring.close()
-            ring.unlink()
 
-
-class TestFinalizer:
-    def test_dropping_an_unlinked_ring_reclaims_the_segment(self):
-        import gc
-
-        from multiprocessing import shared_memory
-
+    def test_a_ring_leaves_no_segment(self):
+        # An anonymous mapping has no name under /dev/shm, before or
+        # after it is closed.
+        before = set(os.listdir("/dev/shm"))
         ring = ShardRing(2048)
-        name = ring.name
-        # Simulate an abnormal path: the owner never calls unlink().
-        del ring
-        gc.collect()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        ring.put(b"unnamed")
+        assert set(os.listdir("/dev/shm")) == before
+        assert ring.get() == b"unnamed"
+        ring.close()
+        assert set(os.listdir("/dev/shm")) == before
 
-    def test_explicit_unlink_detaches_the_finalizer(self):
+    def test_a_ring_travels_only_by_fork(self, ring):
+        # Nothing could re-attach a pickled ring: it has no name.
+        import pickle
+
+        with pytest.raises(TypeError, match="pickle"):
+            pickle.dumps(ring)
+
+    def test_close_after_traffic_releases_the_mapping(self):
         ring = ShardRing(2048)
-        finalizer = ring._finalizer
+        ring.put(b"record")
+        assert ring.get() == b"record"
+        ring.close()  # no view of the mapping outlives an operation
+        assert ring._buf.closed
+        with pytest.raises(ValueError):
+            ring.put(b"late")
+
+    def test_close_is_idempotent(self):
+        # bench/layers.py closes a ring, then calls the ``unlink`` alias.
+        ring = ShardRing(2048)
         ring.close()
         ring.unlink()
-        assert ring._finalizer is None
-        assert not finalizer.alive  # no second unlink attempt at gc
 
-    def test_attached_ring_has_no_finalizer(self):
-        # Only the creator may reclaim the name; a worker-side attach
-        # dying must never destroy the parent's segment.
-        ring = ShardRing(2048)
-        try:
-            peer = ShardRing(2048, name=ring.name, create=False)
-            assert peer._finalizer is None
-            peer.close()
-        finally:
-            ring.close()
-            ring.unlink()
+    def test_forked_child_reads_what_the_parent_put(self, ring):
+        # The pool's contract: the ring is mapped before the fork, and
+        # the child's inherited copy shares its pages with the parent's.
+        ring.put(b"inherited")
+        child = multiprocessing.get_context("fork").Process(
+            target=_read_one, args=(ring, b"inherited")
+        )
+        child.start()
+        child.join(10)
+        assert child.exitcode == 0  # the child got the record
+        assert ring._load(_TAIL_OFF) == _LEN.size + len(b"inherited")
 
-    def test_forked_child_cannot_unlink_parents_segment(self):
-        # The finalizer is pid-guarded: a fork inherits the parent's
-        # ring object (finalizer included), and the child exiting must
-        # leave the segment alone.
-        import multiprocessing
+    def test_a_forked_child_exiting_leaves_the_ring_to_the_parent(self, ring):
+        # A worker closes its inherited copy (or just exits); the
+        # parent's mapping, and what it holds, stay.
+        ring.put(b"kept")
+        child = multiprocessing.get_context("fork").Process(
+            target=ring.close
+        )
+        child.start()
+        child.join(10)
+        assert child.exitcode == 0
+        assert ring.get() == b"kept"
+        ring.put(b"still usable")
+        assert ring.get() == b"still usable"
 
-        from multiprocessing import shared_memory
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork on this platform")
-        ctx = multiprocessing.get_context("fork")
-        ring = ShardRing(2048)
-        try:
-            proc = ctx.Process(target=lambda: None)  # inherits + exits
-            proc.start()
-            proc.join(5)
-            # Parent's segment must still exist.
-            probe = shared_memory.SharedMemory(name=ring.name)
-            probe.close()
-        finally:
-            ring.close()
-            ring.unlink()
+def _read_one(ring: ShardRing, expected: bytes) -> None:
+    os._exit(0 if ring.get(timeout=5) == expected else 1)

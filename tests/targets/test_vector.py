@@ -37,7 +37,7 @@ from repro.targets.runtime_api import RuntimeAPI
 from repro.targets.soak import SoakConfig, run_soak, soak_program
 from repro.targets.switch import Switch
 from repro.targets.tables import TableRuntime
-from repro.targets.vector import NUMPY_AVAILABLE, VectorPipeline
+from repro.targets.vector import NUMPY_AVAILABLE
 from tests.integration.helpers import (
     ENTRY_SETS,
     MAC_A,
@@ -233,9 +233,11 @@ class TestFallbackLadder:
 
 class TestNumpyOptional:
     def test_without_numpy_reason_coded(self, monkeypatch):
+        # The check sits where the name is resolved: a caller that
+        # validates a config fails there, before building anything.
         monkeypatch.setattr(vector_mod, "_np", None)
         with pytest.raises(TargetError) as exc:
-            VectorPipeline(build_pipeline("P1"))
+            make_pipeline(build_pipeline("P1"), exec_backend="vector")
         assert exc.value.code == "vector-unavailable"
         assert "numpy" in str(exc.value)
 
