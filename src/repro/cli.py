@@ -58,7 +58,12 @@ from repro.errors import (
 from repro.frontend.json_ir import load_module
 from repro.obs.metrics import METRICS, collecting
 from repro.obs.trace import Tracer
-from repro.targets.backends import DEFAULT_EXEC_BACKEND, EXEC_BACKENDS
+from repro.targets.backends import (
+    DEFAULT_EXEC_BACKEND,
+    EXEC_BACKENDS,
+    backend_of,
+    executor_class,
+)
 from repro.targets.soak import DEFAULT_BATCH_LANES
 
 _EPILOG = """\
@@ -384,11 +389,13 @@ def _run_profile_soak(
         )
         registry = METRICS
         tables = block["tables"]
-    backend = args.exec
+    # Hits and misses count under the executor's metric family, which
+    # an alias name (``vector``) does not carry.
+    family = backend_of(executor_class(args.exec))
     behavior = {
         "packets": block["packets"],
         "outputs": block["emits"],
-        "exec": backend,
+        "exec": args.exec,
         "elapsed_ms": round(block["elapsed_s"] * 1000, 3),
         "pkts_per_sec": block["pkts_per_sec"],
         "digest": block["digest"],
@@ -400,8 +407,8 @@ def _run_profile_soak(
             # hit/miss counters are per-backend.
             "indexed": registry.counter("interp.lookup.indexed"),
             "scan": registry.counter("interp.lookup.scan"),
-            "hits": registry.counter(f"{backend}.table_hits"),
-            "misses": registry.counter(f"{backend}.table_misses"),
+            "hits": registry.counter(f"{family}.table_hits"),
+            "misses": registry.counter(f"{family}.table_misses"),
         },
         "table_strategies": dict(
             Counter(str(info["strategy"]) for info in tables.values())

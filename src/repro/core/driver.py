@@ -57,7 +57,7 @@ PASS_ORDER = (
 # means a module is checked once and linked many times.  Sharing one
 # Module across links is safe because types and locations are immutable
 # values and composition clones every declaration it rewrites (DESIGN
-# §18).  Oldest entry out at the cap, so a process that compiles
+# §17).  Oldest entry out at the cap, so a process that compiles
 # unboundedly many distinct sources does not keep them all.
 _MODULES: Dict[Tuple[str, str], Module] = {}
 _MODULES_CAP = 256

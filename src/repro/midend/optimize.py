@@ -18,7 +18,7 @@ slice of them on a composed pipeline:
 
 Returns statistics so ablation benches can report what was removed.
 Elision removes tables, and with them ``table:`` fault sites and table
-trace events, so it is opt-in (``--optimize``; DESIGN.md §17).
+trace events, so it is opt-in (``--optimize``; DESIGN.md §16).
 
 :func:`shrink_copies` is the other half of §8.1 and is what every
 executor built by :func:`repro.targets.backends.make_pipeline` runs: a
@@ -542,7 +542,7 @@ def shrink_copies(composed: ComposedPipeline) -> ComposedPipeline:
     modified, the result shares every unchanged node with it, and a
     program with nothing to remove is returned as is (so the pass is its
     own fixpoint).  One walk over the non-synthesized code plus one over
-    the MAT records; DESIGN.md §17 has the soundness argument.
+    the MAT records; DESIGN.md §16 has the soundness argument.
     """
     if composed.mode != "micro" or not composed.deparser_mats:
         return composed

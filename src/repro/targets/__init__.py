@@ -11,16 +11,16 @@ composed IR produced by the midend/backends directly.
   :class:`~repro.midend.inline.ComposedPipeline`.
 * :mod:`~repro.targets.plan` — build-time facts the executors share
   (default-value factories, header pack/unpack plans, ``IM_FAST``).
-* :mod:`~repro.targets.compiled`, :mod:`~repro.targets.codegen`,
-  :mod:`~repro.targets.vector` — the closure-compiled, generated-source
-  and columnwise-numpy executors: same semantics as the interpreter,
-  resolved before the first packet (the columnwise body, which
-  codegen's generator also emits, before the first batch);
-  :mod:`~repro.targets.lanes` says which struct/header variables the
-  latter two keep as plain cells.
+* :mod:`~repro.targets.compiled`, :mod:`~repro.targets.codegen` — the
+  closure-compiled and generated-source executors: same semantics as
+  the interpreter, resolved before the first packet;
+  :mod:`~repro.targets.vector` is codegen's columnwise-numpy tier for
+  wide batches (generated before the first such batch), and
+  :mod:`~repro.targets.lanes` says which struct/header variables both
+  generated bodies keep as plain cells.
 * :mod:`~repro.targets.backends` — the ``ExecBackend`` seam mapping the
-  names in ``EXEC_BACKENDS`` (``interp`` / ``compiled`` / ``codegen`` /
-  ``vector``) to executors.
+  names in ``EXEC_BACKENDS`` (``interp`` / ``compiled`` / ``codegen``,
+  and ``vector``, its alias) to executors.
 * :mod:`~repro.targets.switch` — a V1Model-style switch: ports, packet
   replication engine (multicast groups), recirculation.
 * :mod:`~repro.targets.runtime_api` — the "control API" of the paper's

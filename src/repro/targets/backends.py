@@ -1,7 +1,8 @@
 """The ``ExecBackend`` seam: one place that maps a backend name to a
 pipeline executor.
 
-Four backends execute a :class:`~repro.midend.inline.ComposedPipeline`:
+Three executors run a :class:`~repro.midend.inline.ComposedPipeline`,
+under four backend names:
 
 * ``interp`` — :class:`~repro.targets.pipeline.PipelineInstance`, the
   reference tree-walking interpreter.  Default everywhere.
@@ -10,12 +11,13 @@ Four backends execute a :class:`~repro.midend.inline.ComposedPipeline`:
 * ``codegen`` — :class:`~repro.targets.codegen.CodegenPipeline`, a
   one-time translation to generated Python source ``compile()``d into a
   single code object per pipeline, one function that runs one packet
-  or a whole batch of lanes (see ``DESIGN.md`` §15).
-* ``vector`` — :class:`~repro.targets.vector.VectorPipeline`, the
-  codegen backend with its batch lane loop replaced by columnwise numpy
-  execution with divergence splitting (see ``DESIGN.md`` §16).  Needs
-  the optional ``[vector]`` extra (numpy); resolving the name without
-  numpy raises a reason-coded ``error[vector-unavailable]``.
+  or a whole batch of lanes.  A batch of at least
+  ``codegen._COLUMNWISE_MIN_LANES`` lanes runs on its columnwise tier
+  (:mod:`repro.targets.vector`, numpy) when the program has one; every
+  other batch, and every host without numpy, runs the lane loop (see
+  ``DESIGN.md`` §15).
+* ``vector`` — an alias of ``codegen``, kept because benchmark
+  workloads name it.
 
 ``make_pipeline`` hands every backend the same program: the composed
 pipeline after :func:`repro.midend.optimize.shrink_copies` (byte-stack
@@ -62,50 +64,30 @@ def executable_form(composed: ComposedPipeline) -> ComposedPipeline:
 
 
 def derive_modules(composed: ComposedPipeline, exec_backend: str) -> None:
-    """Generate what an ``exec_backend`` executor of ``composed`` would
-    (codegen's module; for ``vector`` the columnwise one too) onto the
+    """Generate what a codegen executor of ``composed`` would (its
+    module and, when numpy imports, its columnwise tier) onto the
     executable form, building no executor (its namespace↔function cycle
     would hold its tables).  A pool calls this before it forks."""
-    if exec_backend in ("codegen", "vector"):
+    if executor_class(exec_backend) is CodegenPipeline:
         form = executable_form(composed)
         tables = table_runtimes(form)
         generated_module(form, tables)
-        if exec_backend == "vector":
-            from repro.targets.vector import columnwise_module
+        from repro.targets.vector import NUMPY_AVAILABLE, columnwise_module
 
+        if NUMPY_AVAILABLE:
             columnwise_module(form, tables)
 
 
 def executor_class(exec_backend: str):
-    """The executor class behind a backend name, its module imported.
-    Unknown names, and ``vector`` without numpy, raise a reason-coded
-    :class:`TargetError` instead of silently falling back.
-
-    A parent that forks workers resolves the name first
-    (:meth:`SoakConfig.validate <repro.targets.soak.SoakConfig.validate>`
-    does), so the children inherit the import instead of each paying it,
-    and a backend this host cannot run fails once, before any fork.
+    """The executor class behind a backend name.  Unknown names raise a
+    reason-coded :class:`TargetError` instead of silently falling back.
     """
     if exec_backend == "interp":
         return PipelineInstance
     if exec_backend == "compiled":
         return CompiledPipeline
-    if exec_backend == "codegen":
+    if exec_backend in ("codegen", "vector"):
         return CodegenPipeline
-    if exec_backend == "vector":
-        # Imported lazily: the module is numpy-tolerant, but the other
-        # backends should not pay its import on every process start.
-        from repro.targets import vector
-
-        if vector._np is None:
-            err = TargetError(
-                "exec backend 'vector' requires numpy; install the "
-                "optional extra (pip install .[vector]) or pick another "
-                "backend"
-            )
-            err.code = "vector-unavailable"
-            raise err
-        return vector.VectorPipeline
     err = TargetError(
         f"unknown exec backend {exec_backend!r}; "
         f"known: {', '.join(EXEC_BACKENDS)}"
@@ -132,5 +114,6 @@ def make_pipeline(
 
 
 def backend_of(pipeline) -> str:
-    """The backend name an executor instance was built under."""
+    """The metric family of an executor (or executor class): the name
+    its ``.packets`` / ``.table_hits`` counters carry."""
     return getattr(pipeline, "backend", DEFAULT_EXEC_BACKEND)

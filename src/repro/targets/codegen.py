@@ -48,11 +48,15 @@ lane; ``process_soa`` hands it a batch with tracing and latency sampling
 off.  Digest parity between the two holds because a lane is exactly a
 per-packet run, and every per-site ``FaultPlan`` stream ("table" /
 "extern" in the body, "buffer" and mutation sites in the switch) sees
-lanes in submission order.
+lanes in submission order.  A batch of at least
+``_COLUMNWISE_MIN_LANES`` lanes runs instead on the columnwise tier
+(:mod:`repro.targets.vector`), a second generated function over numpy
+columns, where numpy and the program allow.
 
 Metrics are emitted under ``codegen.*`` (``codegen.packets``,
 ``codegen.table_hits``/``misses``, ``codegen.builds``) alongside the
-``interp.*`` and ``compiled.*`` families.
+``interp.*`` and ``compiled.*`` families, on either tier; the tier's
+own counters are ``vector.*``.
 """
 
 from __future__ import annotations
@@ -1886,7 +1890,7 @@ class GeneratedModule:
     answer inline while the table is as declared (``_TR``/``_AN``/
     ``_AR``/``_AD``, counted in ``_lq``).  :meth:`instantiate` binds all
     of those to one executor's own :class:`TableRuntime` objects, so
-    any number of ``CodegenPipeline`` / ``VectorPipeline`` instances
+    any number of ``CodegenPipeline`` instances
     run one code object and share no table state.  ``batch_supported``:
     the program cannot recirculate, so a batch of lanes needs no
     second pass through the switch.
@@ -1962,6 +1966,12 @@ def compile_cached(source: str, filename: str):
     return code
 
 
+#: Narrowest batch ``process_soa`` runs on the columnwise tier: below
+#: it the lane loop is faster (DESIGN.md §15 has the crossover).  Tests
+#: patch it to 1 to run the tier on narrow batches.
+_COLUMNWISE_MIN_LANES = 256
+
+
 class CodegenPipeline:
     """Composed pipeline translated to generated Python source.
 
@@ -1993,13 +2003,9 @@ class CodegenPipeline:
         self._hits_out = 0
         self._misses_out = 0
         self._lq_out: Tuple[int, ...] = ()
-        # Metric family follows the registered backend name so subclasses
-        # (the vector backend) report under their own keys even on paths
-        # inherited from here — the CLI/engine summaries read
-        # ``{exec_backend}.table_hits`` etc.
-        self._m_packets = f"{self.backend}.packets"
-        self._m_hits = f"{self.backend}.table_hits"
-        self._m_misses = f"{self.backend}.table_misses"
+        #: The columnwise tier (``vector.run_columnwise``): None until a
+        #: batch wide enough asks for it.
+        self._vec = None
         module = generated_module(composed, self.tables)
         self.source = module.source
         self._run, self._lq_metrics = module.instantiate(self.tables)
@@ -2030,7 +2036,7 @@ class CodegenPipeline:
     def process(self, packet: Packet, in_port: int = 0, trace=None) -> List[PacketOut]:
         lat_on = False
         if METRICS.enabled:
-            METRICS.inc(self._m_packets)
+            METRICS.inc("codegen.packets")
             tick = self._lat_tick
             self._lat_tick = tick + 1
             lat_on = tick % LATENCY_SAMPLE_EVERY == 0
@@ -2057,9 +2063,9 @@ class CodegenPipeline:
         )
         if METRICS.enabled:
             if self._hits_out:
-                METRICS.inc(self._m_hits, self._hits_out)
+                METRICS.inc("codegen.table_hits", self._hits_out)
             if self._misses_out:
-                METRICS.inc(self._m_misses, self._misses_out)
+                METRICS.inc("codegen.table_misses", self._misses_out)
             for metric, count in zip(self._lq_metrics, self._lq_out):
                 if count:
                     METRICS.inc(metric, count)
@@ -2074,12 +2080,27 @@ class CodegenPipeline:
         """Batch path: returns one ``(outputs, reason, exc)`` triple per
         lane. ``outputs`` is None when the lane raised, ``reason`` is
         the drop reason when the lane dropped with no outputs.  No lane
-        is traced or latency-sampled."""
+        is traced or latency-sampled.
+
+        A batch of at least ``_COLUMNWISE_MIN_LANES`` lanes runs on the
+        columnwise tier where it can (:func:`repro.targets.vector.
+        run_columnwise`); every other batch runs the lane loop, counted
+        under ``vector.lane_loop.<reason>``."""
         if not self.batch_supported:
             raise TargetError("batch execution is not supported for this pipeline")
+        n = len(datas)
+        if n < _COLUMNWISE_MIN_LANES:
+            why = "narrow"
+        else:
+            from repro.targets.vector import run_columnwise
+
+            why = run_columnwise(self, datas, ports, pkts)
+            if not isinstance(why, str):
+                return why
         if METRICS.enabled:
-            n = len(datas)
-            METRICS.inc(self._m_packets, n)
+            METRICS.inc("vector.soa_fallback_batches")
+            METRICS.inc(f"vector.lane_loop.{why}")
+            METRICS.inc("codegen.packets", n)
             self._lat_tick += n
         self.last_drop_reason = None
         return self._lanes(datas, ports, pkts, None, False)

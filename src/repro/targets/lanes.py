@@ -5,7 +5,8 @@ objects for every packet.
 
 µP4C's backends put header fields and the byte stack into PHV
 containers (§6.3); the behavioral executors' containers are Python
-locals (``codegen``) and numpy columns (``vector``).  Both take the
+locals (``codegen``'s lane loop) and numpy columns (its columnwise
+tier, ``vector``).  Both take the
 layout and the per-variable decision from here, so the rule is written
 once:
 

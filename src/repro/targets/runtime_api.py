@@ -141,8 +141,8 @@ class RuntimeAPI:
         compiled-scan / reference-scan), entry counts, and
         ``index_events``: how often the table's index was built in full
         (``tables.index.rebuilt``) or took an install in place
-        (``tables.index.appended``), and under ``--exec vector`` the same
-        for its batch snapshot (``vector.index.extended`` /
+        (``tables.index.appended``), and under codegen's columnwise tier
+        the same for its batch snapshot (``vector.index.extended`` /
         ``vector.index.rebuilt.<reason>``)."""
         return {
             name: t.index_info() for name, t in self.instance.tables.items()

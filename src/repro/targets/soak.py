@@ -129,7 +129,7 @@ class SoakConfig:
     flight_recorder: int = 64
     #: Lanes per SoA batch handed to ``Switch.process_batch``.  Verdicts
     #: are batch-boundary-independent, so this tunes throughput (larger
-    #: batches amortize more per numpy op in the vector backend) without
+    #: batches amortize more per numpy op on codegen's columnwise tier) without
     #: moving the digest.
     batch_lanes: int = DEFAULT_BATCH_LANES
 
@@ -141,9 +141,8 @@ class SoakConfig:
         the stream registry — never local literals, so a new backend is
         accepted here the moment the seam knows it.  :func:`run_soak`
         and the worker pool's parent-side ``submit`` both call this up
-        front, before any fork: resolving the backend imports its
-        module (numpy, for ``vector``) once in the parent instead of in
-        every worker and every supervised restart.
+        front, before any fork, so a bad name fails once in the parent
+        instead of in every worker and every supervised restart.
         """
         executor_class(self.exec_backend)  # raises on an unknown name
         _stream_for(self.traffic)  # raises on an unknown mix

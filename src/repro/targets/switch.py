@@ -308,11 +308,12 @@ class Switch:
         processing the items one by one.
 
         With ``soa=True`` and a pipeline that advertises
-        ``batch_supported`` (codegen and vector, for any program that
-        cannot recirculate), the whole batch runs through one
+        ``batch_supported`` (codegen, for any program that cannot
+        recirculate), the whole batch runs through one
         ``pipeline.process_soa`` call: codegen's generated function runs
-        every lane in turn, vector runs the batch columnwise with
-        divergence splitting where it has a plan (DESIGN.md §16).
+        every lane in turn, or a wide batch runs columnwise with
+        divergence splitting where the program has a columnwise module
+        (DESIGN.md §15).
         Fault-site RNG streams see lanes in submission order, so
         verdicts — and the soak digest over them — are bit-for-bit
         identical to the per-packet path.  The fast path declines (and

@@ -416,7 +416,7 @@ class TableRuntime:
         #: by the first index build, cleared for good by any mutation.
         self.as_declared = False
         # Bumped on every mutation so batch executors that pre-compile
-        # per-table lookup structures (the vector backend) can tell when
+        # per-table lookup structures (codegen's columnwise tier) can tell when
         # a cached structure is stale without comparing entry lists.
         self.version = 0
         # Bumped only by a mutation that is *not* a tail append — a

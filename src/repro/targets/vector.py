@@ -1,23 +1,25 @@
-"""Vectorized numpy execution backend over a SoA lane arena.
+"""Codegen's columnwise tier: one batch as numpy columns over a SoA
+lane arena.
 
-The codegen backend's batch path runs its one generated function over a
+The codegen backend's lane loop runs its one generated function over a
 list of lanes: one call per batch, but still a Python loop over lanes.
-This backend replaces the loop with *one* columnwise function over the
-whole batch, generated by a subclass of codegen's generator
-(:class:`ColumnwiseGen`): Stage A loads every lane's byte stack into an
-arena (one row per lane, one column per byte-stack cell), header fields
-become int64 column arrays sliced from it, statements become
-mask-threaded numpy expressions in ``_vec_run``, exact-match lookups
-become sorted-key ``searchsorted`` probes, and LPM/ternary/range tables
-become per-entry masked compares mirroring the reference scan's
-first-match / longest-prefix semantics.
+A batch wide enough (``codegen._COLUMNWISE_MIN_LANES``) runs instead on
+*one* columnwise function over the whole batch, generated by a subclass
+of codegen's generator (:class:`ColumnwiseGen`): Stage A loads every
+lane's byte stack into an arena (one row per lane, one column per
+byte-stack cell), header fields become int64 column arrays sliced from
+it, statements become mask-threaded numpy expressions in ``_vec_run``,
+exact-match lookups become sorted-key ``searchsorted`` probes, and
+LPM/ternary/range tables become per-entry masked compares mirroring the
+reference scan's first-match / longest-prefix semantics.
 
 Divergence splitting
 --------------------
 
-The per-packet backends interleave *effects* (stores, traces, lookup
-counters) with *faults* (injected trips, runtime errors) lane by lane;
-the vector path cannot, so it splits the two phases:
+The lane loop interleaves *effects* (stores, traces, lookup counters)
+with *faults* (injected trips, runtime errors) lane by lane; the
+columnwise batch cannot, so :func:`run_columnwise` splits the two
+phases:
 
 1. **Speculate.**  Execute the whole batch columnwise with no RNG access
    and no externally visible side effects.  Every point where a lane
@@ -33,23 +35,20 @@ the vector path cannot, so it splits the two phases:
 3. **Commit.**  Hit/miss counters and lookup metrics are counted from
    the bookkeeping events over the lanes that reached each lookup,
    honouring each lane's kill ordinal, so observable state matches
-   per-packet execution bit for bit (DESIGN.md §15/§16).
+   per-packet execution bit for bit (DESIGN.md §15).
 
 Fault sites whose rate is zero (or that resolve to no site) never draw
 from the RNG in the per-packet path, so they are filtered out of the
 walk statically — a fault-free batch skips the walk entirely.
 
 The function is generated once per program (:func:`columnwise_module`:
-on the first batch, or by a pool before it forks), and each executor
-instantiates it over its own tables.  Programs the generator cannot
-lower (registers, multicast, generic externs, enum-typed state, native
-parsers) *decline* then, with a reason, and fall back to the inherited
-codegen lane loop; batches whose static step bound exceeds the
-configured step budget fall back per batch so step-budget kills keep
-their per-lane accounting.  numpy itself is an optional extra (``pip
-install .[vector]``); selecting the backend without it
-(:func:`repro.targets.backends.executor_class`) raises a reason-coded
-``error[vector-unavailable]``.
+on the first batch that asks, or by a pool before it forks), and each
+executor instantiates it over its own tables.  Programs the generator
+cannot lower (registers, multicast, generic externs, enum-typed state,
+native parsers) *decline* then, with a reason; a batch whose static
+step bound exceeds the configured step budget keeps its per-lane
+accounting; a host without numpy (an optional extra, ``pip install
+.[vector]``) has no tier.  Each of those batches takes the lane loop.
 """
 
 from __future__ import annotations
@@ -66,9 +65,9 @@ from repro.midend.inline import IM_VAR, PKT_VAR, ComposedPipeline
 from repro.net.packet import Packet
 from repro.obs.metrics import METRICS
 from repro.targets.codegen import (
-    CodegenPipeline, GeneratedModule, SourceGen, compile_cached, generated_module,
+    GeneratedModule, SourceGen, compile_cached, generated_module,
 )
-from repro.targets.faults import FaultError, FaultPlan, ResourceGuards
+from repro.targets.faults import FaultError, FaultPlan
 from repro.targets.pipeline import PacketOut
 from repro.targets.plan import IM_FAST
 from repro.targets.tables import TableRuntime, checks_match, compile_checks
@@ -86,7 +85,6 @@ VECTOR_SCAN_LIMIT = 512
 
 _I63 = 1 << 63
 _HUGE = 1 << 62  # sentinel kill ordinal: later than any event
-_PENDING = object()  # columnwise module not generated yet
 
 
 class _Unvectorizable(Exception):
@@ -986,223 +984,169 @@ def columnwise_module(composed: ComposedPipeline, tables: Dict[str, TableRuntime
 
 
 # ----------------------------------------------------------------------
-# The pipeline
+# The batch: speculate, resolve, commit
 # ----------------------------------------------------------------------
 
 
-class VectorPipeline(CodegenPipeline):
-    """``--exec vector``: codegen per-packet semantics, columnwise batch.
+def run_columnwise(pipe, datas, ports, pkts):
+    """One batch of a :class:`~repro.targets.codegen.CodegenPipeline`
+    on its columnwise tier: the lanes' ``(outputs, reason, exc)``
+    triples, or the reason the batch takes the lane loop instead —
+    ``no-numpy``, ``declined`` (the program has no columnwise module),
+    ``step-bound`` (the budget could fire inside the batch) or
+    ``error`` (speculation raised; the lane loop replays it bit-exact).
 
-    Subclasses :class:`CodegenPipeline`, so per-packet ``process`` /
-    ``process_traced`` (and with them the whole differential suite) are
-    literally the codegen backend.  Only ``process_soa`` is replaced:
-    when the program has a columnwise module and the step budget cannot
-    fire, the batch runs through ``_vec_run`` with divergence splitting;
-    otherwise it falls back to the inherited generated function, lane
-    by lane.  The module is generated on the first batch (or the first
-    read of ``vector_plan`` / ``vector_decline_reason``), not here:
-    building an executor lowers nothing that no batch asks for.
-    """
-
-    backend = "vector"
-
-    def __init__(
-        self,
-        composed: ComposedPipeline,
-        use_table_index: bool = True,
-        guards: Optional[ResourceGuards] = None,
-        faults: Optional[FaultPlan] = None,
-    ) -> None:
-        super().__init__(
-            composed, use_table_index=use_table_index,
-            guards=guards, faults=faults,
+    The module is generated on the first batch that asks (or by a pool
+    before it forks) and instantiated once per executor, over its own
+    tables, into ``pipe._vec``."""
+    if _np is None:
+        return "no-numpy"
+    tier = pipe._vec
+    if tier is None:
+        module = columnwise_module(pipe.composed, pipe.tables)
+        tier = pipe._vec = "declined" if isinstance(module, str) else (
+            module, module.instantiate(pipe.tables))
+    if tier == "declined":
+        return tier
+    plan, vec_run = tier
+    if plan.step_bound > pipe.step_limit:
+        return "step-bound"
+    n = len(datas)
+    E, S = plan.extract_len, plan.size
+    try:
+        # Stage A: the lanes' first E bytes as one uint8 matrix, a
+        # widened column per byte-stack cell.
+        cols: List[object] = []
+        if E > 0:
+            buf = b"".join([d[:E].ljust(E, b"\x00") for d in datas])
+            arena = _np.frombuffer(buf, _np.uint8).reshape(n, E)
+            cols = [arena[:, i].astype(_np.int64) for i in range(E)]
+        cols.extend([0] * (S - E))
+        lens = _np.minimum(_np.fromiter(map(len, datas), _np.int64, count=n), E)
+        # Stage B, speculation, is pure: no RNG draws, no trace or
+        # counter writes.
+        events, dropped, perr, out_len, out_port, cols = vec_run(
+            cols, lens, _np.asarray(ports, dtype=_np.int64), n
         )
-        #: The columnwise module, the reason there is none, or _PENDING.
-        self._module: object = _PENDING
-        self._vec = None
+        pe = _np.zeros(n, bool) | (perr == 1)
+        drop = dropped | pe
+        obm = ~drop & ((out_len > S) | (out_len < 0))
+        if obm.any():
+            lengths = _aslist(out_len, n)
+            events.append((obm, "E", lambda lane: FaultError(
+                "bytestack-bounds", "byte-stack length %d outside stack "
+                "size %d" % (lengths[lane], S),
+            )))
+    except Exception:
+        return "error"
 
-    def _columnwise(self):
-        """The program's columnwise module, or why it has none: generated
-        once per program object, instantiated once per executor."""
-        if self._module is _PENDING:
-            module = self._module = columnwise_module(self.composed, self.tables)
-            if not isinstance(module, str):
-                self._vec = module.instantiate(self.tables)
-        return self._module
-
-    @property
-    def vector_plan(self) -> Optional[ColumnwiseModule]:
-        module = self._columnwise()
-        return None if isinstance(module, str) else module
-
-    @vector_plan.setter
-    def vector_plan(self, plan: None) -> None:
-        """Only None: every batch takes the lane loop (a test seam)."""
-        assert plan is None
-        self._module = None
-
-    @property
-    def vector_decline_reason(self) -> Optional[str]:
-        module = self._columnwise()
-        return module if isinstance(module, str) else None
-
-    def process_soa(self, datas, ports, pkts):
-        plan = self.vector_plan
-        if plan is None or plan.step_bound > self.step_limit:
-            if METRICS.enabled:
-                METRICS.inc("vector.soa_fallback_batches")
-            return super().process_soa(datas, ports, pkts)
-        n = len(datas)
-        if n == 0:
-            return []
-        metrics_on = METRICS.enabled
-        E, S = plan.extract_len, plan.size
-        try:
-            # Stage A: the lanes' first E bytes as one uint8 matrix, a
-            # widened column per byte-stack cell.
-            cols: List[object] = []
-            if E > 0:
-                buf = b"".join(
-                    d if len(d) == E else
-                    (d[:E] if len(d) > E else d.ljust(E, b"\x00"))
-                    for d in datas
-                )
-                arena = _np.frombuffer(buf, _np.uint8).reshape(n, E)
-                cols = [arena[:, i].astype(_np.int64) for i in range(E)]
-            cols.extend([0] * (S - E))
-            lens = _np.fromiter(
-                (len(d) if len(d) < E else E for d in datas), _np.int64, count=n
-            )
-            # Speculation is pure: no RNG draws, no trace/counter writes.
-            # If it blows up (a lowering bug), replaying through the
-            # codegen lane loop is still bit-exact.
-            events, dropped, perr, out_len, out_port, cols = self._vec(
-                cols, lens, _np.asarray(ports, dtype=_np.int64), n
-            )
-            pe = _np.zeros(n, bool) | (perr == 1)
-            drop = dropped | pe
-            obm = ~drop & ((out_len > S) | (out_len < 0))
-            if obm.any():
-                lengths = _aslist(out_len, n)
-                events.append((obm, "E", lambda lane: FaultError(
-                    "bytestack-bounds", "byte-stack length %d outside stack "
-                    "size %d" % (lengths[lane], S),
-                )))
-        except Exception:
-            if metrics_on:
-                METRICS.inc("vector.soa_errors")
-            return super().process_soa(datas, ports, pkts)
-
-        if metrics_on:
-            METRICS.inc(self._m_packets, n)
-            self._lat_tick += n
-        self.last_drop_reason = None
-        kill = self._resolve_events(events, n)
-        self._commit_bookkeeping(events, kill, n, metrics_on)
-        if metrics_on:
-            if self._hits_out:
-                METRICS.inc(self._m_hits, self._hits_out)
-            if self._misses_out:
-                METRICS.inc(self._m_misses, self._misses_out)
-            if kill:
-                METRICS.inc("vector.split_lanes", len(kill))
-
-        # Stage C: deparse everything columnwise, slice per lane.
-        mat = _np.zeros((n, S), _np.uint8)
-        for i, col in enumerate(cols):
-            if isinstance(col, _np.ndarray) or col:
-                mat[:, i] = col
-        buf = mat.tobytes()
-        drop_list = drop.tolist()
-        pe_list = pe.tolist()
-        port_list = _aslist(out_port, n)
-        ol_list = _aslist(out_len, n)
-        results: List[tuple] = [None] * n
-        for lane in range(n):
-            k = kill.get(lane) if kill else None
-            if k is not None:
-                results[lane] = (None, None, k[1])
-            elif drop_list[lane]:
-                reason = "parser-error" if pe_list[lane] else "pipeline-drop"
-                results[lane] = ([], reason, None)
-            else:
-                start = lane * S
-                ob = buf[start:start + ol_list[lane]] + datas[lane][E:]
-                results[lane] = (
-                    [PacketOut(Packet(ob), port_list[lane], 0,
-                               recirculate=False)],
-                    None, None,
-                )
-        return results
-
-    # -- divergence resolution -----------------------------------------
-    def _resolve_events(self, events, n: int):
-        """Lane-major walk over fault/error events, drawing from the
-        per-site RNG streams in exactly the per-packet order.  Returns
-        ``{lane: (event_ordinal, exc)}`` for lanes that die."""
-        faults = self.faults
-        cand = []
-        for ordinal, ev in enumerate(events):
-            kind = ev[1]
-            if kind == "T":
-                continue
-            if kind == "F":
-                # Sites that cannot draw never touch the RNG per packet
-                # either (trip() returns before sampling), so they are
-                # exact to skip.
-                if faults is None:
-                    continue
-                site = faults._site_for(ev[2], ev[3])
-                if site is None or faults.sites.get(site, 0.0) <= 0.0:
-                    continue
-            m = ev[0]
-            ml = None if m is None else m.tolist()
-            cand.append((ordinal, ml, kind, ev))
-        if not cand:
-            return {}
-        kill: Dict[int, tuple] = {}
-        trip = faults.trip if faults is not None else None
-        for lane in range(n):
-            for ordinal, ml, kind, ev in cand:
-                if ml is not None and not ml[lane]:
-                    continue
-                if kind == "E":
-                    kill[lane] = (ordinal, ev[2](lane))
-                    break
-                if trip(ev[2], ev[3]):
-                    kill[lane] = (
-                        ordinal,
-                        FaultError("extern-fault", ev[4], site=ev[5]),
-                    )
-                    break
-        return kill
-
-    def _commit_bookkeeping(self, events, kill, n: int, metrics_on: bool):
-        """Count table hits, misses and lookup metrics over the lanes
-        that reached each lookup — masked in and not killed at an
-        earlier ordinal — the totals per-lane execution produces."""
-        kill_at = None
+    metrics_on = METRICS.enabled
+    if metrics_on:
+        METRICS.inc("codegen.packets", n)
+        pipe._lat_tick += n
+    pipe.last_drop_reason = None
+    kill = _resolve_events(pipe.faults, events, n)
+    hits, misses = _commit_bookkeeping(events, kill, n, metrics_on)
+    pipe._hits_out, pipe._misses_out = hits, misses
+    if metrics_on:
+        if hits:
+            METRICS.inc("codegen.table_hits", hits)
+        if misses:
+            METRICS.inc("codegen.table_misses", misses)
         if kill:
-            kill_at = _np.full(n, _HUGE, dtype=_np.int64)
-            for lane, (ordinal, _exc) in kill.items():
-                kill_at[lane] = ordinal
-        hits = misses = 0
-        for ordinal, ev in enumerate(events):
-            if ev[1] != "T":
+            METRICS.inc("vector.split_lanes", len(kill))
+
+    # Stage C: deparse everything columnwise, slice per lane.
+    mat = _np.zeros((n, S), _np.uint8)
+    for i, col in enumerate(cols):
+        if isinstance(col, _np.ndarray) or col:
+            mat[:, i] = col
+    buf = mat.tobytes()
+    drop_list = drop.tolist()
+    for lane in kill:  # no output to build: replaced below
+        drop_list[lane] = True
+    results = [
+        ([], "parser-error" if parse_error else "pipeline-drop", None)
+        if dropped else
+        ([PacketOut(Packet(buf[start:start + length] + data[E:]), port)],
+         None, None)
+        for start, data, dropped, parse_error, port, length in zip(
+            range(0, n * S, S), datas, drop_list, pe.tolist(),
+            _aslist(out_port, n), _aslist(out_len, n),
+        )
+    ]
+    for lane, (_ordinal, exc) in kill.items():
+        results[lane] = (None, None, exc)
+    return results
+
+
+def _resolve_events(faults: Optional[FaultPlan], events, n: int):
+    """Lane-major walk over fault/error events, drawing from the
+    per-site RNG streams in exactly the per-packet order.  Returns
+    ``{lane: (event_ordinal, exc)}`` for lanes that die."""
+    cand = []
+    for ordinal, ev in enumerate(events):
+        kind = ev[1]
+        if kind == "T":
+            continue
+        if kind == "F":
+            # Sites that cannot draw never touch the RNG per packet
+            # either (trip() returns before sampling), so they are
+            # exact to skip.
+            if faults is None:
                 continue
-            live, _k, vi, _slot, hit = ev
-            if kill_at is not None:
-                live = _mand(live, kill_at > ordinal)
-            counted = n if live is None else int(live.sum())
-            if not counted:
+            site = faults._site_for(ev[2], ev[3])
+            if site is None or faults.sites.get(site, 0.0) <= 0.0:
                 continue
-            if isinstance(hit, _np.ndarray):
-                h = int((hit if live is None else hit & live).sum())
-            else:
-                h = counted if hit else 0
-            hits += h
-            misses += counted - h
-            if metrics_on:
-                METRICS.inc(vi.metric, counted)
-        self._hits_out = hits
-        self._misses_out = misses
+        m = ev[0]
+        ml = None if m is None else m.tolist()
+        cand.append((ordinal, ml, kind, ev))
+    if not cand:
+        return {}
+    kill: Dict[int, tuple] = {}
+    trip = faults.trip if faults is not None else None
+    for lane in range(n):
+        for ordinal, ml, kind, ev in cand:
+            if ml is not None and not ml[lane]:
+                continue
+            if kind == "E":
+                kill[lane] = (ordinal, ev[2](lane))
+                break
+            if trip(ev[2], ev[3]):
+                kill[lane] = (
+                    ordinal,
+                    FaultError("extern-fault", ev[4], site=ev[5]),
+                )
+                break
+    return kill
+
+
+def _commit_bookkeeping(events, kill, n: int, metrics_on: bool):
+    """``(hits, misses)`` over the lanes that reached each lookup —
+    masked in and not killed at an earlier ordinal — the totals
+    per-lane execution produces; the lookup metrics are counted the
+    same way."""
+    kill_at = None
+    if kill:
+        kill_at = _np.full(n, _HUGE, dtype=_np.int64)
+        for lane, (ordinal, _exc) in kill.items():
+            kill_at[lane] = ordinal
+    hits = misses = 0
+    for ordinal, ev in enumerate(events):
+        if ev[1] != "T":
+            continue
+        live, _k, vi, _slot, hit = ev
+        if kill_at is not None:
+            live = _mand(live, kill_at > ordinal)
+        counted = n if live is None else int(live.sum())
+        if not counted:
+            continue
+        if isinstance(hit, _np.ndarray):
+            h = int((hit if live is None else hit & live).sum())
+        else:
+            h = counted if hit else 0
+        hits += h
+        misses += counted - h
+        if metrics_on:
+            METRICS.inc(vi.metric, counted)
+    return hits, misses

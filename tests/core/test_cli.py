@@ -251,12 +251,12 @@ class TestProfile:
             "exact-hash", "lpm-buckets", "compiled-scan",
         }
 
-    def test_profile_exec_vector_runs_columnwise(self, capsys):
-        # The push is a soak, so batches reach the vector plan (a
-        # per-packet loop built the plan and never ran it) and the base
-        # routes are installed (without them every packet was dropped).
+    def test_profile_exec_codegen_runs_columnwise(self, capsys):
+        # The push is a soak, so full batches reach the columnwise tier
+        # (a per-packet loop never would) and the base routes are
+        # installed (without them every packet was dropped).
         pytest.importorskip("numpy")
-        rc = main(["profile", "P4", "--packets", "600", "--exec", "vector",
+        rc = main(["profile", "P4", "--packets", "600", "--exec", "codegen",
                    "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -265,9 +265,24 @@ class TestProfile:
             name.startswith("vector.index.") and count > 0
             for name, count in counters.items()
         )
-        assert "vector.soa_fallback_batches" not in counters
+        # 256 + 256 lanes columnwise; the last 88 are below the floor.
+        assert counters["vector.soa_fallback_batches"] == 1
+        assert counters["vector.lane_loop.narrow"] == 1
         assert payload["behavior"]["outputs"] > 0
         assert "aggregate_pkts_per_sec" not in payload["behavior"]
+
+    def test_profile_lookups_follow_the_executor_not_the_name(self, capsys):
+        """``vector`` names the codegen executor: the hits and misses it
+        reports are codegen's counters, not an empty ``vector.*``."""
+        behaviors = {}
+        for name in ("codegen", "vector"):
+            assert main(["profile", "P4", "--packets", "300", "--exec", name,
+                         "--json"]) == 0
+            behaviors[name] = json.loads(capsys.readouterr().out)["behavior"]
+        lookups = behaviors["vector"]["lookups"]
+        assert lookups == behaviors["codegen"]["lookups"]
+        assert lookups["hits"] > 0 and lookups["misses"] > 0
+        assert behaviors["vector"]["exec"] == "vector"
 
     def test_profile_module_files_sharded_matches_inline(
         self, module_files, capsys

@@ -19,11 +19,10 @@ from repro.net.build import PacketBuilder
 from repro.net.packet import Packet
 from repro.targets.backends import make_pipeline
 from repro.targets.switch import Switch
-from repro.targets.vector import NUMPY_AVAILABLE
 from tests.midend.test_hdr_stack import SRC as STACK_SRC
 from tests.midend.test_varlen import SRC as VARLEN_SRC
 
-EXECUTORS = ("interp", "codegen") + (("vector",) if NUMPY_AVAILABLE else ())
+EXECUTORS = ("interp", "codegen", "vector")
 
 # name -> (source, composed tables, byte-stack bytes)
 PROGRAMS = {
@@ -107,7 +106,7 @@ class TestLoweredProgramsForward:
 
 
 class TestFrontendCache:
-    """One front-end per source (DESIGN.md §18): a repeat is the same
+    """One front-end per source (DESIGN.md §17): a repeat is the same
     ``Module``, still one ``frontend`` span, and counted apart."""
 
     @pytest.fixture(autouse=True)
@@ -157,9 +156,7 @@ class TestFrontendCache:
         from repro.targets.backends import EXEC_BACKENDS
 
         monkeypatch.setattr(codegen, "_CODE_CACHE", {})
-        backends = [
-            b for b in EXEC_BACKENDS if b != "vector" or NUMPY_AVAILABLE
-        ]
+        backends = EXEC_BACKENDS
         with collecting() as registry:
             for name in PROGRAMS:
                 compiler = Up4Compiler()

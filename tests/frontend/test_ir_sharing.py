@@ -1,4 +1,4 @@
-"""The IR sharing contract (DESIGN.md §18): types and source locations
+"""The IR sharing contract (DESIGN.md §17): types and source locations
 are immutable values a clone shares; statements, expressions and
 declarations are nodes a clone copies.
 
@@ -21,11 +21,10 @@ from repro.midend.hdr_stack import lower_header_stacks
 from repro.midend.inline import compose
 from repro.midend.varlen import lower_varlen_headers
 from repro.targets.backends import make_pipeline
-from repro.targets.vector import NUMPY_AVAILABLE
 from tests.midend.test_hdr_stack import SRC as STACK_SRC
 from tests.midend.test_varlen import SRC as VARLEN_SRC
 
-EXECUTORS = ("interp", "codegen") + (("vector",) if NUMPY_AVAILABLE else ())
+EXECUTORS = ("interp", "codegen", "vector")
 CATALOG_MODULES = sorted({m for recipe in COMPOSITIONS.values() for m in recipe})
 
 

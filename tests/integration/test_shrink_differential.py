@@ -24,27 +24,21 @@ from repro.targets.soak import (
     iter_stream,
     switch_around,
 )
-from repro.targets.vector import NUMPY_AVAILABLE, VectorPipeline
-
 from tests.integration.helpers import ENTRY_SETS, standard_corpus
+from tests.targets.helpers import LANE_LOOP, columnwise_floor
 
 AS_COMPOSED = {
     "interp": PipelineInstance,
     "compiled": CompiledPipeline,
     "codegen": CodegenPipeline,
-    "vector": VectorPipeline,
+    "vector": CodegenPipeline,  # an alias
 }
-BACKENDS = [
-    pytest.param(
-        b,
-        marks=pytest.mark.skipif(
-            b == "vector" and not NUMPY_AVAILABLE, reason="numpy not installed"
-        ),
-    )
-    for b in EXEC_BACKENDS
-]
+BACKENDS = EXEC_BACKENDS
 TRAFFIC = [("routable", 0.0), ("mixed", 0.1)]
-SOA_BACKENDS = ("codegen", "vector")
+#: The columnwise lane floor each SoA leg runs at: ``codegen`` keeps
+#: every batch on the lane loop, its alias ``vector`` runs every batch
+#: columnwise where numpy and the program allow.
+SOA_FLOOR = {"codegen": LANE_LOOP, "vector": 1}
 OBSERVED = ("digest", "verdicts", "drops_by_reason", "fault_trips", "packets")
 
 
@@ -90,15 +84,16 @@ def test_soak_observables_agree(
     )
     # One packet at a time with a trace each and, where the backend has
     # an SoA stage, batched as the soak loop normally runs it.
-    for traced in (True, False) if backend in SOA_BACKENDS else (True,):
+    for traced in (True, False) if backend in SOA_FLOOR else (True,):
         shrunk = build_switch(config, program, composed)
         assert shrunk.pipeline.composed is executable_form(composed)
         reference = switch_around(
             AS_COMPOSED[backend](composed), config, program
         )
         assert reference.pipeline.composed is composed
-        got = _run(shrunk, config, program, traced)
-        want = _run(reference, config, program, traced)
+        with columnwise_floor(SOA_FLOOR.get(backend, LANE_LOOP)):
+            got = _run(shrunk, config, program, traced)
+            want = _run(reference, config, program, traced)
         assert got[0] == want[0]
         assert got[1] == want[1]
 

@@ -122,7 +122,7 @@ class TestWhyElisionIsNotTheDefault:
     event.  Fault-free behaviour is preserved; under injected faults the
     per-site RNG streams of the removed ``table:`` sites are never
     drawn, so different packets die and the digest moves.  Lifting this
-    needs fault sites that are explicit in the IR (DESIGN.md §17)."""
+    needs fault sites that are explicit in the IR (DESIGN.md §16)."""
 
     @staticmethod
     def _soak(composed, fault_rate=0.0, sites=None):

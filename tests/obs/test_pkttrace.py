@@ -10,10 +10,8 @@ from tests.integration.helpers import (
 from repro.obs.pkttrace import PacketTrace
 from repro.targets.backends import make_pipeline
 from repro.targets.runtime_api import RuntimeAPI
-from repro.targets.vector import NUMPY_AVAILABLE
-
 #: Backends whose per-packet hit sequence must equal the interpreter's.
-OTHER_BACKENDS = ("compiled", "codegen") + (("vector",) if NUMPY_AVAILABLE else ())
+OTHER_BACKENDS = ("compiled", "codegen", "vector")
 
 
 def backend_hit_sequence(inst, mode, backend, packet):

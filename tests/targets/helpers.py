@@ -1,8 +1,12 @@
-"""Shared helpers for the sharded-engine tests."""
+"""Shared helpers for the executor and sharded-engine tests."""
 
 import os
+import sys
+from contextlib import contextmanager
+from unittest.mock import patch
 
 from repro.net.packet import Packet
+from repro.targets import codegen
 from repro.targets.engine import (
     EngineConfig,
     _merge_blocks,
@@ -17,6 +21,19 @@ from repro.targets.soak import (
     consume,
     iter_stream_bytes,
 )
+
+
+#: A columnwise lane floor no batch reaches: every batch takes the lane loop.
+LANE_LOOP = sys.maxsize
+
+
+@contextmanager
+def columnwise_floor(lanes: int):
+    """Codegen's columnwise lane floor at ``lanes`` inside the block: 1
+    runs every batch columnwise where the program can, ``LANE_LOOP``
+    none."""
+    with patch.object(codegen, "_COLUMNWISE_MIN_LANES", lanes):
+        yield
 
 
 def oracle_run(config: SoakConfig, program: str, engine: EngineConfig) -> dict:

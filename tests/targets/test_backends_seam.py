@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import TargetError
 from repro.lib.catalog import build_pipeline
+from repro.targets import vector as vector_mod
 from repro.targets.backends import (
     DEFAULT_EXEC_BACKEND,
     EXEC_BACKENDS,
@@ -22,7 +23,6 @@ from repro.targets.codegen import CodegenPipeline
 from repro.targets.compiled import CompiledPipeline
 from repro.targets.interpreter import Env
 from repro.targets.pipeline import PipelineInstance
-from repro.targets.vector import NUMPY_AVAILABLE, VectorPipeline
 
 
 @pytest.fixture(scope="module")
@@ -52,19 +52,17 @@ class TestMakePipeline:
         # The generated module is kept for debugging and compiles clean.
         assert "def _cg_run(" in instance.source
 
-    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
-    def test_vector_backend(self, composed):
+    def test_vector_is_an_alias_of_codegen(self, composed):
         instance = make_pipeline(composed, "vector")
-        assert isinstance(instance, VectorPipeline)
-        assert backend_of(instance) == "vector"
+        assert type(instance) is CodegenPipeline
+        assert backend_of(instance) == "codegen"
 
-    @pytest.mark.skipif(NUMPY_AVAILABLE, reason="numpy installed")
-    def test_vector_unavailable_without_numpy(self, composed):
-        """No numpy → a reason-coded error, not an ImportError."""
-        with pytest.raises(TargetError) as exc:
-            make_pipeline(composed, "vector")
-        assert exc.value.code == "vector-unavailable"
-        assert "numpy" in str(exc.value)
+    def test_vector_builds_without_numpy(self, composed, monkeypatch):
+        """No numpy → ``vector`` still builds (codegen's batches take the
+        lane loop), never an ImportError or a refusal."""
+        monkeypatch.setattr(vector_mod, "_np", None)
+        instance = make_pipeline(composed, "vector")
+        assert type(instance) is CodegenPipeline
 
     def test_default_is_interp(self, composed):
         assert backend_of(make_pipeline(composed)) == "interp"
@@ -79,8 +77,6 @@ class TestMakePipeline:
     def test_shared_surface(self, composed):
         """Every executor exposes the surface the switch/API relies on."""
         for backend in EXEC_BACKENDS:
-            if backend == "vector" and not NUMPY_AVAILABLE:
-                continue
             instance = make_pipeline(composed, backend)
             for attr in (
                 "process",
@@ -146,10 +142,7 @@ class TestShrunkInput:
             backends, "shrink_copies", lambda c: calls.append(c) or real(c)
         )
         composed = build_pipeline("P4")
-        names = [
-            b for b in EXEC_BACKENDS if b != "vector" or NUMPY_AVAILABLE
-        ]
-        pipes = [make_pipeline(composed, b) for b in names]
+        pipes = [make_pipeline(composed, b) for b in EXEC_BACKENDS]
         assert calls == [composed]
         shrunk = pipes[0].composed
         assert all(p.composed is shrunk for p in pipes)

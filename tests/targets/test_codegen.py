@@ -22,6 +22,7 @@ from repro.cli import make_parser
 from repro.errors import TargetError
 from repro.lib.catalog import build_monolithic, build_pipeline
 from repro.net.packet import Packet
+from repro.targets import codegen as codegen_mod
 from repro.targets.backends import (
     DEFAULT_EXEC_BACKEND,
     EXEC_BACKENDS,
@@ -38,6 +39,7 @@ from repro.targets.soak import (
     update_digest,
 )
 from repro.targets.switch import Switch
+from tests.targets.helpers import LANE_LOOP, columnwise_floor
 
 
 def _exec_choices(parser, command):
@@ -133,11 +135,8 @@ class TestGeneratedSource:
         """Per packet, the lane's exception is re-raised as it was: the
         same type, text, reason and site under a strict switch."""
         from repro.targets.faults import FaultError
-        from repro.targets.vector import NUMPY_AVAILABLE
         from tests.integration.helpers import eth_ipv4
 
-        if backend == "vector" and not NUMPY_AVAILABLE:
-            pytest.skip("vector backend needs numpy")
         build = build_pipeline if mode == "micro" else build_monolithic
         table = "main_parser_tbl" if mode == "micro" else "main_ipv4_lpm_tbl"
         cases = [
@@ -175,18 +174,15 @@ class TestBatchParity:
     """soa=True must be invisible: same verdicts, digest, and ledger."""
 
     @pytest.mark.parametrize("fault_rate", (0.0, 0.2))
-    @pytest.mark.parametrize("backend", ("codegen", "vector"))
+    @pytest.mark.parametrize("floor", (LANE_LOOP, 1), ids=("lane-loop", "columnwise"))
     @pytest.mark.parametrize("mode", ("micro", "mono"))
     def test_batch_digest_and_ledger_match_per_packet(
-        self, mode, backend, fault_rate
+        self, mode, floor, fault_rate, monkeypatch
     ):
-        from repro.targets.vector import NUMPY_AVAILABLE
-
-        if backend == "vector" and not NUMPY_AVAILABLE:
-            pytest.skip("vector backend needs numpy")
+        monkeypatch.setattr(codegen_mod, "_COLUMNWISE_MIN_LANES", floor)
         config = SoakConfig(
             programs=["P4"], packets=1500, seed=4, fault_rate=fault_rate,
-            exec_backend=backend, mode=mode,
+            exec_backend="codegen", mode=mode,
         )
         digests = {}
         stats = {}
@@ -537,7 +533,7 @@ def _lane_run(composed, backend, soa, fault_rate, packets):
 class TestLaneFlattening:
     @pytest.mark.parametrize("case", sorted(_LANE_CASES))
     def test_decision_is_reported_and_shared_with_vector(self, case):
-        from repro.targets.vector import NUMPY_AVAILABLE
+        from repro.targets.vector import NUMPY_AVAILABLE, columnwise_module
 
         _d, _l, _b, _c, flat, objects = _LANE_CASES[case]
         composed = _lane_composed(case)
@@ -552,23 +548,22 @@ class TestLaneFlattening:
         assert "upa_bs" in decided.flat
         if not NUMPY_AVAILABLE:
             return
-        vec = make_pipeline(composed, "vector")
-        if not vec.batch_supported:
+        if not pipe.batch_supported:
             return
-        # A root struct in object form is exactly a plan the vector
-        # compiler declines, with the same reason.
+        # A root struct in object form is exactly a program the
+        # columnwise generator declines, with the same reason.
+        plan = columnwise_module(pipe.composed, pipe.tables)
         root_objects = [
             name for name in decided.object_form
             if name in composed.variables
         ]
         if root_objects:
-            assert vec.vector_plan is None
             assert any(
-                decided.object_form[name] in vec.vector_decline_reason
+                decided.object_form[name] in plan
                 for name in root_objects
             )
-        elif vec.vector_plan is None:
-            assert "root variable" not in vec.vector_decline_reason
+        elif isinstance(plan, str):
+            assert "root variable" not in plan
 
     @pytest.mark.parametrize("case", sorted(_LANE_CASES))
     def test_flattened_names_have_no_object_form_left(self, case):
@@ -590,15 +585,16 @@ class TestLaneFlattening:
             composed, "interp", False, fault_rate, packets
         )
         assert any(out for out, _r, _e in want), "nothing was forwarded"
-        runs = [("codegen", False), ("codegen", True)]
+        runs = [("lane-loop", False), ("lane-loop", True)]
         if NUMPY_AVAILABLE:
-            runs.append(("vector", True))
-        for backend, soa in runs:
-            got = _lane_run(composed, backend, soa, fault_rate, packets)
+            runs.append(("columnwise", True))
+        for tier, soa in runs:
+            with columnwise_floor(1 if tier == "columnwise" else LANE_LOOP):
+                got = _lane_run(composed, "codegen", soa, fault_rate, packets)
             if got is None:
                 continue  # no batch body (the program recirculates)
             outcomes, events, plan, regs = got
-            label = f"{case}/{backend}/{'soa' if soa else 'process'}"
+            label = f"{case}/{tier}/{'soa' if soa else 'process'}"
             assert outcomes == want, label
             if not soa:
                 assert events == want_events, label
@@ -649,10 +645,7 @@ class TestGeneratedModule:
 
     def test_codegen_and_vector_share_code_and_no_table_state(self, monkeypatch):
         from repro.targets import codegen
-        from repro.targets.vector import NUMPY_AVAILABLE
 
-        if not NUMPY_AVAILABLE:
-            pytest.skip("vector backend needs numpy")
         generations = []
         real = codegen.SourceGen.generate
         monkeypatch.setattr(

@@ -1,13 +1,13 @@
-"""What the vector backend's columnwise batch decides, and that it
-decides it like the lane loop it replaces (DESIGN.md §16).
+"""What codegen's columnwise tier decides, and that it decides it like
+the lane loop it stands in for (DESIGN.md §15): the tier-parity test.
 
 * **Decisions.**  The static step bound of every catalog program, the
   reason a monolithic program declines, and one small module per
   decline family the catalog never reaches, each with its exact reason
   string.
 * **Matrix.**  P1–P7 × mixed traffic × fault rate × lane count: the
-  columnwise ``VectorPipeline.process_soa`` against the inherited lane
-  loop ``CodegenPipeline.process_soa`` on the per-lane triples, the
+  columnwise ``CodegenPipeline.process_soa`` (lane floor 1) against the
+  lane loop (floor out of reach) on the per-lane triples, the
   table hit/miss and lookup counters, and the draws of every fault
   site; the same for one program with what the catalog never runs.
 * **When.**  Building an executor generates nothing; the first batch
@@ -24,16 +24,22 @@ from repro.lib.catalog import PROGRAMS, build_monolithic, build_pipeline
 from repro.net.packet import Packet
 from repro.obs.metrics import METRICS
 from repro.targets.backends import make_pipeline
-from repro.targets.codegen import CodegenPipeline
 from repro.targets.faults import FaultPlan
 from repro.targets.runtime_api import RuntimeAPI
 from repro.targets.soak import NUM_PORTS, SoakConfig, iter_stream_bytes
-from repro.targets.vector import NUMPY_AVAILABLE
+from repro.targets.vector import NUMPY_AVAILABLE, columnwise_module
 from tests.integration.helpers import ENTRY_SETS
+from tests.targets.helpers import LANE_LOOP, columnwise_floor
 
-pytestmark = pytest.mark.skipif(
-    not NUMPY_AVAILABLE, reason="vector backend needs numpy"
-)
+pytestmark = [
+    pytest.mark.skipif(not NUMPY_AVAILABLE, reason="the columnwise tier needs numpy"),
+    pytest.mark.usefixtures("columnwise_any_width"),
+]
+
+
+def plan_of(pipe):
+    """The program's columnwise module, or the reason it has none."""
+    return columnwise_module(pipe.composed, pipe.tables)
 
 STEP_BOUNDS = {
     "P1": 138, "P2": 160, "P3": 137, "P4": 94,
@@ -151,15 +157,13 @@ Sink(P, C, D) main;
 class TestDecisions:
     @pytest.mark.parametrize("program", PROGRAMS)
     def test_micro_step_bound(self, program):
-        vec = make_pipeline(build_pipeline(program), "vector")
-        assert vec.vector_decline_reason is None
-        assert vec.vector_plan.step_bound == STEP_BOUNDS[program]
+        vec = make_pipeline(build_pipeline(program), "codegen")
+        assert plan_of(vec).step_bound == STEP_BOUNDS[program]
 
     @pytest.mark.parametrize("program", PROGRAMS)
     def test_mono_declines(self, program):
-        vec = make_pipeline(build_monolithic(program), "vector")
-        assert vec.vector_plan is None
-        assert vec.vector_decline_reason == "batch layout unsupported"
+        vec = make_pipeline(build_monolithic(program), "codegen")
+        assert plan_of(vec) == "batch layout unsupported"
 
     @pytest.mark.parametrize("case", sorted(DECLINES))
     def test_decline_reason(self, case):
@@ -168,14 +172,14 @@ class TestDecisions:
             _PROGRAM % {"decls": decls, "locals": local_decls, "body": body},
             f"{case}.up4",
         ), None)
-        vec = make_pipeline(composed, "vector")
-        assert vec.vector_plan is None
-        assert vec.vector_decline_reason == reason
+        vec = make_pipeline(composed, "codegen")
+        assert plan_of(vec) == reason
         # A declined batch still runs, through the lane loop.
         data = bytes(range(40))
         (triple,) = vec.process_soa([data], [1], [Packet(data)])
         ref = make_pipeline(composed, "codegen")
-        (want,) = ref.process_soa([data], [1], [Packet(data)])
+        with columnwise_floor(LANE_LOOP):
+            (want,) = ref.process_soa([data], [1], [Packet(data)])
         assert _outcome(triple) == _outcome(want)
 
 
@@ -219,36 +223,34 @@ _PACKETS = {1: 24, 7: 40, 256: 300}
 
 def _compare(composed, entries, sites, lanes, stream):
     """Run ``stream`` in batches of ``lanes`` through the columnwise
-    ``process_soa`` and through the inherited lane loop, each on a fresh
-    vector executor with ``entries`` installed and faults at ``sites``;
-    assert they agree and return the columnwise outcomes."""
+    tier and through the lane loop, each on a fresh codegen executor
+    with ``entries`` installed and faults at ``sites``; assert they
+    agree and return the columnwise outcomes."""
     runs = []
     for columnwise in (True, False):
-        pipe = make_pipeline(composed, "vector")
+        pipe = make_pipeline(composed, "codegen")
         for table, matches, action, args in entries:
             RuntimeAPI(pipe).add_entry(table, matches, action, args)
         plan = _DrawCountingPlan(seed=11, sites=sites)
         pipe.configure_faults(faults=plan)
-        run = pipe.process_soa if columnwise else (
-            lambda *batch: CodegenPipeline.process_soa(pipe, *batch)
-        )
         METRICS.reset()
         outcomes = []
-        for start in range(0, len(stream), lanes):
-            batch = stream[start:start + lanes]
-            datas = [data for data, _port in batch]
-            outcomes.extend(_outcome(t) for t in run(
-                datas, [port for _data, port in batch],
-                [Packet(data) for data in datas],
-            ))
+        with columnwise_floor(1 if columnwise else LANE_LOOP):
+            for start in range(0, len(stream), lanes):
+                batch = stream[start:start + lanes]
+                datas = [data for data, _port in batch]
+                outcomes.extend(_outcome(t) for t in pipe.process_soa(
+                    datas, [port for _data, port in batch],
+                    [Packet(data) for data in datas],
+                ))
         counters = METRICS.snapshot()["counters"]
-        if columnwise:
-            # Every batch ran columnwise: none fell back to the lane loop.
-            assert "vector.soa_fallback_batches" not in counters
-            assert "vector.soa_errors" not in counters
+        # Every batch ran where it was sent: columnwise, none on the lane
+        # loop; or all on the lane loop.
+        loops = counters.get("vector.soa_fallback_batches", 0)
+        assert loops == (0 if columnwise else -(-len(stream) // lanes))
         runs.append((outcomes, dict(plan.draws), {
             key: value for key, value in counters.items()
-            if key.startswith(("vector.table_", "interp.lookup."))
+            if key.startswith(("codegen.table_", "interp.lookup."))
         }))
     assert runs[0] == runs[1]
     return runs[0][0]
@@ -285,7 +287,7 @@ def test_columnwise_equals_lane_loop(collecting_metrics, program, fault_rate,
 @pytest.mark.parametrize("fault_rate", [0.0, 0.3])
 def test_kitchen_sink_equals_lane_loop(collecting_metrics, fault_rate, lanes):
     composed = compose_modules(compile_module(KITCHEN_SINK, "sink.up4"), None)
-    assert make_pipeline(composed, "vector").vector_plan.step_bound == 67
+    assert plan_of(make_pipeline(composed, "codegen")).step_bound == 67
     rng = random.Random(5)
     stream = [
         (bytes(rng.randrange(256) for _ in range(rng.choice((14, 30, 40, 40)))),
@@ -306,25 +308,29 @@ class TestGeneratedOnFirstBatch:
     def test_construction_lowers_nothing(self, collecting_metrics):
         composed = build_pipeline("P4")
         METRICS.reset()
-        pipe = make_pipeline(composed, "vector")
+        pipe = make_pipeline(composed, "codegen")
         # (make_pipeline runs the shrunk form of the program.)
         assert "columnwise_module" not in pipe.composed.derived
         assert "vector.plan_built" not in METRICS.snapshot()["counters"]
         data = bytes(64)
         pipe.process_soa([data], [1], [Packet(data)])
         assert METRICS.snapshot()["counters"]["vector.plan_built"] == 1
-        assert pipe.composed.derived["columnwise_module"] is pipe.vector_plan
+        assert pipe.composed.derived["columnwise_module"] is pipe._vec[0]
 
     def test_one_code_object_per_program(self):
         composed = build_pipeline("P4")
-        first, second = (make_pipeline(composed, "vector") for _ in range(2))
-        assert first.vector_plan is second.vector_plan
-        assert first._vec.__code__ is second._vec.__code__
-        assert first._vec is not second._vec
+        first, second = (make_pipeline(composed, "codegen") for _ in range(2))
+        data = bytes(64)
+        for pipe in (first, second):
+            pipe.process_soa([data], [1], [Packet(data)])
+        (plan, run), (plan2, run2) = first._vec, second._vec
+        assert plan is plan2
+        assert run.__code__ is run2.__code__
+        assert run is not run2
         # Each executor probes its own tables through its own snapshots.
         sites = [
-            {name: ns[name] for name in first.vector_plan.sites}
-            for ns in (first._vec.__globals__, second._vec.__globals__)
+            {name: ns[name] for name in plan.sites}
+            for ns in (run.__globals__, run2.__globals__)
         ]
         for name, table in sites[0].items():
             assert table is not sites[1][name]

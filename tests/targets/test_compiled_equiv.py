@@ -47,15 +47,9 @@ from repro.targets.switch import Switch, SwitchConfig
 ALL_PROGRAMS = sorted({*COMPOSITIONS, *EXTRA_COMPOSITIONS})
 MODES = ("micro", "mono")
 
-from repro.targets.vector import NUMPY_AVAILABLE
-
-#: Backends exercised this run.  ``vector`` needs the optional numpy
-#: extra; without it the backend refuses to construct (reason-coded
-#: ``vector-unavailable``), so it drops out of the differential matrix
-#: instead of failing it — the no-numpy CI job pins that.
-RUN_BACKENDS = tuple(
-    b for b in EXEC_BACKENDS if b != "vector" or NUMPY_AVAILABLE
-)
+#: Backends exercised this run: every name, numpy or not (``vector``,
+#: codegen's alias, builds without it; the no-numpy CI job pins that).
+RUN_BACKENDS = EXEC_BACKENDS
 
 #: Every backend that must match the interp reference, packet for packet.
 ALT_BACKENDS = tuple(b for b in RUN_BACKENDS if b != "interp")

@@ -36,21 +36,26 @@ from repro.targets.switch import Switch, SwitchConfig
 from repro.targets.tables import TableRuntime
 from repro.targets.vector import NUMPY_AVAILABLE
 from tests.integration.helpers import ENTRY_SETS, eth_ipv4, eth_ipv6
+from tests.targets.helpers import LANE_LOOP, columnwise_floor
 from tests.targets.test_codegen import _RecordingPlan
 
 needs_numpy = pytest.mark.skipif(not NUMPY_AVAILABLE, reason="needs numpy")
 
-#: (backend, how, lanes): every way a generated body runs a packet.
-#: ``vector``/``process`` is the per-packet rung of its fallback ladder.
+#: (tier, how, lanes): every way a codegen body runs a packet — the
+#: lane loop per packet or batched, and the columnwise tier.
 EXECUTORS = [
-    ("codegen", "process", 1),
-    ("codegen", "soa", 256),
-    ("codegen", "soa", 16),
+    ("lane-loop", "process", 1),
+    ("lane-loop", "soa", 256),
+    ("lane-loop", "soa", 16),
 ] + ([
-    ("vector", "process", 1),
-    ("vector", "soa", 256),
-    ("vector", "soa", 16),
+    ("columnwise", "soa", 256),
+    ("columnwise", "soa", 16),
 ] if NUMPY_AVAILABLE else [])
+
+
+def _tier(tier):
+    """Batches run on ``tier`` inside the block."""
+    return columnwise_floor(1 if tier == "columnwise" else LANE_LOOP)
 
 
 @pytest.fixture()
@@ -150,20 +155,21 @@ def _routed_batch(n):
     return [(eth_ipv4() if i % 2 else eth_ipv6()) for i in range(n)]
 
 
-@pytest.mark.parametrize("backend,how,lanes", EXECUTORS)
-def test_a_routed_packet_makes_two_lookups(lookups, backend, how, lanes):
+@pytest.mark.parametrize(
+    "tier,how,lanes", [e for e in EXECUTORS if e[0] == "lane-loop"]
+)
+def test_a_routed_packet_makes_two_lookups(lookups, tier, how, lanes):
     """Of the 8 tables a routed P4 packet applies, 6 are parser and
     deparser MATs: after the first apply built their indexes, only the
     route and next-hop tables reach ``lookup_full``."""
-    pipe = _with_entries(make_pipeline(build_pipeline("P4"), backend))
-    if backend == "vector":
-        pipe.vector_plan = None  # the codegen rungs of its fallback ladder
+    pipe = _with_entries(make_pipeline(build_pipeline("P4"), "codegen"))
     switch = Switch(pipe, SwitchConfig(num_ports=NUM_PORTS))
 
     def run(packets):
         if how == "process":
             return [switch.process(p, 1) for p in packets]
-        return switch.process_batch([(p, 1) for p in packets], soa=True)
+        with _tier(tier):
+            return switch.process_batch([(p, 1) for p in packets], soa=True)
 
     run(_routed_batch(2))  # first applies: indexes built, counted
     lookups.clear()
@@ -262,10 +268,11 @@ def test_mutating_synthesized_mats_is_seen_by_every_executor():
     untouched = _observe(interp(), phases, "process", 1)
     # The writes matter: a run without them comes out different.
     assert want["outcomes"] != untouched["outcomes"]
-    for backend, how, lanes in EXECUTORS:
-        pipe = _with_entries(make_pipeline(composed, backend))
-        got = _observe(pipe, phases, how, lanes, _mutate)
-        _assert_same(want, got, f"{backend}/{how}/{lanes}")
+    for tier, how, lanes in EXECUTORS:
+        pipe = _with_entries(make_pipeline(composed, "codegen"))
+        with _tier(tier):
+            got = _observe(pipe, phases, how, lanes, _mutate)
+        _assert_same(want, got, f"{tier}/{how}/{lanes}")
         for name in (PARSER, DEPARSER, ETH_PARSER):
             assert not pipe.tables[name].as_declared
 
@@ -398,9 +405,9 @@ def test_the_answer_forms(edge_program):
     assert dup.rows[0][1] == [0x0800, 1]
 
 
-@pytest.mark.parametrize("backend,how,lanes", EXECUTORS)
+@pytest.mark.parametrize("tier,how,lanes", EXECUTORS)
 def test_user_tables_answer_like_the_interpreter(lookups, edge_program,
-                                                 backend, how, lanes):
+                                                 tier, how, lanes):
     phases = [_edge_traffic(seed) for seed in range(3)]
     want = _observe(make_pipeline(edge_program, "interp"), phases, "process", 1)
     # Every reachable row and the default of every table are taken
@@ -416,10 +423,11 @@ def test_user_tables_answer_like_the_interpreter(lookups, edge_program,
         ("main_ovl_t", 0), ("main_ovl_t", 1), ("main_ovl_t", 2),
         ("main_ovl_t", None),
     }
-    pipe = make_pipeline(edge_program, backend)
+    pipe = make_pipeline(edge_program, "codegen")
     lookups.clear()
-    got = _observe(pipe, phases, how, lanes)
-    _assert_same(want, got, f"{backend}/{how}/{lanes}")
+    with _tier(tier):
+        got = _observe(pipe, phases, how, lanes)
+    _assert_same(want, got, f"{tier}/{how}/{lanes}")
     for name in USER_TABLES:
         assert pipe.tables[name].as_declared
         assert lookups.count(name) <= 1  # the apply that built the index

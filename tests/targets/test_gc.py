@@ -20,7 +20,7 @@ from repro.targets.soak import (
     iter_stream,
     run_soak,
 )
-from repro.targets.vector import NUMPY_AVAILABLE
+from tests.targets.helpers import LANE_LOOP, columnwise_floor
 
 #: What a faulting lane used to leave to the collector: its verdict,
 #: packets, frames and tracebacks, all held by one reference cycle.
@@ -53,13 +53,13 @@ class TestNoLaneCycles:
     emits carries no traceback, and ``process`` drops its reference to
     the exception it re-raises."""
 
-    @pytest.mark.parametrize("backend", ("codegen", "vector"))
+    @pytest.mark.parametrize(
+        "floor", (LANE_LOOP, 1), ids=("lane-loop", "columnwise")
+    )
     @pytest.mark.parametrize("mode", ("micro", "mono"))
     @pytest.mark.parametrize("soa", (False, True), ids=("process", "soa"))
-    def test_faulting_traffic_leaves_no_cycles(self, backend, mode, soa):
-        if backend == "vector" and not NUMPY_AVAILABLE:
-            pytest.skip("vector backend needs numpy")
-        config = hostile_config(exec_backend=backend, mode=mode)
+    def test_faulting_traffic_leaves_no_cycles(self, floor, mode, soa):
+        config = hostile_config(mode=mode)
         switch = build_switch(config, "P4", compose_program(config, "P4"))
         items = [
             (packet, port)
@@ -68,8 +68,9 @@ class TestNoLaneCycles:
 
         def run() -> None:
             if soa:
-                for start in range(0, len(items), 256):
-                    switch.process_batch(items[start:start + 256], soa=True)
+                with columnwise_floor(floor):
+                    for start in range(0, len(items), 256):
+                        switch.process_batch(items[start:start + 256], soa=True)
             else:
                 for packet, port in items:
                     switch.process(packet, port)
@@ -108,11 +109,10 @@ class TestNoComposeCycles:
         the program: after all of it is dropped, a collection finds
         nothing."""
         config = hostile_config(mode=mode)
-        backend = "vector" if NUMPY_AVAILABLE else "codegen"
 
         def derive_and_drop() -> None:
             composed = compose_program(config, program)
-            derive_modules(composed, backend)
+            derive_modules(composed, "codegen")
             assert "generated_module" in executable_form(composed).derived
 
         derive_and_drop()  # first-use imports settle outside the count

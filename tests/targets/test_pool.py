@@ -21,8 +21,7 @@ from tests.targets.helpers import (
     sabotage_shard0,
 )
 
-#: Every backend this host can run (``vector`` needs numpy).
-BACKENDS = [b for b in EXEC_BACKENDS if b != "vector" or NUMPY_AVAILABLE]
+BACKENDS = EXEC_BACKENDS
 
 
 def small_config(**kw) -> SoakConfig:
@@ -535,7 +534,8 @@ class TestWorkersInheritModules:
             restart=RestartPolicy(backoff_base_s=0.01),
         )
         config = small_config(exec_backend=backend)
-        modules = 2 if backend == "vector" else 1
+        # codegen's module, and its columnwise tier where numpy imports.
+        modules = 2 if NUMPY_AVAILABLE else 1
         with WorkerPool(engine) as pool:
             for submit in (1, 2):
                 block = pool.submit(config, "P4")
@@ -545,7 +545,7 @@ class TestWorkersInheritModules:
                 pids = calls.read_text().split()
                 assert pids == [str(os.getpid())] * (modules * submit)
                 counters = block["metrics"]["counters"]
-                assert counters[f"{backend}.packets"] == 400
+                assert counters["codegen.packets"] == 400
                 for key in ("codegen.generations", "codegen.build_cache_misses",
                             "vector.plan_built"):
                     assert key not in counters, key
@@ -570,29 +570,32 @@ class TestWorkersInheritModules:
                 pool.submit(small_config(exec_backend="codegen"), "P4")
         assert spawned == []
 
-    def test_vector_without_numpy_fails_the_submit_before_any_fork(
-        self, monkeypatch
+    @pytest.mark.parametrize("backend", ["codegen", "vector"])
+    def test_without_numpy_workers_run_the_lane_loop(
+        self, backend, monkeypatch, columnwise_any_width
     ):
-        from repro.errors import TargetError
+        """No numpy: the workers run every batch on the lane loop, to the
+        same digest, and the parent derives no columnwise tier."""
         from repro.targets import vector
 
-        spawned = []
-        monkeypatch.setattr(vector, "_np", None)
-        monkeypatch.setattr(
-            WorkerPool, "_spawn_worker",
-            lambda self, state, shard: spawned.append(shard),
-        )
+        config = small_config(exec_backend="interp")
         with WorkerPool(EngineConfig(workers=2)) as pool:
-            with pytest.raises(TargetError) as exc:
-                pool.submit(small_config(exec_backend="vector"), "P4")
-        assert exc.value.code == "vector-unavailable"
-        assert spawned == []
+            want = pool.submit(config, "P4")["digest"]
+            monkeypatch.setattr(vector, "_np", None)
+            config.exec_backend = backend
+            block = pool.submit(config, "P4")
+        assert block["ledger_ok"] and block["digest"] == want
+        counters = block["metrics"]["counters"]
+        assert counters["vector.lane_loop.no-numpy"] >= 1
+        assert "vector.plan_built" not in counters
+        assert no_orphans()
 
 
 class TestForkAfterImports:
-    """The parent resolves the run's backend before the first fork, so
-    workers (and supervised replacements) inherit the executor's module
-    instead of each importing it — numpy, for ``vector``."""
+    """The parent derives the run's modules before the first fork, so
+    workers (and supervised replacements) inherit what they import
+    instead of each importing it — codegen's columnwise tier and numpy
+    included."""
 
     PROBE = """
 import sys
@@ -610,7 +613,7 @@ def spy(self, state, shard):
 
 WorkerPool._spawn_worker = spy
 assert "repro.targets.vector" not in sys.modules
-config = SoakConfig(programs=["P4"], packets=64, seed=7, exec_backend="vector")
+config = SoakConfig(programs=["P4"], packets=64, seed=7, exec_backend="codegen")
 with WorkerPool(EngineConfig(workers=2)) as pool:
     block = pool.submit(config, "P4")
 assert block["ledger_ok"] and block["packets"] == 64
@@ -618,7 +621,7 @@ print(imported_at_fork)
 """
 
     @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
-    def test_vector_is_imported_before_the_workers_fork(self):
+    def test_the_tier_is_imported_before_the_workers_fork(self):
         import subprocess
         import sys
 

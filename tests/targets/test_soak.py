@@ -26,15 +26,10 @@ from repro.targets.soak import (
     soak_program,
     update_digest,
 )
-from repro.targets.vector import NUMPY_AVAILABLE
+from tests.targets.helpers import LANE_LOOP
 
 #: ``P4,P7 / 5000 / fault 0.1 / seed 1234``, no workers.
 INLINE_GOLDEN = "3441bd1cc811823e291e596dcaa90192a57c4da04fc2f5ae168c3a054bca2123"
-
-
-def needs_backend(backend):
-    if backend == "vector" and not NUMPY_AVAILABLE:
-        pytest.skip("vector backend needs numpy")
 
 
 def quick_config(**kw):
@@ -184,11 +179,22 @@ class TestBaseEntries:
 class TestInlineGolden:
     @pytest.mark.parametrize("backend", EXEC_BACKENDS)
     def test_inline_golden_digest(self, backend):
-        needs_backend(backend)
         summary = run_soak(
             SoakConfig(
                 programs=["P4", "P7"], packets=5000, seed=1234,
                 fault_rate=0.1, exec_backend=backend,
+            )
+        )
+        assert summary["ok"]
+        assert summary["digest"] == INLINE_GOLDEN
+
+    def test_inline_golden_digest_columnwise_at_16_lanes(
+        self, columnwise_any_width
+    ):
+        summary = run_soak(
+            SoakConfig(
+                programs=["P4", "P7"], packets=5000, seed=1234,
+                fault_rate=0.1, exec_backend="codegen", batch_lanes=16,
             )
         )
         assert summary["ok"]
@@ -302,17 +308,22 @@ def resident_bytes():
     not os.path.exists("/proc/self/statm"), reason="needs Linux /proc"
 )
 class TestMemoryFlat:
-    @pytest.mark.parametrize("backend", ["codegen", "vector"])
-    def test_long_inline_run_does_not_grow(self, backend):
+    @pytest.mark.parametrize(
+        "floor", [LANE_LOOP, 1], ids=["lane-loop", "columnwise"]
+    )
+    def test_long_inline_run_does_not_grow(self, floor, monkeypatch):
         """Nothing the packet path touches may keep a per-packet record
         for the life of the pipeline.  It used to: one string per table
-        apply, 16.6 MiB (codegen) / 1.4 MiB (vector) over these 20 000
-        packets; now ~0.01 MiB.  Resident set, not ``tracemalloc``:
-        tracing resolves a line number per allocation, which is linear
-        in the size of codegen's one generated function (50x slower)."""
-        needs_backend(backend)
+        apply, 16.6 MiB (lane loop) / 1.4 MiB (columnwise) over these
+        20 000 packets; now ~0.01 MiB.  Resident set, not
+        ``tracemalloc``: tracing resolves a line number per allocation,
+        which is linear in the size of codegen's one generated function
+        (50x slower)."""
+        from repro.targets import codegen
+
+        monkeypatch.setattr(codegen, "_COLUMNWISE_MIN_LANES", floor)
         config = quick_config(
-            traffic="routable", fault_rate=0.0, exec_backend=backend
+            traffic="routable", fault_rate=0.0, exec_backend="codegen"
         )
         switch = build_switch(config, "P4", compose_program(config, "P4"))
 

@@ -23,11 +23,13 @@ from repro.targets.faults import ResourceGuards
 from repro.targets.runtime_api import RuntimeAPI
 from repro.targets.vector import NUMPY_AVAILABLE
 from tests.integration.helpers import ENTRY_SETS, eth_ipv4, eth_ipv6
+from tests.targets.helpers import LANE_LOOP, columnwise_floor
 from tests.targets.test_codegen import _lane_outcome, _RecordingPlan
 
-#: (backend, batched): what is held against the interpreter.
-EXECUTORS = [("codegen", False), ("codegen", True)] + (
-    [("vector", True)] if NUMPY_AVAILABLE else []
+#: (backend, batched): what is held against the interpreter; a batched
+#: run names the tier its batches run on.
+EXECUTORS = [("codegen", False), ("codegen", "lane-loop")] + (
+    [("codegen", "columnwise")] if NUMPY_AVAILABLE else []
 )
 
 
@@ -48,13 +50,13 @@ def observe(pipe, packets, budget, batched=False, fault_rate=0.0):
     with collecting() as registry:
         if batched:
             pkts = [Packet(data) for data, _ in packets]
-            outcomes = [
-                _lane_outcome(*lane)
-                for lane in pipe.process_soa(
+            floor = 1 if batched == "columnwise" else LANE_LOOP
+            with columnwise_floor(floor):
+                lanes = pipe.process_soa(
                     [data for data, _ in packets],
                     [port for _, port in packets], pkts,
                 )
-            ]
+            outcomes = [_lane_outcome(*lane) for lane in lanes]
         else:
             events = []
             for data, port in packets:
@@ -148,9 +150,7 @@ def build_all(composed, entries=()):
     """``{(backend, batched): pipeline}`` over one composed program —
     one build per backend, the batched runs reuse it."""
     pipes = {}
-    for backend in ("interp", "codegen") + (
-        ("vector",) if NUMPY_AVAILABLE else ()
-    ):
+    for backend in ("interp", "codegen"):
         pipe = make_pipeline(composed, backend)
         api = RuntimeAPI(pipe)
         for table, matches, action, _mono, args in entries:
@@ -158,7 +158,6 @@ def build_all(composed, entries=()):
         pipes[backend, False] = pipe
     for backend, batched in EXECUTORS:
         pipes[backend, batched] = pipes[backend, False]
-    pipes.pop(("vector", False), None)
     return pipes
 
 

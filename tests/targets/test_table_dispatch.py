@@ -26,13 +26,12 @@ from repro.targets.backends import EXEC_BACKENDS, make_pipeline
 from repro.targets.compiled import _Compiler
 from repro.targets.soak import SoakConfig, build_switch
 from repro.targets.tables import Entry, TableRuntime
-from repro.targets.vector import NUMPY_AVAILABLE
+from repro.targets.vector import NUMPY_AVAILABLE, columnwise_module
 
 from tests.integration.helpers import eth_ipv4, eth_ipv6
+from tests.targets.helpers import LANE_LOOP, columnwise_floor
 
-RUN_BACKENDS = tuple(
-    b for b in EXEC_BACKENDS if b != "vector" or NUMPY_AVAILABLE
-)
+RUN_BACKENDS = EXEC_BACKENDS
 
 _COMPOSED = {}
 
@@ -224,15 +223,15 @@ class TestForeignActionParity:
             assert _inject_foreign(switch) == (table, action)
             assert _per_packet(switch) == want, backend
 
-        for backend in ("codegen", "vector"):
-            if backend not in RUN_BACKENDS:
-                continue
-            switch = _p4_switch(backend)
+        for floor in (LANE_LOOP, 1):  # the lane loop, the columnwise tier
+            switch = _p4_switch("codegen")
             _inject_foreign(switch)
             assert switch.pipeline.batch_supported
-            if backend == "vector":
-                assert switch.pipeline.vector_plan is not None
-            assert _batch(switch) == [s for s, _ in want], backend
+            with columnwise_floor(floor), collecting() as registry:
+                assert _batch(switch) == [s for s, _ in want], floor
+            columnwise = floor == 1 and NUMPY_AVAILABLE
+            loops = registry.counter("vector.soa_fallback_batches")
+            assert loops == (0 if columnwise else 1), floor
 
     @pytest.mark.parametrize("backend", RUN_BACKENDS)
     def test_install_still_refuses_a_foreign_action(self, backend):
@@ -347,11 +346,10 @@ class TestLinearInTables:
         for name, runtime in pipe.tables.items():
             assert list(dispatch[name]) == list(runtime.selectable_actions)
 
-    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="vector backend needs numpy")
     def test_vector_arms(self, program):
-        pipe = make_pipeline(composed_for(program), "vector")
-        assert pipe.vector_plan is not None
-        arms = pipe.vector_plan.arms
+        pipe = make_pipeline(composed_for(program), "codegen")
+        plan = columnwise_module(pipe.composed, pipe.tables)
+        arms = plan.arms
         assert set(arms) == set(pipe.tables)
         for name, runtime in pipe.tables.items():
             selectable = runtime.selectable_actions
@@ -361,8 +359,8 @@ class TestLinearInTables:
                 for ai, adecl in enumerate(selectable.values())
             ]
         # One arm per selectable action at every apply site.
-        sites = pipe.vector_plan.sites
-        assert pipe.vector_plan.source.count(" = _arm(") == sum(
+        sites = plan.sites
+        assert plan.source.count(" = _arm(") == sum(
             len(arms[name]) for name in sites.values()
         )
 

@@ -26,12 +26,12 @@ from repro.targets.soak import (
     run_soak,
     soak_program,
 )
-from repro.targets.vector import NUMPY_AVAILABLE
-from tests.targets.helpers import run_sharded
+from repro.targets.vector import NUMPY_AVAILABLE, columnwise_module
+from tests.targets.helpers import LANE_LOOP, columnwise_floor, run_sharded
 
-#: Every backend this host can run (``vector`` needs numpy).
-BACKENDS = [b for b in EXEC_BACKENDS if b != "vector" or NUMPY_AVAILABLE]
-BATCH_BACKENDS = [b for b in ("codegen", "vector") if b in BACKENDS]
+BACKENDS = EXEC_BACKENDS
+#: The tiers a codegen batch runs on this host (columnwise needs numpy).
+BATCH_TIERS = ["lane-loop"] + (["columnwise"] if NUMPY_AVAILABLE else [])
 
 
 def quick_config(**kw):
@@ -170,9 +170,10 @@ class TestMetricsOffCostsNothing:
     every report site must sit behind one ``enabled`` check."""
 
     @staticmethod
-    def _run(backend, calls, soa):
+    def _run(backend, calls, tier=None):
         """256 routable P4 packets through a fresh switch, one at a time
-        or as one SoA batch; ``calls`` counts from the first packet."""
+        or, on a ``tier``, as one SoA batch; ``calls`` counts from the
+        first packet."""
         config = quick_config(
             packets=256, seed=7, fault_rate=0.0, traffic="routable",
             exec_backend=backend,
@@ -180,13 +181,14 @@ class TestMetricsOffCostsNothing:
         switch = build_switch(config, "P4", compose_program(config, "P4"))
         stream = iter_stream_bytes(config, "P4", NUM_PORTS)
         packets = [(Packet(data), port) for _, data, port in stream]
-        if soa and backend == "vector":
+        if tier == "columnwise":
             # Generate the columnwise body, which the first batch would
             # (its two counts are per program, not per batch).
-            switch.pipeline.vector_plan
+            columnwise_module(switch.pipeline.composed, switch.pipeline.tables)
         calls.clear()
-        if soa:
-            switch.process_batch(packets, soa=True)
+        if tier is not None:
+            with columnwise_floor(1 if tier == "columnwise" else LANE_LOOP):
+                switch.process_batch(packets, soa=True)
         else:
             for packet, port in packets:
                 switch.process(packet, port)
@@ -194,28 +196,28 @@ class TestMetricsOffCostsNothing:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_per_packet_process_makes_no_call(self, backend, registry_calls):
         assert not METRICS.enabled
-        self._run(backend, registry_calls, soa=False)
+        self._run(backend, registry_calls)
         assert registry_calls == {}
 
-    @pytest.mark.parametrize("backend", BATCH_BACKENDS)
-    def test_soa_batch_makes_no_call(self, backend, registry_calls):
-        self._run(backend, registry_calls, soa=True)
+    @pytest.mark.parametrize("tier", BATCH_TIERS)
+    def test_soa_batch_makes_no_call(self, tier, registry_calls):
+        self._run("codegen", registry_calls, tier)
         assert registry_calls == {}
 
     #: ``inc`` calls one 256-lane batch makes on a fresh P4 switch, as
-    #: measured: per-lane counters (the codegen body's
+    #: measured: per-lane counters (the lane loop's
     #: ``interp.lookup.indexed``, one ``switch.drops.*`` per dropped lane)
     #: plus the first index builds.  Upper bounds, so a new per-lane
     #: report site cannot creep into the batch path unnoticed.
-    MAX_INC = {"codegen": 661, "vector": 155}
+    MAX_INC = {"lane-loop": 663, "columnwise": 155}
 
-    @pytest.mark.parametrize("backend", BATCH_BACKENDS)
-    def test_soa_batch_reports_per_batch(self, backend, registry_calls):
+    @pytest.mark.parametrize("tier", BATCH_TIERS)
+    def test_soa_batch_reports_per_batch(self, tier, registry_calls):
         with collecting():
-            self._run(backend, registry_calls, soa=True)
+            self._run("codegen", registry_calls, tier)
         assert registry_calls["observe"] == 1
         assert registry_calls["set_gauge"] == 0
-        assert registry_calls["inc"] <= self.MAX_INC[backend]
+        assert registry_calls["inc"] <= self.MAX_INC[tier]
 
 
 class TestFlightRecorderWiring:
