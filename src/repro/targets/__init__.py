@@ -11,16 +11,15 @@ composed IR produced by the midend/backends directly.
   :class:`~repro.midend.inline.ComposedPipeline`.
 * :mod:`~repro.targets.plan` — build-time facts the executors share
   (default-value factories, header pack/unpack plans, ``IM_FAST``).
-* :mod:`~repro.targets.compiled`, :mod:`~repro.targets.codegen` — the
-  closure-compiled and generated-source executors: same semantics as
-  the interpreter, resolved before the first packet;
+* :mod:`~repro.targets.codegen` — the generated-source executor: same
+  semantics as the interpreter, resolved before the first packet;
   :mod:`~repro.targets.vector` is codegen's columnwise-numpy tier for
   wide batches (generated before the first such batch), and
   :mod:`~repro.targets.lanes` says which struct/header variables both
   generated bodies keep as plain cells.
 * :mod:`~repro.targets.backends` — the ``ExecBackend`` seam mapping the
-  names in ``EXEC_BACKENDS`` (``interp`` / ``compiled`` / ``codegen``,
-  and ``vector``, its alias) to executors.
+  names in ``EXEC_BACKENDS`` (``interp`` and ``codegen``, and their
+  aliases ``compiled`` and ``vector``) to the two executors.
 * :mod:`~repro.targets.switch` — a V1Model-style switch: ports, packet
   replication engine (multicast groups), recirculation.
 * :mod:`~repro.targets.runtime_api` — the "control API" of the paper's
@@ -48,7 +47,6 @@ from repro.targets.faults import (
     Verdict,
 )
 from repro.targets.pipeline import PipelineInstance, PacketOut
-from repro.targets.compiled import CompiledPipeline
 from repro.targets.backends import EXEC_BACKENDS, make_pipeline
 from repro.targets.switch import Switch
 from repro.targets.runtime_api import RuntimeAPI
@@ -72,7 +70,6 @@ __all__ = [
     "ResourceGuards",
     "Verdict",
     "PipelineInstance",
-    "CompiledPipeline",
     "EXEC_BACKENDS",
     "make_pipeline",
     "PacketOut",

@@ -1,13 +1,11 @@
 """The ``ExecBackend`` seam: one place that maps a backend name to a
 pipeline executor.
 
-Three executors run a :class:`~repro.midend.inline.ComposedPipeline`,
-under four backend names:
+Two executors run a :class:`~repro.midend.inline.ComposedPipeline`,
+under four backend names (``DESIGN.md`` §10):
 
 * ``interp`` — :class:`~repro.targets.pipeline.PipelineInstance`, the
   reference tree-walking interpreter.  Default everywhere.
-* ``compiled`` — :class:`~repro.targets.compiled.CompiledPipeline`, the
-  closure-compiled specialization (see ``DESIGN.md`` §10).
 * ``codegen`` — :class:`~repro.targets.codegen.CodegenPipeline`, a
   one-time translation to generated Python source ``compile()``d into a
   single code object per pipeline, one function that runs one packet
@@ -16,8 +14,8 @@ under four backend names:
   (:mod:`repro.targets.vector`, numpy) when the program has one; every
   other batch, and every host without numpy, runs the lane loop (see
   ``DESIGN.md`` §15).
-* ``vector`` — an alias of ``codegen``, kept because benchmark
-  workloads name it.
+* ``vector`` — an alias of ``codegen``, and ``compiled`` — an alias of
+  ``interp``, kept because benchmark workloads and rows name them.
 
 ``make_pipeline`` hands every backend the same program: the composed
 pipeline after :func:`repro.midend.optimize.shrink_copies` (byte-stack
@@ -43,7 +41,6 @@ from repro.errors import TargetError
 from repro.midend.inline import ComposedPipeline
 from repro.midend.optimize import shrink_copies
 from repro.targets.codegen import CodegenPipeline, generated_module
-from repro.targets.compiled import CompiledPipeline
 from repro.targets.faults import FaultPlan, ResourceGuards
 from repro.targets.pipeline import PipelineInstance
 from repro.targets.tables import table_runtimes
@@ -82,10 +79,8 @@ def executor_class(exec_backend: str):
     """The executor class behind a backend name.  Unknown names raise a
     reason-coded :class:`TargetError` instead of silently falling back.
     """
-    if exec_backend == "interp":
+    if exec_backend in ("interp", "compiled"):
         return PipelineInstance
-    if exec_backend == "compiled":
-        return CompiledPipeline
     if exec_backend in ("codegen", "vector"):
         return CodegenPipeline
     err = TargetError(

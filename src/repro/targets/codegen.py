@@ -1,15 +1,13 @@
 """Source-codegen execution backend: the composed pipeline as one
 generated Python function.
 
-The closure backend (:mod:`repro.targets.compiled`) already moved all
-AST dispatch and name resolution to build time, but each statement is
-still one Python *call* over a shared register list.  This module goes
-one step further down the µP4C "do it at compile time" ladder: a
-:class:`CodegenPipeline` renders the composed program into **Python
-source** — parser, table dispatch, inlined action bodies, and deparser
-as one module-level function per pipeline — then ``compile()``s and
-``exec``s it once.  Per-packet work after that is plain local-variable
-bytecode:
+The interpreter (:mod:`repro.targets.pipeline`) walks the AST and
+resolves names per packet.  This module moves that work down the µP4C
+"do it at compile time" ladder: a :class:`CodegenPipeline` renders the
+composed program into **Python source** — parser, table dispatch,
+inlined action bodies, and deparser as one module-level function per
+pipeline — then ``compile()``s and ``exec``s it once.  Per-packet work
+after that is plain local-variable bytecode:
 
 * every pipeline variable is a function **local** (no ``ctx.regs``
   indexing);
@@ -32,10 +30,10 @@ bytecode:
   or a first-match chain instead of a ``lookup_full`` call.
 
 The generated function preserves the interpreter's observable contract
-(the differential suite in ``tests/targets/test_compiled_equiv.py``
-enforces it across all ``EXEC_BACKENDS``): identical verdict streams,
-drop reasons, ``PacketTrace`` events, fault-site trip order, error
-strings, and statement-exact step accounting against
+(the differential suite in ``tests/targets/test_executor_parity.py``
+enforces it on the lane loop and on the columnwise tier): identical
+verdict streams, drop reasons, ``PacketTrace`` events, fault-site trip
+order, error strings, and statement-exact step accounting against
 ``interp_step_budget``.
 
 One body, a list of lanes
@@ -55,7 +53,7 @@ columns, where numpy and the program allow.
 
 Metrics are emitted under ``codegen.*`` (``codegen.packets``,
 ``codegen.table_hits``/``misses``, ``codegen.builds``) alongside the
-``interp.*`` and ``compiled.*`` families, on either tier; the tier's
+``interp.*`` family, on either tier; the tier's
 own counters are ``vector.*``.
 """
 
@@ -207,14 +205,14 @@ class _Region:
 class SourceGen:
     """Renders one :class:`ComposedPipeline` into Python source.
 
-    Mirrors the scoping model of ``compiled._Compiler``: lexical frames
-    map pipeline names to generated function locals, redeclaration in
-    the same frame reuses the local, shadowing in a child frame gets a
-    fresh one.  Every statement is counted against the step budget
-    exactly as the interpreter counts it, one check per *side-effect
-    region* (:meth:`step`), and all dynamic error messages are rendered
-    with ``%`` formatting so the strings are byte-identical to the
-    interpreter's f-strings.
+    Mirrors the interpreter's scoping model (``interpreter.Env``):
+    lexical frames map pipeline names to generated function locals,
+    redeclaration in the same frame reuses the local, shadowing in a
+    child frame gets a fresh one.  Every statement is counted against
+    the step budget exactly as the interpreter counts it, one check per
+    *side-effect region* (:meth:`step`), and all dynamic error messages
+    are rendered with ``%`` formatting so the strings are byte-identical
+    to the interpreter's f-strings.
 
     ``tables`` is read for what a table *is* (key expressions,
     selectable actions), never for its entries: the text, and so the
@@ -1603,9 +1601,9 @@ class SourceGen:
     # Whole-function emission
     # ------------------------------------------------------------------
     def _root_inits(self) -> None:
-        """Per-packet locals for IM/pkt/root variables, in the same order
-        ``compiled._fresh_ctx`` evaluates them: scalars and factories in
-        declaration order, register externs next, mc wiring last."""
+        """Per-packet locals for IM/pkt/root variables, holding what
+        ``PipelineInstance._fresh_env`` gives them: scalars and factories
+        in declaration order, register externs next, mc wiring last."""
         im = self._define(IM_VAR, False)
         self.line(f"{im} = _IM(in_port=in_port, pkt_len=_dl)")
         pk = self._define(PKT_VAR, False)

@@ -272,8 +272,8 @@ def _node_mask(expr: ast.Expr, t: Optional[ast.Type], what: str) -> int:
 
     Widths are static properties of the typed AST, so both the width
     check and the mask construction happen once per node instead of once
-    per packet — the interpreter's honest baseline for the compiled
-    backend's build-time specialization.
+    per packet — the interpreter's honest baseline for codegen's
+    build-time specialization.
     """
     try:
         return expr._mask_cache  # type: ignore[attr-defined]

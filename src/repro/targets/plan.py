@@ -1,11 +1,12 @@
 """Build-time facts more than one executor reads.
 
-The generated-source and closure executors specialise the same composed
-program; what they resolve before the first packet — which ``im_t``
-methods are plain attribute accesses, how a type's per-packet default
-value is built, where a header's fields sit in its wire image, how a
-header lvalue is named in trace events — is written here once, so no
-executor imports another's private names.
+The generated-source executor and its columnwise tier specialise the
+same composed program; what they resolve before the first packet —
+which ``im_t`` methods are plain attribute accesses, how a type's
+per-packet default value is built, where a header's fields sit in its
+wire image, how a header lvalue is named in trace events (as the
+interpreter names it) — is written here once, so neither imports the
+other's private names.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.targets.interpreter import (
     StructValue,
 )
 
-#: Fast-path ``im_t`` methods compiled to direct attribute access.
+#: Fast-path ``im_t`` methods generated as direct attribute access.
 IM_FAST = ("set_out_port", "get_out_port", "get_in_port", "drop")
 
 

@@ -22,7 +22,7 @@ class RuntimeAPI:
 
     ``instance`` is any execution backend exposing ``tables`` and
     ``composed`` — a :class:`PipelineInstance` or a
-    :class:`~repro.targets.compiled.CompiledPipeline`; both share the
+    :class:`~repro.targets.codegen.CodegenPipeline`; both share the
     same :class:`~repro.targets.tables.TableRuntime` state model, so
     control-plane programming is backend-agnostic.
     """

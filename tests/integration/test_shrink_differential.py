@@ -11,9 +11,13 @@ here) and the per-packet trace event lists.
 import pytest
 
 from repro.lib.catalog import PROGRAMS, build_pipeline
-from repro.targets.backends import EXEC_BACKENDS, executable_form, make_pipeline
+from repro.obs.metrics import collecting
+from repro.targets.backends import (
+    executable_form,
+    executor_class,
+    make_pipeline,
+)
 from repro.targets.codegen import CodegenPipeline
-from repro.targets.compiled import CompiledPipeline
 from repro.targets.pipeline import PipelineInstance
 from repro.targets.runtime_api import RuntimeAPI
 from repro.targets.soak import (
@@ -24,16 +28,18 @@ from repro.targets.soak import (
     iter_stream,
     switch_around,
 )
+from repro.targets.vector import NUMPY_AVAILABLE
 from tests.integration.helpers import ENTRY_SETS, standard_corpus
-from tests.targets.helpers import LANE_LOOP, columnwise_floor
+from tests.targets.helpers import EXECUTORS, LANE_LOOP, columnwise_floor
 
+#: Each leg's executor class, built straight from the program as composed
+#: (``compiled``, the interpreter's alias, would rerun the ``interp`` leg).
 AS_COMPOSED = {
     "interp": PipelineInstance,
-    "compiled": CompiledPipeline,
     "codegen": CodegenPipeline,
     "vector": CodegenPipeline,  # an alias
 }
-BACKENDS = EXEC_BACKENDS
+BACKENDS = tuple(AS_COMPOSED)
 TRAFFIC = [("routable", 0.0), ("mixed", 0.1)]
 #: The columnwise lane floor each SoA leg runs at: ``codegen`` keeps
 #: every batch on the lane loop, its alias ``vector`` runs every batch
@@ -48,7 +54,9 @@ def composed_programs():
 
 
 def test_every_backend_is_covered():
-    assert set(AS_COMPOSED) == set(EXEC_BACKENDS)
+    assert set(EXECUTORS) <= set(AS_COMPOSED)
+    for backend, executor in AS_COMPOSED.items():
+        assert executor_class(backend) is executor
 
 
 def _run(switch, config, program, traced):
@@ -118,6 +126,46 @@ def test_program_specific_corpus_agrees(composed_programs, program, backend):
             (o.port, o.packet.tobytes()) for o in want
         ], pkt
         assert got_trace.to_dict()["events"] == want_trace.to_dict()["events"]
+
+
+@pytest.mark.parametrize("floor", [LANE_LOOP, 1], ids=["lane-loop", "columnwise"])
+@pytest.mark.parametrize("program", PROGRAMS)
+def test_program_specific_corpus_agrees_in_one_batch(
+    composed_programs, program, floor
+):
+    """The same corpus as one ``process_soa`` batch of the shrunk
+    codegen executor, on its lane loop and on its columnwise tier,
+    against the interpreter as composed taking it a packet at a time."""
+    composed = composed_programs[program]
+    reference = PipelineInstance(composed)
+    shrunk = make_pipeline(composed, "codegen")
+    for instance in (reference, shrunk):
+        api = RuntimeAPI(instance)
+        for table, matches, action, _, args in ENTRY_SETS[program]:
+            api.add_entry(table, matches, action, args)
+    corpus = standard_corpus(program)
+    want = []
+    for pkt in corpus:
+        outputs = reference.process(pkt.copy(), 1)
+        want.append((
+            [(o.port, o.packet.tobytes()) for o in outputs],
+            reference.last_drop_reason,
+        ))
+    with columnwise_floor(floor), collecting() as registry:
+        lanes = shrunk.process_soa(
+            [pkt.tobytes() for pkt in corpus],
+            [1] * len(corpus),
+            [pkt.copy() for pkt in corpus],
+        )
+        loops = registry.counter("vector.soa_fallback_batches")
+    assert [exc for _, _, exc in lanes] == [None] * len(corpus)
+    got = [
+        ([(o.port, o.packet.tobytes()) for o in outputs], reason)
+        for outputs, reason, _ in lanes
+    ]
+    assert got == want
+    assert any(outputs for outputs, _ in want)
+    assert loops == (0 if floor == 1 and NUMPY_AVAILABLE else 1)
 
 
 def test_routable_p4_packet_statement_count(composed_programs):

@@ -11,7 +11,7 @@ from repro.obs.pkttrace import PacketTrace
 from repro.targets.backends import make_pipeline
 from repro.targets.runtime_api import RuntimeAPI
 #: Backends whose per-packet hit sequence must equal the interpreter's.
-OTHER_BACKENDS = ("compiled", "codegen", "vector")
+OTHER_BACKENDS = ("codegen", "vector")
 
 
 def backend_hit_sequence(inst, mode, backend, packet):

@@ -7,6 +7,7 @@ from unittest.mock import patch
 
 from repro.net.packet import Packet
 from repro.targets import codegen
+from repro.targets.backends import EXEC_BACKENDS, executor_class
 from repro.targets.engine import (
     EngineConfig,
     _merge_blocks,
@@ -25,6 +26,19 @@ from repro.targets.soak import (
 
 #: A columnwise lane floor no batch reaches: every batch takes the lane loop.
 LANE_LOOP = sys.maxsize
+
+
+def _first_name_per_executor() -> tuple:
+    first = {}
+    for name in EXEC_BACKENDS:
+        first.setdefault(executor_class(name), name)
+    return tuple(first.values())
+
+
+#: The first backend name of each executor class, in ``EXEC_BACKENDS``
+#: order (``interp``, ``codegen``): a matrix over these runs every
+#: executor once, and no alias (``compiled``, ``vector``) reruns one.
+EXECUTORS = _first_name_per_executor()
 
 
 @contextmanager

@@ -196,12 +196,14 @@ class TestWhoWasWaiting:
         json.dumps(merged)
 
     def test_tiny_ring_reads_as_worker_bound(self, monkeypatch):
-        # 400 packets cannot fit a 4 KiB ring while the worker is still
-        # building its pipeline: the parent must wait, and say so.
+        # Shard 0 sleeps half a second after its first packet, and its
+        # share of 400 packets cannot fit a 4 KiB ring meanwhile: the
+        # parent must wait, and say so.  The stall moves no verdict.
         config = quick_config()
         roomy = run_sharded(config, "P4", EngineConfig(workers=2))
         monkeypatch.setattr(pool_mod, "_RING_BYTES", 4096)
-        tiny = run_sharded(config, "P4", EngineConfig(workers=2))
+        held = ChaosPlan.from_specs(["stall:shard=0@pkt=0@for=0.5"])
+        tiny = run_sharded(config, "P4", EngineConfig(workers=2, chaos=held))
         assert sum(tiny["ring_full_spins"].values()) > 0
         assert tiny["digest"] == roomy["digest"]
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import astnodes as ast
+from repro.lib.catalog import PROGRAMS
 from repro.targets.tables import TableRuntime
 
 WIDTH = 16
@@ -192,15 +193,9 @@ def test_reference_scan_mode_has_no_memo():
     assert table._index is None  # the memo lives on the index
 
 
-@pytest.mark.parametrize("name", ["P2", "P4"])
-def test_pipeline_traces_identical(name):
-    """Indexed and scan instances of a composed pipeline must produce
-    identical outputs and identical packet traces (hit sequences, entry
-    indices) over the standard corpus."""
-    from tests.integration.helpers import make_instance, standard_corpus
+def _assert_traces_identical(indexed, scan, name):
+    from tests.integration.helpers import standard_corpus
 
-    indexed = make_instance(name, "micro", use_table_index=True)
-    scan = make_instance(name, "micro", use_table_index=False)
     for pkt in standard_corpus(name):
         outs_i, trace_i = indexed.process_traced(pkt.copy(), 1)
         outs_s, trace_s = scan.process_traced(pkt.copy(), 1)
@@ -217,7 +212,43 @@ def test_pipeline_traces_identical(name):
         ]
 
 
-@pytest.mark.parametrize("backend", ["interp", "compiled", "codegen"])
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_pipeline_traces_identical(name):
+    """Indexed and scan instances of a composed pipeline must produce
+    identical outputs and identical packet traces (hit sequences, entry
+    indices) over the standard corpus."""
+    from tests.integration.helpers import make_instance
+
+    _assert_traces_identical(
+        make_instance(name, "micro", use_table_index=True),
+        make_instance(name, "micro", use_table_index=False),
+        name,
+    )
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_codegen_traces_identical(name):
+    """The same on codegen, where an indexed instance answers
+    as-declared MATs at the apply site and an unindexed one scans."""
+    from repro.lib.catalog import build_pipeline
+    from repro.targets.backends import make_pipeline
+    from repro.targets.runtime_api import RuntimeAPI
+    from tests.integration.helpers import ENTRY_SETS
+
+    composed = build_pipeline(name)
+    instances = []
+    for use_table_index in (True, False):
+        instance = make_pipeline(
+            composed, "codegen", use_table_index=use_table_index
+        )
+        api = RuntimeAPI(instance)
+        for table, matches, action, _, args in ENTRY_SETS[name]:
+            api.add_entry(table, matches, action, args)
+        instances.append(instance)
+    _assert_traces_identical(*instances, name)
+
+
+@pytest.mark.parametrize("backend", ["interp", "codegen"])
 def test_traced_entry_order_at_a_thousand_routes(backend):
     """A traced table hit reports the entry's position in the
     const-then-runtime order.  The live index hands that out from the

@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-from repro.targets.backends import EXEC_BACKENDS
 from repro.targets import pool as pool_mod
 from repro.targets.engine import EngineConfig, EngineError
 from repro.targets.faults import ChaosPlan
@@ -16,12 +15,11 @@ from repro.targets.soak import SoakConfig
 from repro.targets.supervision import RestartPolicy
 from repro.targets.vector import NUMPY_AVAILABLE
 from tests.targets.helpers import (
+    EXECUTORS,
     assert_matches_oracle,
     oracle_run,
     sabotage_shard0,
 )
-
-BACKENDS = EXEC_BACKENDS
 
 
 def small_config(**kw) -> SoakConfig:
@@ -443,7 +441,7 @@ class TestDeterminism:
     """Ring + pool + supervision against a direct in-process call of
     the shard loop (``tests.targets.helpers.oracle_run``)."""
 
-    @pytest.mark.parametrize("exec_backend", BACKENDS)
+    @pytest.mark.parametrize("exec_backend", EXECUTORS)
     def test_dispatch_matches_oracle_digest(self, exec_backend):
         config = small_config(exec_backend=exec_backend)
         for policy in ("flow-hash", "round-robin"):
@@ -505,9 +503,7 @@ class TestWorkersInheritModules:
     before the first fork: a forked worker, a supervised replacement
     too, instantiates them and generates or compiles nothing."""
 
-    @pytest.mark.parametrize(
-        "backend", [b for b in ("codegen", "vector") if b in BACKENDS]
-    )
+    @pytest.mark.parametrize("backend", ["codegen", "vector"])
     @pytest.mark.parametrize(
         "specs", [None, "kill:shard=0@pkt=200"], ids=["undisturbed", "restart"]
     )

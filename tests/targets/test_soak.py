@@ -10,7 +10,6 @@ import pytest
 from repro.errors import TargetError
 from repro.lib.catalog import COMPOSITIONS, EXTRA_COMPOSITIONS
 from repro.obs.telemetry import FlightRecorder, TraceWriter
-from repro.targets.backends import EXEC_BACKENDS
 from repro.targets.pipeline import PipelineInstance
 from repro.targets.runtime_api import RuntimeAPI
 from repro.targets.soak import (
@@ -26,7 +25,7 @@ from repro.targets.soak import (
     soak_program,
     update_digest,
 )
-from tests.targets.helpers import LANE_LOOP
+from tests.targets.helpers import EXECUTORS, LANE_LOOP
 
 #: ``P4,P7 / 5000 / fault 0.1 / seed 1234``, no workers.
 INLINE_GOLDEN = "3441bd1cc811823e291e596dcaa90192a57c4da04fc2f5ae168c3a054bca2123"
@@ -177,7 +176,7 @@ class TestBaseEntries:
 
 
 class TestInlineGolden:
-    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
+    @pytest.mark.parametrize("backend", EXECUTORS)
     def test_inline_golden_digest(self, backend):
         summary = run_soak(
             SoakConfig(

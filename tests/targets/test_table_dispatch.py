@@ -10,7 +10,6 @@ same verdict, text and trace), and that build output stays linear in
 tables.
 """
 
-import inspect
 import re
 
 import pytest
@@ -22,16 +21,13 @@ from repro.lib.catalog import COMPOSITIONS, build_pipeline
 from repro.net.packet import Packet
 from repro.obs.metrics import METRICS, collecting
 from repro.obs.pkttrace import PacketTrace
-from repro.targets.backends import EXEC_BACKENDS, make_pipeline
-from repro.targets.compiled import _Compiler
+from repro.targets.backends import make_pipeline
 from repro.targets.soak import SoakConfig, build_switch
 from repro.targets.tables import Entry, TableRuntime
 from repro.targets.vector import NUMPY_AVAILABLE, columnwise_module
 
 from tests.integration.helpers import eth_ipv4, eth_ipv6
-from tests.targets.helpers import LANE_LOOP, columnwise_floor
-
-RUN_BACKENDS = EXEC_BACKENDS
+from tests.targets.helpers import EXECUTORS, LANE_LOOP, columnwise_floor
 
 _COMPOSED = {}
 
@@ -112,7 +108,7 @@ class TestBuildInvariant:
         assert t.default_action == "NoAction"
         assert list(t.selectable_actions) == ["hit"]
 
-    @pytest.mark.parametrize("backend", RUN_BACKENDS)
+    @pytest.mark.parametrize("backend", EXECUTORS)
     def test_every_backend_fails_at_build(self, backend):
         """A synthesised table the typechecker never saw is caught when
         the executor is built, before any packet."""
@@ -218,7 +214,7 @@ class TestForeignActionParity:
                 # The lookup is traced before the dispatch fails.
                 assert [e for e in events if e.kind == "table" and e.data["table"] == table]
 
-        for backend in RUN_BACKENDS[1:]:
+        for backend in EXECUTORS[1:]:
             switch = _p4_switch(backend)
             assert _inject_foreign(switch) == (table, action)
             assert _per_packet(switch) == want, backend
@@ -233,7 +229,7 @@ class TestForeignActionParity:
             loops = registry.counter("vector.soa_fallback_batches")
             assert loops == (0 if columnwise else 1), floor
 
-    @pytest.mark.parametrize("backend", RUN_BACKENDS)
+    @pytest.mark.parametrize("backend", EXECUTORS)
     def test_install_still_refuses_a_foreign_action(self, backend):
         switch = _p4_switch(backend)
         runtime = _table(switch, "ipv4_lpm_tbl")
@@ -255,7 +251,7 @@ class TestArgumentCountAtInstall:
     kill every packet that hit the entry; it is refused where the other
     install-time checks are, the same way on every backend."""
 
-    @pytest.mark.parametrize("backend", RUN_BACKENDS)
+    @pytest.mark.parametrize("backend", EXECUTORS)
     def test_install_refuses_a_wrong_argument_count(self, backend):
         switch = _p4_switch(backend)
         runtime = _table(switch, "ipv4_lpm_tbl")
@@ -282,7 +278,7 @@ class TestArgumentCountAtInstall:
         verdict = switch.process(Packet(eth_ipv4(dst=FOREIGN_DST).tobytes()), 1)
         assert verdict.kind != "killed"
 
-    @pytest.mark.parametrize("backend", RUN_BACKENDS)
+    @pytest.mark.parametrize("backend", EXECUTORS)
     def test_forced_entry_still_fails_per_packet(self, backend):
         """Behind the API the per-packet check is what is left."""
         switch = _p4_switch(backend)
@@ -299,6 +295,36 @@ class TestArgumentCountAtInstall:
             f"TargetError: action {action!r} expects 1 args, got 0"
         )
 
+    @pytest.mark.parametrize(
+        "floor", [LANE_LOOP, 1], ids=["lane-loop", "columnwise"]
+    )
+    def test_forced_entry_fails_only_its_lanes_in_a_batch(self, floor):
+        """In one SoA batch the entry kills the lanes that hit it, with
+        the per-packet text, and leaves the others as they were."""
+        want = _p4_switch("interp")
+        switch = _p4_switch("codegen")
+        for each in (want, switch):
+            runtime = _table(each, "ipv4_lpm_tbl")
+            action = next(
+                a for a in runtime.selectable_actions if a.endswith("process")
+            )
+            runtime.runtime_entries.append(
+                Entry(matches=[("lpm", 0x0A020000, 16)], action_name=action)
+            )
+            runtime._index = None
+            runtime.version += 1
+        expected = [
+            _summary(want.process(Packet(data), port)) for data, port in _corpus()
+        ]
+        assert [row[0] for row in expected] == ["emit", "killed", "emit", "killed"]
+        assert expected[1][2] == (
+            f"TargetError: action {action!r} expects 1 args, got 0"
+        )
+        with columnwise_floor(floor), collecting() as registry:
+            assert _batch(switch) == expected
+            loops = registry.counter("vector.soa_fallback_batches")
+        assert loops == (0 if floor == 1 and NUMPY_AVAILABLE else 1)
+
 
 # ----------------------------------------------------------------------
 # Build output is linear in tables
@@ -311,10 +337,6 @@ class TestArgumentCountAtInstall:
 P7_SOURCE_LINE_BUDGET = 4_000
 
 _ARM = re.compile(r"^\s*(?:if|elif) _t\d+ == '", re.M)
-
-
-def _default_of(fn, name):
-    return inspect.signature(fn).parameters[name].default
 
 
 @pytest.mark.parametrize("program", sorted(COMPOSITIONS))
@@ -330,21 +352,6 @@ class TestLinearInTables:
         assert len(_ARM.findall(pipe.source)) == pipe.dispatch_arms
         if program == "P7":
             assert len(pipe.source.splitlines()) < P7_SOURCE_LINE_BUDGET
-
-    def test_compiled_invokers(self, program, monkeypatch):
-        dispatch = {}
-        lower = _Compiler._compile_table_apply
-
-        def spy(self, decl):
-            fn = lower(self, decl)
-            dispatch[decl.name] = _default_of(fn, "_dispatch")
-            return fn
-
-        monkeypatch.setattr(_Compiler, "_compile_table_apply", spy)
-        pipe = make_pipeline(composed_for(program), "compiled")
-        assert set(dispatch) == set(pipe.tables)
-        for name, runtime in pipe.tables.items():
-            assert list(dispatch[name]) == list(runtime.selectable_actions)
 
     def test_vector_arms(self, program):
         pipe = make_pipeline(composed_for(program), "codegen")

@@ -14,7 +14,6 @@ import pytest
 from repro.net.packet import Packet
 from repro.obs.metrics import METRICS, MetricsRegistry, collecting
 from repro.obs.telemetry import LiveTelemetry
-from repro.targets.backends import EXEC_BACKENDS
 from repro.targets import soak as soak_mod
 from repro.targets.engine import EngineConfig
 from repro.targets.soak import (
@@ -27,9 +26,12 @@ from repro.targets.soak import (
     soak_program,
 )
 from repro.targets.vector import NUMPY_AVAILABLE, columnwise_module
-from tests.targets.helpers import LANE_LOOP, columnwise_floor, run_sharded
-
-BACKENDS = EXEC_BACKENDS
+from tests.targets.helpers import (
+    EXECUTORS,
+    LANE_LOOP,
+    columnwise_floor,
+    run_sharded,
+)
 #: The tiers a codegen batch runs on this host (columnwise needs numpy).
 BATCH_TIERS = ["lane-loop"] + (["columnwise"] if NUMPY_AVAILABLE else [])
 
@@ -56,7 +58,7 @@ class TestDigestNeutrality:
         assert live["packets"] == baseline["packets"]
 
     def test_sharded_digest_unchanged_by_telemetry(self):
-        config = quick_config(packets=600, exec_backend="compiled")
+        config = quick_config(packets=600, exec_backend="codegen")
         off = run_sharded(config, "P4", EngineConfig(workers=2))
         telemetry = LiveTelemetry()
         on = run_sharded(
@@ -140,11 +142,11 @@ class TestLatencyInstrumentationBothBackends:
 
     def test_same_stage_keys_same_counts(self):
         interp = self._stage_counts("interp")
-        compiled = self._stage_counts("compiled")
-        # Both backends report under the same keys with identical
-        # observation counts — the backend must not change what is
+        codegen = self._stage_counts("codegen")
+        # Both executors report under the same keys with identical
+        # observation counts — the executor must not change what is
         # counted, only how fast it runs.
-        assert interp == compiled
+        assert interp == codegen
         assert all(count > 0 for count in interp.values())
 
 
@@ -193,7 +195,7 @@ class TestMetricsOffCostsNothing:
             for packet, port in packets:
                 switch.process(packet, port)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", EXECUTORS)
     def test_per_packet_process_makes_no_call(self, backend, registry_calls):
         assert not METRICS.enabled
         self._run(backend, registry_calls)
